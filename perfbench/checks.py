@@ -295,10 +295,17 @@ def check_gain(loop: Loop, alpha: float, row: dict[str, str],
     w = data[:, 1 + n + m + p:1 + n + m + p + q]
     v = data[:, 1 + n + m + p + q]
     ustar = data[:, 2 + n + m + p + q:]
-    seg = np.searchsorted(loop.starts, t, side="right") - 1
-    if np.any(np.diff(t) <= 0.0) or t[0] != 0.0 or t[-1] != loop.t_end or seg.min() < 0:
+    if np.any(np.diff(t) < 0.0) or t[0] != 0.0 or t[-1] != loop.t_end:
         failures.append("trajectory: sample times are not increasing over [0, t_end]")
         return failures
+    seg = np.searchsorted(loop.starts, t, side="right") - 1
+    # A segment can end with a step far below the printed precision, so its
+    # last sample prints with the next segment's start time.  Each segment
+    # records its start once, so of equal times at a switch only the last
+    # row belongs to the new segment.
+    tail = np.append((t[1:] == t[:-1]) & (t[:-1] == loop.starts[seg[:-1]]) & (seg[:-1] > 0),
+                     False)
+    seg[tail] -= 1
 
     ref, z_end = reference_states(loop, alpha, t, seg)
     ref_y = ref[:, :n] @ loop.c.T

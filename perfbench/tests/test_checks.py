@@ -72,6 +72,20 @@ def boxed(tmp_path_factory):
     return Output(scenario, tmp / "out")
 
 
+@pytest.fixture(scope="module")
+def tiny_tail(tmp_path_factory):
+    """fig1 with a step 5e-15 short of dividing the segments: each segment
+    ends with a 2.5e-14 step, so its last sample prints with the next
+    segment's start time."""
+    doc = yaml.safe_load((ROOT / "src" / "ofo" / "scenarios" / "fig1.yaml").read_text())
+    doc["sim"]["dt"] = 0.0025 * (1.0 - 5e-15)
+    tmp = tmp_path_factory.mktemp("tiny_tail")
+    scenario = tmp / "tiny_tail.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    ofo("sweep", str(scenario), "--alphas", "10", "--out", str(tmp / "out"))
+    return Output(scenario, tmp / "out")
+
+
 def kinds(failures: list[str]) -> set[str]:
     return {msg.split(":", 1)[0] for msg in failures}
 
@@ -81,6 +95,13 @@ def test_program_outputs_pass(fig1, boxed):
         assert fig1.check(label) == []
     for label in ("1", "10"):
         assert boxed.check(label) == []
+
+
+def test_repeated_time_at_a_switch_passes(tiny_tail):
+    t = tiny_tail.column("10", "t")[1][:, 0]
+    # at the three switches and at t_end
+    assert np.count_nonzero(np.diff(t) == 0.0) == 4
+    assert tiny_tail.check("10") == []
 
 
 def test_fig1_gain_1000_fails_on_status_only(fig1):
