@@ -2,7 +2,7 @@
 """The benchmark of `ofo`: gain sweeps run through the CLI, timed end to end,
 traced layer by layer, and checked against numpy/scipy references.
 
-    python3 perfbench/run.py --workload fig1-reproduce --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload fig1-reproduce --seed 1 --seconds 30 --trace 0
 
 Run it from the root of a source checkout; the program is loaded from
 `src/` as the tests load it.  Every timed invocation is a fresh
@@ -13,6 +13,12 @@ expected to end within `--seconds` (at least one), and reports the medians
 of `setup_s`, `run_s` and `peak_rss_mb`.  With `--trace 1` it makes one plain and one traced
 invocation (see `traced.py`), reports the per-layer metrics and the tracing
 overhead, and compares the stepping kernels on the sweep's first segment.
+
+The machine's speed drifts by up to 2x, in phases of a second to minutes, so
+every timed window is scaled to a reference speed.  A probe thread in this
+process times a fixed pure-Python loop in CPU seconds every 50 ms, alongside
+the program; a window's wall seconds are multiplied by `PROBE_REF_S` over the
+probe's mean inside it.  The printed lines give the raw wall seconds too.
 
 Each gain of each invocation is one operation.  It fails when any check in
 `checks.py` fails.  `correct` is false when an invocation errs or a check
@@ -43,6 +49,12 @@ RUNS_DIR = ROOT / ".perfbench_out"
 SETUP_SAMPLES = 8
 KERNEL_STEPS = 20000
 DEADLINE_S = 170.0
+#: The speed probe: loop length, sampling period, and the loop's CPU seconds
+#: at the reference speed, to which `run_s`, `setup_s` and the tracing
+#: overhead are scaled.
+PROBE_ITERS = 20000
+PROBE_PERIOD_S = 0.05
+PROBE_REF_S = 0.002
 SETUP_CODE = "import ofo; from ofo.engine import kernel_name; print(kernel_name())"
 #: Gains as the CLI names their files.
 FIG1_GAINS = ("1", "10", "100", "1000")
@@ -60,6 +72,15 @@ def _reproduce(figure: str, gains: tuple[str, ...]):
     return make
 
 
+def _fig2_short(_seed: int, work: Path):
+    path = work / "fig2-short.yaml"
+    bundled = SRC / "ofo" / "scenarios" / "fig2.yaml"
+    text = subprocess.run([sys.executable, str(HERE / "short.py"), str(bundled)],
+                          capture_output=True, text=True, check=True).stdout
+    path.write_text(text, encoding="utf-8")
+    return ["sweep", str(path), "--alphas", ",".join(FIG2_GAINS)], path, FIG2_GAINS
+
+
 def _levels(seed: int, work: Path):
     path = work / "levels.yaml"
     text = subprocess.run([sys.executable, str(HERE / "levels.py"), str(seed)],
@@ -71,10 +92,54 @@ def _levels(seed: int, work: Path):
 #: name -> (sweep threads, a function of the seed that returns the CLI
 #: arguments before `--out`, the scenario file and the gains of one invocation)
 WORKLOADS = {
-    "fig2-reproduce": (usable_cores, _reproduce("fig2", FIG2_GAINS)),
+    "fig2-sweep": (usable_cores, _fig2_short),
     "fig1-reproduce": (lambda: 1, _reproduce("fig1", FIG1_GAINS)),
     "levels-sweep": (lambda: 1, _levels),
 }
+
+
+def probe_loop(n: int = PROBE_ITERS) -> float:
+    """A fixed piece of interpreted float arithmetic, apart from the program."""
+    x = 0.0
+    for i in range(n):
+        x = x * 0.999 + i * 1e-9
+    return x
+
+
+class SpeedProbe(threading.Thread):
+    """Times `probe_loop` in CPU seconds of this thread every
+    `PROBE_PERIOD_S`, so that a window's wall time can be scaled to the
+    reference speed.  CPU seconds leave out the time the probe waits for a
+    core, so a program that keeps both cores busy does not pass for a slow
+    machine.  It takes about 4% of one core."""
+
+    def __init__(self):
+        super().__init__(name="speed-probe", daemon=True)
+        self.samples: list[tuple[float, float]] = []  # (end, CPU seconds)
+        self.halt = threading.Event()
+
+    def run(self) -> None:
+        while not self.halt.is_set():
+            start = time.thread_time()
+            probe_loop()
+            self.samples.append((time.perf_counter(), time.thread_time() - start))
+            self.halt.wait(PROBE_PERIOD_S)
+
+    def stop(self) -> None:
+        self.halt.set()
+        self.join()
+
+    def mean(self, start: float, end: float) -> float:
+        """Mean probe CPU seconds of the samples that ended in [start, end],
+        or of the nearest sample when none did."""
+        inside = [cpu for t, cpu in self.samples if start <= t <= end]
+        if not inside:
+            inside = [min(self.samples, key=lambda s: abs(s[0] - end))[1]]
+        return statistics.fmean(inside)
+
+    def scaled(self, seconds: float, start: float, end: float) -> float:
+        """`seconds`, measured in [start, end], at the reference speed."""
+        return seconds * PROBE_REF_S / self.mean(start, end)
 
 
 class Runner:
@@ -100,9 +165,12 @@ class Runner:
         self.failed = 0
         self.correct = True
         self.messages: list[str] = []
+        self.probe = SpeedProbe()
+        self.probe.start()
 
-    def spawn(self, cmd: list[str]) -> tuple[float, float, int]:
-        """Wall seconds from launch to exit, peak RSS in MB, exit code."""
+    def spawn(self, cmd: list[str]) -> tuple[float, float, float, int]:
+        """Wall seconds from launch to exit, raw and at the reference speed,
+        peak RSS in MB, exit code."""
         with open(self.work / "child.log", "ab") as log:
             start = time.perf_counter()
             proc = subprocess.Popen(cmd, cwd=ROOT, env=self.env, stdout=log, stderr=log)
@@ -112,24 +180,34 @@ class Runner:
                 _, status, usage = os.wait4(proc.pid, 0)
             finally:
                 timer.cancel()
-            elapsed = time.perf_counter() - start
+            end = time.perf_counter()
         proc.returncode = os.waitstatus_to_exitcode(status)
-        return elapsed, usage.ru_maxrss / 1024.0, proc.returncode
+        return (end - start, self.probe.scaled(end - start, start, end),
+                usage.ru_maxrss / 1024.0, proc.returncode)
 
     def python(self, *args: str) -> str:
         return subprocess.run([sys.executable, *args], cwd=ROOT, env=self.env,
                               capture_output=True, text=True, check=True).stdout
 
-    def setup_times(self) -> list[float]:
-        return [self.spawn([sys.executable, "-c", SETUP_CODE])[0] for _ in range(SETUP_SAMPLES)]
+    def setup_times(self) -> list[tuple[float, float]]:
+        """Set-up wall seconds, raw and at the reference speed.  One probe
+        mean covers the whole batch, because a set-up is shorter than a few
+        probe periods."""
+        start = time.perf_counter()
+        raw = [self.spawn([sys.executable, "-c", SETUP_CODE])[0] for _ in range(SETUP_SAMPLES)]
+        end = time.perf_counter()
+        return [(t, self.probe.scaled(t, start, end)) for t in raw]
 
-    def invoke(self, trace: Path | None = None) -> tuple[float, float, Path]:
+    def invoke(self, trace: Path | None = None) -> tuple[float, float, float, Path]:
+        """Wall seconds raw and at the reference speed, peak RSS in MB, and
+        the output directory of one verified invocation."""
         self.count += 1
         out = self.work / f"out{self.count}"
         entry = [str(HERE / "traced.py"), str(trace)] if trace else ["-m", "ofo.cli"]
-        elapsed, rss, code = self.spawn([sys.executable, *entry, *self.argv, "--out", str(out)])
+        elapsed, scaled, rss, code = self.spawn([sys.executable, *entry, *self.argv,
+                                                 "--out", str(out)])
         self.record(out, code)
-        return elapsed, rss, out
+        return elapsed, scaled, rss, out
 
     def record(self, out: Path, code: int) -> None:
         """Verify one invocation's outputs and count its operations.  Equal
@@ -196,19 +274,23 @@ def end_to_end(runner: Runner, seconds: float) -> dict:
     print(f"kernel: {kernel}; usable cores: {usable_cores()}; "
           f"OFO_THREADS={runner.env['OFO_THREADS']}")
     setup = runner.setup_times()
-    times, rss = [], []
+    times, scaled, rss = [], [], []
     while True:
-        elapsed, peak, out = runner.invoke()
+        elapsed, ref_s, peak, out = runner.invoke()
         shutil.rmtree(out)
         times.append(elapsed)
+        scaled.append(ref_s)
         rss.append(peak)
         if sum(times) + statistics.median(times) > seconds:
             break
     setup += runner.setup_times()
-    print(f"invocations: {len(times)}; run_s: {', '.join(f'{t:.4f}' for t in times)}")
+    print(f"invocations: {len(times)}; wall s: {', '.join(f'{t:.4f}' for t in times)}; "
+          f"at reference speed: {', '.join(f'{t:.4f}' for t in scaled)}")
+    print(f"setup wall s median {statistics.median(t for t, _ in setup):.4f}, "
+          f"at reference speed {statistics.median(r for _, r in setup):.4f}")
     return {
-        "setup_s": (statistics.median(setup), "s"),
-        "run_s": (statistics.median(times), "s"),
+        "setup_s": (statistics.median(r for _, r in setup), "s"),
+        "run_s": (statistics.median(scaled), "s"),
         "peak_rss_mb": (statistics.median(rss), "MB"),
     }
 
@@ -240,15 +322,17 @@ def kernel_rates(spec_doc: dict) -> tuple[float, float, str, bool]:
 
 
 def per_layer(runner: Runner) -> dict:
-    plain_s, _, plain_out = runner.invoke()
+    plain_wall, plain_s, _, plain_out = runner.invoke()
     trace_path = runner.work / "trace.json"
-    traced_s, _, traced_out = runner.invoke(trace=trace_path)
+    traced_wall, traced_s, _, traced_out = runner.invoke(trace=trace_path)
     output_bytes = dir_bytes(traced_out)
     trace = json.loads(trace_path.read_text("utf-8"))
     calls, secs, counts = trace["calls"], trace["seconds"], trace["counts"]
+    runner.probe.stop()  # the kernels run in this process
     pure_rate, selected_rate, kernel, identical = kernel_rates(trace["kernel_spec"])
     print(f"kernel: {kernel}; usable cores: {usable_cores()}; "
-          f"OFO_THREADS={runner.env['OFO_THREADS']}; run_s plain {plain_s:.4f}, "
+          f"OFO_THREADS={runner.env['OFO_THREADS']}; wall s plain {plain_wall:.4f}, "
+          f"traced {traced_wall:.4f}; at reference speed plain {plain_s:.4f}, "
           f"traced {traced_s:.4f}")
     if not identical:
         runner.correct = False
@@ -297,10 +381,13 @@ def main() -> int:
 
     RUNS_DIR.mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=RUNS_DIR))
+    runner = None
     try:
         runner = Runner(args.workload, args.seed, work)
         metrics = per_layer(runner) if args.trace else end_to_end(runner, args.seconds)
     finally:
+        if runner is not None:
+            runner.probe.stop()
         shutil.rmtree(work, ignore_errors=True)
         try:
             RUNS_DIR.rmdir()
