@@ -1,59 +1,24 @@
 """Online feedback optimization: closed-loop simulation and a gain-independent
 exponential-stability certificate, with reproducible scenario tooling."""
 
-from .certificate import (
-    CertificateReport,
-    DominanceParams,
-    SimplifyingConstants,
-    certify,
-    check_mu_bound,
-    decay_rate,
-    derive_dominance_params,
-    derive_plant_constants,
-    feasible_xi,
-    required_regularization,
-)
-from .controllers import BoxSet, GradientOfoController, ProjectedOfoController, proj_box
-from .costs import CostDescriptor, QuadraticCost, RegularizedCost, SqrtPlusCost, reduced_gradient
-from .errors import (
-    ConvexityGapError,
-    DivergenceError,
-    InputError,
-    NotStabilizedError,
-    OfoError,
-    SingularMatrixError,
-)
-from .linalg import Matrix, inverse, solve_lyapunov, spectral_norm, sym_eigenvalues
-from .ode import dini_upper_estimate, integrate
+from .certificate import certify, decay_rate, required_regularization
+from .controllers import BoxSet, GradientOfoController, ProjectedOfoController
+from .costs import QuadraticCost, RegularizedCost, SqrtPlusCost
 from .plants import LinearPlant, SinePlant
-from .scenario import Scenario
 from .sim import (
     DisturbanceSchedule,
-    LyapunovSpec,
     RunConfig,
-    Trajectory,
     envelope_check,
-    lyapunov_trace,
     optimal_input,
     simulate,
-    summarize,
     sweep_alpha,
-    write_csv,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxSet", "CertificateReport", "ConvexityGapError", "CostDescriptor",
-    "DisturbanceSchedule", "DivergenceError", "DominanceParams",
-    "GradientOfoController", "InputError", "LinearPlant", "LyapunovSpec",
-    "Matrix", "NotStabilizedError", "OfoError", "ProjectedOfoController",
-    "QuadraticCost", "RegularizedCost", "RunConfig", "Scenario",
-    "SimplifyingConstants", "SinePlant", "SingularMatrixError", "SqrtPlusCost",
-    "Trajectory", "certify", "check_mu_bound", "decay_rate",
-    "derive_dominance_params", "derive_plant_constants", "dini_upper_estimate",
-    "envelope_check", "feasible_xi", "integrate", "inverse", "lyapunov_trace",
-    "optimal_input", "proj_box", "reduced_gradient", "required_regularization",
-    "simulate", "solve_lyapunov", "spectral_norm", "summarize", "sweep_alpha",
-    "sym_eigenvalues", "write_csv",
+    "BoxSet", "DisturbanceSchedule", "GradientOfoController", "LinearPlant",
+    "ProjectedOfoController", "QuadraticCost", "RegularizedCost", "RunConfig",
+    "SinePlant", "SqrtPlusCost", "certify", "decay_rate", "envelope_check",
+    "optimal_input", "required_regularization", "simulate", "sweep_alpha",
 ]

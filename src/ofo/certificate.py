@@ -115,7 +115,7 @@ def derive_plant_constants(plant: LinearPlant) -> PlantConstants:
         raise NotStabilizedError(f"plant not certifiable: {exc}") from exc
     eigs = sym_eigenvalues(p)
     lam_min, lam_max = eigs[0], eigs[-1]
-    gain = spectral_norm(plant.c.matmul(plant.a_inverse).matmul(plant.b))
+    ell_h, ell_grad_h = plant.steady_moduli
     return PlantConstants(
         ell_f=plant.input_lipschitz_factor * spectral_norm(plant.b),
         ell_g=spectral_norm(plant.c),
@@ -123,8 +123,8 @@ def derive_plant_constants(plant: LinearPlant) -> PlantConstants:
         d3=lam_max,
         mu3=1.0,
         zeta3=2.0 * lam_max,
-        ell_h=plant.sensitivity_bound_factor * gain,
-        ell_grad_h=plant.sensitivity_lipschitz_factor * gain,
+        ell_h=ell_h,
+        ell_grad_h=ell_grad_h,
         p=p,
     )
 

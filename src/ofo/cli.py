@@ -39,6 +39,11 @@ def _atomic_write(path: str, text: str) -> None:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
+            # mkstemp creates the file at 0600; give it the mode a plain
+            # open() would, so outputs follow the user's umask
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
             os.replace(tmp, path)

@@ -88,11 +88,13 @@ class QuadraticCost:
     def descriptor(self, ell_h: float, ell_grad_h: float = 0.0) -> CostDescriptor:
         _check_moduli(ell_h, ell_grad_h)
         # The sensitivity of a linear steady map is constant, so the
-        # u-Lipschitz modulus of its weighted y-gradient vanishes.
+        # u-Lipschitz modulus of its weighted y-gradient 2 q_y h'(u) y
+        # vanishes.  When the sensitivity varies, that term has no finite
+        # modulus, because y = h(u) is unbounded.
         return CostDescriptor(
             mu_phi=2.0 * self.q_u,
             lip_grad_u=2.0 * self.q_u,
-            ell_phi_u=0.0,
+            ell_phi_u=math.inf if ell_grad_h > 0.0 else 0.0,
             ell_phi_y=2.0 * self.q_y * ell_h,
             y_factor=2.0 * self.q_y,
         )

@@ -3,51 +3,22 @@
 Two concrete families are provided: a linear time-invariant plant and its
 variant with a scalar sine input nonlinearity.  Both expose the same surface
 (dynamics, output, steady state, steady output, sensitivity) so controllers
-and the certificate engine never special-case the plant kind.  The disturbance
-is a field of the plant; switching it means cloning the plant, which keeps
-each instance immutable during an integration segment.
+and the certificate engine never special-case the plant kind.  A plant is the
+model (A, B, B_w, C) alone: the disturbance w is an argument of the maps that
+depend on it, so switching it builds nothing and re-checks nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol, runtime_checkable
 
 from .errors import InputError
-from .linalg import Matrix, Vector, as_vector, inverse, solve_lyapunov, vec_add
+from .linalg import Matrix, Vector, inverse, solve_lyapunov, spectral_norm, vec_add
 
 
-@runtime_checkable
-class Plant(Protocol):
-    """What a plant must provide: dimensions plus five maps.
-
-    User-defined plants only need to satisfy this protocol; the bundled
-    implementations below cover every configuration the toolkit ships with.
-    """
-
-    @property
-    def n(self) -> int: ...
-
-    @property
-    def m(self) -> int: ...
-
-    @property
-    def p(self) -> int: ...
-
-    def dynamics(self, x: Vector, u: Vector) -> Vector: ...
-
-    def output(self, x: Vector) -> Vector: ...
-
-    def steady_state(self, u: Vector) -> Vector: ...
-
-    def steady_output(self, u: Vector) -> Vector: ...
-
-    def sensitivity(self, u: Vector) -> Matrix: ...
-
-
-def _check_lti_shapes(a: Matrix, b: Matrix, bw: Matrix, c: Matrix, w: Vector) -> None:
+def _check_lti_shapes(a: Matrix, b: Matrix, bw: Matrix, c: Matrix) -> None:
     if not a.is_square():
         raise InputError("state matrix must be square")
     n = a.rows
@@ -57,8 +28,6 @@ def _check_lti_shapes(a: Matrix, b: Matrix, bw: Matrix, c: Matrix, w: Vector) ->
         raise InputError("disturbance matrix row count must match the state dimension")
     if c.cols != n:
         raise InputError("output matrix column count must match the state dimension")
-    if len(w) != bw.cols:
-        raise InputError("disturbance vector length must match the disturbance matrix")
 
 
 @dataclass(frozen=True)
@@ -69,11 +38,9 @@ class LinearPlant:
     b: Matrix
     bw: Matrix
     c: Matrix
-    w: Vector
 
     def __post_init__(self):
-        object.__setattr__(self, "w", as_vector(self.w, "disturbance"))
-        _check_lti_shapes(self.a, self.b, self.bw, self.c, self.w)
+        _check_lti_shapes(self.a, self.b, self.bw, self.c)
         # Hurwitz gate: the Lyapunov solve succeeds with a positive-definite
         # solution exactly when A is Hurwitz.
         solve_lyapunov(self.a, Matrix.identity(self.a.rows))
@@ -100,43 +67,41 @@ class LinearPlant:
         return self.c.matmul(self.a_inverse).matmul(self.b).neg()
 
     @cached_property
-    def _drift(self) -> Vector:
-        return self.bw.matvec(self.w)
+    def steady_moduli(self) -> tuple[float, float]:
+        """(ell_h, ell_grad_h): Lipschitz moduli of the steady output map and
+        of its sensitivity, both in u."""
+        gain = spectral_norm(self.base_sensitivity)
+        return self.sensitivity_bound_factor * gain, self.sensitivity_lipschitz_factor * gain
 
-    def with_disturbance(self, w) -> "LinearPlant":
-        return replace(self, w=as_vector(w, "disturbance"))
-
-    def _check_xu(self, x: Vector, u: Vector) -> None:
-        if len(x) != self.n:
-            raise InputError(f"state has length {len(x)}, expected {self.n}")
+    def _check_u(self, u: Vector) -> None:
         if len(u) != self.m:
             raise InputError(f"input has length {len(u)}, expected {self.m}")
 
     def input_effect(self, u: Vector) -> Vector:
-        """The term the input contributes to dx/dt (before adding A x and drift)."""
+        """The term the input contributes to dx/dt (before adding A x and B_w w)."""
         return self.b.matvec(u)
 
-    def dynamics(self, x: Vector, u: Vector) -> Vector:
-        self._check_xu(x, u)
-        return vec_add(vec_add(self.a.matvec(x), self.input_effect(u)), self._drift)
+    def dynamics(self, x: Vector, u: Vector, w: Vector) -> Vector:
+        if len(x) != self.n:
+            raise InputError(f"state has length {len(x)}, expected {self.n}")
+        self._check_u(u)
+        return vec_add(vec_add(self.a.matvec(x), self.input_effect(u)), self.bw.matvec(w))
 
     def output(self, x: Vector) -> Vector:
         if len(x) != self.n:
             raise InputError(f"state has length {len(x)}, expected {self.n}")
         return self.c.matvec(x)
 
-    def steady_state(self, u: Vector) -> Vector:
-        if len(u) != self.m:
-            raise InputError(f"input has length {len(u)}, expected {self.m}")
-        forced = vec_add(self.input_effect(u), self._drift)
+    def steady_state(self, u: Vector, w: Vector) -> Vector:
+        self._check_u(u)
+        forced = vec_add(self.input_effect(u), self.bw.matvec(w))
         return tuple(-v for v in self.a_inverse.matvec(forced))
 
-    def steady_output(self, u: Vector) -> Vector:
-        return self.c.matvec(self.steady_state(u))
+    def steady_output(self, u: Vector, w: Vector) -> Vector:
+        return self.c.matvec(self.steady_state(u, w))
 
     def sensitivity(self, u: Vector) -> Matrix:
-        if len(u) != self.m:
-            raise InputError(f"input has length {len(u)}, expected {self.m}")
+        self._check_u(u)
         return self.base_sensitivity
 
     # Descriptors used when deriving certificate constants.
@@ -159,12 +124,8 @@ class SinePlant(LinearPlant):
         return self.b.matvec((u[0] + math.sin(u[0]),))
 
     def sensitivity(self, u: Vector) -> Matrix:
-        if len(u) != self.m:
-            raise InputError(f"input has length {len(u)}, expected {self.m}")
+        self._check_u(u)
         return self.base_sensitivity.scale(1.0 + math.cos(u[0]))
-
-    def with_disturbance(self, w) -> "SinePlant":
-        return replace(self, w=as_vector(w, "disturbance"))
 
     kind = "sine"
     input_lipschitz_factor = 2.0     # max |d/du (u + sin u)| = 2

@@ -277,9 +277,8 @@ class Scenario:
     # ---------- object construction ----------
 
     def build_plant(self) -> LinearPlant:
-        w0 = self.schedule.segments[0][1]
         cls = SinePlant if self.plant_kind == "sine" else LinearPlant
-        return cls(a=self.a, b=self.b, bw=self.bw, c=self.c, w=w0)
+        return cls(a=self.a, b=self.b, bw=self.bw, c=self.c)
 
     def build_cost(self) -> CostModel:
         if self.cost_kind == "quadratic":

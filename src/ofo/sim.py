@@ -3,8 +3,8 @@
 simulate() stitches together one stepping-kernel call per constant-disturbance
 segment, recording strided samples, per-segment reference optima, and (for the
 projected law) the worst box violation seen at any integration step.  The
-module also houses the brute-force steady-state optimizer used as the
-reference for every convergence claim, Lyapunov traces with their exponential
+module also houses the steady-state optimizer used as the reference for
+every convergence claim, Lyapunov traces with their exponential
 envelope check, and deterministic gain sweeps.
 """
 
@@ -20,14 +20,15 @@ from typing import Callable, Sequence, TextIO
 from . import engine
 from .controllers import BoxSet, Controller, GradientOfoController, ProjectedOfoController
 from .costs import CostModel, QuadraticCost, RegularizedCost, reduced_gradient
-from .errors import DivergenceError, InputError, OfoError
+from .errors import DivergenceError, InputError
 from .linalg import Matrix, Vector, as_vector, quad_form, spectral_norm, vec_norm, vec_sub
 from .ode import plan_steps
 from .plants import LinearPlant, SinePlant
 
 DEFAULT_MAX_RECORDS = 20000
-_GOLDEN_BRACKET = 1e6
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BRACKET = 1e6
+_SCAN_POINTS = 4097
+_SCAN_ROUNDS = 3
 
 
 def fmt12(x: float) -> str:
@@ -126,162 +127,11 @@ def default_dt(plant: LinearPlant, cost: CostModel, alpha: float) -> float:
     stiffness; clamped to [1e-6, 2.5e-3].  The upper clamp keeps the
     step-halving end-state agreement below 1e-6 even for lightly damped loops.
     """
-    gain = spectral_norm(plant.c.matmul(plant.a_inverse).matmul(plant.b))
-    ell_h = plant.sensitivity_bound_factor * gain
-    ell_grad_h = plant.sensitivity_lipschitz_factor * gain
+    ell_h, ell_grad_h = plant.steady_moduli
     desc = cost.descriptor(ell_h, ell_grad_h)
     stiffness = desc.lip_grad_u + desc.ell_phi_y * spectral_norm(plant.c) * ell_h
     dt = 0.1 / max(1.0, spectral_norm(plant.a), alpha * stiffness)
     return min(2.5e-3, max(1e-6, dt))
-
-
-def _golden_section(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _quadratic_closed_form(plant: LinearPlant, cost: CostModel, box: BoxSet | None) -> float | None:
-    """Exact optimum for an affine steady map with quadratic cost (scalar input)."""
-    if isinstance(plant, SinePlant):
-        return None
-    mu4 = 0.0
-    base = cost
-    if isinstance(base, RegularizedCost):
-        mu4 = base.mu4
-        base = base.base
-    if not isinstance(base, QuadraticCost):
-        return None
-    h_gain = plant.base_sensitivity.entry(0, 0)
-    h_off = plant.steady_output((0.0,))[0]
-    u = -(2.0 * base.q_y * h_gain * h_off) / (2.0 * base.q_u + mu4 + 2.0 * base.q_y * h_gain * h_gain)
-    if box is not None:
-        u = min(max(u, box.lo[0]), box.hi[0])
-    return u
-
-
-def _polish_stationary_point(grad: Callable[[float], float], u: float,
-                             lo: float, hi: float) -> float:
-    """Sharpen a minimizer by bisecting the (monotone) reduced gradient.
-
-    Function-value search saturates at the objective's roundoff plateau; the
-    gradient does not.  When no sign change exists inside [lo, hi] the minimum
-    sits on a bound and u is returned unchanged.
-    """
-    radius = max(1e-6, 1e-6 * abs(u))
-    for _ in range(60):
-        a = max(lo, u - radius)
-        b = min(hi, u + radius)
-        ga, gb = grad(a), grad(b)
-        if ga <= 0.0 <= gb:
-            break
-        if a == lo and b == hi:
-            return u
-        radius *= 4.0
-    else:
-        return u
-    if ga == 0.0:
-        return a
-    if gb == 0.0:
-        return b
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        gm = grad(mid)
-        if gm == 0.0:
-            return mid
-        if gm < 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def optimal_input(
-    plant: LinearPlant,
-    cost: CostModel,
-    w,
-    box: BoxSet | None = None,
-    tol: float = 1e-10,
-) -> Vector:
-    """Brute-force reference optimum of the steady-state problem.
-
-    Golden-section search over the box (or a wide refined bracket when
-    unconstrained), followed by a bisection polish of the reduced gradient;
-    for affine-plus-quadratic configurations the result is cross-checked
-    against the closed form.
-    """
-    if plant.m != 1:
-        raise InputError("the bundled optimizer handles scalar inputs only; "
-                         "supply a reference optimum for multi-input plants")
-    pw = plant.with_disturbance(w)
-
-    def objective(u: float) -> float:
-        return cost.phi((u,), pw.steady_output((u,)))
-
-    if box is not None:
-        if box.dim != 1:
-            raise InputError("box dimension must match the scalar input")
-        lo = box.lo[0] if math.isfinite(box.lo[0]) else -_GOLDEN_BRACKET
-        hi = box.hi[0] if math.isfinite(box.hi[0]) else _GOLDEN_BRACKET
-    else:
-        lo, hi = -_GOLDEN_BRACKET, _GOLDEN_BRACKET
-    if not lo < hi:
-        return (lo,)
-
-    # Coarse scan to bracket the minimum, then golden-section refinement.
-    scan_points = 4097
-    step = (hi - lo) / (scan_points - 1)
-    best_i = 0
-    best_v = math.inf
-    for i in range(scan_points):
-        v = objective(lo + i * step)
-        if v < best_v:
-            best_v = v
-            best_i = i
-    a = lo + max(0, best_i - 1) * step
-    b = lo + min(scan_points - 1, best_i + 1) * step
-    u = _golden_section(objective, a, b, tol)
-
-    def steady_grad(uu: float) -> float:
-        return reduced_gradient(cost, pw.sensitivity((uu,)), (uu,), pw.steady_output((uu,)))[0]
-
-    u = _polish_stationary_point(steady_grad, u, lo, hi)
-    if box is not None:
-        u = min(max(u, box.lo[0]), box.hi[0])
-        # an active bound is the exact optimum; prefer it over the interior
-        # point the bracketing stopped at
-        for corner in (box.lo[0], box.hi[0]):
-            if math.isfinite(corner) and objective(corner) < objective(u):
-                u = corner
-
-    exact = _quadratic_closed_form(plant.with_disturbance(w), cost, box)
-    if exact is not None:
-        if abs(u - exact) > 1e-6 * (1.0 + abs(exact)):
-            raise OfoError(
-                f"optimizer self-check failed: search found {u!r}, closed form gives {exact!r}")
-        # the closed form is exact while the search saturates at the roundoff
-        # plateau of the objective; return the sharper value
-        return (exact,)
-    return (u,)
-
-
-def _controller_parts(controller: Controller) -> tuple[int, float, float, list[float], list[float]]:
-    if isinstance(controller, ProjectedOfoController):
-        return (engine.CTRL_PROJECTED, controller.alpha, controller.beta,
-                list(controller.box.lo), list(controller.box.hi))
-    return engine.CTRL_GRADIENT, controller.alpha, 0.0, [], []
 
 
 def _cost_parts(cost: CostModel) -> tuple[int, float, float, float]:
@@ -295,6 +145,107 @@ def _cost_parts(cost: CostModel) -> tuple[int, float, float, float]:
     return engine.COST_SQRTPLUS, base.a, 0.0, mu4
 
 
+def _closed_form_optimum(plant: LinearPlant, cost: CostModel, w: Vector,
+                         box: BoxSet | None) -> float | None:
+    """Exact optimum for an affine steady map with quadratic cost (scalar input)."""
+    cost_kind, q_u, q_y, mu4 = _cost_parts(cost)
+    if isinstance(plant, SinePlant) or cost_kind != engine.COST_QUADRATIC:
+        return None
+    h_gain = plant.base_sensitivity.entry(0, 0)
+    h_off = plant.steady_output((0.0,), w)[0]
+    u = -(2.0 * q_y * h_gain * h_off) / (2.0 * q_u + mu4 + 2.0 * q_y * h_gain * h_gain)
+    if box is not None:
+        u = min(max(u, box.lo[0]), box.hi[0])
+    return u
+
+
+def _bisect(grad: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of a reduced gradient on [lo, hi], halved down to adjacent floats.
+
+    When the gradient does not change sign on the interval, the bound it never
+    crosses is returned.
+    """
+    if grad(lo) >= 0.0:
+        return lo
+    if grad(hi) <= 0.0:
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        g = grad(mid)
+        if g == 0.0:
+            return mid
+        if g < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _searched_optimum(plant: LinearPlant, cost: CostModel, w: Vector,
+                      box: BoxSet | None) -> float:
+    """Optimum found from the reduced gradient, for plants without a closed form.
+
+    A positive gap mu_phi - ell_phi_u makes the reduced gradient strictly
+    increasing, so one bisection over the box (or the +-1e6 bracket) is exact.
+    Otherwise the objective may have several local minima: a 4097-point scan,
+    repeated inside the bracket around its best point, narrows the search to
+    one basin before the bisection, and the result is compared against the
+    best scanned point and the box corners.
+    """
+    lo, hi = -_BRACKET, _BRACKET
+    if box is not None:
+        lo = box.lo[0] if math.isfinite(box.lo[0]) else lo
+        hi = box.hi[0] if math.isfinite(box.hi[0]) else hi
+    if not lo < hi:
+        return lo
+
+    def objective(u: float) -> float:
+        return cost.phi((u,), plant.steady_output((u,), w))
+
+    def grad(u: float) -> float:
+        return reduced_gradient(cost, plant.sensitivity((u,)), (u,),
+                                plant.steady_output((u,), w))[0]
+
+    desc = cost.descriptor(*plant.steady_moduli)
+    if desc.mu_phi - desc.ell_phi_u > 0.0:
+        return _bisect(grad, lo, hi)
+
+    corners = [lo, hi] if box is not None else []
+    for _ in range(_SCAN_ROUNDS):
+        step = (hi - lo) / (_SCAN_POINTS - 1)
+        best = min(range(_SCAN_POINTS), key=lambda i: objective(lo + i * step))
+        scanned = lo + best * step
+        lo, hi = lo + max(0, best - 1) * step, lo + min(_SCAN_POINTS - 1, best + 1) * step
+    return min([_bisect(grad, lo, hi), scanned, *corners], key=objective)
+
+
+def optimal_input(plant: LinearPlant, cost: CostModel, w, box: BoxSet | None = None) -> Vector:
+    """Reference optimum of the steady-state problem min_u phi(u, h(u, w)) over the box.
+
+    An affine plant with a quadratic cost (with or without mu4) gets the
+    clamped closed form; every other configuration is solved from its reduced
+    gradient (see _searched_optimum).
+    """
+    if plant.m != 1:
+        raise InputError("the bundled optimizer handles scalar inputs only; "
+                         "supply a reference optimum for multi-input plants")
+    if box is not None and box.dim != 1:
+        raise InputError("box dimension must match the scalar input")
+    w = as_vector(w, "disturbance")
+    exact = _closed_form_optimum(plant, cost, w, box)
+    if exact is not None:
+        return (exact,)
+    return (_searched_optimum(plant, cost, w, box),)
+
+
+def _controller_parts(controller: Controller) -> tuple[int, float, float, list[float], list[float]]:
+    if isinstance(controller, ProjectedOfoController):
+        return (engine.CTRL_PROJECTED, controller.alpha, controller.beta,
+                list(controller.box.lo), list(controller.box.hi))
+    return engine.CTRL_GRADIENT, controller.alpha, 0.0, [], []
+
+
 def simulate(
     plant: LinearPlant,
     controller: Controller,
@@ -305,7 +256,6 @@ def simulate(
     dt: float | None = None,
     max_records: int = DEFAULT_MAX_RECORDS,
     lyapunov: LyapunovSpec | None = None,
-    ustar_solver: Callable[[Vector], Vector] | None = None,
 ) -> Trajectory:
     """Integrate the plant-controller loop across all schedule segments.
 
@@ -361,16 +311,11 @@ def simulate(
     u = list(u0)
     for k, (t_start, w) in enumerate(schedule.segments):
         t_stop = boundaries[k + 1]
-        pw = plant.with_disturbance(w)
         if w not in ustar_cache:
-            if ustar_solver is not None:
-                ustar_cache[w] = as_vector(ustar_solver(w), "reference optimum")
-            else:
-                ustar_cache[w] = optimal_input(
-                    plant, controller.cost, w,
-                    box=controller.box if projected else None)
+            ustar_cache[w] = optimal_input(plant, controller.cost, w,
+                                           box=controller.box if projected else None)
         ustar = ustar_cache[w]
-        xstar = pw.steady_state(ustar)
+        xstar = plant.steady_state(ustar, w)
 
         n_full, last_dt = plan_steps(t_start, t_stop, dt)
         n_tot = n_full + (1 if last_dt > 0.0 else 0)
@@ -379,7 +324,7 @@ def simulate(
             n=plant.n, m=plant.m, p=plant.p,
             plant_kind=plant_kind,
             a=list(plant.a.data), b=list(plant.b.data),
-            drift=list(pw.bw.matvec(w)),
+            drift=list(plant.bw.matvec(w)),
             c=list(plant.c.data),
             sens0=list(plant.base_sensitivity.data),
             cost_kind=cost_kind, cq1=cq1, cq2=cq2, mu4=mu4,

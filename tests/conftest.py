@@ -26,7 +26,6 @@ def fast_plant() -> LinearPlant:
         b=Matrix.from_rows([[0.0], [1.0]]),
         bw=Matrix.from_rows([[1.0], [1.0]]),
         c=Matrix.from_rows([[1.0, 0.0]]),
-        w=(0.0,),
     )
 
 
@@ -38,7 +37,6 @@ def slow_sine_plant() -> SinePlant:
         b=Matrix.from_rows([[0.0], [0.1]]),
         bw=Matrix.from_rows([[0.1], [0.1]]),
         c=Matrix.from_rows([[1.0, 1.0]]),
-        w=(0.0,),
     )
 
 

@@ -145,7 +145,7 @@ def test_c04_resonant_scenario_convergence():
     config = scenario.run_config()
     plant, cost = config.plant, config.cost
 
-    # reference optima: closed form and golden-section must agree to 1e-6
+    # reference optima: the hand-derived closed form and optimal_input must agree to 1e-6
     agreement_ok = True
     for w in (10.0, -10.0):
         h_gain = 10.0 / 101.0

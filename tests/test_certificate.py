@@ -19,7 +19,7 @@ from ofo.certificate import (
 from ofo.costs import QuadraticCost, RegularizedCost
 from ofo.errors import ConvexityGapError, InputError, NotStabilizedError
 from ofo.linalg import Matrix
-from ofo.plants import LinearPlant
+from ofo.plants import LinearPlant, SinePlant
 
 from conftest import random_hurwitz_rows
 
@@ -58,7 +58,7 @@ class TestDerivePlantConstants:
         plant = LinearPlant(a=Matrix.identity(2).scale(-1.0),
                             b=Matrix.from_rows([[1.0], [0.0]]),
                             bw=Matrix.from_rows([[1.0], [1.0]]),
-                            c=Matrix.from_rows([[1.0, 0.0]]), w=(0.0,))
+                            c=Matrix.from_rows([[1.0, 0.0]]))
         pc = derive_plant_constants(plant)
         assert pc.c3 == pytest.approx(0.5, abs=1e-12)
         assert pc.d3 == pytest.approx(0.5, abs=1e-12)
@@ -209,6 +209,18 @@ class TestCertify:
         assert not report.certified
         assert report.mu_bound_rhs > report.constants.mu_phi
 
+    def test_sine_plant_with_quadratic_cost_has_no_gap(self):
+        # the weighted output gradient 2 q_y h'(u) y has no finite modulus in u
+        # on a sine plant; numerically the reduced gradient even turns down
+        plant = SinePlant(a=Matrix.identity(2).scale(-1.0), b=Matrix.from_rows([[1.0], [0.0]]),
+                          bw=Matrix.from_rows([[1.0], [0.0]]), c=Matrix.from_rows([[1.0, 0.0]]))
+        cost = QuadraticCost(q_u=1.0, q_y=0.1)
+        u = np.linspace(-2000.0, 2000.0, 400001)
+        grad = 2.0 * u + 0.2 * (u + np.sin(u)) * (1.0 + np.cos(u))
+        assert float(np.min(np.diff(grad) / np.diff(u))) < -300.0
+        with pytest.raises(ConvexityGapError):
+            certify(plant, cost, 1.0)
+
     def test_unknown_override_rejected(self, fast_plant, quad_cost):
         with pytest.raises(InputError, match="unknown certificate constant"):
             certify(fast_plant, quad_cost, 1.0, {"bogus": 1.0})
@@ -240,8 +252,7 @@ class TestCertify:
                     a=Matrix.from_rows([[v * scale for v in row] for row in a_rows]),
                     b=Matrix.from_rows([[v * scale for v in row] for row in b_rows]),
                     bw=Matrix.from_rows([[v * scale for v in row] for row in bw_rows]),
-                    c=Matrix.from_rows(c_rows),
-                    w=(0.0,))
+                    c=Matrix.from_rows(c_rows))
                 k, _, _ = assemble_constants(plant, cost)
                 verdicts.append(check_mu_bound(k)[0])
             assert len(set(verdicts)) == 1, (a_rows, verdicts)
@@ -251,5 +262,4 @@ class TestCertify:
             LinearPlant(a=Matrix.from_rows([[0.0, 1.0], [0.0, 0.0]]),
                         b=Matrix.from_rows([[0.0], [1.0]]),
                         bw=Matrix.from_rows([[0.0], [1.0]]),
-                        c=Matrix.from_rows([[1.0, 0.0]]),
-                        w=(0.0,))
+                        c=Matrix.from_rows([[1.0, 0.0]]))

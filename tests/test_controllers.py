@@ -76,14 +76,13 @@ class TestGradientController:
     def test_zero_set_independent_of_alpha(self, fast_plant):
         cost = QuadraticCost(q_u=0.01, q_y=1.0)
         rng = random.Random(5)
-        plant = fast_plant.with_disturbance((2.0,))
         controllers = [
-            GradientOfoController(alpha=a, cost=cost, sensitivity=plant.sensitivity)
+            GradientOfoController(alpha=a, cost=cost, sensitivity=fast_plant.sensitivity)
             for a in (0.1, 1.0, 1000.0)
         ]
         for _ in range(50):
             u = (rng.uniform(-8.0, 8.0),)
-            y = plant.steady_output(u)
+            y = fast_plant.steady_output(u, (2.0,))
             zero_flags = [ctrl.rate(u, y) == (0.0,) for ctrl in controllers]
             assert len(set(zero_flags)) == 1
 

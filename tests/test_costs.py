@@ -102,6 +102,10 @@ class TestDescriptor:
         assert d.ell_phi_y == pytest.approx(20.0 / 101.0, abs=1e-12)
         assert d.y_factor == pytest.approx(2.0)
 
+    def test_quadratic_on_varying_sensitivity_has_no_coupling_modulus(self):
+        assert QuadraticCost(q_u=1.0, q_y=0.1).descriptor(ell_h=2.0, ell_grad_h=1.0).ell_phi_u == math.inf
+        assert QuadraticCost(q_u=1.0, q_y=0.1).descriptor(ell_h=2.0, ell_grad_h=0.0).ell_phi_u == 0.0
+
     def test_sqrtplus_example(self):
         cost = SqrtPlusCost(a=11.0)
         d = cost.descriptor(ell_h=2.0, ell_grad_h=1.0)

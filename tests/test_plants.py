@@ -6,25 +6,27 @@ import pytest
 
 from ofo.errors import InputError, NotStabilizedError
 from ofo.linalg import Matrix, vec_norm
-from ofo.plants import LinearPlant, Plant, SinePlant
+from ofo.plants import LinearPlant, SinePlant
 
 
 class TestDynamics:
     def test_origin_equilibrium(self, fast_plant):
-        assert fast_plant.dynamics((0.0, 0.0), (0.0,)) == (0.0, 0.0)
+        assert fast_plant.dynamics((0.0, 0.0), (0.0,), (0.0,)) == (0.0, 0.0)
 
     def test_first_state_column(self, fast_plant):
-        assert fast_plant.dynamics((1.0, 0.0), (0.0,)) == (-1.0, -10.0)
+        assert fast_plant.dynamics((1.0, 0.0), (0.0,), (0.0,)) == (-1.0, -10.0)
 
     def test_sine_disturbance_drift(self, slow_sine_plant):
-        p = slow_sine_plant.with_disturbance((0.001,))
-        assert p.dynamics((0.0, 0.0), (0.0,)) == pytest.approx((0.0001, 0.0001), abs=1e-18)
+        assert slow_sine_plant.dynamics((0.0, 0.0), (0.0,), (0.001,)) == pytest.approx(
+            (0.0001, 0.0001), abs=1e-18)
 
     def test_dimension_mismatch(self, fast_plant):
         with pytest.raises(InputError):
-            fast_plant.dynamics((0.0,), (0.0,))
+            fast_plant.dynamics((0.0,), (0.0,), (0.0,))
         with pytest.raises(InputError):
-            fast_plant.dynamics((0.0, 0.0), (0.0, 0.0))
+            fast_plant.dynamics((0.0, 0.0), (0.0, 0.0), (0.0,))
+        with pytest.raises(InputError):
+            fast_plant.dynamics((0.0, 0.0), (0.0,), (0.0, 0.0))
 
 
 class TestOutput:
@@ -41,17 +43,17 @@ class TestOutput:
 class TestSteadyState:
     def test_origin(self, fast_plant, slow_sine_plant):
         for plant in (fast_plant, slow_sine_plant):
-            assert plant.steady_state((0.0,)) == pytest.approx((0.0, 0.0), abs=1e-15)
+            assert plant.steady_state((0.0,), (0.0,)) == pytest.approx((0.0, 0.0), abs=1e-15)
 
     def test_sine_disturbance_only(self, slow_sine_plant):
-        p = slow_sine_plant.with_disturbance((0.001,))
-        assert p.steady_state((0.0,)) == pytest.approx((0.0, 0.001), abs=1e-15)
+        assert slow_sine_plant.steady_state((0.0,), (0.001,)) == pytest.approx(
+            (0.0, 0.001), abs=1e-15)
 
     def test_unit_input_fixed_point(self, fast_plant):
-        s = fast_plant.steady_state((1.0,))
+        s = fast_plant.steady_state((1.0,), (0.0,))
         # the closed form is -A^{-1} B; the residual check is the oracle
         assert s == pytest.approx((10.0 / 101.0, 1.0 / 101.0), abs=1e-12)
-        assert vec_norm(fast_plant.dynamics(s, (1.0,))) <= 1e-10
+        assert vec_norm(fast_plant.dynamics(s, (1.0,), (0.0,))) <= 1e-10
 
     def test_fixed_point_property_random(self, fast_plant, slow_sine_plant):
         rng = random.Random(101)
@@ -59,50 +61,55 @@ class TestSteadyState:
             for _ in range(100):
                 u = (rng.uniform(-5.0, 5.0),)
                 w = (rng.uniform(-10.0, 10.0),)
-                p = plant.with_disturbance(w)
-                s = p.steady_state(u)
-                assert vec_norm(p.dynamics(s, u)) <= 1e-10
+                s = plant.steady_state(u, w)
+                assert vec_norm(plant.dynamics(s, u, w)) <= 1e-10
 
 
 class TestSteadyOutput:
     def test_zero(self, fast_plant):
-        assert fast_plant.steady_output((0.0,)) == (0.0,)
+        assert fast_plant.steady_output((0.0,), (0.0,)) == (0.0,)
 
     def test_disturbance_gain(self, fast_plant):
-        p = fast_plant.with_disturbance((10.0,))
-        assert p.steady_output((0.0,)) == pytest.approx((110.0 / 101.0,), abs=1e-12)
+        assert fast_plant.steady_output((0.0,), (10.0,)) == pytest.approx(
+            (110.0 / 101.0,), abs=1e-12)
 
     def test_sine_disturbance_gain(self, slow_sine_plant):
-        p = slow_sine_plant.with_disturbance((0.001,))
-        assert p.steady_output((0.0,)) == pytest.approx((0.001,), abs=1e-15)
+        assert slow_sine_plant.steady_output((0.0,), (0.001,)) == pytest.approx(
+            (0.001,), abs=1e-15)
 
 
 class TestSensitivity:
     def test_linear_constant_in_u_and_w(self, fast_plant):
         expected = 10.0 / 101.0
         for u in (-3.0, 0.0, 7.5):
+            s = fast_plant.sensitivity((u,))
+            assert s.entry(0, 0) == pytest.approx(expected, abs=1e-14)
+            # the sensitivity is the slope of the steady output, whatever w is
             for w in (-10.0, 0.0, 10.0):
-                p = fast_plant.with_disturbance((w,))
-                s = p.sensitivity((u,))
-                assert s.entry(0, 0) == pytest.approx(expected, abs=1e-14)
-        # disturbance invariance is exact, not approximate
-        assert (fast_plant.with_disturbance((1.0,)).sensitivity((2.0,)).data
-                == fast_plant.with_disturbance((-4.0,)).sensitivity((2.0,)).data)
+                slope = (fast_plant.steady_output((u + 1.0,), (w,))[0]
+                         - fast_plant.steady_output((u,), (w,))[0])
+                assert slope == pytest.approx(expected, abs=1e-12)
+        assert fast_plant.sensitivity((2.0,)).data == fast_plant.sensitivity((-4.0,)).data
 
     def test_sine_scaling(self, slow_sine_plant):
         assert slow_sine_plant.sensitivity((0.0,)).entry(0, 0) == pytest.approx(-2.0, abs=1e-12)
         assert slow_sine_plant.sensitivity((math.pi,)).entry(0, 0) == pytest.approx(0.0, abs=1e-12)
-        assert (slow_sine_plant.with_disturbance((0.5,)).sensitivity((1.0,)).data
-                == slow_sine_plant.with_disturbance((0.0,)).sensitivity((1.0,)).data)
+        # the sensitivity takes no disturbance: d/du h(u, w) does not depend on w
+        step = 1e-5
+        for w in (0.0, 0.5):
+            fd = (slow_sine_plant.steady_output((1.0 + step,), (w,))[0]
+                  - slow_sine_plant.steady_output((1.0 - step,), (w,))[0]) / (2.0 * step)
+            assert fd == pytest.approx(slow_sine_plant.sensitivity((1.0,)).entry(0, 0),
+                                       rel=1e-6, abs=1e-8)
 
     def test_matches_finite_differences(self, fast_plant, slow_sine_plant):
         rng = random.Random(55)
         step = 1e-5
-        for plant in (fast_plant.with_disturbance((3.0,)), slow_sine_plant.with_disturbance((0.01,))):
+        for plant, w in ((fast_plant, (3.0,)), (slow_sine_plant, (0.01,))):
             for _ in range(20):
                 u = rng.uniform(-2.0, 2.0)
-                fd = (plant.steady_output((u + step,))[0]
-                      - plant.steady_output((u - step,))[0]) / (2.0 * step)
+                fd = (plant.steady_output((u + step,), w)[0]
+                      - plant.steady_output((u - step,), w)[0]) / (2.0 * step)
                 sens = plant.sensitivity((u,)).entry(0, 0)
                 assert sens == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
@@ -114,9 +121,9 @@ class TestConstructionGates:
         bw = Matrix.from_rows([[1.0], [1.0]])
         c = Matrix.from_rows([[1.0, 0.0]])
         with pytest.raises(NotStabilizedError):
-            LinearPlant(a=a, b=b, bw=bw, c=c, w=(0.0,))
+            LinearPlant(a=a, b=b, bw=bw, c=c)
         with pytest.raises(NotStabilizedError):
-            SinePlant(a=a, b=b, bw=bw, c=c, w=(0.0,))
+            SinePlant(a=a, b=b, bw=bw, c=c)
 
     def test_sine_plant_needs_scalar_input(self):
         with pytest.raises(InputError):
@@ -125,7 +132,6 @@ class TestConstructionGates:
                 b=Matrix.from_rows([[1.0, 0.0], [0.0, 1.0]]),
                 bw=Matrix.from_rows([[1.0], [1.0]]),
                 c=Matrix.from_rows([[1.0, 0.0]]),
-                w=(0.0,),
             )
 
     def test_shape_mismatches(self):
@@ -135,23 +141,17 @@ class TestConstructionGates:
                 b=Matrix.from_rows([[1.0]]),
                 bw=Matrix.from_rows([[1.0], [1.0]]),
                 c=Matrix.from_rows([[1.0, 0.0]]),
-                w=(0.0,),
             )
-
-    def test_protocol_conformance(self, fast_plant, slow_sine_plant):
-        assert isinstance(fast_plant, Plant)
-        assert isinstance(slow_sine_plant, Plant)
 
     def test_immutability(self, fast_plant):
         with pytest.raises(Exception):
-            fast_plant.w = (1.0,)
+            fast_plant.a = Matrix.identity(2)
 
-    def test_with_disturbance_is_a_clone(self, fast_plant):
-        other = fast_plant.with_disturbance((2.0,))
-        assert other is not fast_plant
-        assert fast_plant.w == (0.0,)
-        assert other.w == (2.0,)
-        assert isinstance(other, LinearPlant)
+    def test_disturbance_is_not_plant_state(self, fast_plant):
+        assert not hasattr(fast_plant, "w")
+        before = fast_plant.steady_output((0.0,), (0.0,))
+        assert fast_plant.steady_output((0.0,), (2.0,)) != before
+        assert fast_plant.steady_output((0.0,), (0.0,)) == before
 
 
 def test_sine_steady_state_matches_numpy_closed_form(slow_sine_plant):
@@ -163,5 +163,5 @@ def test_sine_steady_state_matches_numpy_closed_form(slow_sine_plant):
         u = rng.uniform(-3.0, 3.0)
         w = rng.uniform(-0.01, 0.01)
         expected = -np.linalg.solve(a, b * (u + math.sin(u)) + bw * w)
-        got = slow_sine_plant.with_disturbance((w,)).steady_state((u,))
+        got = slow_sine_plant.steady_state((u,), (w,))
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)

@@ -105,6 +105,15 @@ class TestCertifyCommand:
         assert "xi_interval = infeasible" in out
         assert "required_mu4 = " in out
 
+    def test_sine_plant_with_quadratic_cost_not_certified(self, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["plant"] = {"kind": "sine", "A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[1.0], [0.0]],
+                        "B_w": [[1.0], [0.0]], "C": [[1.0, 0.0]]}
+        doc["cost"] = {"kind": "quadratic", "q_u": 1.0, "q_y": 0.1}
+        rc = main(["certify", write_doc(tmp_path, doc)])
+        assert rc == 3
+        assert "not certified" in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         rc = main(["certify", "/nonexistent/scenario.yaml"])
         assert rc == 2
@@ -139,7 +148,7 @@ class TestSimulateCommand:
         plant = scenario.build_plant()
         cost = scenario.build_cost()
         ustar = optimal_input(plant, cost, (10.0,))
-        xstar = plant.with_disturbance((10.0,)).steady_state(ustar)
+        xstar = plant.steady_state(ustar, (10.0,))
         doc["sim"]["x0"] = list(xstar)
         doc["sim"]["u0"] = list(ustar)
         out = tmp_path / "eq.csv"
@@ -219,6 +228,17 @@ class TestReproduceCommand:
         rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
         settling = [float(r.split(",")[1]) for r in rows[:3]]
         assert settling[0] >= settling[1] >= settling[2]
+
+    def test_outputs_follow_umask(self, tmp_path):
+        out_dir = tmp_path / "fig1"
+        old = os.umask(0o022)
+        try:
+            assert main(["reproduce", "fig1", "--out", str(out_dir)]) == 0
+        finally:
+            os.umask(old)
+        modes = {name: (out_dir / name).stat().st_mode & 0o777 for name in os.listdir(out_dir)}
+        assert len(modes) == 6
+        assert set(modes.values()) == {0o644}, modes
 
 
 def test_console_entry_point():

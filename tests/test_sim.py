@@ -1,18 +1,20 @@
 import io
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ofo import engine
+from ofo import engine, plants, sim
 from ofo.certificate import assemble_constants, certify, required_regularization
 from ofo.controllers import BoxSet, GradientOfoController
 from ofo.costs import QuadraticCost, RegularizedCost
 from ofo.engine import pure
 from ofo.errors import DivergenceError, InputError
-from ofo.linalg import vec_norm, vec_sub
+from ofo.linalg import Matrix, vec_norm, vec_sub
 from ofo.ode import dini_upper_estimate, integrate
+from ofo.plants import LinearPlant, SinePlant
 from ofo.sim import (
     DisturbanceSchedule,
     LyapunovSpec,
@@ -26,6 +28,8 @@ from ofo.sim import (
     sweep_alpha,
     write_csv,
 )
+
+from conftest import bundled_scenario, random_hurwitz_rows
 
 
 def gradient_config(plant, cost, schedule, t_end, **kw):
@@ -75,19 +79,18 @@ class TestOptimalInput:
         exact = -(2.0 * h_gain * h_off) / (0.02 + 2.0 * h_gain ** 2)
         assert u == pytest.approx(exact, abs=1e-6)
         assert exact == pytest.approx(-5.44527, abs=1e-5)
-        y = fast_plant.with_disturbance((10.0,)).steady_output((u,))[0]
+        y = fast_plant.steady_output((u,), (10.0,))[0]
         assert y == pytest.approx(0.54997, abs=1e-4)
 
     def test_sine_example_hits_active_bound(self, slow_sine_plant, sqrt_cost):
         box = BoxSet(lo=(-5e-5,), hi=(5e-5,))
         u = optimal_input(slow_sine_plant, sqrt_cost, (0.001,), box=box)[0]
         # oracle: vectorized grid search over the box at 1e-9 resolution
-        plant = slow_sine_plant.with_disturbance((0.001,))
         grid = np.linspace(-5e-5, 5e-5, 100001)
-        a = np.array(plant.a.to_rows())
-        b = np.array(plant.b.to_rows())[:, 0]
-        bw = np.array(plant.bw.to_rows())[:, 0]
-        c = np.array(plant.c.to_rows())[0]
+        a = np.array(slow_sine_plant.a.to_rows())
+        b = np.array(slow_sine_plant.b.to_rows())[:, 0]
+        bw = np.array(slow_sine_plant.bw.to_rows())[:, 0]
+        c = np.array(slow_sine_plant.c.to_rows())[0]
         states = -np.linalg.inv(a) @ (np.outer(b, grid + np.sin(grid))
                                       + np.outer(bw, np.full_like(grid, 0.001)))
         ys = c @ states
@@ -111,19 +114,58 @@ class TestOptimalInput:
                  (slow_sine_plant, sqrt_cost, (0.001,)), (slow_sine_plant, sqrt_cost, (-0.001,))]
         for plant, cost, w in cases:
             ustar = optimal_input(plant, cost, w)
-            pw = plant.with_disturbance(w)
-            rg = reduced_gradient(cost, pw.sensitivity(ustar), ustar, pw.steady_output(ustar))
+            rg = reduced_gradient(cost, plant.sensitivity(ustar), ustar, plant.steady_output(ustar, w))
             assert abs(rg[0]) <= 1e-8, (w, rg)
 
-    def test_multi_input_rejected(self):
-        from ofo.linalg import Matrix
-        from ofo.plants import LinearPlant
+    def test_search_agrees_with_closed_form(self):
+        # the search path (bisection of the reduced gradient) against the
+        # closed form, at the tolerance the optimizer once checked at run time
+        scenario = bundled_scenario("fig1")
+        cases = [(scenario.build_plant(), scenario.build_cost(), (w,), None) for w in (10.0, -10.0)]
+        rng = random.Random(404)
+        for _ in range(6):
+            plant = LinearPlant(a=Matrix.from_rows(random_hurwitz_rows(rng, 3)),
+                                b=Matrix.from_rows([[rng.uniform(-2, 2)] for _ in range(3)]),
+                                bw=Matrix.from_rows([[rng.uniform(-2, 2)] for _ in range(3)]),
+                                c=Matrix.from_rows([[rng.uniform(-2, 2) for _ in range(3)]]))
+            cost = QuadraticCost(q_u=10 ** rng.uniform(-2, 1), q_y=10 ** rng.uniform(-1, 1))
+            w = (rng.uniform(-10.0, 10.0),)
+            cases.append((plant, cost, w, None))
+            cases.append((plant, RegularizedCost(base=cost, mu4=0.5), w, None))
+            cases.append((plant, cost, w, BoxSet(lo=(-0.1,), hi=(0.1,))))
+        for plant, cost, w, box in cases:
+            exact = sim._closed_form_optimum(plant, cost, w, box)
+            found = sim._searched_optimum(plant, cost, w, box)
+            assert abs(found - exact) <= 1e-6 * (1.0 + abs(exact)), (w, found, exact)
+            assert optimal_input(plant, cost, w, box=box) == (exact,)
 
+    def test_scan_path_on_sine_plant_with_quadratic_cost(self):
+        # the quadratic cost has no finite coupling modulus on a sine plant, so
+        # the gap is not positive and the scan picks the bracket; the objective
+        # has several local minima once |w| is large
+        plant = SinePlant(a=Matrix.identity(2).scale(-1.0), b=Matrix.from_rows([[1.0], [0.0]]),
+                          bw=Matrix.from_rows([[1.0], [0.0]]), c=Matrix.from_rows([[1.0, 0.0]]))
+        cost = QuadraticCost(q_u=1.0, q_y=0.1)
+        desc = cost.descriptor(*plant.steady_moduli)
+        assert not desc.mu_phi - desc.ell_phi_u > 0.0
+        grid = np.linspace(-200.0, 200.0, 400001)
+        for w, box in [(-300.0, None), (-30.0, None), (0.0, None), (5.0, None),
+                       (1000.0, None), (-300.0, BoxSet(lo=(-5.0,), hi=(20.0,))),
+                       (30.0, BoxSet(lo=(0.5,), hi=(4.0,)))]:
+            u = optimal_input(plant, cost, (w,), box=box)[0]
+            found = cost.phi((u,), plant.steady_output((u,), (w,)))
+            pts = grid if box is None else np.linspace(box.lo[0], box.hi[0], 100001)
+            # oracle: y = u + sin u + w for this plant
+            phis = pts ** 2 + 0.1 * (pts + np.sin(pts) + w) ** 2
+            assert found <= float(phis.min()) * (1.0 + 1e-12), (w, u, pts[int(np.argmin(phis))])
+            if box is not None:
+                assert box.contains((u,))
+
+    def test_multi_input_rejected(self):
         plant = LinearPlant(a=Matrix.identity(2).scale(-1.0),
                             b=Matrix.identity(2),
                             bw=Matrix.from_rows([[1.0], [1.0]]),
-                            c=Matrix.from_rows([[1.0, 0.0]]),
-                            w=(0.0,))
+                            c=Matrix.from_rows([[1.0, 0.0]]))
         with pytest.raises(InputError, match="scalar"):
             optimal_input(plant, QuadraticCost(q_u=1.0), (0.0,))
 
@@ -143,7 +185,7 @@ class TestSimulate:
     def test_equilibrium_residence(self, fast_plant, quad_cost):
         w = (10.0,)
         ustar = optimal_input(fast_plant, quad_cost, w)
-        xstar = fast_plant.with_disturbance(w).steady_state(ustar)
+        xstar = fast_plant.steady_state(ustar, w)
         schedule = DisturbanceSchedule(((0.0, w),))
         cfg = RunConfig(plant=fast_plant, cost=quad_cost, controller_kind="gradient",
                         schedule=schedule, x0=xstar, u0=ustar, t_end=5.0)
@@ -152,6 +194,25 @@ class TestSimulate:
         drift = max(drift, max(abs(u[0] - ustar[0]) for u in traj.u))
         assert drift <= 1e-8
         assert summary.final_error <= 1e-8
+
+    def test_sweep_does_not_rebuild_the_plant(self, fast_plant, quad_cost, monkeypatch):
+        # switching the disturbance builds no plant, so the Hurwitz gate runs
+        # only when the plant itself is built
+        calls = []
+        real = plants.solve_lyapunov
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        schedule = DisturbanceSchedule(((0.0, (10.0,)), (0.5, (-10.0,)),
+                                        (1.0, (3.0,)), (1.5, (-3.0,))))
+        cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=2.0)
+        monkeypatch.setattr(plants, "solve_lyapunov", counting)
+        rows = sweep_alpha(cfg, [1.0, 10.0])
+        assert all(row.error is None for row in rows)
+        assert len(rows[0].trajectory.ustar) == 4
+        assert calls == []
 
     def test_gradient_convergence_over_long_segment(self, fast_plant, quad_cost):
         # moderate gain, horizon longer than the closed-loop time constant
@@ -279,14 +340,13 @@ class TestKernels:
     def test_kernel_matches_generic_integrator(self, fast_plant, quad_cost):
         # dual route: the specialized stepper against the generic RK4 over the
         # assembled stacked field
-        plant = fast_plant.with_disturbance((10.0,))
-        ctrl = GradientOfoController(alpha=25.0, cost=quad_cost, sensitivity=plant.sensitivity)
+        ctrl = GradientOfoController(alpha=25.0, cost=quad_cost, sensitivity=fast_plant.sensitivity)
 
         def stacked(state):
             x = state[:2]
             u = state[2:]
-            dx = plant.dynamics(x, u)
-            du = ctrl.rate(u, plant.output(x))
+            dx = fast_plant.dynamics(x, u, (10.0,))
+            du = ctrl.rate(u, fast_plant.output(x))
             return dx + du
 
         dt = 0.005
@@ -310,8 +370,6 @@ class TestLyapunovMachinery:
         schedule = DisturbanceSchedule(((0.0, (0.0,)),))
         cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0)
         traj, _ = cfg.run(1.0)
-        from ofo.linalg import Matrix
-
         spec = LyapunovSpec(xi=1.0, p=Matrix.identity(2))
         # anchor is (numerically) the origin here (w = 0); fabricate offsets
         traj.x = [(0.0, 0.0), (1.0, 0.0)]
