@@ -40,7 +40,10 @@ def _atomic_write(path: str, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             # mkstemp creates the file at 0600; give it the mode a plain
-            # open() would, so outputs follow the user's umask
+            # open() would, so outputs follow the user's umask.  Reading the
+            # umask sets it to 0 for a moment, so call this only while no
+            # other thread creates files (the CLI writes after a sweep's pool
+            # has finished).
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)

@@ -147,13 +147,19 @@ def _cost_parts(cost: CostModel) -> tuple[int, float, float, float]:
 
 def _closed_form_optimum(plant: LinearPlant, cost: CostModel, w: Vector,
                          box: BoxSet | None) -> float | None:
-    """Exact optimum for an affine steady map with quadratic cost (scalar input)."""
+    """Exact optimum for an affine steady map y = h u + h_off with quadratic cost.
+
+    The input is scalar and the output may have any dimension p:
+    u = -2 q_y h.h_off / (2 q_u + mu4 + 2 q_y ||h||^2).
+    """
     cost_kind, q_u, q_y, mu4 = _cost_parts(cost)
     if isinstance(plant, SinePlant) or cost_kind != engine.COST_QUADRATIC:
         return None
-    h_gain = plant.base_sensitivity.entry(0, 0)
-    h_off = plant.steady_output((0.0,), w)[0]
-    u = -(2.0 * q_y * h_gain * h_off) / (2.0 * q_u + mu4 + 2.0 * q_y * h_gain * h_gain)
+    h = plant.base_sensitivity.data
+    h_off = plant.steady_output((0.0,), w)
+    # -0.0 is the exact additive identity, so p = 1 keeps the sign of a zero term
+    num = sum((2.0 * q_y * hi * oi for hi, oi in zip(h, h_off)), -0.0)
+    u = -num / (2.0 * q_u + mu4 + sum(2.0 * q_y * hi * hi for hi in h))
     if box is not None:
         u = min(max(u, box.lo[0]), box.hi[0])
     return u

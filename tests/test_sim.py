@@ -139,6 +139,34 @@ class TestOptimalInput:
             assert abs(found - exact) <= 1e-6 * (1.0 + abs(exact)), (w, found, exact)
             assert optimal_input(plant, cost, w, box=box) == (exact,)
 
+    def test_closed_form_with_vector_output(self):
+        # a linear plant with two outputs: the closed form uses every output,
+        # checked against a numpy solve of the normal equation and the search
+        rng = random.Random(405)
+        for _ in range(6):
+            a = random_hurwitz_rows(rng, 3)
+            b = [[rng.uniform(-2, 2)] for _ in range(3)]
+            bw = [[rng.uniform(-2, 2)] for _ in range(3)]
+            c = [[rng.uniform(-2, 2) for _ in range(3)] for _ in range(2)]
+            plant = LinearPlant(a=Matrix.from_rows(a), b=Matrix.from_rows(b),
+                                bw=Matrix.from_rows(bw), c=Matrix.from_rows(c))
+            q_u, q_y, mu4 = 10 ** rng.uniform(-2, 1), 10 ** rng.uniform(-1, 1), 0.5
+            w = (rng.uniform(-10.0, 10.0),)
+            # oracle: y = h u + h_off with h = -C A^-1 B, h_off = -C A^-1 B_w w
+            a_inv_c = -np.array(c) @ np.linalg.inv(np.array(a))
+            h = (a_inv_c @ np.array(b))[:, 0]
+            h_off = (a_inv_c @ np.array(bw))[:, 0] * w[0]
+            for cost, reg in [(QuadraticCost(q_u=q_u, q_y=q_y), 0.0),
+                              (RegularizedCost(base=QuadraticCost(q_u=q_u, q_y=q_y), mu4=mu4), mu4)]:
+                u_np = float(np.linalg.solve([[2 * q_u + reg + 2 * q_y * h @ h]],
+                                             [-2 * q_y * h @ h_off])[0])
+                for box in (None, BoxSet(lo=(-0.1,), hi=(0.1,))):
+                    expected = u_np if box is None else min(max(u_np, -0.1), 0.1)
+                    u = optimal_input(plant, cost, w, box=box)[0]
+                    assert u == pytest.approx(expected, rel=1e-9, abs=1e-12)
+                    found = sim._searched_optimum(plant, cost, w, box)
+                    assert abs(found - u) <= 1e-6 * (1.0 + abs(u)), (w, found, u)
+
     def test_scan_path_on_sine_plant_with_quadratic_cost(self):
         # the quadratic cost has no finite coupling modulus on a sine plant, so
         # the gap is not positive and the scan picks the bracket; the objective
