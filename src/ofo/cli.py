@@ -12,12 +12,13 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from importlib.resources import files as resource_files
 
 from .certificate import certify, derive_plant_constants
 from .errors import ConvexityGapError, DivergenceError, InputError, OfoError
 from .scenario import Scenario
-from .sim import LyapunovSpec, RunSummary, fmt12, sweep_alpha, write_csv
+from .sim import LyapunovSpec, RunConfig, RunSummary, fmt12, sweep_alpha, write_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -66,18 +67,19 @@ def _csv_text(traj) -> str:
     return buf.getvalue()
 
 
-def _lyapunov_spec(scenario: Scenario) -> LyapunovSpec:
-    """Weights for the diagnostic V column: the certified weight when one
-    exists, otherwise weight 1 with the systematic Lyapunov matrix."""
-    plant = scenario.build_plant()
-    cost = scenario.build_cost()
+def _run_config(scenario: Scenario) -> RunConfig:
+    """The scenario's run configuration, with weights for the diagnostic V
+    column: the certified weight when one exists, otherwise weight 1 with the
+    systematic Lyapunov matrix."""
+    config = scenario.run_config()
     try:
-        report = certify(plant, cost, scenario.alpha, scenario.overrides,
+        report = certify(config.plant, config.cost, scenario.alpha, scenario.overrides,
                          scenario.claimed_mu_bound_rhs)
         xi = report.xi.chosen if report.xi is not None else 1.0
-        return LyapunovSpec(xi=xi, p=report.p_matrix)
+        spec = LyapunovSpec(xi=xi, p=report.p_matrix)
     except ConvexityGapError:
-        return LyapunovSpec(xi=1.0, p=derive_plant_constants(plant).p)
+        spec = LyapunovSpec(xi=1.0, p=derive_plant_constants(config.plant).p)
+    return replace(config, lyapunov=spec)
 
 
 def _summary_line(alpha: float, summary: RunSummary) -> str:
@@ -101,7 +103,7 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = Scenario.load(args.scenario)
-    config = scenario.run_config(lyapunov=_lyapunov_spec(scenario))
+    config = _run_config(scenario)
     traj, summary = config.run(scenario.alpha)
     for warning in traj.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -129,7 +131,7 @@ def _parse_alphas(text: str) -> list[float]:
 
 
 def _run_sweep(scenario: Scenario, alphas, out_dir: str) -> None:
-    config = scenario.run_config(lyapunov=_lyapunov_spec(scenario))
+    config = _run_config(scenario)
     rows = sweep_alpha(config, alphas)
     summary_lines = [SUMMARY_HEADER]
     for row in rows:

@@ -1,14 +1,14 @@
-"""Closed-loop stepping kernels with import-time fallback selection.
+"""Closed-loop stepping kernels with import-time selection.
 
-The compiled Cython kernel is used when its extension module was built;
-otherwise the pure-Python reference kernel takes over with identical
-semantics (and bit-identical output).  Setting OFO_PURE_PYTHON=1 forces the
-pure kernel, which is how the benchmark compares the two.
+The compiled kernel (`_kernel.c`, built and loaded by `_speedup`) is used
+whenever it loads.  When it cannot be built or loaded, the pure-Python
+reference kernel takes over with identical semantics and bit-identical
+output, and a RuntimeWarning says why.
 """
 
 from __future__ import annotations
 
-import os
+import warnings
 
 from . import pure
 from .params import (
@@ -24,10 +24,11 @@ from .params import (
 
 try:
     from . import _speedup
-    HAVE_COMPILED = True
-except ImportError:
+except ImportError as exc:
     _speedup = None
-    HAVE_COMPILED = False
+    warnings.warn(f"compiled stepping kernel unavailable ({exc}); "
+                  "using the pure-Python kernel", RuntimeWarning)
+HAVE_COMPILED = _speedup is not None
 
 __all__ = [
     "COST_QUADRATIC", "COST_SQRTPLUS", "CTRL_GRADIENT", "CTRL_PROJECTED",
@@ -36,19 +37,13 @@ __all__ = [
 ]
 
 
-def _force_pure() -> bool:
-    return os.environ.get("OFO_PURE_PYTHON", "") not in ("", "0")
-
-
 def active_kernel():
-    """The module whose run_segment will be used for the next call."""
-    if _speedup is None or _force_pure():
-        return pure
-    return _speedup
+    """The module whose run_segment is used: the compiled one when it loaded."""
+    return pure if _speedup is None else _speedup
 
 
 def kernel_name() -> str:
-    return "pure-python" if active_kernel() is pure else "compiled"
+    return "pure-python" if _speedup is None else "compiled"
 
 
 def run_segment(spec: SegmentSpec) -> SegmentResult:

@@ -1,0 +1,177 @@
+/* Compiled closed-loop stepping kernel.
+ *
+ * Mirrors ofo.engine.pure.run_segment expression by expression.  Built with
+ * -ffp-contract=off and never -ffast-math, so both kernels produce
+ * bit-identical trajectories; any change here must be replicated there.
+ * There is no global or static state, so sweep threads may call it at once.
+ */
+
+#include <math.h>
+#include <stdlib.h>
+
+typedef struct {
+    int n, m, p, sine, sqrtplus, projected;
+    const double *a, *b, *drift, *c, *s0, *lo, *hi;
+    double cq1, cq2, mu4, alpha, beta;
+    double *y, *gu, *gy, *pu;  /* scratch */
+} field_t;
+
+static void eval_field(const field_t *f, const double *xs, const double *us,
+                       double *kx, double *ku)
+{
+    int n = f->n, m = f->m, p = f->p;
+    double acc, fac, v;
+    for (int i = 0; i < p; i++) {
+        acc = 0.0;
+        for (int j = 0; j < n; j++)
+            acc += f->c[i * n + j] * xs[j];
+        f->y[i] = acc;
+    }
+    if (f->sine) {
+        f->pu[0] = us[0] + sin(us[0]);
+        fac = 1.0 + cos(us[0]);
+    } else {
+        for (int j = 0; j < m; j++)
+            f->pu[j] = us[j];
+        fac = 1.0;
+    }
+    for (int i = 0; i < n; i++) {
+        acc = 0.0;
+        for (int j = 0; j < n; j++)
+            acc += f->a[i * n + j] * xs[j];
+        for (int j = 0; j < m; j++)
+            acc += f->b[i * m + j] * f->pu[j];
+        kx[i] = acc + f->drift[i];
+    }
+    if (f->sqrtplus) {
+        f->gu[0] = 2.0 * f->cq1 * us[0] + f->mu4 * us[0];
+        f->gy[0] = f->y[0] / sqrt(f->y[0] * f->y[0] + 1.0);
+    } else {
+        for (int j = 0; j < m; j++)
+            f->gu[j] = 2.0 * f->cq1 * us[j] + f->mu4 * us[j];
+        for (int i = 0; i < p; i++)
+            f->gy[i] = 2.0 * f->cq2 * f->y[i];
+    }
+    for (int j = 0; j < m; j++) {
+        acc = f->gu[j];
+        for (int i = 0; i < p; i++)
+            acc += (f->s0[i * m + j] * fac) * f->gy[i];
+        if (f->projected) {
+            v = us[j] - f->beta * acc;
+            if (v < f->lo[j])
+                v = f->lo[j];
+            else if (v > f->hi[j])
+                v = f->hi[j];
+            ku[j] = f->alpha * (v - us[j]);
+        } else {
+            ku[j] = -f->alpha * acc;
+        }
+    }
+}
+
+/* dst = base + h * k, elementwise. */
+static void advance(int len, double *dst, const double *base, double h, const double *k)
+{
+    for (int j = 0; j < len; j++)
+        dst[j] = base[j] + h * k[j];
+}
+
+/* The time of the record after `step` of `n_tot` steps. */
+static double step_time(long step, long n_tot, double t0, double t_end, double dt)
+{
+    return step == n_tot ? t_end : t0 + step * dt;
+}
+
+/* Appends record k: its time, x, u and y = C x. */
+static void record(const field_t *f, long k, double t, const double *x, const double *u,
+                   double *rec_t, double *rec_x, double *rec_u, double *rec_y)
+{
+    int n = f->n, m = f->m, p = f->p;
+    rec_t[k] = t;
+    for (int j = 0; j < n; j++)
+        rec_x[k * n + j] = x[j];
+    for (int j = 0; j < m; j++)
+        rec_u[k * m + j] = u[j];
+    for (int i = 0; i < p; i++) {
+        double acc = 0.0;
+        for (int j = 0; j < n; j++)
+            acc += f->c[i * n + j] * x[j];
+        rec_y[k * p + i] = acc;
+    }
+}
+
+/* Integrates one constant-disturbance segment from (x, u), which come back
+ * as the final state.  The record buffers hold 2 + n_tot / stride records.
+ * Returns the number of records written, or -1 when scratch memory cannot
+ * be allocated. */
+long ofo_run_segment(int n, int m, int p, int sine, int sqrtplus, int projected,
+                     const double *a, const double *b, const double *drift,
+                     const double *c, const double *s0,
+                     double cq1, double cq2, double mu4, double alpha, double beta,
+                     const double *lo, const double *hi,
+                     double t0, double t_end, double dt, long n_full, double last_dt,
+                     long stride, int include_final, double *x, double *u,
+                     double *rec_t, double *rec_x, double *rec_u, double *rec_y,
+                     double *max_violation, int *blew_up, double *blowup_time)
+{
+    double *work = calloc(5 * (size_t)n + 7 * (size_t)m + 2 * (size_t)p, sizeof(double));
+    if (work == NULL)
+        return -1;
+    double *xt = work, *kx1 = xt + n, *kx2 = kx1 + n, *kx3 = kx2 + n, *kx4 = kx3 + n;
+    double *ut = kx4 + n, *ku1 = ut + m, *ku2 = ku1 + m, *ku3 = ku2 + m, *ku4 = ku3 + m;
+    double *y = ku4 + m, *gu = y + p, *gy = gu + m, *pu = gy + p;
+    field_t f = {n, m, p, sine, sqrtplus, projected, a, b, drift, c, s0, lo, hi,
+                 cq1, cq2, mu4, alpha, beta, y, gu, gy, pu};
+
+    long n_tot = n_full + (last_dt > 0.0 ? 1 : 0);
+    long k = 0;
+    double d, violation = 0.0;
+    *blew_up = 0;
+    record(&f, k++, step_time(0, n_tot, t0, t_end, dt), x, u, rec_t, rec_x, rec_u, rec_y);
+    for (long i = 0; i < n_tot; i++) {
+        double h = i < n_full ? dt : last_dt, h2 = 0.5 * h, h6 = h / 6.0;
+        eval_field(&f, x, u, kx1, ku1);
+        advance(n, xt, x, h2, kx1);
+        advance(m, ut, u, h2, ku1);
+        eval_field(&f, xt, ut, kx2, ku2);
+        advance(n, xt, x, h2, kx2);
+        advance(m, ut, u, h2, ku2);
+        eval_field(&f, xt, ut, kx3, ku3);
+        advance(n, xt, x, h, kx3);
+        advance(m, ut, u, h, ku3);
+        eval_field(&f, xt, ut, kx4, ku4);
+        for (int j = 0; j < n; j++)
+            x[j] = x[j] + h6 * (kx1[j] + 2.0 * kx2[j] + 2.0 * kx3[j] + kx4[j]);
+        for (int j = 0; j < m; j++)
+            u[j] = u[j] + h6 * (ku1[j] + 2.0 * ku2[j] + 2.0 * ku3[j] + ku4[j]);
+        long step = i + 1;
+        int ok = 1;
+        for (int j = 0; j < n; j++)
+            if (!isfinite(x[j]))
+                ok = 0;
+        for (int j = 0; j < m; j++)
+            if (!isfinite(u[j]))
+                ok = 0;
+        if (!ok) {
+            *blew_up = 1;
+            *blowup_time = step_time(step, n_tot, t0, t_end, dt);
+            break;
+        }
+        if (projected) {
+            for (int j = 0; j < m; j++) {
+                d = u[j] - hi[j];
+                if (d > violation)
+                    violation = d;
+                d = lo[j] - u[j];
+                if (d > violation)
+                    violation = d;
+            }
+        }
+        if ((step % stride == 0 && step < n_tot) || (step == n_tot && include_final))
+            record(&f, k++, step_time(step, n_tot, t0, t_end, dt), x, u,
+                   rec_t, rec_x, rec_u, rec_y);
+    }
+    *max_violation = violation;
+    free(work);
+    return k;
+}

@@ -1,6 +1,6 @@
 """Pure-Python closed-loop stepping kernel.
 
-This is the reference implementation: the compiled kernel (_speedup.pyx)
+This is the reference implementation: the compiled kernel (_kernel.c)
 mirrors it expression by expression so that both produce bit-identical
 trajectories.  Any change here must be replicated there.
 """

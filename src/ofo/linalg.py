@@ -196,8 +196,10 @@ def solve_lyapunov(a: Matrix, q: Matrix) -> Matrix:
     sym = tuple(0.5 * (vec_p[i * n + j] + vec_p[j * n + i]) for i in range(n) for j in range(n))
     p = Matrix(n, n, sym)
 
+    # The residual carries rounding of the size of the terms A P and P A^T,
+    # so it is judged against ||A|| ||P|| as well as ||Q||.
     residual = a.matmul(p).add(p.matmul(a.transpose())).add(q).max_norm()
-    if residual > LYAPUNOV_RESIDUAL_TOL * max(1.0, q.max_norm()):
+    if residual > LYAPUNOV_RESIDUAL_TOL * max(1.0, q.max_norm(), a.max_norm() * p.max_norm()):
         raise NotStabilizedError(
             f"plant not pre-stabilized: Lyapunov residual {residual:.3e} exceeds tolerance")
     if min(sym_eigenvalues(p)) <= 0.0:

@@ -294,7 +294,7 @@ class Scenario:
             return None
         return BoxSet(lo=self.box_lo, hi=self.box_hi)
 
-    def run_config(self, lyapunov=None) -> RunConfig:
+    def run_config(self) -> RunConfig:
         plant = self.build_plant()
         return RunConfig(
             plant=plant,
@@ -308,5 +308,4 @@ class Scenario:
             box=self.build_box(),
             dt=self.dt,
             max_records=self.max_records,
-            lyapunov=lyapunov,
         )

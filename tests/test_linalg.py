@@ -58,6 +58,28 @@ class TestSolveLyapunov:
             ref = scipy.linalg.solve_continuous_lyapunov(a_np, -q_np)
             assert as_np(p) == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha", [111.0, 112.0, 2263.0, 2263.7, 2264.0, 2300.0])
+    def test_fig1_closed_loop_verdict_matches_spectral_abscissa(self, alpha):
+        # fig1's gradient loop [[A, B], [-2 alpha q_y H^T C, -2 alpha q_u I]]
+        # at gains on either side of its unstable interval (111.6, 2263.7);
+        # at 2264 the abscissa is -1e-4 and P is large, so the residual must
+        # be judged against ||A|| ||P||, not ||Q|| alone
+        a = np.array([[-1.0, 10.0], [-10.0, -1.0]])
+        b = np.array([[0.0], [1.0]])
+        c = np.array([[1.0, 0.0]])
+        h = -c @ np.linalg.inv(a) @ b
+        q_u, q_y = 0.01, 1.0
+        m = np.block([[a, b], [-2.0 * alpha * q_y * h.T @ c, -2.0 * alpha * q_u * np.eye(1)]])
+        loop = Matrix.from_rows(m.tolist())
+        if max(np.linalg.eigvals(m).real) >= 0.0:
+            with pytest.raises(NotStabilizedError):
+                solve_lyapunov(loop, Matrix.identity(3))
+            return
+        p = solve_lyapunov(loop, Matrix.identity(3))
+        assert min(sym_eigenvalues(p)) > 0.0
+        ref = scipy.linalg.solve_continuous_lyapunov(m, -np.eye(3))
+        assert as_np(p) == pytest.approx(ref, rel=1e-6)
+
     def test_non_hurwitz_rejected(self):
         with pytest.raises(NotStabilizedError, match="not pre-stabilized"):
             solve_lyapunov(Matrix.from_rows([[0.0, 1.0], [0.0, 0.0]]), Matrix.identity(2))

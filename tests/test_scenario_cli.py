@@ -192,6 +192,18 @@ class TestSweepCommand:
         assert summary[0] == "alpha,settling_time,overshoot,final_error,max_violation,status"
         assert len(summary) == 2 and summary[1].startswith("10,") and summary[1].endswith(",ok")
 
+    def test_plant_built_once(self, tmp_path, monkeypatch):
+        # building the plant runs its Hurwitz gate, one Lyapunov solve
+        import ofo.plants
+
+        calls = []
+        solve = ofo.plants.solve_lyapunov
+        monkeypatch.setattr(ofo.plants, "solve_lyapunov",
+                            lambda a, q: calls.append(a) or solve(a, q))
+        path = write_doc(tmp_path, minimal_doc())
+        assert main(["sweep", path, "--alphas", "1,10", "--out", str(tmp_path / "d")]) == 0
+        assert len(calls) == 1
+
     def test_bad_alphas_exit_code(self, tmp_path, capsys):
         path = write_doc(tmp_path, minimal_doc())
         assert main(["sweep", path, "--alphas", "-1", "--out", str(tmp_path / "d")]) == 2

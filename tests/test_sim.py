@@ -1,6 +1,11 @@
 import io
 import math
+import os
 import random
+import shutil
+import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +13,7 @@ import pytest
 
 from ofo import engine, plants, sim
 from ofo.certificate import assemble_constants, certify, required_regularization
+from ofo.cli import main
 from ofo.controllers import BoxSet, GradientOfoController
 from ofo.costs import QuadraticCost, RegularizedCost
 from ofo.engine import pure
@@ -341,28 +347,40 @@ class TestKernels:
                              schedule=sched2, x0=(0.0, 0.0), u0=(0.0,), t_end=2.0,
                              box=BoxSet(lo=(-5e-5,), hi=(5e-5,)))
             cfg2.run(10.0)
+            # sensitivity -0.7, not a power of two, so the grouping of
+            # (sens0 * fac) * gy shows in the last bits
+            sine_c = replace(slow_sine_plant, c=Matrix.from_rows([[0.7, 1.0]]))
+            replace(cfg2, plant=sine_c).run(10.0)
             reg = RegularizedCost(base=quad_cost, mu4=0.7)
             gradient_config(fast_plant, reg, sched1, t_end=3.0).run(5.0)
+            # RK4 at dt = 1 is unstable on this plant: the last spec blows up
+            sched3 = DisturbanceSchedule(((0.0, (10.0,)),))
+            with pytest.raises(DivergenceError):
+                gradient_config(fast_plant, quad_cost, sched3, t_end=150.0, dt=1.0).run(1.0)
         finally:
             engine.run_segment = orig
         return captured
 
-    @pytest.mark.skipif(not engine.HAVE_COMPILED, reason="compiled kernel not built")
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_compiled_matches_pure_bitwise(self, fast_plant, slow_sine_plant, quad_cost, sqrt_cost):
         from ofo.engine import _speedup
 
+        def bits(values):
+            return struct.pack(f"{len(values)}d", *values)
+
         specs = self.collect_specs(fast_plant, slow_sine_plant, quad_cost, sqrt_cost)
-        assert len(specs) >= 6
+        assert len(specs) >= 9
+        assert pure.run_segment(specs[-1]).blowup_time is not None
         for spec in specs:
             a = pure.run_segment(spec)
             b = _speedup.run_segment(spec)
-            assert a.times == b.times
-            assert a.xs == b.xs
-            assert a.us == b.us
-            assert a.ys == b.ys
-            assert a.final_x == b.final_x
-            assert a.final_u == b.final_u
-            assert a.max_violation == b.max_violation
+            assert bits(a.times) == bits(b.times)
+            assert bits(a.xs) == bits(b.xs)
+            assert bits(a.us) == bits(b.us)
+            assert bits(a.ys) == bits(b.ys)
+            assert bits(a.final_x) == bits(b.final_x)
+            assert bits(a.final_u) == bits(b.final_u)
+            assert bits([a.max_violation]) == bits([b.max_violation])
             assert a.blowup_time == b.blowup_time
 
     def test_kernel_matches_generic_integrator(self, fast_plant, quad_cost):
@@ -385,12 +403,67 @@ class TestKernels:
         end_kernel = traj.seg_final_x[-1] + traj.seg_final_u[-1]
         assert np.array(end_kernel) == pytest.approx(np.array(states[-1]), rel=1e-12, abs=1e-12)
 
-    def test_pure_kernel_env_override(self, fast_plant, quad_cost, monkeypatch):
-        monkeypatch.setenv("OFO_PURE_PYTHON", "1")
-        assert engine.kernel_name() == "pure-python"
-        monkeypatch.delenv("OFO_PURE_PYTHON")
-        name = engine.kernel_name()
-        assert name == ("compiled" if engine.HAVE_COMPILED else "pure-python")
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_compiled_kernel_rejects_malformed_spec(self, fast_plant, slow_sine_plant,
+                                                    quad_cost, sqrt_cost):
+        # sizes are checked before any pointer reaches the C code
+        from ofo.engine import _speedup
+
+        spec = self.collect_specs(fast_plant, slow_sine_plant, quad_cost, sqrt_cost)[0]
+        for bad in (dict(a=spec.a[:-1]), dict(lo=[]), dict(x0=spec.x0 + [0.0]),
+                    dict(record_stride=0), dict(n_full=-3)):
+            with pytest.raises(ValueError):
+                _speedup.run_segment(replace(spec, **bad))
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_compiled_kernel_selected_when_cc_exists(self):
+        assert engine.HAVE_COMPILED
+        assert engine.kernel_name() == "compiled"
+        assert engine.active_kernel() is not pure
+
+    @staticmethod
+    def fresh_python(args, cache, **env):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=dict(os.environ, XDG_CACHE_HOME=str(cache), **env))
+
+    def test_fallback_without_cc_warns_and_writes_same_bytes(self, tmp_path):
+        no_cc = tmp_path / "bin"
+        no_cc.mkdir()
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        code = ("import sys; from ofo import engine; from ofo.cli import main; "
+                "print(engine.kernel_name()); sys.exit(main(sys.argv[1:]))")
+        fallback = self.fresh_python(["-c", code, "reproduce", "fig1", "--out",
+                                      str(tmp_path / "pure")], cache, PATH=str(no_cc))
+        assert fallback.returncode == 0, fallback.stderr
+        assert fallback.stdout.splitlines()[0] == "pure-python"
+        assert fallback.stderr.count("RuntimeWarning") == 1
+        assert "compiled stepping kernel unavailable" in fallback.stderr
+        assert main(["reproduce", "fig1", "--out", str(tmp_path / "selected")]) == 0
+        names = sorted(os.listdir(tmp_path / "selected"))
+        assert sorted(os.listdir(tmp_path / "pure")) == names
+        for name in names:
+            assert ((tmp_path / "pure" / name).read_bytes()
+                    == (tmp_path / "selected" / name).read_bytes()), name
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_kernel_cache_is_private_and_reused(self, tmp_path):
+        code = ["-c", "from ofo import engine; print(engine.kernel_name())"]
+        first = self.fresh_python(code, tmp_path)
+        assert (first.returncode, first.stdout.strip(), first.stderr) == (0, "compiled", "")
+        cache = tmp_path / "ofo"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        (lib,) = cache.iterdir()
+        built = lib.stat().st_mtime_ns
+        second = self.fresh_python(code, tmp_path)
+        assert (second.returncode, second.stdout.strip()) == (0, "compiled")
+        assert list(cache.iterdir()) == [lib]
+        assert lib.stat().st_mtime_ns == built
+
+        cache.chmod(0o770)
+        shared = self.fresh_python(code, tmp_path)
+        assert shared.stdout.strip() == "pure-python"
+        assert "not private to this user" in shared.stderr
 
 
 class TestLyapunovMachinery:
