@@ -143,9 +143,10 @@ def _run_sweep(scenario: Scenario, alphas, out_dir: str) -> None:
         _atomic_write(os.path.join(out_dir, f"alpha_{fmt12(row.alpha)}.csv"),
                       _csv_text(row.trajectory))
         s = row.summary
+        status = "ok" if config.hurwitz(row.alpha) is not False else "not-hurwitz"
         summary_lines.append(
             f"{fmt12(row.alpha)},{fmt12(s.settling_time)},{fmt12(s.overshoot)},"
-            f"{fmt12(s.final_error)},{fmt12(s.max_violation)},ok")
+            f"{fmt12(s.final_error)},{fmt12(s.max_violation)},{status}")
         print(_summary_line(row.alpha, s))
     _atomic_write(os.path.join(out_dir, "summary.csv"), "\n".join(summary_lines) + "\n")
 

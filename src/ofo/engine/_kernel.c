@@ -14,6 +14,9 @@ typedef struct {
     const double *a, *b, *drift, *c, *s0, *lo, *hi;
     double cq1, cq2, mu4, alpha, beta;
     double *y, *gu, *gy, *pu;  /* scratch */
+    double xi;                 /* weight of V; 0.0 records no V */
+    const double *lp, *xstar, *ustar;
+    double *dx;                /* scratch */
 } field_t;
 
 static void eval_field(const field_t *f, const double *xs, const double *us,
@@ -82,9 +85,12 @@ static double step_time(long step, long n_tot, double t0, double t_end, double d
     return step == n_tot ? t_end : t0 + step * dt;
 }
 
-/* Appends record k: its time, x, u and y = C x. */
+/* Appends record k: its time, x, u, y = C x and, when xi is nonzero,
+ * V = max(xi (x-x*)^T P (x-x*), |u-u*|^2 / 2), summed in the order of
+ * ofo.sim.lyapunov_trace. */
 static void record(const field_t *f, long k, double t, const double *x, const double *u,
-                   double *rec_t, double *rec_x, double *rec_u, double *rec_y)
+                   double *rec_t, double *rec_x, double *rec_u, double *rec_y,
+                   double *rec_v)
 {
     int n = f->n, m = f->m, p = f->p;
     rec_t[k] = t;
@@ -98,36 +104,58 @@ static void record(const field_t *f, long k, double t, const double *x, const do
             acc += f->c[i * n + j] * x[j];
         rec_y[k * p + i] = acc;
     }
+    if (f->xi != 0.0) {
+        double vx = 0.0, vu = 0.0, d;
+        for (int j = 0; j < n; j++)
+            f->dx[j] = x[j] - f->xstar[j];
+        for (int i = 0; i < n; i++) {
+            double acc = 0.0;
+            for (int j = 0; j < n; j++)
+                acc += f->lp[i * n + j] * f->dx[j];
+            vx += f->dx[i] * acc;
+        }
+        for (int j = 0; j < m; j++) {
+            d = u[j] - f->ustar[j];
+            vu += d * d;
+        }
+        vu = 0.5 * vu;
+        vx = f->xi * vx;
+        rec_v[k] = vu > vx ? vu : vx;
+    }
 }
 
 /* Integrates one constant-disturbance segment from (x, u), which come back
- * as the final state.  The record buffers hold 2 + n_tot / stride records.
- * Returns the number of records written, or -1 when scratch memory cannot
- * be allocated. */
+ * as the final state.  The record buffers hold 2 + n_tot / stride records;
+ * lp, xstar, ustar and rec_v are read only when xi is nonzero.  Returns the
+ * number of records written, or -1 when scratch memory cannot be
+ * allocated. */
 long ofo_run_segment(int n, int m, int p, int sine, int sqrtplus, int projected,
                      const double *a, const double *b, const double *drift,
                      const double *c, const double *s0,
                      double cq1, double cq2, double mu4, double alpha, double beta,
                      const double *lo, const double *hi,
                      double t0, double t_end, double dt, long n_full, double last_dt,
-                     long stride, int include_final, double *x, double *u,
-                     double *rec_t, double *rec_x, double *rec_u, double *rec_y,
+                     long stride, int include_final,
+                     double xi, const double *lp, const double *xstar, const double *ustar,
+                     double *x, double *u,
+                     double *rec_t, double *rec_x, double *rec_u, double *rec_y, double *rec_v,
                      double *max_violation, int *blew_up, double *blowup_time)
 {
-    double *work = calloc(5 * (size_t)n + 7 * (size_t)m + 2 * (size_t)p, sizeof(double));
+    double *work = calloc(6 * (size_t)n + 7 * (size_t)m + 2 * (size_t)p, sizeof(double));
     if (work == NULL)
         return -1;
     double *xt = work, *kx1 = xt + n, *kx2 = kx1 + n, *kx3 = kx2 + n, *kx4 = kx3 + n;
     double *ut = kx4 + n, *ku1 = ut + m, *ku2 = ku1 + m, *ku3 = ku2 + m, *ku4 = ku3 + m;
-    double *y = ku4 + m, *gu = y + p, *gy = gu + m, *pu = gy + p;
+    double *y = ku4 + m, *gu = y + p, *gy = gu + m, *pu = gy + p, *dx = pu + m;
     field_t f = {n, m, p, sine, sqrtplus, projected, a, b, drift, c, s0, lo, hi,
-                 cq1, cq2, mu4, alpha, beta, y, gu, gy, pu};
+                 cq1, cq2, mu4, alpha, beta, y, gu, gy, pu, xi, lp, xstar, ustar, dx};
 
     long n_tot = n_full + (last_dt > 0.0 ? 1 : 0);
     long k = 0;
     double d, violation = 0.0;
     *blew_up = 0;
-    record(&f, k++, step_time(0, n_tot, t0, t_end, dt), x, u, rec_t, rec_x, rec_u, rec_y);
+    record(&f, k++, step_time(0, n_tot, t0, t_end, dt), x, u,
+           rec_t, rec_x, rec_u, rec_y, rec_v);
     for (long i = 0; i < n_tot; i++) {
         double h = i < n_full ? dt : last_dt, h2 = 0.5 * h, h6 = h / 6.0;
         eval_field(&f, x, u, kx1, ku1);
@@ -169,7 +197,7 @@ long ofo_run_segment(int n, int m, int p, int sine, int sqrtplus, int projected,
         }
         if ((step % stride == 0 && step < n_tot) || (step == n_tot && include_final))
             record(&f, k++, step_time(step, n_tot, t0, t_end, dt), x, u,
-                   rec_t, rec_x, rec_u, rec_y);
+                   rec_t, rec_x, rec_u, rec_y, rec_v);
     }
     *max_violation = violation;
     free(work);

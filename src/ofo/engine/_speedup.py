@@ -27,7 +27,8 @@ _ARGTYPES = [_I, _I, _I, _I, _I, _I,       # n, m, p, sine, sqrtplus, projected
              _F, _F, _F, _F, _F,           # cq1, cq2, mu4, alpha, beta
              _A, _A,                       # lo, hi
              _F, _F, _F, _L, _F, _L, _I,   # t0, t_end, dt, n_full, last_dt, stride, include_final
-             _A, _A, _A, _A, _A, _A,       # x, u, rec_t, rec_x, rec_u, rec_y
+             _F, _A, _A, _A,               # lyap_xi, lyap_p, xstar, ustar
+             _A, _A, _A, _A, _A, _A, _A,   # x, u, rec_t, rec_x, rec_u, rec_y, rec_v
              _A, ctypes.POINTER(_I), _A]   # max_violation, blew_up, blowup_time
 
 
@@ -96,6 +97,12 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
     cap = 2 + n_tot // stride
     x, u = _doubles(spec.x0, n), _doubles(spec.u0, m)
     rec_t, rec_x, rec_u, rec_y = ((_F * (cap * k))() for k in (1, n, m, p))
+    xi = spec.lyap_xi
+    if xi:
+        lyap = (_doubles(spec.lyap_p, n * n), _doubles(spec.xstar, n), _doubles(spec.ustar, m))
+        rec_v = (_F * cap)()
+    else:
+        lyap, rec_v = (None, None, None), None
     violation, blew_up, blowup_time = _F(), _I(), _F()
     k = _run(n, m, p, spec.plant_kind == PLANT_SINE, spec.cost_kind == COST_SQRTPLUS,
              spec.ctrl_kind == CTRL_PROJECTED,
@@ -104,11 +111,12 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
              spec.cq1, spec.cq2, spec.mu4, spec.alpha, spec.beta,
              _doubles(spec.lo, m), _doubles(spec.hi, m),
              spec.t0, spec.t_end, spec.dt, spec.n_full, spec.last_dt,
-             stride, spec.include_final, x, u, rec_t, rec_x, rec_u, rec_y,
+             stride, spec.include_final, xi, *lyap, x, u, rec_t, rec_x, rec_u, rec_y, rec_v,
              ctypes.byref(violation), ctypes.byref(blew_up), ctypes.byref(blowup_time))
     if k < 0:
         raise MemoryError("compiled kernel could not allocate its scratch memory")
     return SegmentResult(times=rec_t[:k], xs=rec_x[:k * n], us=rec_u[:k * m],
-                         ys=rec_y[:k * p], final_x=x[:], final_u=u[:],
+                         ys=rec_y[:k * p], vs=rec_v[:k] if xi else [],
+                         final_x=x[:], final_u=u[:],
                          max_violation=violation.value,
                          blowup_time=blowup_time.value if blew_up.value else None)

@@ -3,7 +3,9 @@
 Everything is plain floats, ints, and lists so the compiled and pure kernels
 can consume the same object.  Matrices are row-major flat lists; the
 disturbance enters only through the precomputed drift vector B_w w, which is
-constant within a segment.
+constant within a segment.  A nonzero `lyap_xi` makes the kernel record the
+composite function V = max(xi (x-x*)^T P (x-x*), |u-u*|^2 / 2) with every
+sample; the default 0.0 records none.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ class SegmentSpec:
     last_dt: float
     record_stride: int
     include_final: bool
+    lyap_xi: float = 0.0    # weight xi of V; 0.0 records no V
+    lyap_p: list[float] = field(default_factory=list)   # n*n
+    xstar: list[float] = field(default_factory=list)    # n, the anchor of V
+    ustar: list[float] = field(default_factory=list)    # m, the anchor of V
 
 
 @dataclass
@@ -59,6 +65,7 @@ class SegmentResult:
     xs: list[float] = field(default_factory=list)   # flat, n per record
     us: list[float] = field(default_factory=list)   # flat, m per record
     ys: list[float] = field(default_factory=list)   # flat, p per record
+    vs: list[float] = field(default_factory=list)   # one V per record, when recorded
     final_x: list[float] = field(default_factory=list)
     final_u: list[float] = field(default_factory=list)
     max_violation: float = 0.0

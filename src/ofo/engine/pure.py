@@ -114,7 +114,13 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
     rec_x = res.xs
     rec_u = res.us
     rec_y = res.ys
+    rec_v = res.vs
     n_tot = n_full + (1 if last_dt > 0.0 else 0)
+    xi = spec.lyap_xi
+    lp = spec.lyap_p
+    xstar = spec.xstar
+    ustar = spec.ustar
+    dx = [0.0] * n
 
     def record(step: int):
         rec_t.append(t_end if step == n_tot else t0 + step * dt)
@@ -128,6 +134,24 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
             for j in range(n):
                 acc += c[base + j] * x[j]
             rec_y.append(acc)
+        if xi:
+            # the operation order of ofo.sim.lyapunov_trace
+            for j in range(n):
+                dx[j] = x[j] - xstar[j]
+            vx = 0.0
+            for i in range(n):
+                acc = 0.0
+                base = i * n
+                for j in range(n):
+                    acc += lp[base + j] * dx[j]
+                vx += dx[i] * acc
+            vu = 0.0
+            for j in range(m):
+                d = u[j] - ustar[j]
+                vu += d * d
+            vu = 0.5 * vu
+            vx = xi * vx
+            rec_v.append(vu if vu > vx else vx)
 
     record(0)
     h2_main = 0.5 * dt

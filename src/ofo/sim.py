@@ -14,14 +14,24 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from decimal import Decimal
+from itertools import repeat
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Sequence, TextIO
 
 from . import engine
 from .controllers import BoxSet, Controller, GradientOfoController, ProjectedOfoController
 from .costs import CostModel, QuadraticCost, RegularizedCost, reduced_gradient
-from .errors import DivergenceError, InputError
-from .linalg import Matrix, Vector, as_vector, quad_form, spectral_norm, vec_norm, vec_sub
+from .errors import DivergenceError, InputError, NotStabilizedError
+from .linalg import (
+    Matrix,
+    Vector,
+    as_vector,
+    quad_form,
+    solve_lyapunov,
+    spectral_norm,
+    vec_norm,
+    vec_sub,
+)
 from .ode import plan_steps
 from .plants import LinearPlant, SinePlant
 
@@ -31,17 +41,27 @@ _SCAN_POINTS = 4097
 _SCAN_ROUNDS = 3
 
 
+def _plain(text: str) -> str:
+    """One `%.12g` field in plain decimal notation: an exponent form is
+    expanded by placing its printed digits, -0 becomes 0, inf and nan raise."""
+    mantissa, _, exponent = text.partition("e")
+    if not exponent:
+        if "n" in text:
+            raise InputError("cannot format a non-finite value")
+        return "0" if text == "-0" else text
+    sign = "-" if mantissa[0] == "-" else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    point = int(exponent) + 1      # digits before the decimal point
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    if point >= len(digits):
+        return sign + digits + "0" * (point - len(digits))
+    return f"{sign}{digits[:point]}.{digits[point:]}"
+
+
 def fmt12(x: float) -> str:
     """Format a float with 12 significant digits in plain decimal notation."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise InputError("cannot format a non-finite value")
-    if x == 0.0:
-        return "0"
-    s = f"{x:.12g}"
-    if "e" in s or "E" in s:
-        s = format(Decimal(s), "f")
-    return s
+    return _plain("%.12g" % float(x))
 
 
 @dataclass(frozen=True)
@@ -285,6 +305,8 @@ def simulate(
         dt = default_dt(plant, controller.cost, controller.alpha)
     if dt <= 0.0:
         raise InputError("dt must be positive")
+    if lyapunov is not None and (lyapunov.p.rows, lyapunov.p.cols) != (plant.n, plant.n):
+        raise InputError(f"the Lyapunov matrix must be {plant.n}x{plant.n}")
 
     warnings: list[str] = []
     projected = isinstance(controller, ProjectedOfoController)
@@ -300,13 +322,14 @@ def simulate(
         hi = [math.inf] * plant.m
     cost_kind, cq1, cq2, mu4 = _cost_parts(controller.cost)
     plant_kind = engine.PLANT_SINE if isinstance(plant, SinePlant) else engine.PLANT_LINEAR
+    lyap_xi, lyap_p = (lyapunov.xi, list(lyapunov.p.data)) if lyapunov is not None else (0.0, [])
 
     boundaries = [t for t, _ in schedule.segments] + [t_end]
     n_segments = len(schedule.segments)
     per_seg_records = max(2, max_records // n_segments)
 
     traj = Trajectory(
-        t=[], x=[], u=[], y=[], w=[], seg_of=[], v=None,
+        t=[], x=[], u=[], y=[], w=[], seg_of=[], v=None if lyapunov is None else [],
         segment_marks=[], segment_starts=[], segment_ends=[],
         ustar=[], xstar=[], seg_final_x=[], seg_final_u=[],
         max_box_violation=0.0, dt=dt, warnings=warnings,
@@ -338,6 +361,7 @@ def simulate(
             x0=x, u0=u, t0=t_start, t_end=t_stop, dt=dt,
             n_full=n_full, last_dt=last_dt, record_stride=stride,
             include_final=(k == n_segments - 1),
+            lyap_xi=lyap_xi, lyap_p=lyap_p, xstar=list(xstar), ustar=list(ustar),
         )
         res = engine.run_segment(spec)
         if res.blowup_time is not None:
@@ -351,27 +375,30 @@ def simulate(
         traj.ustar.append(ustar)
         traj.xstar.append(xstar)
         n_rec = len(res.times)
-        n_dim, m_dim, p_dim = plant.n, plant.m, plant.p
-        for r in range(n_rec):
-            traj.t.append(res.times[r])
-            traj.x.append(tuple(res.xs[r * n_dim:(r + 1) * n_dim]))
-            traj.u.append(tuple(res.us[r * m_dim:(r + 1) * m_dim]))
-            traj.y.append(tuple(res.ys[r * p_dim:(r + 1) * p_dim]))
-            traj.w.append(w)
-            traj.seg_of.append(k)
+        traj.t += res.times
+        # zip over n references to one iterator yields consecutive n-tuples
+        traj.x += zip(*[iter(res.xs)] * plant.n)
+        traj.u += zip(*[iter(res.us)] * plant.m)
+        traj.y += zip(*[iter(res.ys)] * plant.p)
+        traj.w += [w] * n_rec
+        traj.seg_of += [k] * n_rec
+        if traj.v is not None:
+            traj.v += res.vs
         traj.seg_final_x.append(tuple(res.final_x))
         traj.seg_final_u.append(tuple(res.final_u))
         traj.max_box_violation = max(traj.max_box_violation, res.max_violation)
         x = res.final_x
         u = res.final_u
-
-    if lyapunov is not None:
-        traj.v = lyapunov_trace(traj, lyapunov)
     return traj
 
 
 def lyapunov_trace(traj: Trajectory, spec: LyapunovSpec) -> list[float]:
-    """Composite-function samples along a trajectory, re-anchored per segment."""
+    """Composite-function samples along a trajectory, re-anchored per segment.
+
+    This is the reference for the V that the stepping kernel records during
+    simulate().  Both add left to right, as sum() does before Python 3.12, so
+    there they agree bit for bit.
+    """
     out = []
     for i in range(len(traj.t)):
         k = traj.seg_of[i]
@@ -411,38 +438,46 @@ def envelope_check(
     return ok, worst
 
 
+def _distances(points: list[Vector], target: Vector) -> list[float]:
+    """vec_norm(vec_sub(point, target)) for every point, in the same operation
+    order but column by column, so the arithmetic runs inside map()."""
+    squares = [0.0] * len(points)
+    for j, value in enumerate(target):
+        diffs = list(map(sub, map(itemgetter(j), points), repeat(value)))
+        squares = list(map(add, squares, map(mul, diffs, diffs)))
+    return list(map(math.sqrt, squares))
+
+
 def summarize(traj: Trajectory) -> RunSummary:
     """Per-run metrics: final error, settling into the 1% band, overshoot."""
     settling = 0.0
     overshoot = 0.0
     n_seg = len(traj.segment_starts)
     for k in range(n_seg):
-        idx = list(traj.segment_indices(k))
+        idx = traj.segment_indices(k)
+        seg_u = traj.u[idx.start:idx.stop]
         ustar = traj.ustar[k]
         band = 0.01 * (1.0 + vec_norm(ustar))
-        seg_len = traj.segment_ends[k] - traj.segment_starts[k]
-        # earliest sample index from which the input stays inside the band
-        settled_at = None
-        for i in reversed(idx):
-            if vec_norm(vec_sub(traj.u[i], ustar)) <= band:
-                settled_at = i
-            else:
-                break
+        seg_settling = traj.segment_ends[k] - traj.segment_starts[k]
         # the exact segment end state is not among the strided samples
-        final_in = vec_norm(vec_sub(traj.seg_final_u[k], ustar)) <= band
-        if settled_at is not None and final_in:
-            seg_settling = traj.t[settled_at] - traj.segment_starts[k]
-        else:
-            seg_settling = seg_len
+        if vec_norm(vec_sub(traj.seg_final_u[k], ustar)) <= band:
+            # settled from the first of the trailing samples inside the band
+            inside = list(map(band.__ge__, _distances(seg_u, ustar)))[::-1]
+            inside = inside.index(False) if False in inside else len(inside)
+            if inside:
+                seg_settling = traj.t[idx.stop - inside] - traj.segment_starts[k]
         settling = max(settling, seg_settling)
 
-        u_first = traj.u[idx[0]] if idx else traj.seg_final_u[k]
-        for j in range(len(ustar)):
-            direction = 1.0 if ustar[j] >= u_first[j] else -1.0
-            for i in idx:
-                excess = direction * (traj.u[i][j] - ustar[j])
-                if excess > overshoot:
-                    overshoot = excess
+        if not seg_u:
+            continue
+        # u_j - u*_j is monotone in u_j, so the largest excess comes from the
+        # extreme sample in the direction of approach
+        for j, target in enumerate(ustar):
+            if target >= seg_u[0][j]:
+                excess = max(map(itemgetter(j), seg_u)) - target
+            else:
+                excess = -1.0 * (min(map(itemgetter(j), seg_u)) - target)
+            overshoot = max(overshoot, excess)
     final_error = vec_norm(vec_sub(traj.seg_final_u[-1], traj.ustar[-1]))
     return RunSummary(
         final_error=final_error,
@@ -480,6 +515,29 @@ class RunConfig:
             return ProjectedOfoController(alpha=alpha, beta=beta, box=self.box,
                                           cost=self.cost, sensitivity=self.plant.sensitivity)
         raise InputError(f"unknown controller kind: {self.controller_kind}")
+
+    def hurwitz(self, alpha: float) -> bool | None:
+        """Whether the closed loop at this gain is Hurwitz, for the loops that
+        are affine: a linear plant with a quadratic cost (with or without
+        mu4) under the gradient law, whose matrix is
+        [[A, B], [-2 alpha q_y H^T C, -alpha (2 q_u + mu4) I]], H = -C A^-1 B.
+        None for every other loop."""
+        cost_kind, q_u, q_y, mu4 = _cost_parts(self.cost)
+        plant = self.plant
+        if (self.controller_kind != "gradient" or isinstance(plant, SinePlant)
+                or cost_kind != engine.COST_QUADRATIC):
+            return None
+        n, m = plant.n, plant.m
+        feedback = plant.base_sensitivity.transpose().matmul(plant.c).scale(-2.0 * alpha * q_y)
+        damping = -alpha * (2.0 * q_u + mu4)
+        rows = [plant.a.row(i) + plant.b.row(i) for i in range(n)]
+        rows += [feedback.row(j) + tuple(damping if i == j else 0.0 for i in range(m))
+                 for j in range(m)]
+        try:
+            solve_lyapunov(Matrix.from_rows(rows), Matrix.identity(n + m))
+        except NotStabilizedError:
+            return False
+        return True
 
     def run(self, alpha: float) -> tuple[Trajectory, RunSummary]:
         controller = self.build_controller(alpha)
@@ -544,8 +602,17 @@ def csv_header(n: int, m: int, p: int, q: int) -> str:
     return ",".join(cols)
 
 
+def _plain_row(row: str) -> str:
+    return ",".join([_plain(text) for text in row.split(",")])
+
+
 def write_csv(traj: Trajectory, stream: TextIO) -> None:
-    """Trajectory CSV: fixed column schema, 12 significant digits, LF endings."""
+    """Trajectory CSV: fixed column schema, 12 significant digits, LF endings.
+
+    Each row is one `%.12g` format of its samples, with the segment's
+    disturbance and optimum already in place as text.  Only a row whose
+    printout holds an exponent, inf, nan or -0 is taken apart field by field.
+    """
     if traj.v is None:
         raise InputError("trajectory has no Lyapunov samples; simulate with a LyapunovSpec")
     n = len(traj.x[0])
@@ -553,13 +620,17 @@ def write_csv(traj: Trajectory, stream: TextIO) -> None:
     p = len(traj.y[0])
     q = len(traj.w[0])
     stream.write(csv_header(n, m, p, q) + "\n")
-    for i in range(len(traj.t)):
-        k = traj.seg_of[i]
-        fields = [fmt12(traj.t[i])]
-        fields += [fmt12(v) for v in traj.x[i]]
-        fields += [fmt12(v) for v in traj.u[i]]
-        fields += [fmt12(v) for v in traj.y[i]]
-        fields += [fmt12(v) for v in traj.w[i]]
-        fields.append(fmt12(traj.v[i]))
-        fields += [fmt12(v) for v in traj.ustar[k]]
-        stream.write(",".join(fields) + "\n")
+    samples = "%.12g," * (1 + n + m + p)
+    for k in range(len(traj.segment_marks)):
+        idx = traj.segment_indices(k)
+        if not idx:
+            continue
+        lo, hi = idx.start, idx.stop
+        w_text = ",".join(map(fmt12, traj.w[lo]))
+        ustar_text = ",".join(map(fmt12, traj.ustar[k]))
+        row = f"{samples}{w_text},%.12g,{ustar_text}\n"
+        rows = [row % (t, *x, *u, *y, v) for t, x, u, y, v in
+                zip(traj.t[lo:hi], traj.x[lo:hi], traj.u[lo:hi], traj.y[lo:hi], traj.v[lo:hi])]
+        # every printed field is followed by a comma, so "-0," marks a -0 field
+        stream.write("".join([_plain_row(r) if "e" in r or "n" in r or "-0," in r else r
+                              for r in rows]))

@@ -240,6 +240,9 @@ class TestReproduceCommand:
         rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
         settling = [float(r.split(",")[1]) for r in rows[:3]]
         assert settling[0] >= settling[1] >= settling[2]
+        # gain 1000 lies inside the unstable interval (111.6, 2263.7); its
+        # trajectory is still written
+        assert [r.split(",")[-1] for r in rows] == ["ok", "ok", "ok", "not-hurwitz"]
 
     def test_outputs_follow_umask(self, tmp_path):
         out_dir = tmp_path / "fig1"

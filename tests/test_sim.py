@@ -7,13 +7,14 @@ import struct
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from ofo import engine, plants, sim
 from ofo.certificate import assemble_constants, certify, required_regularization
-from ofo.cli import main
+from ofo.cli import _run_config, main
 from ofo.controllers import BoxSet, GradientOfoController
 from ofo.costs import QuadraticCost, RegularizedCost
 from ofo.engine import pure
@@ -35,7 +36,7 @@ from ofo.sim import (
     write_csv,
 )
 
-from conftest import bundled_scenario, random_hurwitz_rows
+from conftest import bundled_scenario, random_hurwitz_rows, random_spd_rows
 
 
 def gradient_config(plant, cost, schedule, t_end, **kw):
@@ -365,19 +366,24 @@ class TestKernels:
     def test_compiled_matches_pure_bitwise(self, fast_plant, slow_sine_plant, quad_cost, sqrt_cost):
         from ofo.engine import _speedup
 
-        def bits(values):
-            return struct.pack(f"{len(values)}d", *values)
-
         specs = self.collect_specs(fast_plant, slow_sine_plant, quad_cost, sqrt_cost)
         assert len(specs) >= 9
         assert pure.run_segment(specs[-1]).blowup_time is not None
-        for spec in specs:
+        # every spec once more with V recorded: a P that is not symmetric, so
+        # its index order shows, an anchor off the origin and a weight that is
+        # not a power of two
+        assert all(spec.n == 2 and spec.m == 1 for spec in specs)
+        weighted = [replace(spec, lyap_xi=0.37, lyap_p=[1.3, -0.45, 0.2, 0.9],
+                            xstar=[0.25, -1.5], ustar=[0.7]) for spec in specs]
+        for spec in specs + weighted:
             a = pure.run_segment(spec)
             b = _speedup.run_segment(spec)
+            assert len(a.vs) == (len(a.times) if spec.lyap_xi else 0)
             assert bits(a.times) == bits(b.times)
             assert bits(a.xs) == bits(b.xs)
             assert bits(a.us) == bits(b.us)
             assert bits(a.ys) == bits(b.ys)
+            assert bits(a.vs) == bits(b.vs)
             assert bits(a.final_x) == bits(b.final_x)
             assert bits(a.final_u) == bits(b.final_u)
             assert bits([a.max_violation]) == bits([b.max_violation])
@@ -466,7 +472,50 @@ class TestKernels:
         assert "not private to this user" in shared.stderr
 
 
+def bits(values):
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def two_output_config(seed: int, **kw) -> RunConfig:
+    """A seeded three-state linear plant with two outputs under the gradient law."""
+    rng = random.Random(seed)
+    plant = LinearPlant(a=Matrix.from_rows(random_hurwitz_rows(rng, 3)),
+                        b=Matrix.from_rows([[0.5], [1.0], [-0.3]]),
+                        bw=Matrix.from_rows([[1.0], [0.2], [0.0]]),
+                        c=Matrix.from_rows([[1.0, 0.0, 0.5], [0.0, 1.0, -1.0]]))
+    schedule = DisturbanceSchedule(((0.0, (3.0,)), (2.0, (-1.5,))))
+    return RunConfig(plant=plant, cost=QuadraticCost(q_u=0.1, q_y=1.0),
+                     controller_kind="gradient", schedule=schedule,
+                     x0=(0.0, 0.0, 0.0), u0=(0.0,), t_end=4.0, **kw)
+
+
 class TestLyapunovMachinery:
+    def test_kernel_v_matches_lyapunov_trace(self):
+        fig1 = _run_config(bundled_scenario("fig1"))
+        fig2 = bundled_scenario("fig2")
+        rng = random.Random(11)
+        weights = LyapunovSpec(xi=0.37, p=Matrix.from_rows(random_spd_rows(rng, 3)))
+        runs = [(fig1, alpha) for alpha in (1.0, 10.0, 100.0, 1000.0)]
+        runs += [(_run_config(fig2), fig2.alpha),
+                 (two_output_config(11, lyapunov=weights), 5.0)]
+        for config, alpha in runs:
+            traj, _ = config.run(alpha)
+            reference = lyapunov_trace(traj, config.lyapunov)
+            assert len(traj.v) == len(traj.t) == len(reference)
+            if sys.version_info < (3, 12):
+                assert bits(traj.v) == bits(reference)
+            else:
+                # from Python 3.12 on, sum() compensates its rounding, so the
+                # reference no longer adds strictly left to right
+                assert traj.v == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_lyapunov_matrix_must_match_the_plant(self, fast_plant, quad_cost):
+        schedule = DisturbanceSchedule(((0.0, (1.0,)),))
+        cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0,
+                              lyapunov=LyapunovSpec(xi=1.0, p=Matrix.identity(3)))
+        with pytest.raises(InputError, match="2x2"):
+            cfg.run(1.0)
+
     def test_trace_values_at_anchor_and_unit_offsets(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (0.0,)),))
         cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0)
@@ -538,7 +587,58 @@ class TestLyapunovMachinery:
             assert ok, f"segment {seg}: worst ratio {worst}"
 
 
+def reference_summarize(traj) -> tuple[float, float, float, float]:
+    """summarize() as a plain loop over every sample."""
+    settling = 0.0
+    overshoot = 0.0
+    for k in range(len(traj.segment_starts)):
+        idx = list(traj.segment_indices(k))
+        ustar = traj.ustar[k]
+        band = 0.01 * (1.0 + vec_norm(ustar))
+        settled_at = None
+        for i in reversed(idx):
+            if vec_norm(vec_sub(traj.u[i], ustar)) <= band:
+                settled_at = i
+            else:
+                break
+        if settled_at is not None and vec_norm(vec_sub(traj.seg_final_u[k], ustar)) <= band:
+            seg_settling = traj.t[settled_at] - traj.segment_starts[k]
+        else:
+            seg_settling = traj.segment_ends[k] - traj.segment_starts[k]
+        settling = max(settling, seg_settling)
+        u_first = traj.u[idx[0]] if idx else traj.seg_final_u[k]
+        for j in range(len(ustar)):
+            direction = 1.0 if ustar[j] >= u_first[j] else -1.0
+            for i in idx:
+                excess = direction * (traj.u[i][j] - ustar[j])
+                if excess > overshoot:
+                    overshoot = excess
+    final_error = vec_norm(vec_sub(traj.seg_final_u[-1], traj.ustar[-1]))
+    return final_error, settling, overshoot, traj.max_box_violation
+
+
 class TestSummaries:
+    def test_matches_per_sample_loop_bitwise(self, fast_plant, quad_cost):
+        fig1 = _run_config(bundled_scenario("fig1"))
+        fig2 = bundled_scenario("fig2")
+        settles = gradient_config(fast_plant, quad_cost,
+                                  DisturbanceSchedule(((0.0, (10.0,)), (20.0, (-10.0,)))),
+                                  t_end=40.0)
+        # u* lies below u0 = 0, and the input overshoots it on the way down
+        from_above = gradient_config(fast_plant, quad_cost,
+                                     DisturbanceSchedule(((0.0, (10.0,)),)), t_end=5.0)
+        runs = [(fig1, alpha) for alpha in (1.0, 10.0, 100.0, 1000.0)]
+        runs += [(_run_config(fig2), fig2.alpha), (settles, 10.0), (two_output_config(3), 5.0),
+                 (from_above, 100.0)]
+        settled = 0
+        for config, alpha in runs:
+            traj, summary = config.run(alpha)
+            settled += summary.settling_time < traj.segment_ends[0] - traj.segment_starts[0]
+            assert bits([summary.final_error, summary.settling_time, summary.overshoot,
+                         summary.max_violation]) == bits(reference_summarize(traj))
+        assert settled >= 2
+        assert traj.ustar[0][0] < 0.0 and summary.overshoot > 0.0
+
     def test_settled_run(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (10.0,)),))
         cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=40.0)
@@ -552,6 +652,43 @@ class TestSummaries:
         cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=5.0)
         _, summary = cfg.run(1.0)
         assert summary.settling_time == 5.0
+
+
+class TestHurwitzVerdict:
+    @staticmethod
+    def numpy_verdict(config: RunConfig, alpha: float) -> bool:
+        plant = config.plant
+        a, b, c = (np.array(mat.to_rows()) for mat in (plant.a, plant.b, plant.c))
+        cost = config.cost
+        mu4 = cost.mu4 if isinstance(cost, RegularizedCost) else 0.0
+        base = cost.base if isinstance(cost, RegularizedCost) else cost
+        h = -c @ np.linalg.solve(a, b)
+        m = np.block([[a, b], [-2.0 * alpha * base.q_y * h.T @ c,
+                               -alpha * (2.0 * base.q_u + mu4) * np.eye(b.shape[1])]])
+        return bool(np.linalg.eigvals(m).real.max() < 0.0)
+
+    def test_affine_loops_match_numpy(self):
+        fig1 = _run_config(bundled_scenario("fig1"))
+        configs = [fig1, replace(fig1, cost=RegularizedCost(base=fig1.cost, mu4=0.5))]
+        configs += [two_output_config(seed) for seed in range(6)]
+        verdicts = []
+        for config in configs:
+            for alpha in (1.0, 10.0, 100.0, 1000.0):
+                verdict = config.hurwitz(alpha)
+                assert verdict is self.numpy_verdict(config, alpha), (config.plant, alpha)
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+        assert [fig1.hurwitz(a) for a in (1.0, 10.0, 100.0, 1000.0)] == [True, True, True, False]
+
+    def test_other_loops_have_no_verdict(self, fast_plant, slow_sine_plant, quad_cost, sqrt_cost):
+        schedule = DisturbanceSchedule(((0.0, (1.0,)),))
+        box = BoxSet(lo=(-1.0,), hi=(1.0,))
+        assert _run_config(bundled_scenario("fig2")).hurwitz(10.0) is None
+        assert gradient_config(fast_plant, sqrt_cost, schedule, 1.0).hurwitz(10.0) is None
+        assert gradient_config(slow_sine_plant, quad_cost, schedule, 1.0).hurwitz(10.0) is None
+        projected = replace(gradient_config(fast_plant, quad_cost, schedule, 1.0),
+                            controller_kind="projected", box=box)
+        assert projected.hurwitz(10.0) is None
 
 
 class TestSweep:
@@ -622,3 +759,89 @@ class TestCsv:
         traj, _ = cfg.run(10.0)
         with pytest.raises(InputError):
             write_csv(traj, io.StringIO())
+
+    @staticmethod
+    def oracle_fmt12(x: float) -> str:
+        # the per-field rule the CSV writer used to apply: "%.12g", then
+        # Decimal expands an exponent form
+        x = float(x)
+        if not math.isfinite(x):
+            raise InputError("cannot format a non-finite value")
+        if x == 0.0:
+            return "0"
+        s = f"{x:.12g}"
+        if "e" in s:
+            s = format(Decimal(s), "f")
+        return s
+
+    @staticmethod
+    def table(segments) -> sim.Trajectory:
+        """A two-state, one-input, one-output trajectory from
+        (w, ustar, rows) segments, each row a (t, x1, x2, u1, y1, V) tuple."""
+        traj = sim.Trajectory(
+            t=[], x=[], u=[], y=[], w=[], seg_of=[], v=[], segment_marks=[],
+            segment_starts=[], segment_ends=[], ustar=[], xstar=[], seg_final_x=[],
+            seg_final_u=[], max_box_violation=0.0, dt=0.1)
+        for k, (w, ustar, rows) in enumerate(segments):
+            traj.segment_marks.append(len(traj.t))
+            traj.ustar.append((ustar,))
+            for t, x1, x2, u1, y1, v in rows:
+                traj.t.append(t)
+                traj.x.append((x1, x2))
+                traj.u.append((u1,))
+                traj.y.append((y1,))
+                traj.w.append((w,))
+                traj.v.append(v)
+                traj.seg_of.append(k)
+        return traj
+
+    def oracle_csv(self, traj) -> str:
+        lines = [csv_header(2, 1, 1, 1)]
+        for i in range(len(traj.t)):
+            fields = [traj.t[i], *traj.x[i], *traj.u[i], *traj.y[i], *traj.w[i], traj.v[i],
+                      *traj.ustar[traj.seg_of[i]]]
+            lines.append(",".join(self.oracle_fmt12(f) for f in fields))
+        return "\n".join(lines) + "\n"
+
+    def assert_matches_oracle(self, segments):
+        traj = self.table(segments)
+        buf = io.StringIO()
+        write_csv(traj, buf)
+        got, want = buf.getvalue(), self.oracle_csv(traj)
+        if got != want:
+            # name the first differing line; a diff of megabytes takes minutes
+            lines = zip(got.split("\n"), want.split("\n"))
+            first = next((a, b) for a, b in lines if a != b)
+            pytest.fail(f"row differs from the oracle: {first}")
+
+    def test_rows_match_per_field_decimal_oracle(self):
+        # 200k random bit patterns, 40k at a time, on 50-row segments
+        rng = random.Random(2024)
+        for _ in range(5):
+            values = []
+            while len(values) < 40000:
+                x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+                if math.isfinite(x):
+                    values.append(x)
+            step = 2 + 6 * 50
+            self.assert_matches_oracle(
+                [(chunk[0], chunk[1], list(zip(*[iter(chunk[2:])] * 6)))
+                 for chunk in (values[i:i + step] for i in range(0, len(values), step))])
+
+    def test_edge_values_match_per_field_decimal_oracle(self):
+        # each value in every column: as w and ustar, then once per sample column
+        edges = [-0.0, 0.0, 1e-4, -1e-4, 9.99999999999995e-5, 1e12, -1e12, 999999999999.5,
+                 5e-324, -5e-324, 2.2250738585072e-308, 1.5e-310, 1.7e308, -1.7e308,
+                 1e-5, 1e16, 0.1, -123456.789012345]
+        self.assert_matches_oracle(
+            [(e, e, [tuple(e if j == i else 0.5 for j in range(6)) for i in range(6)])
+             for e in edges])
+
+    def test_non_finite_rejected_in_every_column(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            cases = [(bad, 0.5, [(0.0,) * 6]), (0.5, bad, [(0.0,) * 6])]
+            cases += [(0.5, 0.5, [tuple(bad if j == i else 0.0 for j in range(6))])
+                      for i in range(6)]
+            for segment in cases:
+                with pytest.raises(InputError, match="non-finite"):
+                    write_csv(self.table([segment]), io.StringIO())
