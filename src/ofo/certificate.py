@@ -205,8 +205,8 @@ def check_mu_bound(k: SimplifyingConstants) -> tuple[bool, float]:
 
 def decay_rate(p: DominanceParams, xi: float, alpha: float) -> float:
     """Certified exponential rate min(mu1 - xi*theta1, alpha*(mu2 - theta2/xi))."""
-    if alpha <= 0.0:
-        raise InputError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise InputError(f"alpha must be positive and finite, got {alpha}")
     x_margin = p.mu1 - xi * p.theta1
     u_margin = p.mu2 - p.theta2 / xi
     if xi <= 0.0 or x_margin <= 0.0 or u_margin <= 0.0:
@@ -296,8 +296,8 @@ def certify(
     margin: float = 1e-6,
 ) -> CertificateReport:
     """Run the full certification pipeline for one plant/cost/gain triple."""
-    if alpha <= 0.0:
-        raise InputError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise InputError(f"alpha must be positive and finite, got {alpha}")
     constants, pc, overridden = assemble_constants(plant, cost, overrides)
     params = derive_dominance_params(constants)
     # The interval route is operative (the decay rate needs a concrete

@@ -9,6 +9,7 @@ bit-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -42,9 +43,8 @@ def _atomic_write(path: str, text: str) -> None:
         try:
             # mkstemp creates the file at 0600; give it the mode a plain
             # open() would, so outputs follow the user's umask.  Reading the
-            # umask sets it to 0 for a moment, so call this only while no
-            # other thread creates files (the CLI writes after a sweep's pool
-            # has finished).
+            # umask sets it to 0 for a moment, so no other thread may create
+            # files meanwhile.
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
@@ -122,8 +122,8 @@ def _parse_alphas(text: str) -> list[float]:
             value = float(token)
         except ValueError:
             raise InputError(f"--alphas: {token!r} is not a number")
-        if value <= 0.0:
-            raise InputError(f"--alphas: values must be positive, got {token}")
+        if not 0.0 < value < math.inf:
+            raise InputError(f"--alphas: values must be positive and finite, got {token}")
         out.append(value)
     if not out:
         raise InputError("--alphas: no values given")

@@ -1,21 +1,17 @@
-"""The two feedback-optimization control laws and the box projection.
+"""The input box of the projected feedback-optimization law and its projection.
 
-Both controllers steer the plant by descending the reduced gradient evaluated
-on live measurements: the gradient law integrates it directly, the projected
-law applies a clamped gradient step so the input set stays forward-invariant.
+The projected law applies a clamped gradient step so the input set stays
+forward-invariant; the stepping kernels carry that law, and this module holds
+the set it projects onto.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .costs import CostModel, reduced_gradient
 from .errors import InputError
-from .linalg import Matrix, Vector
-
-SensitivityFn = Callable[[Vector], Matrix]
+from .linalg import Vector
 
 
 @dataclass(frozen=True)
@@ -47,76 +43,9 @@ class BoxSet:
     def contains(self, u: Vector, tol: float = 0.0) -> bool:
         return all(l - tol <= v <= h + tol for l, v, h in zip(self.lo, u, self.hi))
 
-    def violation(self, u: Vector) -> float:
-        """Largest distance by which any component leaves the box."""
-        worst = 0.0
-        for l, v, h in zip(self.lo, u, self.hi):
-            worst = max(worst, l - v, v - h)
-        return max(0.0, worst)
-
 
 def proj_box(v: Vector, box: BoxSet) -> Vector:
     """Euclidean projection onto a box: componentwise clamping."""
     if len(v) != box.dim:
         raise InputError("projection dimension mismatch")
     return tuple(min(max(x, l), h) for x, l, h in zip(v, box.lo, box.hi))
-
-
-@dataclass(frozen=True)
-class GradientOfoController:
-    """du/dt = -alpha * reduced_gradient(u, y)."""
-
-    alpha: float
-    cost: CostModel
-    sensitivity: SensitivityFn
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise InputError("controller gain alpha must be positive")
-
-    def rate(self, u: Vector, y: Vector) -> Vector:
-        rg = reduced_gradient(self.cost, self.sensitivity(u), u, y)
-        return tuple(-self.alpha * g for g in rg)
-
-    kind = "gradient"
-    box = None
-
-
-@dataclass(frozen=True)
-class ProjectedOfoController:
-    """du/dt = alpha * (proj_box(u - beta * reduced_gradient(u, y)) - u).
-
-    The stepsize must satisfy beta <= 1/L, where L is the Lipschitz modulus of
-    the cost's u-gradient; the default picks the largest admissible value.
-    """
-
-    alpha: float
-    beta: float
-    box: BoxSet
-    cost: CostModel
-    sensitivity: SensitivityFn
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise InputError("controller gain alpha must be positive")
-        if self.beta <= 0.0:
-            raise InputError("stepsize beta must be positive")
-        limit = 1.0 / self.cost.grad_u_lipschitz
-        if self.beta > limit:
-            raise InputError(
-                f"stepsize beta = {self.beta} violates the projected-law precondition "
-                f"beta <= 1/L = {limit}")
-
-    @staticmethod
-    def default_beta(cost: CostModel) -> float:
-        return 1.0 / cost.grad_u_lipschitz
-
-    def rate(self, u: Vector, y: Vector) -> Vector:
-        rg = reduced_gradient(self.cost, self.sensitivity(u), u, y)
-        target = proj_box(tuple(v - self.beta * g for v, g in zip(u, rg)), self.box)
-        return tuple(self.alpha * (c - v) for c, v in zip(target, u))
-
-    kind = "projected"
-
-
-Controller = GradientOfoController | ProjectedOfoController

@@ -3,8 +3,7 @@
 The C source is built on first import with the system `cc` into the per-user
 cache, `$XDG_CACHE_HOME/ofo` or `~/.cache/ofo`, under a name keyed by the
 source, the flags and the machine, so later imports load it directly.  Any
-failure to build or load raises ImportError.  A ctypes call releases the GIL,
-so sweep threads step in parallel.
+failure to build or load raises ImportError.
 """
 
 from __future__ import annotations

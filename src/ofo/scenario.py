@@ -7,6 +7,7 @@ field path in the error message, before anything is built or run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Any
 
@@ -32,16 +33,25 @@ def _require(mapping: Any, key: str, path: str) -> Any:
     return mapping[key]
 
 
-def _number(value: Any, path: str) -> float:
+def _number(value: Any, path: str, finite: bool = True) -> float:
+    """A YAML number; finite unless `finite` is False (box bounds may be +-inf)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if math.isnan(number):
+        raise InputError(f"{path}: expected a number, got {value!r}")
+    if finite and math.isinf(number):
+        raise InputError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
-def _number_list(value: Any, path: str) -> list[float]:
+def _number_list(value: Any, path: str, finite: bool = True) -> list[float]:
     if not isinstance(value, list) or not value:
         raise InputError(f"{path}: expected a non-empty list of numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return [_number(v, f"{path}[{i}]", finite) for i, v in enumerate(value)]
 
 
 def _matrix(value: Any, path: str) -> Matrix:
@@ -128,8 +138,10 @@ class Scenario:
         box_lo = box_hi = None
         if controller_kind == "projected":
             box = _require(controller, "box", "controller")
-            box_lo = tuple(_number_list(_require(box, "lo", "controller.box"), "controller.box.lo"))
-            box_hi = tuple(_number_list(_require(box, "hi", "controller.box"), "controller.box.hi"))
+            box_lo = tuple(_number_list(_require(box, "lo", "controller.box"),
+                                        "controller.box.lo", finite=False))
+            box_hi = tuple(_number_list(_require(box, "hi", "controller.box"),
+                                        "controller.box.hi", finite=False))
             for i, (lo_i, hi_i) in enumerate(zip(box_lo, box_hi)):
                 if lo_i > hi_i:
                     raise InputError(
@@ -299,7 +311,6 @@ class Scenario:
         return RunConfig(
             plant=plant,
             cost=self.build_cost(),
-            controller_kind=self.controller_kind,
             schedule=self.schedule,
             x0=self.x0 if self.x0 is not None else (0.0,) * plant.n,
             u0=self.u0 if self.u0 is not None else (0.0,) * plant.m,

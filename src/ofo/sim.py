@@ -11,15 +11,13 @@ envelope check, and deterministic gain sweeps.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Sequence, TextIO
 
 from . import engine
-from .controllers import BoxSet, Controller, GradientOfoController, ProjectedOfoController
+from .controllers import BoxSet
 from .costs import CostModel, QuadraticCost, RegularizedCost, reduced_gradient
 from .errors import DivergenceError, InputError, NotStabilizedError
 from .linalg import (
@@ -265,32 +263,20 @@ def optimal_input(plant: LinearPlant, cost: CostModel, w, box: BoxSet | None = N
     return (_searched_optimum(plant, cost, w, box),)
 
 
-def _controller_parts(controller: Controller) -> tuple[int, float, float, list[float], list[float]]:
-    if isinstance(controller, ProjectedOfoController):
-        return (engine.CTRL_PROJECTED, controller.alpha, controller.beta,
-                list(controller.box.lo), list(controller.box.hi))
-    return engine.CTRL_GRADIENT, controller.alpha, 0.0, [], []
-
-
-def simulate(
-    plant: LinearPlant,
-    controller: Controller,
-    schedule: DisturbanceSchedule,
-    x0,
-    u0,
-    t_end: float,
-    dt: float | None = None,
-    max_records: int = DEFAULT_MAX_RECORDS,
-    lyapunov: LyapunovSpec | None = None,
-) -> Trajectory:
-    """Integrate the plant-controller loop across all schedule segments.
+def simulate(config: RunConfig, alpha: float) -> Trajectory:
+    """Integrate the plant-controller loop of config (see RunConfig for the
+    law) at gain alpha across all schedule segments.
 
     The disturbance is held constant within each segment and switched exactly
     at segment boundaries (the integration lands on every boundary).  Records
-    are strided to stay near max_records in total; final states are exact.
+    are strided to stay near config.max_records in total; final states are exact.
     """
-    x0 = as_vector(x0, "x0")
-    u0 = as_vector(u0, "u0")
+    if not 0.0 < alpha < math.inf:
+        raise InputError(f"controller gain alpha must be positive and finite, got {alpha}")
+    plant, cost, box, schedule = config.plant, config.cost, config.box, config.schedule
+    x0 = as_vector(config.x0, "x0")
+    u0 = as_vector(config.u0, "u0")
+    t_end = config.t_end
     if len(x0) != plant.n:
         raise InputError(f"x0 has length {len(x0)}, expected {plant.n}")
     if len(u0) != plant.m:
@@ -301,32 +287,31 @@ def simulate(
         raise InputError("schedule disturbance dimension does not match the plant")
     if schedule.segments[-1][0] >= t_end:
         raise InputError("schedule extends beyond t_end")
-    if dt is None:
-        dt = default_dt(plant, controller.cost, controller.alpha)
+    dt = config.dt if config.dt is not None else default_dt(plant, cost, alpha)
     if dt <= 0.0:
         raise InputError("dt must be positive")
+    lyapunov = config.lyapunov
     if lyapunov is not None and (lyapunov.p.rows, lyapunov.p.cols) != (plant.n, plant.n):
         raise InputError(f"the Lyapunov matrix must be {plant.n}x{plant.n}")
 
     warnings: list[str] = []
-    projected = isinstance(controller, ProjectedOfoController)
-    if projected:
-        if controller.box.dim != plant.m:
+    if box is None:
+        ctrl_kind, beta = engine.CTRL_GRADIENT, 0.0
+        lo, hi = [-math.inf] * plant.m, [math.inf] * plant.m
+    else:
+        if box.dim != plant.m:
             raise InputError("box dimension does not match the plant input")
-        if not controller.box.contains(u0):
+        if not box.contains(u0):
             warnings.append("u0 lies outside the input box; forward invariance is not guaranteed")
-
-    ctrl_kind, alpha, beta, lo, hi = _controller_parts(controller)
-    if not projected:
-        lo = [-math.inf] * plant.m
-        hi = [math.inf] * plant.m
-    cost_kind, cq1, cq2, mu4 = _cost_parts(controller.cost)
+        ctrl_kind, lo, hi = engine.CTRL_PROJECTED, list(box.lo), list(box.hi)
+        beta = config.beta if config.beta is not None else 1.0 / cost.grad_u_lipschitz
+    cost_kind, cq1, cq2, mu4 = _cost_parts(cost)
     plant_kind = engine.PLANT_SINE if isinstance(plant, SinePlant) else engine.PLANT_LINEAR
     lyap_xi, lyap_p = (lyapunov.xi, list(lyapunov.p.data)) if lyapunov is not None else (0.0, [])
 
     boundaries = [t for t, _ in schedule.segments] + [t_end]
     n_segments = len(schedule.segments)
-    per_seg_records = max(2, max_records // n_segments)
+    per_seg_records = max(2, config.max_records // n_segments)
 
     traj = Trajectory(
         t=[], x=[], u=[], y=[], w=[], seg_of=[], v=None if lyapunov is None else [],
@@ -341,8 +326,7 @@ def simulate(
     for k, (t_start, w) in enumerate(schedule.segments):
         t_stop = boundaries[k + 1]
         if w not in ustar_cache:
-            ustar_cache[w] = optimal_input(plant, controller.cost, w,
-                                           box=controller.box if projected else None)
+            ustar_cache[w] = optimal_input(plant, cost, w, box=box)
         ustar = ustar_cache[w]
         xstar = plant.steady_state(ustar, w)
 
@@ -489,11 +473,15 @@ def summarize(traj: Trajectory) -> RunSummary:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to run one scenario at a chosen gain."""
+    """Everything needed to run one scenario at a chosen gain.
+
+    The law is the projected one exactly when box is set, and the gradient
+    law otherwise.  A given beta must satisfy 0 < beta <= 1/L; None means
+    1/L, worked out at each run, so a replaced cost keeps no stale stepsize.
+    """
 
     plant: LinearPlant
     cost: CostModel
-    controller_kind: str              # "gradient" or "projected"
     schedule: DisturbanceSchedule
     x0: Vector
     u0: Vector
@@ -504,17 +492,15 @@ class RunConfig:
     max_records: int = DEFAULT_MAX_RECORDS
     lyapunov: LyapunovSpec | None = None
 
-    def build_controller(self, alpha: float) -> Controller:
-        if self.controller_kind == "gradient":
-            return GradientOfoController(alpha=alpha, cost=self.cost,
-                                         sensitivity=self.plant.sensitivity)
-        if self.controller_kind == "projected":
-            if self.box is None:
-                raise InputError("projected controller requires a box")
-            beta = self.beta if self.beta is not None else ProjectedOfoController.default_beta(self.cost)
-            return ProjectedOfoController(alpha=alpha, beta=beta, box=self.box,
-                                          cost=self.cost, sensitivity=self.plant.sensitivity)
-        raise InputError(f"unknown controller kind: {self.controller_kind}")
+    def __post_init__(self):
+        if self.beta is not None:
+            if not self.beta > 0.0:
+                raise InputError("stepsize beta must be positive")
+            limit = 1.0 / self.cost.grad_u_lipschitz
+            if self.beta > limit:
+                raise InputError(
+                    f"stepsize beta = {self.beta} violates the projected-law precondition "
+                    f"beta <= 1/L = {limit}")
 
     def hurwitz(self, alpha: float) -> bool | None:
         """Whether the closed loop at this gain is Hurwitz, for the loops that
@@ -524,7 +510,7 @@ class RunConfig:
         None for every other loop."""
         cost_kind, q_u, q_y, mu4 = _cost_parts(self.cost)
         plant = self.plant
-        if (self.controller_kind != "gradient" or isinstance(plant, SinePlant)
+        if (self.box is not None or isinstance(plant, SinePlant)
                 or cost_kind != engine.COST_QUADRATIC):
             return None
         n, m = plant.n, plant.m
@@ -540,10 +526,7 @@ class RunConfig:
         return True
 
     def run(self, alpha: float) -> tuple[Trajectory, RunSummary]:
-        controller = self.build_controller(alpha)
-        traj = simulate(self.plant, controller, self.schedule, self.x0, self.u0,
-                        self.t_end, dt=self.dt, max_records=self.max_records,
-                        lyapunov=self.lyapunov)
+        traj = simulate(self, alpha)
         return traj, summarize(traj)
 
 
@@ -555,24 +538,14 @@ class SweepRow:
     error: str | None = None
 
 
-def thread_budget(n_tasks: int) -> int:
-    """Worker count for sweeps: capped by OFO_THREADS when set."""
-    cap = os.environ.get("OFO_THREADS", "")
-    try:
-        limit = int(cap) if cap else (os.cpu_count() or 1)
-    except ValueError:
-        raise InputError(f"OFO_THREADS must be an integer, got {cap!r}")
-    return max(1, min(limit, n_tasks))
-
-
 def sweep_alpha(config: RunConfig, alphas: Sequence[float]) -> list[SweepRow]:
-    """Run the scenario once per gain; rows keep the input order regardless of
-    completion order, and per-run failures are recorded without aborting."""
+    """Run the scenario once per gain, in the given order; per-run failures are
+    recorded without aborting."""
     if not alphas:
         raise InputError("sweep requires at least one alpha")
     for a in alphas:
-        if a <= 0.0:
-            raise InputError(f"sweep alphas must be positive, got {a}")
+        if not 0.0 < a < math.inf:
+            raise InputError(f"sweep alphas must be positive and finite, got {a}")
 
     def one(alpha: float) -> SweepRow:
         try:
@@ -581,11 +554,7 @@ def sweep_alpha(config: RunConfig, alphas: Sequence[float]) -> list[SweepRow]:
         except DivergenceError as exc:
             return SweepRow(alpha=alpha, trajectory=None, summary=None, error=str(exc))
 
-    workers = thread_budget(len(alphas))
-    if workers == 1:
-        return [one(a) for a in alphas]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, alphas))
+    return [one(a) for a in alphas]
 
 
 CSV_ENCODING = "utf-8"

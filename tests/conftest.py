@@ -4,7 +4,8 @@ from importlib.resources import files as resource_files
 import numpy as np
 import pytest
 
-from ofo.costs import QuadraticCost, SqrtPlusCost
+from ofo.controllers import proj_box
+from ofo.costs import QuadraticCost, SqrtPlusCost, reduced_gradient
 from ofo.linalg import Matrix
 from ofo.plants import LinearPlant, SinePlant
 from ofo.scenario import Scenario
@@ -63,3 +64,29 @@ def random_spd_rows(rng: random.Random, n: int) -> list[list[float]]:
     g = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)])
     s = g.T @ g + 0.05 * np.eye(n)
     return [[float(s[i, j]) for j in range(n)] for i in range(n)]
+
+
+def ofo_rate(cost, sensitivity, alpha, u, y, beta=None, box=None):
+    """The input rate of the OFO law at (u, y), written from its definition:
+    -alpha g for the gradient law (box None), alpha (proj_box(u - beta g) - u)
+    for the projected law, with g the reduced gradient at sensitivity(u)."""
+    g = reduced_gradient(cost, sensitivity(u), u, y)
+    if box is None:
+        return tuple(-alpha * gi for gi in g)
+    target = proj_box(tuple(v - beta * gi for v, gi in zip(u, g)), box)
+    return tuple(alpha * (c - v) for c, v in zip(target, u))
+
+
+def closed_loop_field(config, alpha, w):
+    """The field of the stacked state (x, u) of a run configuration at gain
+    alpha under a constant disturbance w, built from plant.dynamics and
+    ofo_rate; the projected law's stepsize defaults to 1/L."""
+    plant, n = config.plant, config.plant.n
+    beta = config.beta if config.beta is not None else 1.0 / config.cost.grad_u_lipschitz
+
+    def field(state):
+        x, u = state[:n], state[n:]
+        du = ofo_rate(config.cost, plant.sensitivity, alpha, u, plant.output(x), beta, config.box)
+        return plant.dynamics(x, u, w) + du
+
+    return field

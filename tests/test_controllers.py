@@ -1,17 +1,16 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from ofo.controllers import (
-    BoxSet,
-    GradientOfoController,
-    ProjectedOfoController,
-    proj_box,
-)
+from ofo.controllers import BoxSet, proj_box
 from ofo.costs import QuadraticCost, SqrtPlusCost, reduced_gradient
 from ofo.errors import InputError
-from ofo.linalg import vec_norm, vec_sub
+from ofo.linalg import Matrix, vec_norm, vec_sub
+from ofo.sim import DisturbanceSchedule, RunConfig
+
+from conftest import ofo_rate
 
 
 class TestProjBox:
@@ -51,100 +50,98 @@ class TestProjBox:
 
 
 class TestGradientController:
-    def make(self, alpha, sens_value=10.0 / 101.0):
-        from ofo.linalg import Matrix
+    cost = QuadraticCost(q_u=0.01, q_y=1.0)
 
-        cost = QuadraticCost(q_u=0.01, q_y=1.0)
-        return GradientOfoController(
-            alpha=alpha, cost=cost,
-            sensitivity=lambda u: Matrix.from_rows([[sens_value]]))
+    def rate(self, alpha, u, y, sens_value=10.0 / 101.0):
+        return ofo_rate(self.cost, lambda _: Matrix.from_rows([[sens_value]]), alpha, u, y)
 
     def test_zero_at_critical_point(self):
-        ctrl = self.make(100.0)
-        assert ctrl.rate((0.0,), (0.0,)) == (0.0,)
+        assert self.rate(100.0, (0.0,), (0.0,)) == (0.0,)
 
     def test_plugin_value(self):
-        ctrl = self.make(100.0)
-        rate = ctrl.rate((0.0,), (1.0,))
+        rate = self.rate(100.0, (0.0,), (1.0,))
         assert rate[0] == pytest.approx(-2000.0 / 101.0, abs=1e-12)
 
     def test_linear_in_alpha(self):
-        r1 = self.make(3.0).rate((0.4,), (-0.7,))[0]
-        r2 = self.make(6.0).rate((0.4,), (-0.7,))[0]
+        r1 = self.rate(3.0, (0.4,), (-0.7,))[0]
+        r2 = self.rate(6.0, (0.4,), (-0.7,))[0]
         assert r2 == pytest.approx(2.0 * r1, rel=1e-14)
 
     def test_zero_set_independent_of_alpha(self, fast_plant):
-        cost = QuadraticCost(q_u=0.01, q_y=1.0)
         rng = random.Random(5)
-        controllers = [
-            GradientOfoController(alpha=a, cost=cost, sensitivity=fast_plant.sensitivity)
-            for a in (0.1, 1.0, 1000.0)
-        ]
         for _ in range(50):
             u = (rng.uniform(-8.0, 8.0),)
             y = fast_plant.steady_output(u, (2.0,))
-            zero_flags = [ctrl.rate(u, y) == (0.0,) for ctrl in controllers]
+            zero_flags = [ofo_rate(self.cost, fast_plant.sensitivity, a, u, y) == (0.0,)
+                          for a in (0.1, 1.0, 1000.0)]
             assert len(set(zero_flags)) == 1
 
-    def test_alpha_gate(self):
-        with pytest.raises(InputError):
-            self.make(0.0)
+    def test_alpha_gate(self, fast_plant):
+        config = RunConfig(plant=fast_plant, cost=self.cost,
+                           schedule=DisturbanceSchedule(((0.0, (1.0,)),)),
+                           x0=(0.0, 0.0), u0=(0.0,), t_end=1.0)
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="alpha"):
+                config.run(alpha)
 
 
 class TestProjectedController:
-    def make(self, alpha=1.0, beta=None, sens_value=-2.0):
-        from ofo.linalg import Matrix
+    cost = SqrtPlusCost(a=11.0)
+    box = BoxSet(lo=(-5e-5,), hi=(5e-5,))
 
-        cost = SqrtPlusCost(a=11.0)
-        box = BoxSet(lo=(-5e-5,), hi=(5e-5,))
-        if beta is None:
-            beta = ProjectedOfoController.default_beta(cost)
-        return ProjectedOfoController(
-            alpha=alpha, beta=beta, box=box, cost=cost,
-            sensitivity=lambda u: Matrix.from_rows([[sens_value]]))
+    def rate(self, alpha, u, y, beta=1.0 / 22.0, box=box):
+        return ofo_rate(self.cost, lambda _: Matrix.from_rows([[-2.0]]), alpha, u, y, beta, box)
 
-    def test_default_beta_is_largest_admissible(self):
-        assert ProjectedOfoController.default_beta(SqrtPlusCost(a=11.0)) == 1.0 / 22.0
-        self.make(beta=1.0 / 22.0)  # no error at the boundary
+    def config(self, plant, **kw):
+        schedule = DisturbanceSchedule(((0.0, (-0.001,)), (0.5, (0.001,))))
+        return RunConfig(plant=plant, cost=self.cost, schedule=schedule, x0=(0.0, 0.0),
+                         u0=(0.0,), t_end=1.0, box=self.box, **kw)
 
-    def test_stepsize_gate(self):
+    def test_default_beta_is_largest_admissible(self, slow_sine_plant):
+        assert self.cost.grad_u_lipschitz == 22.0
+        default = self.config(slow_sine_plant)
+        explicit = self.config(slow_sine_plant, beta=1.0 / 22.0)  # no error at the boundary
+        assert default.run(10.0)[0].u == explicit.run(10.0)[0].u
+        # the stepsize shows in the trajectory
+        halved = self.config(slow_sine_plant, beta=1.0 / 44.0)
+        assert halved.run(10.0)[0].u != explicit.run(10.0)[0].u
+        # the default follows the cost, so replace() keeps no stale value
+        wider = SqrtPlusCost(a=5.5)
+        assert (replace(default, cost=wider).run(10.0)[0].u
+                == replace(explicit, cost=wider, beta=1.0 / 11.0).run(10.0)[0].u)
+
+    def test_stepsize_gate(self, slow_sine_plant):
+        with pytest.raises(InputError, match="projected-law precondition"):
+            self.config(slow_sine_plant, beta=1.0 / 22.0 + 1e-6)
         with pytest.raises(InputError, match="beta"):
-            self.make(beta=1.0 / 22.0 + 1e-6)
-        with pytest.raises(InputError):
-            self.make(beta=0.0)
+            self.config(slow_sine_plant, beta=0.0)
+        # the gate runs again when the cost changes
+        with pytest.raises(InputError, match="projected-law precondition"):
+            replace(self.config(slow_sine_plant, beta=1.0 / 22.0), cost=SqrtPlusCost(a=22.0))
 
     def test_rate_clamps_to_bound(self):
         # reduced gradient ~ -0.002 pushes the target outside the box
-        ctrl = self.make(alpha=1.0)
-        rate = ctrl.rate((0.0,), (0.001,))
-        assert rate == (5e-5,)
+        assert self.rate(1.0, (0.0,), (0.001,)) == (5e-5,)
 
     def test_inactive_box_reduces_to_gradient_step(self):
-        from ofo.linalg import Matrix
-
-        cost = SqrtPlusCost(a=11.0)
         wide = BoxSet(lo=(-1e6,), hi=(1e6,))
-        ctrl = ProjectedOfoController(
-            alpha=2.0, beta=1.0 / 22.0, box=wide, cost=cost,
-            sensitivity=lambda u: Matrix.from_rows([[-2.0]]))
         u, y = (0.01,), (0.5,)
-        rg = reduced_gradient(cost, ctrl.sensitivity(u), u, y)
+        rg = reduced_gradient(self.cost, Matrix.from_rows([[-2.0]]), u, y)
         expected = 2.0 * (-1.0 / 22.0) * rg[0]
-        assert ctrl.rate(u, y)[0] == pytest.approx(expected, rel=1e-14)
+        assert self.rate(2.0, u, y, box=wide)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_fixed_point_equivalence(self):
-        ctrl = self.make(alpha=3.0)
         rng = random.Random(17)
+        sens = Matrix.from_rows([[-2.0]])
         for _ in range(50):
             u = (rng.uniform(-5e-5, 5e-5),)
             y = (rng.uniform(-0.002, 0.002),)
-            rg = reduced_gradient(ctrl.cost, ctrl.sensitivity(u), u, y)
-            target = proj_box((u[0] - ctrl.beta * rg[0],), ctrl.box)
+            rg = reduced_gradient(self.cost, sens, u, y)
+            target = proj_box((u[0] - (1.0 / 22.0) * rg[0],), self.box)
             is_fixed = target == u
-            assert (ctrl.rate(u, y) == (0.0,)) == is_fixed
+            assert (self.rate(3.0, u, y) == (0.0,)) == is_fixed
 
     def test_tangent_cone_direction_at_bounds(self):
-        ctrl = self.make(alpha=1.0)
         # at either bound the rate cannot point outward
-        assert ctrl.rate((5e-5,), (0.001,))[0] <= 0.0
-        assert ctrl.rate((-5e-5,), (-0.001,))[0] >= 0.0
+        assert self.rate(1.0, (5e-5,), (0.001,))[0] <= 0.0
+        assert self.rate(1.0, (-5e-5,), (-0.001,))[0] >= 0.0

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -57,6 +59,12 @@ class TestScenarioParsing:
         doc["cost"]["mu4"] = 0.125
         first = Scenario.load(write_doc(tmp_path, doc))
         assert Scenario.loads(first.dumps()) == first
+        # box bounds are the only numbers that may be infinite
+        doc["controller"] = {"kind": "projected", "alpha": 1.0,
+                             "box": {"lo": [-math.inf], "hi": [2.0]}}
+        first = Scenario.load(write_doc(tmp_path, doc))
+        assert first.box_lo == (-math.inf,)
+        assert Scenario.loads(first.dumps()) == first
 
     @pytest.mark.parametrize("mutate, fragment", [
         (lambda d: d.pop("plant"), "plant"),
@@ -72,6 +80,20 @@ class TestScenarioParsing:
         (lambda d: d["sim"].update(x0=[1.0]), "sim.x0"),
         (lambda d: d.update(bogus={}), "unknown section"),
         (lambda d: d["plant"].update(A=[["x", 1.0], [1.0, 1.0]]), "plant.A"),
+        (lambda d: d["plant"].update(A=[[math.nan, 1.0], [1.0, 1.0]]), "plant.A"),
+        (lambda d: d["cost"].update(q_u=math.inf), "cost.q_u"),
+        (lambda d: d["controller"].update(alpha=math.nan), "controller.alpha"),
+        (lambda d: d["controller"].update(alpha=math.inf), "controller.alpha"),
+        (lambda d: d["controller"].update(alpha=10 ** 400), "controller.alpha"),
+        (lambda d: d["controller"].update(beta=math.nan), "controller.beta"),
+        (lambda d: d["controller"].update(kind="projected", box={"lo": [math.nan], "hi": [1.0]}),
+         "controller.box.lo"),
+        (lambda d: d.update(schedule=[[0.0, -math.inf]]), "schedule[0][1]"),
+        (lambda d: d["sim"].update(t_end=math.inf), "sim.t_end"),
+        (lambda d: d["sim"].update(dt=math.nan), "sim.dt"),
+        (lambda d: d["sim"].update(max_records=math.inf), "sim.max_records"),
+        (lambda d: d.update(certificate={"overrides": {"c3": math.nan}}),
+         "certificate.overrides.c3"),
     ])
     def test_validation_names_offending_field(self, mutate, fragment):
         doc = minimal_doc()
@@ -208,6 +230,19 @@ class TestSweepCommand:
         path = write_doc(tmp_path, minimal_doc())
         assert main(["sweep", path, "--alphas", "-1", "--out", str(tmp_path / "d")]) == 2
         assert main(["sweep", path, "--alphas", "abc", "--out", str(tmp_path / "d")]) == 2
+        for alphas in ("1,nan", "inf", "10,-inf"):
+            assert main(["sweep", path, "--alphas", alphas, "--out", str(tmp_path / "d")]) == 2
+            assert "--alphas" in capsys.readouterr().err
+        # a non-finite gain in the scenario is an input error for every command
+        for alpha in (math.nan, math.inf):
+            doc = minimal_doc()
+            doc["controller"]["alpha"] = alpha
+            bad = write_doc(tmp_path, doc, name="bad.yaml")
+            for argv in (["simulate", bad, "--out", str(tmp_path / "d" / "x.csv")],
+                         ["certify", bad]):
+                assert main(argv) == 2
+                assert "controller.alpha" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_per_row_error_recorded(self, tmp_path):
         doc = minimal_doc()
@@ -232,7 +267,7 @@ class TestReproduceCommand:
         assert names == ["alpha_1.csv", "alpha_10.csv", "alpha_100.csv",
                          "alpha_1000.csv", "scenario.yaml", "summary.csv"]
         # the materialized scenario is the bundled one, byte for byte
-        bundled = open(bundled_scenario_path("fig1"), "rb").read()
+        bundled = Path(bundled_scenario_path("fig1")).read_bytes()
         assert (out_dir / "scenario.yaml").read_bytes() == bundled
         header = (out_dir / "alpha_100.csv").read_text().splitlines()[0]
         assert header == "t,x1,x2,u1,y1,w1,V,ustar1"

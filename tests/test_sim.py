@@ -15,7 +15,7 @@ import pytest
 from ofo import engine, plants, sim
 from ofo.certificate import assemble_constants, certify, required_regularization
 from ofo.cli import _run_config, main
-from ofo.controllers import BoxSet, GradientOfoController
+from ofo.controllers import BoxSet
 from ofo.costs import QuadraticCost, RegularizedCost
 from ofo.engine import pure
 from ofo.errors import DivergenceError, InputError
@@ -36,11 +36,16 @@ from ofo.sim import (
     write_csv,
 )
 
-from conftest import bundled_scenario, random_hurwitz_rows, random_spd_rows
+from conftest import (
+    bundled_scenario,
+    closed_loop_field,
+    random_hurwitz_rows,
+    random_spd_rows,
+)
 
 
 def gradient_config(plant, cost, schedule, t_end, **kw):
-    return RunConfig(plant=plant, cost=cost, controller_kind="gradient",
+    return RunConfig(plant=plant, cost=cost,
                      schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=t_end, **kw)
 
 
@@ -222,7 +227,7 @@ class TestSimulate:
         ustar = optimal_input(fast_plant, quad_cost, w)
         xstar = fast_plant.steady_state(ustar, w)
         schedule = DisturbanceSchedule(((0.0, w),))
-        cfg = RunConfig(plant=fast_plant, cost=quad_cost, controller_kind="gradient",
+        cfg = RunConfig(plant=fast_plant, cost=quad_cost,
                         schedule=schedule, x0=xstar, u0=ustar, t_end=5.0)
         traj, summary = cfg.run(100.0)
         drift = max(max(abs(a - b) for a, b in zip(x, xstar)) for x in traj.x)
@@ -298,7 +303,7 @@ class TestSimulate:
 
     def test_u0_outside_box_warns(self, slow_sine_plant, sqrt_cost):
         schedule = DisturbanceSchedule(((0.0, (0.001,)),))
-        cfg = RunConfig(plant=slow_sine_plant, cost=sqrt_cost, controller_kind="projected",
+        cfg = RunConfig(plant=slow_sine_plant, cost=sqrt_cost,
                         schedule=schedule, x0=(0.0, 0.0), u0=(1e-3,), t_end=1.0,
                         box=BoxSet(lo=(-5e-5,), hi=(5e-5,)))
         traj, _ = cfg.run(1.0)
@@ -307,7 +312,7 @@ class TestSimulate:
     def test_step_halving_consistency_short(self, slow_sine_plant, sqrt_cost):
         schedule = DisturbanceSchedule(((0.0, (-0.001,)), (5.0, (0.001,))))
         box = BoxSet(lo=(-5e-5,), hi=(5e-5,))
-        base = RunConfig(plant=slow_sine_plant, cost=sqrt_cost, controller_kind="projected",
+        base = RunConfig(plant=slow_sine_plant, cost=sqrt_cost,
                          schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=10.0, box=box)
         dt = default_dt(slow_sine_plant, sqrt_cost, 10.0)
         t1, _ = replace(base, dt=dt).run(10.0)
@@ -320,7 +325,7 @@ class TestSimulate:
     def test_bound_to_bound_switching_at_large_gain(self, slow_sine_plant, sqrt_cost):
         # with a large gain the projected input rides the box bounds
         schedule = DisturbanceSchedule(((0.0, (-0.001,)), (50.0, (0.001,))))
-        cfg = RunConfig(plant=slow_sine_plant, cost=sqrt_cost, controller_kind="projected",
+        cfg = RunConfig(plant=slow_sine_plant, cost=sqrt_cost,
                         schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=100.0,
                         box=BoxSet(lo=(-5e-5,), hi=(5e-5,)))
         traj, _ = cfg.run(100.0)
@@ -344,7 +349,7 @@ class TestKernels:
             sched1 = DisturbanceSchedule(((0.0, (10.0,)), (1.5, (-10.0,))))
             gradient_config(fast_plant, quad_cost, sched1, t_end=3.0).run(25.0)
             sched2 = DisturbanceSchedule(((0.0, (-0.001,)), (1.0, (0.001,))))
-            cfg2 = RunConfig(plant=slow_sine_plant, cost=sqrt_cost, controller_kind="projected",
+            cfg2 = RunConfig(plant=slow_sine_plant, cost=sqrt_cost,
                              schedule=sched2, x0=(0.0, 0.0), u0=(0.0,), t_end=2.0,
                              box=BoxSet(lo=(-5e-5,), hi=(5e-5,)))
             cfg2.run(10.0)
@@ -389,25 +394,30 @@ class TestKernels:
             assert bits([a.max_violation]) == bits([b.max_violation])
             assert a.blowup_time == b.blowup_time
 
-    def test_kernel_matches_generic_integrator(self, fast_plant, quad_cost):
+    def test_kernel_matches_generic_integrator(self, fast_plant, slow_sine_plant, quad_cost,
+                                               sqrt_cost):
         # dual route: the specialized stepper against the generic RK4 over the
-        # assembled stacked field
-        ctrl = GradientOfoController(alpha=25.0, cost=quad_cost, sensitivity=fast_plant.sensitivity)
-
-        def stacked(state):
-            x = state[:2]
-            u = state[2:]
-            dx = fast_plant.dynamics(x, u, (10.0,))
-            du = ctrl.rate(u, fast_plant.output(x))
-            return dx + du
-
+        # closed-loop field written from the law's definition, for the linear
+        # plant under the gradient law, the sine plant under the projected law
+        # (the step target is clamped at the upper bound in 545 of the 601
+        # samples) and a mu4-regularized cost
         dt = 0.005
-        times, states = integrate(stacked, (0.0, 0.0, 0.0), (0.0, 3.0), dt)
-        schedule = DisturbanceSchedule(((0.0, (10.0,)),))
-        cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=3.0, dt=dt)
-        traj, _ = cfg.run(25.0)
-        end_kernel = traj.seg_final_x[-1] + traj.seg_final_u[-1]
-        assert np.array(end_kernel) == pytest.approx(np.array(states[-1]), rel=1e-12, abs=1e-12)
+        linear_w = DisturbanceSchedule(((0.0, (10.0,)),))
+        sine_w = DisturbanceSchedule(((0.0, (0.01,)),))
+        cases = [
+            (gradient_config(fast_plant, quad_cost, linear_w, 3.0, dt=dt), 25.0),
+            (RunConfig(plant=slow_sine_plant, cost=sqrt_cost, schedule=sine_w, x0=(0.0, 0.0),
+                       u0=(0.0,), t_end=3.0, dt=dt, box=BoxSet(lo=(-5e-5,), hi=(5e-5,))), 10.0),
+            (gradient_config(fast_plant, RegularizedCost(base=quad_cost, mu4=0.7), linear_w, 3.0,
+                             dt=dt), 5.0),
+        ]
+        for config, alpha in cases:
+            field = closed_loop_field(config, alpha, config.schedule.segments[0][1])
+            _, states = integrate(field, config.x0 + config.u0, (0.0, config.t_end), dt)
+            traj, _ = config.run(alpha)
+            end_kernel = traj.seg_final_x[-1] + traj.seg_final_u[-1]
+            assert np.array(end_kernel) == pytest.approx(np.array(states[-1]), rel=1e-12,
+                                                         abs=1e-12)
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_compiled_kernel_rejects_malformed_spec(self, fast_plant, slow_sine_plant,
@@ -484,8 +494,7 @@ def two_output_config(seed: int, **kw) -> RunConfig:
                         bw=Matrix.from_rows([[1.0], [0.2], [0.0]]),
                         c=Matrix.from_rows([[1.0, 0.0, 0.5], [0.0, 1.0, -1.0]]))
     schedule = DisturbanceSchedule(((0.0, (3.0,)), (2.0, (-1.5,))))
-    return RunConfig(plant=plant, cost=QuadraticCost(q_u=0.1, q_y=1.0),
-                     controller_kind="gradient", schedule=schedule,
+    return RunConfig(plant=plant, cost=QuadraticCost(q_u=0.1, q_y=1.0), schedule=schedule,
                      x0=(0.0, 0.0, 0.0), u0=(0.0,), t_end=4.0, **kw)
 
 
@@ -550,7 +559,7 @@ class TestLyapunovMachinery:
         assert report.certified
         spec = LyapunovSpec(xi=report.xi.chosen, p=report.p_matrix)
         schedule = DisturbanceSchedule(((0.0, (10.0,)), (6.0, (-10.0,))))
-        cfg = RunConfig(plant=fast_plant, cost=reg, controller_kind="gradient",
+        cfg = RunConfig(plant=fast_plant, cost=reg,
                         schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=12.0,
                         lyapunov=spec)
         for alpha in (0.5, 5.0, 50.0):
@@ -575,7 +584,7 @@ class TestLyapunovMachinery:
         report = certify(fast_plant, reg, 2.0)
         spec = LyapunovSpec(xi=report.xi.chosen, p=report.p_matrix)
         schedule = DisturbanceSchedule(((0.0, (10.0,)), (6.0, (-10.0,))))
-        cfg = RunConfig(plant=fast_plant, cost=reg, controller_kind="gradient",
+        cfg = RunConfig(plant=fast_plant, cost=reg,
                         schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=12.0,
                         lyapunov=spec)
         traj, _ = cfg.run(2.0)
@@ -686,8 +695,7 @@ class TestHurwitzVerdict:
         assert _run_config(bundled_scenario("fig2")).hurwitz(10.0) is None
         assert gradient_config(fast_plant, sqrt_cost, schedule, 1.0).hurwitz(10.0) is None
         assert gradient_config(slow_sine_plant, quad_cost, schedule, 1.0).hurwitz(10.0) is None
-        projected = replace(gradient_config(fast_plant, quad_cost, schedule, 1.0),
-                            controller_kind="projected", box=box)
+        projected = replace(gradient_config(fast_plant, quad_cost, schedule, 1.0), box=box)
         assert projected.hurwitz(10.0) is None
 
 
@@ -703,19 +711,11 @@ class TestSweep:
         assert rows[0].trajectory.u == traj.u
         assert rows[0].summary == summary
 
-    def test_order_and_thread_invariance(self, fast_plant, quad_cost, monkeypatch):
+    def test_rows_keep_input_order(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (10.0,)),))
         cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=2.0)
         alphas = [1.0, 10.0, 100.0]
-        monkeypatch.setenv("OFO_THREADS", "1")
-        seq = sweep_alpha(cfg, alphas)
-        monkeypatch.setenv("OFO_THREADS", "4")
-        par = sweep_alpha(cfg, alphas)
-        assert [r.alpha for r in seq] == alphas
-        for a, b in zip(seq, par):
-            assert a.alpha == b.alpha
-            assert a.trajectory.u == b.trajectory.u
-            assert a.summary == b.summary
+        assert [r.alpha for r in sweep_alpha(cfg, alphas)] == alphas
 
     def test_per_row_errors_do_not_abort(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (10.0,)),))
@@ -727,8 +727,9 @@ class TestSweep:
     def test_invalid_alphas(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (10.0,)),))
         cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0)
-        with pytest.raises(InputError):
-            sweep_alpha(cfg, [-1.0])
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(InputError):
+                sweep_alpha(cfg, [1.0, bad])
         with pytest.raises(InputError):
             sweep_alpha(cfg, [])
 
