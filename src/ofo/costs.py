@@ -2,15 +2,16 @@
 
 Each model reports a CostDescriptor: strong-convexity and Lipschitz moduli of
 its gradients, assembled with the plant's steady-output Lipschitz constants.
-The reduced gradient combines the input gradient with the sensitivity-weighted
-output gradient; it is the only cost information the controllers consume.
+Both models carry an input regularization mu4 >= 0, which adds
+(mu4 / 2) ||u||^2 to the cost and mu4 to its input curvature.  The reduced
+gradient combines the input gradient with the sensitivity-weighted output
+gradient; the stepping kernels evaluate the same expressions in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from .errors import InputError
 from .linalg import Matrix, Vector
@@ -18,18 +19,15 @@ from .linalg import Matrix, Vector
 
 @dataclass(frozen=True)
 class CostDescriptor:
-    """Moduli describing a cost: used by the certificate and controller gates.
+    """Moduli describing a cost: used by the certificate and the step-size rule.
 
-    ell_phi_y is the Lipschitz modulus (in y) of the reduced gradient map;
-    y_factor is the cost-side factor that multiplies the plant's steady-output
-    Lipschitz constant to produce it.
+    ell_phi_y is the Lipschitz modulus (in y) of the reduced gradient map.
     """
 
     mu_phi: float          # strong convexity of the cost in u
     lip_grad_u: float      # Lipschitz modulus of the u-gradient in u
     ell_phi_u: float       # Lipschitz modulus (in u) of the sensitivity-weighted y-gradient
     ell_phi_y: float
-    y_factor: float
 
     def __post_init__(self):
         if self.mu_phi <= 0.0:
@@ -40,50 +38,44 @@ class CostDescriptor:
             raise InputError("Lipschitz moduli must be nonnegative")
 
 
-@runtime_checkable
-class CostModel(Protocol):
-    def phi(self, u: Vector, y: Vector) -> float: ...
-
-    def grad_u(self, u: Vector, y: Vector) -> Vector: ...
-
-    def grad_y(self, u: Vector, y: Vector) -> Vector: ...
-
-    def descriptor(self, ell_h: float, ell_grad_h: float) -> CostDescriptor: ...
-
-    @property
-    def grad_u_lipschitz(self) -> float: ...
-
-
 def _check_moduli(ell_h: float, ell_grad_h: float) -> None:
     if ell_h < 0.0 or ell_grad_h < 0.0:
         raise InputError("steady-output Lipschitz moduli must be nonnegative")
 
 
+def _check_mu4(mu4: float) -> None:
+    if mu4 < 0.0:
+        raise InputError("regularization weight mu4 must be nonnegative")
+
+
 @dataclass(frozen=True)
 class QuadraticCost:
-    """phi(u, y) = q_u ||u||^2 + q_y ||y||^2."""
+    """phi(u, y) = q_u ||u||^2 + q_y ||y||^2 + (mu4 / 2) ||u||^2."""
 
     q_u: float
     q_y: float = 1.0
+    mu4: float = 0.0
 
     def __post_init__(self):
         if self.q_u <= 0.0:
             raise InputError("input weight q_u must be positive")
         if self.q_y < 0.0:
             raise InputError("output weight q_y must be nonnegative")
+        _check_mu4(self.mu4)
 
     def phi(self, u: Vector, y: Vector) -> float:
-        return self.q_u * sum(v * v for v in u) + self.q_y * sum(v * v for v in y)
+        base = self.q_u * sum(v * v for v in u) + self.q_y * sum(v * v for v in y)
+        return base + 0.5 * self.mu4 * sum(v * v for v in u)
 
     def grad_u(self, u: Vector, y: Vector) -> Vector:
-        return tuple(2.0 * self.q_u * v for v in u)
+        return tuple(2.0 * self.q_u * v + self.mu4 * v for v in u)
 
     def grad_y(self, u: Vector, y: Vector) -> Vector:
         return tuple(2.0 * self.q_y * v for v in y)
 
     @property
     def grad_u_lipschitz(self) -> float:
-        return 2.0 * self.q_u
+        return 2.0 * self.q_u + self.mu4
 
     def descriptor(self, ell_h: float, ell_grad_h: float = 0.0) -> CostDescriptor:
         _check_moduli(ell_h, ell_grad_h)
@@ -92,11 +84,10 @@ class QuadraticCost:
         # vanishes.  When the sensitivity varies, that term has no finite
         # modulus, because y = h(u) is unbounded.
         return CostDescriptor(
-            mu_phi=2.0 * self.q_u,
-            lip_grad_u=2.0 * self.q_u,
+            mu_phi=2.0 * self.q_u + self.mu4,
+            lip_grad_u=2.0 * self.q_u + self.mu4,
             ell_phi_u=math.inf if ell_grad_h > 0.0 else 0.0,
             ell_phi_y=2.0 * self.q_y * ell_h,
-            y_factor=2.0 * self.q_y,
         )
 
     kind = "quadratic"
@@ -104,13 +95,15 @@ class QuadraticCost:
 
 @dataclass(frozen=True)
 class SqrtPlusCost:
-    """phi(u, y) = a u^2 + sqrt(y^2 + 1), scalar input and output."""
+    """phi(u, y) = a u^2 + sqrt(y^2 + 1) + (mu4 / 2) u^2, scalar input and output."""
 
     a: float
+    mu4: float = 0.0
 
     def __post_init__(self):
         if self.a <= 0.0:
             raise InputError("input weight a must be positive")
+        _check_mu4(self.mu4)
 
     @staticmethod
     def _check_scalar(u: Vector, y: Vector) -> None:
@@ -119,11 +112,12 @@ class SqrtPlusCost:
 
     def phi(self, u: Vector, y: Vector) -> float:
         self._check_scalar(u, y)
-        return self.a * u[0] * u[0] + math.sqrt(y[0] * y[0] + 1.0)
+        base = self.a * u[0] * u[0] + math.sqrt(y[0] * y[0] + 1.0)
+        return base + 0.5 * self.mu4 * (u[0] * u[0])
 
     def grad_u(self, u: Vector, y: Vector) -> Vector:
         self._check_scalar(u, y)
-        return (2.0 * self.a * u[0],)
+        return (2.0 * self.a * u[0] + self.mu4 * u[0],)
 
     def grad_y(self, u: Vector, y: Vector) -> Vector:
         self._check_scalar(u, y)
@@ -131,61 +125,23 @@ class SqrtPlusCost:
 
     @property
     def grad_u_lipschitz(self) -> float:
-        return 2.0 * self.a
+        return 2.0 * self.a + self.mu4
 
     def descriptor(self, ell_h: float, ell_grad_h: float = 0.0) -> CostDescriptor:
         _check_moduli(ell_h, ell_grad_h)
         # |d/dy sqrt(y^2+1)| <= 1 with unit Lipschitz modulus, so the reduced
         # gradient inherits ell_h in y and ell_grad_h in u.
         return CostDescriptor(
-            mu_phi=2.0 * self.a,
-            lip_grad_u=2.0 * self.a,
+            mu_phi=2.0 * self.a + self.mu4,
+            lip_grad_u=2.0 * self.a + self.mu4,
             ell_phi_u=ell_grad_h,
             ell_phi_y=ell_h,
-            y_factor=1.0,
         )
 
     kind = "sqrtplus"
 
 
-@dataclass(frozen=True)
-class RegularizedCost:
-    """base cost plus (mu4 / 2) ||u||^2, trading optimality for certifiability."""
-
-    base: CostModel
-    mu4: float
-
-    def __post_init__(self):
-        if self.mu4 < 0.0:
-            raise InputError("regularization weight mu4 must be nonnegative")
-
-    def phi(self, u: Vector, y: Vector) -> float:
-        return self.base.phi(u, y) + 0.5 * self.mu4 * sum(v * v for v in u)
-
-    def grad_u(self, u: Vector, y: Vector) -> Vector:
-        base = self.base.grad_u(u, y)
-        return tuple(g + self.mu4 * v for g, v in zip(base, u))
-
-    def grad_y(self, u: Vector, y: Vector) -> Vector:
-        return self.base.grad_y(u, y)
-
-    @property
-    def grad_u_lipschitz(self) -> float:
-        return self.base.grad_u_lipschitz + self.mu4
-
-    def descriptor(self, ell_h: float, ell_grad_h: float = 0.0) -> CostDescriptor:
-        d = self.base.descriptor(ell_h, ell_grad_h)
-        return CostDescriptor(
-            mu_phi=d.mu_phi + self.mu4,
-            lip_grad_u=d.lip_grad_u + self.mu4,
-            ell_phi_u=d.ell_phi_u,
-            ell_phi_y=d.ell_phi_y,
-            y_factor=d.y_factor,
-        )
-
-    @property
-    def kind(self) -> str:
-        return self.base.kind
+CostModel = QuadraticCost | SqrtPlusCost
 
 
 def reduced_gradient(cost: CostModel, sensitivity: Matrix, u: Vector, y: Vector) -> Vector:

@@ -11,16 +11,7 @@ from __future__ import annotations
 import warnings
 
 from . import pure
-from .params import (
-    COST_QUADRATIC,
-    COST_SQRTPLUS,
-    CTRL_GRADIENT,
-    CTRL_PROJECTED,
-    PLANT_LINEAR,
-    PLANT_SINE,
-    SegmentResult,
-    SegmentSpec,
-)
+from .params import SegmentResult, SegmentSpec
 
 try:
     from . import _speedup
@@ -31,8 +22,7 @@ except ImportError as exc:
 HAVE_COMPILED = _speedup is not None
 
 __all__ = [
-    "COST_QUADRATIC", "COST_SQRTPLUS", "CTRL_GRADIENT", "CTRL_PROJECTED",
-    "PLANT_LINEAR", "PLANT_SINE", "SegmentResult", "SegmentSpec",
+    "SegmentResult", "SegmentSpec",
     "HAVE_COMPILED", "active_kernel", "kernel_name", "run_segment",
 ]
 

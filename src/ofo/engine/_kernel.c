@@ -3,7 +3,8 @@
  * Mirrors ofo.engine.pure.run_segment expression by expression.  Built with
  * -ffp-contract=off and never -ffast-math, so both kernels produce
  * bit-identical trajectories; any change here must be replicated there.
- * There is no global or static state, so sweep threads may call it at once.
+ * There is no global or static state: each call touches only its arguments
+ * and the scratch memory it allocates.
  */
 
 #include <math.h>

@@ -12,7 +12,7 @@ import ctypes
 import os
 import zlib
 
-from .params import COST_SQRTPLUS, CTRL_PROJECTED, PLANT_SINE, SegmentResult, SegmentSpec
+from .params import SegmentResult, SegmentSpec
 
 #: No fused multiply-adds and no -ffast-math: the results stay bit for bit
 #: those of the pure kernel.
@@ -103,8 +103,7 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
     else:
         lyap, rec_v = (None, None, None), None
     violation, blew_up, blowup_time = _F(), _I(), _F()
-    k = _run(n, m, p, spec.plant_kind == PLANT_SINE, spec.cost_kind == COST_SQRTPLUS,
-             spec.ctrl_kind == CTRL_PROJECTED,
+    k = _run(n, m, p, spec.sine, spec.sqrtplus, spec.projected,
              _doubles(spec.a, n * n), _doubles(spec.b, n * m), _doubles(spec.drift, n),
              _doubles(spec.c, p * n), _doubles(spec.sens0, p * m),
              spec.cq1, spec.cq2, spec.mu4, spec.alpha, spec.beta,

@@ -12,14 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-PLANT_LINEAR = 0
-PLANT_SINE = 1
-COST_QUADRATIC = 0
-COST_SQRTPLUS = 1
-CTRL_GRADIENT = 0
-CTRL_PROJECTED = 1
-
-
 @dataclass
 class SegmentSpec:
     """One constant-disturbance integration segment."""
@@ -27,17 +19,17 @@ class SegmentSpec:
     n: int
     m: int
     p: int
-    plant_kind: int
+    sine: bool              # sine input nonlinearity (scalar input); linear otherwise
     a: list[float]          # n*n
     b: list[float]          # n*m
     drift: list[float]      # n, equals B_w w
     c: list[float]          # p*n
     sens0: list[float]      # p*m, sensitivity before any input-dependent scaling
-    cost_kind: int
+    sqrtplus: bool          # sqrt-plus cost (scalar input and output); quadratic otherwise
     cq1: float              # q_u (quadratic) or a (sqrt-plus)
     cq2: float              # q_y (quadratic; unused otherwise)
     mu4: float              # extra input curvature from regularization
-    ctrl_kind: int
+    projected: bool         # projected law onto [lo, hi]; gradient law otherwise
     alpha: float
     beta: float
     lo: list[float]         # m, -inf allowed

@@ -9,22 +9,16 @@ from __future__ import annotations
 
 from math import cos, isfinite, sin, sqrt
 
-from .params import (
-    COST_SQRTPLUS,
-    CTRL_PROJECTED,
-    PLANT_SINE,
-    SegmentResult,
-    SegmentSpec,
-)
+from .params import SegmentResult, SegmentSpec
 
 
 def run_segment(spec: SegmentSpec) -> SegmentResult:
     n = spec.n
     m = spec.m
     p = spec.p
-    sine = spec.plant_kind == PLANT_SINE
-    sqrtplus = spec.cost_kind == COST_SQRTPLUS
-    projected = spec.ctrl_kind == CTRL_PROJECTED
+    sine = spec.sine
+    sqrtplus = spec.sqrtplus
+    projected = spec.projected
     a = spec.a
     b = spec.b
     drift = spec.drift

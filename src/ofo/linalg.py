@@ -4,7 +4,7 @@ Everything here is sized for desk-scale control problems (a handful of states),
 so the algorithms favour exactness and testability over asymptotic speed:
 Lyapunov equations are solved by vectorizing the n^2 x n^2 linear system,
 symmetric eigenvalues come from cyclic Jacobi sweeps, and matrices are
-immutable tuples safe to share between threads.
+immutable tuples.
 """
 
 from __future__ import annotations
@@ -291,10 +291,6 @@ def vec_add(a: Sequence[float], b: Sequence[float]) -> Vector:
 
 def vec_sub(a: Sequence[float], b: Sequence[float]) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(a: Sequence[float], factor: float) -> Vector:
-    return tuple(factor * x for x in a)
 
 
 def vec_norm(a: Sequence[float]) -> float:

@@ -2,8 +2,10 @@
 
 Two concrete families are provided: a linear time-invariant plant and its
 variant with a scalar sine input nonlinearity.  Both expose the same surface
-(dynamics, output, steady state, steady output, sensitivity) so controllers
-and the certificate engine never special-case the plant kind.  A plant is the
+(dynamics, output, steady state, steady output, sensitivity), so the
+certificate and the searched reference optimum treat them alike.  The
+simulator does tell them apart: a SinePlant selects the kernel's sine branch
+and has neither the closed-form optimum nor a Hurwitz verdict.  A plant is the
 model (A, B, B_w, C) alone: the disturbance w is an argument of the maps that
 depend on it, so switching it builds nothing and re-checks nothing.
 """

@@ -14,7 +14,7 @@ from typing import Any
 import yaml
 
 from .controllers import BoxSet
-from .costs import CostModel, QuadraticCost, RegularizedCost, SqrtPlusCost
+from .costs import CostModel, QuadraticCost, SqrtPlusCost
 from .errors import InputError
 from .linalg import Matrix, Vector
 from .plants import LinearPlant, SinePlant
@@ -123,6 +123,8 @@ class Scenario:
         else:
             a_weight = _number(_require(cost, "a", "cost"), "cost.a")
         mu4 = _number(cost.get("mu4", 0.0), "cost.mu4")
+        if mu4 < 0.0:
+            raise InputError("cost.mu4: must be nonnegative")
 
         controller = _require(doc, "controller", "scenario")
         controller_kind = _require(controller, "kind", "controller")
@@ -169,9 +171,10 @@ class Scenario:
             raise InputError("sim.dt: must be positive")
         x0 = tuple(_number_list(sim["x0"], "sim.x0")) if "x0" in sim else None
         u0 = tuple(_number_list(sim["u0"], "sim.u0")) if "u0" in sim else None
-        max_records = int(_number(sim.get("max_records", DEFAULT_MAX_RECORDS), "sim.max_records"))
-        if max_records < 2:
-            raise InputError("sim.max_records: must be at least 2")
+        max_records = sim.get("max_records", DEFAULT_MAX_RECORDS)
+        if isinstance(max_records, bool) or not isinstance(max_records, int) or max_records < 2:
+            raise InputError(f"sim.max_records: expected an integer of at least 2, "
+                             f"got {max_records!r}")
 
         overrides: dict[str, float] = {}
         claimed = None
@@ -236,56 +239,6 @@ class Scenario:
         if self.u0 is not None and len(self.u0) != m:
             raise InputError(f"sim.u0: expected length {m}")
 
-    # ---------- serialization ----------
-
-    def to_dict(self) -> dict:
-        doc: dict[str, Any] = {
-            "plant": {
-                "kind": self.plant_kind,
-                "A": self.a.to_rows(),
-                "B": self.b.to_rows(),
-                "B_w": self.bw.to_rows(),
-                "C": self.c.to_rows(),
-            },
-        }
-        cost: dict[str, Any] = {"kind": self.cost_kind}
-        if self.cost_kind == "quadratic":
-            cost["q_u"] = self.q_u
-            cost["q_y"] = self.q_y
-        else:
-            cost["a"] = self.a_weight
-        if self.mu4:
-            cost["mu4"] = self.mu4
-        doc["cost"] = cost
-        controller: dict[str, Any] = {"kind": self.controller_kind, "alpha": self.alpha}
-        if self.beta is not None:
-            controller["beta"] = self.beta
-        if self.controller_kind == "projected":
-            controller["box"] = {"lo": list(self.box_lo), "hi": list(self.box_hi)}
-        doc["controller"] = controller
-        doc["schedule"] = [[t, *w] for t, w in self.schedule.segments]
-        sim: dict[str, Any] = {"t_end": self.t_end}
-        if self.dt is not None:
-            sim["dt"] = self.dt
-        if self.x0 is not None:
-            sim["x0"] = list(self.x0)
-        if self.u0 is not None:
-            sim["u0"] = list(self.u0)
-        if self.max_records != DEFAULT_MAX_RECORDS:
-            sim["max_records"] = self.max_records
-        doc["sim"] = sim
-        if self.overrides or self.claimed_mu_bound_rhs is not None:
-            cert: dict[str, Any] = {}
-            if self.overrides:
-                cert["overrides"] = dict(sorted(self.overrides.items()))
-            if self.claimed_mu_bound_rhs is not None:
-                cert["claimed_mu_bound_rhs"] = self.claimed_mu_bound_rhs
-            doc["certificate"] = cert
-        return doc
-
-    def dumps(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=False)
-
     # ---------- object construction ----------
 
     def build_plant(self) -> LinearPlant:
@@ -294,12 +247,8 @@ class Scenario:
 
     def build_cost(self) -> CostModel:
         if self.cost_kind == "quadratic":
-            base: CostModel = QuadraticCost(q_u=self.q_u, q_y=self.q_y)
-        else:
-            base = SqrtPlusCost(a=self.a_weight)
-        if self.mu4 > 0.0:
-            return RegularizedCost(base=base, mu4=self.mu4)
-        return base
+            return QuadraticCost(q_u=self.q_u, q_y=self.q_y, mu4=self.mu4)
+        return SqrtPlusCost(a=self.a_weight, mu4=self.mu4)
 
     def build_box(self) -> BoxSet | None:
         if self.box_lo is None:

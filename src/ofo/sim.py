@@ -18,7 +18,7 @@ from typing import Callable, Sequence, TextIO
 
 from . import engine
 from .controllers import BoxSet
-from .costs import CostModel, QuadraticCost, RegularizedCost, reduced_gradient
+from .costs import CostModel, QuadraticCost, reduced_gradient
 from .errors import DivergenceError, InputError, NotStabilizedError
 from .linalg import (
     Matrix,
@@ -152,17 +152,6 @@ def default_dt(plant: LinearPlant, cost: CostModel, alpha: float) -> float:
     return min(2.5e-3, max(1e-6, dt))
 
 
-def _cost_parts(cost: CostModel) -> tuple[int, float, float, float]:
-    mu4 = 0.0
-    base = cost
-    if isinstance(base, RegularizedCost):
-        mu4 = base.mu4
-        base = base.base
-    if isinstance(base, QuadraticCost):
-        return engine.COST_QUADRATIC, base.q_u, base.q_y, mu4
-    return engine.COST_SQRTPLUS, base.a, 0.0, mu4
-
-
 def _closed_form_optimum(plant: LinearPlant, cost: CostModel, w: Vector,
                          box: BoxSet | None) -> float | None:
     """Exact optimum for an affine steady map y = h u + h_off with quadratic cost.
@@ -170,9 +159,9 @@ def _closed_form_optimum(plant: LinearPlant, cost: CostModel, w: Vector,
     The input is scalar and the output may have any dimension p:
     u = -2 q_y h.h_off / (2 q_u + mu4 + 2 q_y ||h||^2).
     """
-    cost_kind, q_u, q_y, mu4 = _cost_parts(cost)
-    if isinstance(plant, SinePlant) or cost_kind != engine.COST_QUADRATIC:
+    if isinstance(plant, SinePlant) or not isinstance(cost, QuadraticCost):
         return None
+    q_u, q_y, mu4 = cost.q_u, cost.q_y, cost.mu4
     h = plant.base_sensitivity.data
     h_off = plant.steady_output((0.0,), w)
     # -0.0 is the exact additive identity, so p = 1 keeps the sign of a zero term
@@ -247,9 +236,9 @@ def _searched_optimum(plant: LinearPlant, cost: CostModel, w: Vector,
 def optimal_input(plant: LinearPlant, cost: CostModel, w, box: BoxSet | None = None) -> Vector:
     """Reference optimum of the steady-state problem min_u phi(u, h(u, w)) over the box.
 
-    An affine plant with a quadratic cost (with or without mu4) gets the
-    clamped closed form; every other configuration is solved from its reduced
-    gradient (see _searched_optimum).
+    An affine plant with a quadratic cost gets the clamped closed form; every
+    other configuration is solved from its reduced gradient (see
+    _searched_optimum).
     """
     if plant.m != 1:
         raise InputError("the bundled optimizer handles scalar inputs only; "
@@ -296,17 +285,17 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
 
     warnings: list[str] = []
     if box is None:
-        ctrl_kind, beta = engine.CTRL_GRADIENT, 0.0
+        beta = 0.0
         lo, hi = [-math.inf] * plant.m, [math.inf] * plant.m
     else:
         if box.dim != plant.m:
             raise InputError("box dimension does not match the plant input")
         if not box.contains(u0):
             warnings.append("u0 lies outside the input box; forward invariance is not guaranteed")
-        ctrl_kind, lo, hi = engine.CTRL_PROJECTED, list(box.lo), list(box.hi)
+        lo, hi = list(box.lo), list(box.hi)
         beta = config.beta if config.beta is not None else 1.0 / cost.grad_u_lipschitz
-    cost_kind, cq1, cq2, mu4 = _cost_parts(cost)
-    plant_kind = engine.PLANT_SINE if isinstance(plant, SinePlant) else engine.PLANT_LINEAR
+    quadratic = isinstance(cost, QuadraticCost)
+    cq1, cq2 = (cost.q_u, cost.q_y) if quadratic else (cost.a, 0.0)
     lyap_xi, lyap_p = (lyapunov.xi, list(lyapunov.p.data)) if lyapunov is not None else (0.0, [])
 
     boundaries = [t for t, _ in schedule.segments] + [t_end]
@@ -335,13 +324,13 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
         stride = max(1, -(-n_tot // per_seg_records))
         spec = engine.SegmentSpec(
             n=plant.n, m=plant.m, p=plant.p,
-            plant_kind=plant_kind,
+            sine=isinstance(plant, SinePlant),
             a=list(plant.a.data), b=list(plant.b.data),
             drift=list(plant.bw.matvec(w)),
             c=list(plant.c.data),
             sens0=list(plant.base_sensitivity.data),
-            cost_kind=cost_kind, cq1=cq1, cq2=cq2, mu4=mu4,
-            ctrl_kind=ctrl_kind, alpha=alpha, beta=beta, lo=lo, hi=hi,
+            sqrtplus=not quadratic, cq1=cq1, cq2=cq2, mu4=cost.mu4,
+            projected=box is not None, alpha=alpha, beta=beta, lo=lo, hi=hi,
             x0=x, u0=u, t0=t_start, t_end=t_stop, dt=dt,
             n_full=n_full, last_dt=last_dt, record_stride=stride,
             include_final=(k == n_segments - 1),
@@ -504,18 +493,18 @@ class RunConfig:
 
     def hurwitz(self, alpha: float) -> bool | None:
         """Whether the closed loop at this gain is Hurwitz, for the loops that
-        are affine: a linear plant with a quadratic cost (with or without
-        mu4) under the gradient law, whose matrix is
+        are affine: a linear plant with a quadratic cost under the gradient
+        law, whose matrix is
         [[A, B], [-2 alpha q_y H^T C, -alpha (2 q_u + mu4) I]], H = -C A^-1 B.
         None for every other loop."""
-        cost_kind, q_u, q_y, mu4 = _cost_parts(self.cost)
-        plant = self.plant
+        plant, cost = self.plant, self.cost
         if (self.box is not None or isinstance(plant, SinePlant)
-                or cost_kind != engine.COST_QUADRATIC):
+                or not isinstance(cost, QuadraticCost)):
             return None
         n, m = plant.n, plant.m
-        feedback = plant.base_sensitivity.transpose().matmul(plant.c).scale(-2.0 * alpha * q_y)
-        damping = -alpha * (2.0 * q_u + mu4)
+        feedback = plant.base_sensitivity.transpose().matmul(plant.c)
+        feedback = feedback.scale(-2.0 * alpha * cost.q_y)
+        damping = -alpha * (2.0 * cost.q_u + cost.mu4)
         rows = [plant.a.row(i) + plant.b.row(i) for i in range(n)]
         rows += [feedback.row(j) + tuple(damping if i == j else 0.0 for i in range(m))
                  for j in range(m)]
@@ -555,9 +544,6 @@ def sweep_alpha(config: RunConfig, alphas: Sequence[float]) -> list[SweepRow]:
             return SweepRow(alpha=alpha, trajectory=None, summary=None, error=str(exc))
 
     return [one(a) for a in alphas]
-
-
-CSV_ENCODING = "utf-8"
 
 
 def csv_header(n: int, m: int, p: int, q: int) -> str:

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ofo.certificate import (
     feasible_xi,
     required_regularization,
 )
-from ofo.costs import QuadraticCost, RegularizedCost
+from ofo.costs import QuadraticCost
 from ofo.errors import ConvexityGapError, InputError, NotStabilizedError
 from ofo.linalg import Matrix
 from ofo.plants import LinearPlant, SinePlant
@@ -179,7 +180,7 @@ class TestRequiredRegularization:
         k, _, _ = assemble_constants(fast_plant, quad_cost)
         assert not check_mu_bound(k)[0]
         mu4 = required_regularization(k)
-        reg = RegularizedCost(base=quad_cost, mu4=mu4)
+        reg = replace(quad_cost, mu4=mu4)
         k2, _, _ = assemble_constants(fast_plant, reg)
         assert check_mu_bound(k2)[0]
         assert feasible_xi(derive_dominance_params(k2)) is not None

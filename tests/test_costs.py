@@ -1,9 +1,10 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from ofo.costs import QuadraticCost, RegularizedCost, SqrtPlusCost, reduced_gradient
+from ofo.costs import QuadraticCost, SqrtPlusCost, reduced_gradient
 from ofo.errors import InputError
 from ofo.linalg import Matrix
 
@@ -31,8 +32,8 @@ class TestGradients:
     @pytest.mark.parametrize("make_cost", [
         lambda: QuadraticCost(q_u=0.01, q_y=1.0),
         lambda: SqrtPlusCost(a=11.0),
-        lambda: RegularizedCost(base=QuadraticCost(q_u=0.01, q_y=1.0), mu4=0.37),
-        lambda: RegularizedCost(base=SqrtPlusCost(a=2.0), mu4=1.5),
+        lambda: QuadraticCost(q_u=0.01, q_y=1.0, mu4=0.37),
+        lambda: SqrtPlusCost(a=2.0, mu4=1.5),
     ])
     def test_gradients_match_finite_differences(self, make_cost):
         cost = make_cost()
@@ -50,7 +51,8 @@ class TestGradients:
         costs = [
             (QuadraticCost(q_u=0.01, q_y=1.0), 0.02),
             (SqrtPlusCost(a=11.0), 22.0),
-            (RegularizedCost(base=QuadraticCost(q_u=0.01, q_y=1.0), mu4=0.5), 0.52),
+            (QuadraticCost(q_u=0.01, q_y=1.0, mu4=0.5), 0.52),
+            (SqrtPlusCost(a=11.0, mu4=0.3), 22.3),
         ]
         for cost, mu in costs:
             for _ in range(50):
@@ -100,7 +102,6 @@ class TestDescriptor:
         assert d.lip_grad_u == pytest.approx(0.02)
         assert d.ell_phi_u == 0.0
         assert d.ell_phi_y == pytest.approx(20.0 / 101.0, abs=1e-12)
-        assert d.y_factor == pytest.approx(2.0)
 
     def test_quadratic_on_varying_sensitivity_has_no_coupling_modulus(self):
         assert QuadraticCost(q_u=1.0, q_y=0.1).descriptor(ell_h=2.0, ell_grad_h=1.0).ell_phi_u == math.inf
@@ -112,17 +113,24 @@ class TestDescriptor:
         assert d.mu_phi == pytest.approx(22.0)
         assert d.ell_phi_y == pytest.approx(2.0)
         assert d.ell_phi_u == pytest.approx(1.0)
-        assert d.y_factor == pytest.approx(1.0)
 
-    def test_regularization_adds_exactly(self):
-        base = QuadraticCost(q_u=0.01, q_y=1.0)
-        reg = RegularizedCost(base=base, mu4=0.5)
+    @pytest.mark.parametrize("base", [QuadraticCost(q_u=0.01, q_y=1.0), SqrtPlusCost(a=11.0)])
+    def test_regularization_adds_exactly(self, base):
+        # mu4 enters as (mu4 / 2) u^2 added after the base terms, so every
+        # value is the base value plus the regularization term, bit for bit
+        reg = replace(base, mu4=0.5)
         d_base = base.descriptor(ell_h=0.3)
         d_reg = reg.descriptor(ell_h=0.3)
         assert d_reg.mu_phi == d_base.mu_phi + 0.5
         assert d_reg.lip_grad_u == d_base.lip_grad_u + 0.5
         assert d_reg.ell_phi_y == d_base.ell_phi_y
         assert d_reg.ell_phi_u == d_base.ell_phi_u
+        assert reg.grad_u_lipschitz == base.grad_u_lipschitz + 0.5
+        for u, y in [((0.7,), (-1.3,)), ((-2.5,), (0.4,)), ((-0.0,), (0.0,))]:
+            assert reg.phi(u, y) == base.phi(u, y) + 0.5 * 0.5 * (u[0] * u[0])
+            assert reg.grad_u(u, y) == (base.grad_u(u, y)[0] + 0.5 * u[0],)
+            assert reg.grad_y(u, y) == base.grad_y(u, y)
+            assert replace(reg, mu4=0.0).grad_u(u, y) == base.grad_u(u, y)
 
     def test_negative_moduli_rejected(self):
         with pytest.raises(InputError):
@@ -135,8 +143,11 @@ class TestValidation:
             QuadraticCost(q_u=0.0)
         with pytest.raises(InputError):
             SqrtPlusCost(a=-1.0)
-        with pytest.raises(InputError):
-            RegularizedCost(base=QuadraticCost(q_u=1.0), mu4=-0.1)
+        with pytest.raises(InputError, match="mu4"):
+            QuadraticCost(q_u=1.0, mu4=-0.1)
+        with pytest.raises(InputError, match="mu4"):
+            replace(SqrtPlusCost(a=1.0), mu4=-0.1)
 
     def test_regularized_kind_follows_base(self):
-        assert RegularizedCost(base=SqrtPlusCost(a=1.0), mu4=0.1).kind == "sqrtplus"
+        assert SqrtPlusCost(a=1.0, mu4=0.1).kind == "sqrtplus"
+        assert replace(QuadraticCost(q_u=1.0), mu4=0.1).kind == "quadratic"

@@ -16,7 +16,7 @@ from ofo import engine, plants, sim
 from ofo.certificate import assemble_constants, certify, required_regularization
 from ofo.cli import _run_config, main
 from ofo.controllers import BoxSet
-from ofo.costs import QuadraticCost, RegularizedCost
+from ofo.costs import QuadraticCost, SqrtPlusCost
 from ofo.engine import pure
 from ofo.errors import DivergenceError, InputError
 from ofo.linalg import Matrix, vec_norm, vec_sub
@@ -143,7 +143,7 @@ class TestOptimalInput:
             cost = QuadraticCost(q_u=10 ** rng.uniform(-2, 1), q_y=10 ** rng.uniform(-1, 1))
             w = (rng.uniform(-10.0, 10.0),)
             cases.append((plant, cost, w, None))
-            cases.append((plant, RegularizedCost(base=cost, mu4=0.5), w, None))
+            cases.append((plant, replace(cost, mu4=0.5), w, None))
             cases.append((plant, cost, w, BoxSet(lo=(-0.1,), hi=(0.1,))))
         for plant, cost, w, box in cases:
             exact = sim._closed_form_optimum(plant, cost, w, box)
@@ -169,7 +169,7 @@ class TestOptimalInput:
             h = (a_inv_c @ np.array(b))[:, 0]
             h_off = (a_inv_c @ np.array(bw))[:, 0] * w[0]
             for cost, reg in [(QuadraticCost(q_u=q_u, q_y=q_y), 0.0),
-                              (RegularizedCost(base=QuadraticCost(q_u=q_u, q_y=q_y), mu4=mu4), mu4)]:
+                              (QuadraticCost(q_u=q_u, q_y=q_y, mu4=mu4), mu4)]:
                 u_np = float(np.linalg.solve([[2 * q_u + reg + 2 * q_y * h @ h]],
                                              [-2 * q_y * h @ h_off])[0])
                 for box in (None, BoxSet(lo=(-0.1,), hi=(0.1,))):
@@ -357,8 +357,12 @@ class TestKernels:
             # (sens0 * fac) * gy shows in the last bits
             sine_c = replace(slow_sine_plant, c=Matrix.from_rows([[0.7, 1.0]]))
             replace(cfg2, plant=sine_c).run(10.0)
-            reg = RegularizedCost(base=quad_cost, mu4=0.7)
+            reg = replace(quad_cost, mu4=0.7)
             gradient_config(fast_plant, reg, sched1, t_end=3.0).run(5.0)
+            # the sqrt-plus branch with mu4 under both laws
+            sqrt_reg = SqrtPlusCost(a=11.0, mu4=0.3)
+            replace(cfg2, cost=sqrt_reg).run(10.0)
+            gradient_config(slow_sine_plant, sqrt_reg, sched2, t_end=2.0).run(10.0)
             # RK4 at dt = 1 is unstable on this plant: the last spec blows up
             sched3 = DisturbanceSchedule(((0.0, (10.0,)),))
             with pytest.raises(DivergenceError):
@@ -372,7 +376,7 @@ class TestKernels:
         from ofo.engine import _speedup
 
         specs = self.collect_specs(fast_plant, slow_sine_plant, quad_cost, sqrt_cost)
-        assert len(specs) >= 9
+        assert len(specs) >= 13
         assert pure.run_segment(specs[-1]).blowup_time is not None
         # every spec once more with V recorded: a P that is not symmetric, so
         # its index order shows, an anchor off the origin and a weight that is
@@ -400,16 +404,21 @@ class TestKernels:
         # closed-loop field written from the law's definition, for the linear
         # plant under the gradient law, the sine plant under the projected law
         # (the step target is clamped at the upper bound in 545 of the 601
-        # samples) and a mu4-regularized cost
+        # samples), and mu4-regularized quadratic and sqrt-plus costs, the
+        # latter under both laws
         dt = 0.005
         linear_w = DisturbanceSchedule(((0.0, (10.0,)),))
         sine_w = DisturbanceSchedule(((0.0, (0.01,)),))
+        sine_projected = RunConfig(plant=slow_sine_plant, cost=sqrt_cost, schedule=sine_w,
+                                   x0=(0.0, 0.0), u0=(0.0,), t_end=3.0, dt=dt,
+                                   box=BoxSet(lo=(-5e-5,), hi=(5e-5,)))
+        sqrt_reg = SqrtPlusCost(a=11.0, mu4=0.3)
         cases = [
             (gradient_config(fast_plant, quad_cost, linear_w, 3.0, dt=dt), 25.0),
-            (RunConfig(plant=slow_sine_plant, cost=sqrt_cost, schedule=sine_w, x0=(0.0, 0.0),
-                       u0=(0.0,), t_end=3.0, dt=dt, box=BoxSet(lo=(-5e-5,), hi=(5e-5,))), 10.0),
-            (gradient_config(fast_plant, RegularizedCost(base=quad_cost, mu4=0.7), linear_w, 3.0,
-                             dt=dt), 5.0),
+            (sine_projected, 10.0),
+            (gradient_config(fast_plant, replace(quad_cost, mu4=0.7), linear_w, 3.0, dt=dt), 5.0),
+            (gradient_config(slow_sine_plant, sqrt_reg, sine_w, 3.0, dt=dt), 10.0),
+            (replace(sine_projected, cost=sqrt_reg), 10.0),
         ]
         for config, alpha in cases:
             field = closed_loop_field(config, alpha, config.schedule.segments[0][1])
@@ -554,7 +563,7 @@ class TestLyapunovMachinery:
         # the sampled decay inequality along the closed loop
         k, _, _ = assemble_constants(fast_plant, quad_cost)
         mu4 = required_regularization(k, margin=0.5)
-        reg = RegularizedCost(base=quad_cost, mu4=mu4)
+        reg = replace(quad_cost, mu4=mu4)
         report = certify(fast_plant, reg, 1.0)
         assert report.certified
         spec = LyapunovSpec(xi=report.xi.chosen, p=report.p_matrix)
@@ -580,7 +589,7 @@ class TestLyapunovMachinery:
     def test_per_segment_decay_within_constant_disturbance(self, fast_plant, quad_cost):
         # same certified setup; V must obey its exponential envelope per segment
         k, _, _ = assemble_constants(fast_plant, quad_cost)
-        reg = RegularizedCost(base=quad_cost, mu4=required_regularization(k, margin=0.5))
+        reg = replace(quad_cost, mu4=required_regularization(k, margin=0.5))
         report = certify(fast_plant, reg, 2.0)
         spec = LyapunovSpec(xi=report.xi.chosen, p=report.p_matrix)
         schedule = DisturbanceSchedule(((0.0, (10.0,)), (6.0, (-10.0,))))
@@ -669,16 +678,18 @@ class TestHurwitzVerdict:
         plant = config.plant
         a, b, c = (np.array(mat.to_rows()) for mat in (plant.a, plant.b, plant.c))
         cost = config.cost
-        mu4 = cost.mu4 if isinstance(cost, RegularizedCost) else 0.0
-        base = cost.base if isinstance(cost, RegularizedCost) else cost
         h = -c @ np.linalg.solve(a, b)
-        m = np.block([[a, b], [-2.0 * alpha * base.q_y * h.T @ c,
-                               -alpha * (2.0 * base.q_u + mu4) * np.eye(b.shape[1])]])
+        m = np.block([[a, b], [-2.0 * alpha * cost.q_y * h.T @ c,
+                               -alpha * (2.0 * cost.q_u + cost.mu4) * np.eye(b.shape[1])]])
         return bool(np.linalg.eigvals(m).real.max() < 0.0)
 
     def test_affine_loops_match_numpy(self):
         fig1 = _run_config(bundled_scenario("fig1"))
-        configs = [fig1, replace(fig1, cost=RegularizedCost(base=fig1.cost, mu4=0.5))]
+        # a cost that already carries mu4 from its scenario, varied once more
+        fig1_mu4 = _run_config(replace(bundled_scenario("fig1"), mu4=0.2))
+        assert fig1_mu4.cost.mu4 == 0.2
+        configs = [fig1, replace(fig1, cost=replace(fig1.cost, mu4=0.5)),
+                   replace(fig1_mu4, cost=replace(fig1_mu4.cost, mu4=0.3))]
         configs += [two_output_config(seed) for seed in range(6)]
         verdicts = []
         for config in configs:
