@@ -15,6 +15,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from importlib.resources import files as resource_files
+from typing import Callable, TextIO
 
 from .certificate import certify, derive_plant_constants
 from .errors import ConvexityGapError, DivergenceError, InputError, OfoError
@@ -35,7 +36,9 @@ REPRODUCE_ALPHAS = {
 SUMMARY_HEADER = "alpha,settling_time,overshoot,final_error,max_violation,status"
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
+    """Create path with the text that write(fh) writes to fh, through a
+    temp file in the same directory and a rename."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
@@ -49,7 +52,7 @@ def _atomic_write(path: str, text: str) -> None:
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                write(fh)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -57,14 +60,6 @@ def _atomic_write(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise InputError(f"cannot write {path!r}: {exc}") from exc
-
-
-def _csv_text(traj) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_csv(traj, buf)
-    return buf.getvalue()
 
 
 def _run_config(scenario: Scenario) -> RunConfig:
@@ -107,7 +102,7 @@ def cmd_simulate(args) -> int:
     traj, summary = config.run(scenario.alpha)
     for warning in traj.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _atomic_write(args.out, _csv_text(traj))
+    _atomic_write(args.out, lambda fh: write_csv(traj, fh))
     print(_summary_line(scenario.alpha, summary))
     return EXIT_OK
 
@@ -141,14 +136,15 @@ def _run_sweep(scenario: Scenario, alphas, out_dir: str) -> None:
             print(f"alpha = {fmt12(row.alpha)}  error: {row.error}")
             continue
         _atomic_write(os.path.join(out_dir, f"alpha_{fmt12(row.alpha)}.csv"),
-                      _csv_text(row.trajectory))
+                      lambda fh: write_csv(row.trajectory, fh))
         s = row.summary
         status = "ok" if config.hurwitz(row.alpha) is not False else "not-hurwitz"
         summary_lines.append(
             f"{fmt12(row.alpha)},{fmt12(s.settling_time)},{fmt12(s.overshoot)},"
             f"{fmt12(s.final_error)},{fmt12(s.max_violation)},{status}")
         print(_summary_line(row.alpha, s))
-    _atomic_write(os.path.join(out_dir, "summary.csv"), "\n".join(summary_lines) + "\n")
+    summary = "\n".join(summary_lines) + "\n"
+    _atomic_write(os.path.join(out_dir, "summary.csv"), lambda fh: fh.write(summary))
 
 
 def cmd_sweep(args) -> int:
@@ -164,7 +160,7 @@ def cmd_reproduce(args) -> int:
                          f"{sorted(REPRODUCE_ALPHAS)}")
     text = resource_files("ofo").joinpath(f"scenarios/{args.figure}.yaml").read_text("utf-8")
     scenario = Scenario.loads(text)
-    _atomic_write(os.path.join(args.out, "scenario.yaml"), text)
+    _atomic_write(os.path.join(args.out, "scenario.yaml"), lambda fh: fh.write(text))
     _run_sweep(scenario, REPRODUCE_ALPHAS[args.figure], args.out)
     return EXIT_OK
 

@@ -1,14 +1,21 @@
-/* Compiled closed-loop stepping kernel.
+/* Compiled closed-loop kernel with two entry points.
  *
- * Mirrors ofo.engine.pure.run_segment expression by expression.  Built with
+ * ofo_run_segment steps one constant-disturbance segment and mirrors
+ * ofo.engine.pure.run_segment expression by expression.  Built with
  * -ffp-contract=off and never -ffast-math, so both kernels produce
  * bit-identical trajectories; any change here must be replicated there.
+ *
+ * ofo_plain_text rewrites the `%.12g` fields of a CSV text into plain
+ * decimal notation, byte for byte as ofo.engine.pure.plain_text does.  It
+ * formats no float: it only moves the digits Python already printed.
+ *
  * There is no global or static state: each call touches only its arguments
  * and the scratch memory it allocates.
  */
 
 #include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef struct {
     int n, m, p, sine, sqrtplus, projected;
@@ -203,4 +210,106 @@ long ofo_run_segment(int n, int m, int p, int sine, int sqrtplus, int projected,
     *max_violation = violation;
     free(work);
     return k;
+}
+
+/* Appends count bytes of src at out + *pos, or only counts them when out is
+ * NULL. */
+static void put(char *out, long *pos, const char *src, long count)
+{
+    if (out != NULL)
+        memcpy(out + *pos, src, (size_t)count);
+    *pos += count;
+}
+
+static void put_zeros(char *out, long *pos, long count)
+{
+    if (out != NULL)
+        memset(out + *pos, '0', (size_t)count);
+    *pos += count;
+}
+
+/* Puts the field [f, f + len) in plain notation, as ofo.engine.pure.plain_field
+ * does: an exponent form is expanded by placing its printed digits and -0
+ * becomes 0.  Returns -1 for inf or nan, and for an exponent form that
+ * `%.12g` does not print (more than 17 digits, or an exponent of more than
+ * four digits), which would not fit the buffer and the arithmetic here. */
+static int plain_field(const char *f, long len, char *out, long *pos)
+{
+    const char *e = memchr(f, 'e', (size_t)len), *end = f + len;
+    if (e == NULL) {
+        if (memchr(f, 'n', (size_t)len) != NULL)
+            return -1;
+        if (len == 2 && f[0] == '-' && f[1] == '0')
+            put(out, pos, "0", 1);
+        else
+            put(out, pos, f, len);
+        return 0;
+    }
+    char digits[17];
+    long nd = 0, exponent = 0, point;
+    const char *c = f;
+    if (c < e && *c == '-') {
+        put(out, pos, "-", 1);
+        c++;
+    }
+    for (; c < e; c++) {
+        if (*c == '.')
+            continue;
+        if (nd == (long)sizeof digits)
+            return -1;
+        digits[nd++] = *c;
+    }
+    int negative = e + 1 < end && e[1] == '-';
+    c = e + 1 + (e + 1 < end && (e[1] == '-' || e[1] == '+'));
+    if (c == end || end - c > 4)
+        return -1;
+    for (; c < end; c++) {
+        if (*c < '0' || *c > '9')
+            return -1;
+        exponent = 10 * exponent + (*c - '0');
+    }
+    point = (negative ? -exponent : exponent) + 1;  /* digits before the point */
+    if (point <= 0) {
+        put(out, pos, "0.", 2);
+        put_zeros(out, pos, -point);
+        put(out, pos, digits, nd);
+    } else if (point >= nd) {
+        put(out, pos, digits, nd);
+        put_zeros(out, pos, point - nd);
+    } else {
+        put(out, pos, digits, point);
+        put(out, pos, ".", 1);
+        put(out, pos, digits + point, nd - point);
+    }
+    return 0;
+}
+
+/* Rewrites every field of the CSV text [in, in + len), fields separated by
+ * commas and line feeds, into out.  With out NULL it writes nothing and
+ * returns the exact output length; otherwise out must hold that many bytes.
+ * Returns the output length, or -1 when a field is inf, nan or an exponent
+ * form that `%.12g` does not print.  Bytes that stay as they are, separators included, are
+ * put in runs between the fields that change. */
+long ofo_plain_text(const char *in, long len, char *out)
+{
+    const char *p = in, *end = in + len, *run = in, *f;
+    long pos = 0;
+    int special;
+    while (p < end) {
+        f = p;
+        special = 0;
+        for (; p < end && *p != ',' && *p != '\n'; p++)
+            if (*p == 'e' || *p == 'n')
+                special = 1;
+        if (special || (p - f == 2 && f[0] == '-' && f[1] == '0')) {
+            put(out, &pos, run, f - run);
+            if (plain_field(f, p - f, out, &pos) < 0)
+                return -1;
+            run = p;
+        }
+        if (p < end)
+            p++;
+    }
+    put(out, &pos, run, end - run);
+    return pos;
 }

@@ -1,4 +1,6 @@
-"""Compiled closed-loop stepping kernel: `_kernel.c` called through ctypes.
+"""Compiled closed-loop kernel: `_kernel.c` called through ctypes, for
+stepping (`run_segment`) and for the CSV plain-notation rewrite
+(`plain_text`).
 
 The C source is built on first import with the system `cc` into the per-user
 cache, `$XDG_CACHE_HOME/ofo` or `~/.cache/ofo`, under a name keyed by the
@@ -12,6 +14,7 @@ import ctypes
 import os
 import zlib
 
+from ..errors import InputError
 from .params import SegmentResult, SegmentSpec
 
 #: No fused multiply-adds and no -ffast-math: the results stay bit for bit
@@ -29,6 +32,7 @@ _ARGTYPES = [_I, _I, _I, _I, _I, _I,       # n, m, p, sine, sqrtplus, projected
              _F, _A, _A, _A,               # lyap_xi, lyap_p, xstar, ustar
              _A, _A, _A, _A, _A, _A, _A,   # x, u, rec_t, rec_x, rec_u, rec_y, rec_v
              _A, ctypes.POINTER(_I), _A]   # max_violation, blew_up, blowup_time
+_TEXT_ARGTYPES = [ctypes.c_char_p, _L, ctypes.POINTER(ctypes.c_char)]  # in, len, out
 
 
 def _cache_dir() -> str:
@@ -71,15 +75,16 @@ def _load():
         path = os.path.join(_cache_dir(), f"kernel-{key:08x}.so")
         if not os.path.exists(path):
             _build(source, path)
-        fn = ctypes.CDLL(path).ofo_run_segment
+        lib = ctypes.CDLL(path)
+        run, plain = lib.ofo_run_segment, lib.ofo_plain_text
     except (OSError, AttributeError) as exc:
         raise ImportError(f"cannot build or load the compiled kernel: {exc}") from exc
-    fn.argtypes = _ARGTYPES
-    fn.restype = _L
-    return fn
+    run.argtypes, run.restype = _ARGTYPES, _L
+    plain.argtypes, plain.restype = _TEXT_ARGTYPES, _L
+    return run, plain
 
 
-_run = _load()
+_run, _plain = _load()
 
 
 def _doubles(values, count: int):
@@ -118,3 +123,15 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
                          final_x=x[:], final_u=u[:],
                          max_violation=violation.value,
                          blowup_time=blowup_time.value if blew_up.value else None)
+
+
+def plain_text(text: str) -> str:
+    """pure.plain_text in C: one pass sizes the output, a second fills it."""
+    data = text.encode("ascii")
+    size = _plain(data, len(data), None)
+    if size < 0:
+        raise InputError("cannot format a non-finite value")
+    out = ctypes.create_string_buffer(size)
+    _plain(data, len(data), out)
+    del data  # freed before the decoded copy is built, to keep peak memory down
+    return str(memoryview(out), "ascii")

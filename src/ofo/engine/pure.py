@@ -1,15 +1,42 @@
-"""Pure-Python closed-loop stepping kernel.
+"""Pure-Python closed-loop stepping kernel and CSV plain-notation rewrite.
 
 This is the reference implementation: the compiled kernel (_kernel.c)
 mirrors it expression by expression so that both produce bit-identical
-trajectories.  Any change here must be replicated there.
+trajectories and CSV text.  Any change here must be replicated there.
 """
 
 from __future__ import annotations
 
 from math import cos, isfinite, sin, sqrt
 
+from ..errors import InputError
 from .params import SegmentResult, SegmentSpec
+
+
+def plain_field(text: str) -> str:
+    """One `%.12g` field in plain decimal notation: an exponent form is
+    expanded by placing its printed digits, -0 becomes 0, inf and nan raise."""
+    mantissa, _, exponent = text.partition("e")
+    if not exponent:
+        if "n" in text:
+            raise InputError("cannot format a non-finite value")
+        return "0" if text == "-0" else text
+    sign = "-" if mantissa[0] == "-" else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    point = int(exponent) + 1      # digits before the decimal point
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    if point >= len(digits):
+        return sign + digits + "0" * (point - len(digits))
+    return f"{sign}{digits[:point]}.{digits[point:]}"
+
+
+def plain_text(text: str) -> str:
+    """Every field of a CSV text of `%.12g` printouts through plain_field.
+    A line without "e", "n" or "-0" has no field to change."""
+    return "\n".join([",".join(map(plain_field, line.split(",")))
+                      if "e" in line or "n" in line or "-0" in line else line
+                      for line in text.split("\n")])
 
 
 def run_segment(spec: SegmentSpec) -> SegmentResult:

@@ -13,6 +13,11 @@ class InputError(OfoError):
     """Invalid user input: bad dimensions, malformed scenario, bad parameters."""
 
 
+class StepLimitError(InputError):
+    """The default step would have to fall below its floor to keep explicit
+    stepping stable, so the run is refused instead of stepped."""
+
+
 class ConvexityGapError(InputError):
     """The cost's strong convexity does not exceed its coupling modulus, so the
     dominance parameters are undefined (the loop is simply not certifiable)."""

@@ -19,7 +19,8 @@ from typing import Callable, Sequence, TextIO
 from . import engine
 from .controllers import BoxSet
 from .costs import CostModel, QuadraticCost, reduced_gradient
-from .errors import DivergenceError, InputError, NotStabilizedError
+from .engine.pure import plain_field
+from .errors import DivergenceError, InputError, NotStabilizedError, StepLimitError
 from .linalg import (
     Matrix,
     Vector,
@@ -37,29 +38,12 @@ DEFAULT_MAX_RECORDS = 20000
 _BRACKET = 1e6
 _SCAN_POINTS = 4097
 _SCAN_ROUNDS = 3
-
-
-def _plain(text: str) -> str:
-    """One `%.12g` field in plain decimal notation: an exponent form is
-    expanded by placing its printed digits, -0 becomes 0, inf and nan raise."""
-    mantissa, _, exponent = text.partition("e")
-    if not exponent:
-        if "n" in text:
-            raise InputError("cannot format a non-finite value")
-        return "0" if text == "-0" else text
-    sign = "-" if mantissa[0] == "-" else ""
-    digits = mantissa.lstrip("-").replace(".", "")
-    point = int(exponent) + 1      # digits before the decimal point
-    if point <= 0:
-        return f"{sign}0.{'0' * -point}{digits}"
-    if point >= len(digits):
-        return sign + digits + "0" * (point - len(digits))
-    return f"{sign}{digits[:point]}.{digits[point:]}"
+_DT_FLOOR = 1e-6
 
 
 def fmt12(x: float) -> str:
     """Format a float with 12 significant digits in plain decimal notation."""
-    return _plain("%.12g" % float(x))
+    return plain_field("%.12g" % float(x))
 
 
 @dataclass(frozen=True)
@@ -141,15 +125,23 @@ def default_dt(plant: LinearPlant, cost: CostModel, alpha: float) -> float:
     """Step size that keeps explicit stepping stable across the gain sweep.
 
     Scales 0.1 by the fastest of: unit rate, the plant's spectral norm, and an
-    estimate alpha * (L + ell_phi_y * ell_g * ell_h) of the controller field's
-    stiffness; clamped to [1e-6, 2.5e-3].  The upper clamp keeps the
-    step-halving end-state agreement below 1e-6 even for lightly damped loops.
+    estimate stiffness = L + ell_phi_y * ell_g * ell_h of the controller
+    field's stiffness per unit gain, so that alpha * stiffness * dt <= 0.1
+    and ||A|| dt <= 0.1 hold; capped at 2.5e-3, which keeps the step-halving
+    end-state agreement below 1e-6 even for lightly damped loops.  A step
+    below the floor 1e-6 is refused with StepLimitError rather than clamped,
+    because a clamped step would break that bound and report a divergence
+    of the integrator as one of the loop.
     """
     ell_h, ell_grad_h = plant.steady_moduli
     desc = cost.descriptor(ell_h, ell_grad_h)
     stiffness = desc.lip_grad_u + desc.ell_phi_y * spectral_norm(plant.c) * ell_h
     dt = 0.1 / max(1.0, spectral_norm(plant.a), alpha * stiffness)
-    return min(2.5e-3, max(1e-6, dt))
+    if dt < _DT_FLOOR:
+        raise StepLimitError(
+            f"step-limited: alpha = {alpha:.6g} needs dt = {dt:.6g} for explicit stepping "
+            f"to stay stable; the floor is {_DT_FLOOR:g}")
+    return min(2.5e-3, dt)
 
 
 def _closed_form_optimum(plant: LinearPlant, cost: CostModel, w: Vector,
@@ -259,6 +251,8 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
     The disturbance is held constant within each segment and switched exactly
     at segment boundaries (the integration lands on every boundary).  Records
     are strided to stay near config.max_records in total; final states are exact.
+    Without config.dt, a gain whose default step falls below its floor raises
+    StepLimitError (see default_dt).
     """
     if not 0.0 < alpha < math.inf:
         raise InputError(f"controller gain alpha must be positive and finite, got {alpha}")
@@ -528,8 +522,9 @@ class SweepRow:
 
 
 def sweep_alpha(config: RunConfig, alphas: Sequence[float]) -> list[SweepRow]:
-    """Run the scenario once per gain, in the given order; per-run failures are
-    recorded without aborting."""
+    """Run the scenario once per gain, in the given order.  A divergence, or a
+    gain whose default step falls below its floor (see default_dt), is
+    recorded as the row's error without aborting the sweep."""
     if not alphas:
         raise InputError("sweep requires at least one alpha")
     for a in alphas:
@@ -540,7 +535,7 @@ def sweep_alpha(config: RunConfig, alphas: Sequence[float]) -> list[SweepRow]:
         try:
             traj, summary = config.run(alpha)
             return SweepRow(alpha=alpha, trajectory=traj, summary=summary)
-        except DivergenceError as exc:
+        except (DivergenceError, StepLimitError) as exc:
             return SweepRow(alpha=alpha, trajectory=None, summary=None, error=str(exc))
 
     return [one(a) for a in alphas]
@@ -557,16 +552,15 @@ def csv_header(n: int, m: int, p: int, q: int) -> str:
     return ",".join(cols)
 
 
-def _plain_row(row: str) -> str:
-    return ",".join([_plain(text) for text in row.split(",")])
-
-
 def write_csv(traj: Trajectory, stream: TextIO) -> None:
     """Trajectory CSV: fixed column schema, 12 significant digits, LF endings.
 
     Each row is one `%.12g` format of its samples, with the segment's
-    disturbance and optimum already in place as text.  Only a row whose
-    printout holds an exponent, inf, nan or -0 is taken apart field by field.
+    disturbance and optimum already in place as text.  A segment's rows are
+    joined into one text, and a text that holds an exponent, inf, nan or -0
+    goes once through engine.plain_text, which writes every field in plain
+    notation (in C when the compiled kernel loaded).  Each segment is written
+    to the stream before the next is formatted.
     """
     if traj.v is None:
         raise InputError("trajectory has no Lyapunov samples; simulate with a LyapunovSpec")
@@ -584,8 +578,10 @@ def write_csv(traj: Trajectory, stream: TextIO) -> None:
         w_text = ",".join(map(fmt12, traj.w[lo]))
         ustar_text = ",".join(map(fmt12, traj.ustar[k]))
         row = f"{samples}{w_text},%.12g,{ustar_text}\n"
-        rows = [row % (t, *x, *u, *y, v) for t, x, u, y, v in
-                zip(traj.t[lo:hi], traj.x[lo:hi], traj.u[lo:hi], traj.y[lo:hi], traj.v[lo:hi])]
-        # every printed field is followed by a comma, so "-0," marks a -0 field
-        stream.write("".join([_plain_row(r) if "e" in r or "n" in r or "-0," in r else r
-                              for r in rows]))
+        text = "".join([row % (t, *x, *u, *y, v) for t, x, u, y, v in
+                        zip(traj.t[lo:hi], traj.x[lo:hi], traj.u[lo:hi], traj.y[lo:hi],
+                            traj.v[lo:hi])])
+        # every printed sample is followed by a comma, so "-0," marks a -0 field
+        if "e" in text or "n" in text or "-0," in text:
+            text = engine.plain_text(text)
+        stream.write(text)

@@ -193,6 +193,16 @@ class TestSimulateCommand:
         assert rc == 4
         assert "divergence" in capsys.readouterr().err
 
+    def test_step_limited_exit_code(self, tmp_path, capsys):
+        doc = yaml.safe_load(Path(bundled_scenario_path("fig1")).read_text("utf-8"))
+        doc["cost"]["mu4"] = 0.2
+        doc["controller"]["alpha"] = 3e7
+        out = tmp_path / "x.csv"
+        assert main(["simulate", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "step-limited" in err and "divergence" not in err
+        assert not out.exists()
+
     def test_unwritable_out(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file")
@@ -252,6 +262,26 @@ class TestSweepCommand:
         assert rc == 0
         summary = (out_dir / "summary.csv").read_text().splitlines()
         assert "divergence" in summary[1]
+
+    def test_step_limited_gains_recorded(self, tmp_path):
+        # fig1 with mu4 = 0.2 is certified and Hurwitz at every gain here.
+        # Its default step falls below the 1e-6 floor above alpha = 4.17e5;
+        # clamped there, RK4 diverged at 3e7 and 1e8.  Those gains are now
+        # refused, while 4e5 (dt = 1.04e-6) still runs.
+        doc = yaml.safe_load(Path(bundled_scenario_path("fig1")).read_text("utf-8"))
+        doc["cost"]["mu4"] = 0.2
+        doc["schedule"] = [[0.0, 10.0]]
+        doc["sim"]["t_end"] = 0.01
+        out_dir = tmp_path / "sweep"
+        rc = main(["sweep", write_doc(tmp_path, doc), "--alphas", "4e5,1e6,3e7,1e8",
+                   "--out", str(out_dir)])
+        assert rc == 0
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        statuses = [row.split(",")[-1] for row in rows]
+        assert statuses[0] == "ok"
+        for status in statuses[1:]:
+            assert status.startswith("step-limited:") and "divergence" not in status
+        assert sorted(os.listdir(out_dir)) == ["alpha_400000.csv", "summary.csv"]
 
 
 class TestReproduceCommand:

@@ -18,7 +18,7 @@ from ofo.cli import _run_config, main
 from ofo.controllers import BoxSet
 from ofo.costs import QuadraticCost, SqrtPlusCost
 from ofo.engine import pure
-from ofo.errors import DivergenceError, InputError
+from ofo.errors import DivergenceError, InputError, StepLimitError
 from ofo.linalg import Matrix, vec_norm, vec_sub
 from ofo.ode import dini_upper_estimate, integrate
 from ofo.plants import LinearPlant, SinePlant
@@ -217,8 +217,15 @@ class TestDefaultDt:
         stiff = 0.02 + (20.0 / 101.0) * 1.0 * (10.0 / 101.0)
         assert default_dt(fast_plant, quad_cost, 3000.0) == pytest.approx(0.1 / (3000.0 * stiff), rel=1e-9)
 
-    def test_clamped(self, fast_plant, quad_cost):
-        assert default_dt(fast_plant, quad_cost, 1e12) == 1e-6
+    def test_refused_below_floor(self, fast_plant, quad_cost):
+        # the step that keeps alpha * stiffness * dt <= 0.1 is refused, not
+        # clamped, once it falls below 1e-6
+        stiff = 0.02 + (20.0 / 101.0) * 1.0 * (10.0 / 101.0)
+        edge = 0.1 / (stiff * 1e-6)
+        assert default_dt(fast_plant, quad_cost, edge * (1.0 - 1e-9)) >= 1e-6
+        for alpha in (edge * (1.0 + 1e-9), 1e12):
+            with pytest.raises(StepLimitError, match="step-limited"):
+                default_dt(fast_plant, quad_cost, alpha)
 
 
 class TestSimulate:
@@ -815,18 +822,34 @@ class TestCsv:
             lines.append(",".join(self.oracle_fmt12(f) for f in fields))
         return "\n".join(lines) + "\n"
 
-    def assert_matches_oracle(self, segments):
-        traj = self.table(segments)
+    @staticmethod
+    def rewrites() -> list:
+        """The CSV plain-notation rewrites to check: the pure one, and the
+        compiled one whenever it loaded."""
+        found = [pure.plain_text]
+        if engine.HAVE_COMPILED:
+            found.append(engine._speedup.plain_text)
+        return found
+
+    @staticmethod
+    def csv_with(rewrite, traj, monkeypatch) -> str:
+        monkeypatch.setattr(engine, "plain_text", rewrite)
         buf = io.StringIO()
         write_csv(traj, buf)
-        got, want = buf.getvalue(), self.oracle_csv(traj)
-        if got != want:
-            # name the first differing line; a diff of megabytes takes minutes
-            lines = zip(got.split("\n"), want.split("\n"))
-            first = next((a, b) for a, b in lines if a != b)
-            pytest.fail(f"row differs from the oracle: {first}")
+        return buf.getvalue()
 
-    def test_rows_match_per_field_decimal_oracle(self):
+    def assert_matches_oracle(self, segments, monkeypatch):
+        traj = self.table(segments)
+        want = self.oracle_csv(traj)
+        for rewrite in self.rewrites():
+            got = self.csv_with(rewrite, traj, monkeypatch)
+            if got != want:
+                # name the first differing line; a diff of megabytes takes minutes
+                lines = zip(got.split("\n"), want.split("\n"))
+                first = next((a, b) for a, b in lines if a != b)
+                pytest.fail(f"{rewrite.__module__}: row differs from the oracle: {first}")
+
+    def test_rows_match_per_field_decimal_oracle(self, monkeypatch):
         # 200k random bit patterns, 40k at a time, on 50-row segments
         rng = random.Random(2024)
         for _ in range(5):
@@ -838,22 +861,44 @@ class TestCsv:
             step = 2 + 6 * 50
             self.assert_matches_oracle(
                 [(chunk[0], chunk[1], list(zip(*[iter(chunk[2:])] * 6)))
-                 for chunk in (values[i:i + step] for i in range(0, len(values), step))])
+                 for chunk in (values[i:i + step] for i in range(0, len(values), step))],
+                monkeypatch)
 
-    def test_edge_values_match_per_field_decimal_oracle(self):
-        # each value in every column: as w and ustar, then once per sample column
+    def test_edge_values_match_per_field_decimal_oracle(self, monkeypatch):
+        # each value in every column: as w and ustar, then once per sample
+        # column.  5e-324 expands to 323 zeros, 1e12 and 1.5e300 have positive
+        # exponents, and -0 lands in the first (t) and the last (ustar) column.
         edges = [-0.0, 0.0, 1e-4, -1e-4, 9.99999999999995e-5, 1e12, -1e12, 999999999999.5,
                  5e-324, -5e-324, 2.2250738585072e-308, 1.5e-310, 1.7e308, -1.7e308,
-                 1e-5, 1e16, 0.1, -123456.789012345]
+                 1e-5, -1e-5, 1e16, 1.5e300, 0.1, -123456.789012345]
         self.assert_matches_oracle(
             [(e, e, [tuple(e if j == i else 0.5 for j in range(6)) for i in range(6)])
-             for e in edges])
+             for e in edges], monkeypatch)
 
-    def test_non_finite_rejected_in_every_column(self):
-        for bad in (math.inf, -math.inf, math.nan):
-            cases = [(bad, 0.5, [(0.0,) * 6]), (0.5, bad, [(0.0,) * 6])]
-            cases += [(0.5, 0.5, [tuple(bad if j == i else 0.0 for j in range(6))])
-                      for i in range(6)]
-            for segment in cases:
-                with pytest.raises(InputError, match="non-finite"):
-                    write_csv(self.table([segment]), io.StringIO())
+    def test_rewrites_agree_on_field_boundaries(self):
+        # -0 and exponent forms first and last on a line, at the end of a
+        # text with no final line feed, and empty fields
+        cases = {"": "", "-0": "0", "-0,1e-05\n-0.5,-0\n": "0,0.00001\n-0.5,0\n",
+                 "1e+12,,-1e-05": "1000000000000,,-0.00001", "\n-0\n": "\n0\n",
+                 "-1.5e+300": "-15" + "0" * 299}
+        for rewrite in self.rewrites():
+            assert {text: rewrite(text) for text in cases} == cases, rewrite.__module__
+
+    def test_non_finite_rejected_in_every_column(self, monkeypatch):
+        for rewrite in self.rewrites():
+            monkeypatch.setattr(engine, "plain_text", rewrite)
+            for bad in (math.inf, -math.inf, math.nan):
+                cases = [(bad, 0.5, [(0.0,) * 6]), (0.5, bad, [(0.0,) * 6])]
+                cases += [(0.5, 0.5, [tuple(bad if j == i else 0.0 for j in range(6))])
+                          for i in range(6)]
+                for segment in cases:
+                    with pytest.raises(InputError, match="non-finite"):
+                        write_csv(self.table([segment]), io.StringIO())
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_fig2_same_bytes_under_both_rewrites(self, monkeypatch):
+        # every fig2 row holds a field below 1e-4, so every row is rewritten
+        traj, _ = _run_config(bundled_scenario("fig2")).run(100.0)
+        compiled = self.csv_with(engine._speedup.plain_text, traj, monkeypatch)
+        assert "e" not in compiled.split("\n", 1)[1]
+        assert compiled == self.csv_with(pure.plain_text, traj, monkeypatch)
