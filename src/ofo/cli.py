@@ -125,24 +125,27 @@ def _parse_alphas(text: str) -> list[float]:
     return out
 
 
-def _run_sweep(scenario: Scenario, alphas, out_dir: str) -> None:
-    config = _run_config(scenario)
-    rows = sweep_alpha(config, alphas)
-    summary_lines = [SUMMARY_HEADER]
-    for row in rows:
-        if row.error is not None:
-            status = row.error.replace(",", ";")
-            summary_lines.append(f"{fmt12(row.alpha)},,,,,{status}")
-            print(f"alpha = {fmt12(row.alpha)}  error: {row.error}")
-            continue
-        _atomic_write(os.path.join(out_dir, f"alpha_{fmt12(row.alpha)}.csv"),
-                      lambda fh: write_csv(row.trajectory, fh))
-        s = row.summary
-        status = "ok" if config.hurwitz(row.alpha) is not False else "not-hurwitz"
-        summary_lines.append(
-            f"{fmt12(row.alpha)},{fmt12(s.settling_time)},{fmt12(s.overshoot)},"
+def _sweep_gain(config: RunConfig, alpha: float, out_dir: str) -> str:
+    """Run one gain, write its CSV and print its summary; returns its line of
+    summary.csv.  Nothing of the trajectory outlives this call."""
+    (row,) = sweep_alpha(config, [alpha])
+    if row.error is not None:
+        print(f"alpha = {fmt12(alpha)}  error: {row.error}")
+        return f"{fmt12(alpha)},,,,,{row.error.replace(',', ';')}"
+    _atomic_write(os.path.join(out_dir, f"alpha_{fmt12(alpha)}.csv"),
+                  lambda fh: write_csv(row.trajectory, fh))
+    s = row.summary
+    status = "ok" if config.hurwitz(alpha) is not False else "not-hurwitz"
+    print(_summary_line(alpha, s))
+    return (f"{fmt12(alpha)},{fmt12(s.settling_time)},{fmt12(s.overshoot)},"
             f"{fmt12(s.final_error)},{fmt12(s.max_violation)},{status}")
-        print(_summary_line(row.alpha, s))
+
+
+def _run_sweep(scenario: Scenario, alphas, out_dir: str) -> None:
+    """Run the gains in order, each CSV written before the next gain runs,
+    then write summary.csv."""
+    config = _run_config(scenario)
+    summary_lines = [SUMMARY_HEADER] + [_sweep_gain(config, a, out_dir) for a in alphas]
     summary = "\n".join(summary_lines) + "\n"
     _atomic_write(os.path.join(out_dir, "summary.csv"), lambda fh: fh.write(summary))
 

@@ -1,9 +1,10 @@
 /* Compiled closed-loop kernel with two entry points.
  *
- * ofo_run_segment steps one constant-disturbance segment and mirrors
- * ofo.engine.pure.run_segment expression by expression.  Built with
- * -ffp-contract=off and never -ffast-math, so both kernels produce
- * bit-identical trajectories; any change here must be replicated there.
+ * ofo_run_segment steps one constant-disturbance segment of a loop with a
+ * scalar input and mirrors ofo.engine.pure.run_segment expression by
+ * expression.  Built with -ffp-contract=off and never -ffast-math, so both
+ * kernels produce bit-identical trajectories; any change here must be
+ * replicated there.
  *
  * ofo_plain_text rewrites the `%.12g` fields of a CSV text into plain
  * decimal notation, byte for byte as ofo.engine.pure.plain_text does.  It
@@ -18,20 +19,21 @@
 #include <string.h>
 
 typedef struct {
-    int n, m, p, sine, sqrtplus, projected;
-    const double *a, *b, *drift, *c, *s0, *lo, *hi;
-    double cq1, cq2, mu4, alpha, beta;
-    double *y, *gu, *gy, *pu;  /* scratch */
+    int n, p, sine, sqrtplus, projected;
+    const double *a, *b, *drift, *c, *s0;
+    double lo, hi, cq1, cq2, mu4, alpha, beta;
+    double *y, *gy;            /* scratch */
     double xi;                 /* weight of V; 0.0 records no V */
-    const double *lp, *xstar, *ustar;
+    const double *lp, *xstar;
+    double ustar;
     double *dx;                /* scratch */
 } field_t;
 
-static void eval_field(const field_t *f, const double *xs, const double *us,
-                       double *kx, double *ku)
+/* Writes dx/dt into kx and returns du/dt. */
+static double eval_field(const field_t *f, const double *xs, double us, double *kx)
 {
-    int n = f->n, m = f->m, p = f->p;
-    double acc, fac, v;
+    int n = f->n, p = f->p;
+    double acc, fac, pu, v;
     for (int i = 0; i < p; i++) {
         acc = 0.0;
         for (int j = 0; j < n; j++)
@@ -39,45 +41,36 @@ static void eval_field(const field_t *f, const double *xs, const double *us,
         f->y[i] = acc;
     }
     if (f->sine) {
-        f->pu[0] = us[0] + sin(us[0]);
-        fac = 1.0 + cos(us[0]);
+        pu = us + sin(us);
+        fac = 1.0 + cos(us);
     } else {
-        for (int j = 0; j < m; j++)
-            f->pu[j] = us[j];
+        pu = us;
         fac = 1.0;
     }
     for (int i = 0; i < n; i++) {
         acc = 0.0;
         for (int j = 0; j < n; j++)
             acc += f->a[i * n + j] * xs[j];
-        for (int j = 0; j < m; j++)
-            acc += f->b[i * m + j] * f->pu[j];
-        kx[i] = acc + f->drift[i];
+        kx[i] = (acc + f->b[i] * pu) + f->drift[i];
     }
+    acc = 2.0 * f->cq1 * us + f->mu4 * us;
     if (f->sqrtplus) {
-        f->gu[0] = 2.0 * f->cq1 * us[0] + f->mu4 * us[0];
         f->gy[0] = f->y[0] / sqrt(f->y[0] * f->y[0] + 1.0);
     } else {
-        for (int j = 0; j < m; j++)
-            f->gu[j] = 2.0 * f->cq1 * us[j] + f->mu4 * us[j];
         for (int i = 0; i < p; i++)
             f->gy[i] = 2.0 * f->cq2 * f->y[i];
     }
-    for (int j = 0; j < m; j++) {
-        acc = f->gu[j];
-        for (int i = 0; i < p; i++)
-            acc += (f->s0[i * m + j] * fac) * f->gy[i];
-        if (f->projected) {
-            v = us[j] - f->beta * acc;
-            if (v < f->lo[j])
-                v = f->lo[j];
-            else if (v > f->hi[j])
-                v = f->hi[j];
-            ku[j] = f->alpha * (v - us[j]);
-        } else {
-            ku[j] = -f->alpha * acc;
-        }
+    for (int i = 0; i < p; i++)
+        acc += (f->s0[i] * fac) * f->gy[i];
+    if (f->projected) {
+        v = us - f->beta * acc;
+        if (v < f->lo)
+            v = f->lo;
+        else if (v > f->hi)
+            v = f->hi;
+        return f->alpha * (v - us);
     }
+    return -f->alpha * acc;
 }
 
 /* dst = base + h * k, elementwise. */
@@ -94,18 +87,17 @@ static double step_time(long step, long n_tot, double t0, double t_end, double d
 }
 
 /* Appends record k: its time, x, u, y = C x and, when xi is nonzero,
- * V = max(xi (x-x*)^T P (x-x*), |u-u*|^2 / 2), summed in the order of
+ * V = max(xi (x-x*)^T P (x-x*), (u-u*)^2 / 2), summed in the order of
  * ofo.sim.lyapunov_trace. */
-static void record(const field_t *f, long k, double t, const double *x, const double *u,
+static void record(const field_t *f, long k, double t, const double *x, double u,
                    double *rec_t, double *rec_x, double *rec_u, double *rec_y,
                    double *rec_v)
 {
-    int n = f->n, m = f->m, p = f->p;
+    int n = f->n, p = f->p;
     rec_t[k] = t;
     for (int j = 0; j < n; j++)
         rec_x[k * n + j] = x[j];
-    for (int j = 0; j < m; j++)
-        rec_u[k * m + j] = u[j];
+    rec_u[k] = u;
     for (int i = 0; i < p; i++) {
         double acc = 0.0;
         for (int j = 0; j < n; j++)
@@ -113,7 +105,7 @@ static void record(const field_t *f, long k, double t, const double *x, const do
         rec_y[k * p + i] = acc;
     }
     if (f->xi != 0.0) {
-        double vx = 0.0, vu = 0.0, d;
+        double vx = 0.0, vu, d;
         for (int j = 0; j < n; j++)
             f->dx[j] = x[j] - f->xstar[j];
         for (int i = 0; i < n; i++) {
@@ -122,71 +114,60 @@ static void record(const field_t *f, long k, double t, const double *x, const do
                 acc += f->lp[i * n + j] * f->dx[j];
             vx += f->dx[i] * acc;
         }
-        for (int j = 0; j < m; j++) {
-            d = u[j] - f->ustar[j];
-            vu += d * d;
-        }
-        vu = 0.5 * vu;
+        d = u - f->ustar;
+        vu = 0.5 * (d * d);
         vx = f->xi * vx;
         rec_v[k] = vu > vx ? vu : vx;
     }
 }
 
-/* Integrates one constant-disturbance segment from (x, u), which come back
- * as the final state.  The record buffers hold 2 + n_tot / stride records;
- * lp, xstar, ustar and rec_v are read only when xi is nonzero.  Returns the
- * number of records written, or -1 when scratch memory cannot be
- * allocated. */
-long ofo_run_segment(int n, int m, int p, int sine, int sqrtplus, int projected,
+/* Integrates one constant-disturbance segment from (x, *u), which come back
+ * as the final state.  b holds n values and s0 p values.  The record buffers
+ * hold 2 + n_tot / stride records; lp, xstar, ustar and rec_v are read only
+ * when xi is nonzero.  Returns the number of records written, or -1 when
+ * scratch memory cannot be allocated. */
+long ofo_run_segment(int n, int p, int sine, int sqrtplus, int projected,
                      const double *a, const double *b, const double *drift,
                      const double *c, const double *s0,
                      double cq1, double cq2, double mu4, double alpha, double beta,
-                     const double *lo, const double *hi,
+                     double lo, double hi,
                      double t0, double t_end, double dt, long n_full, double last_dt,
                      long stride, int include_final,
-                     double xi, const double *lp, const double *xstar, const double *ustar,
+                     double xi, const double *lp, const double *xstar, double ustar,
                      double *x, double *u,
                      double *rec_t, double *rec_x, double *rec_u, double *rec_y, double *rec_v,
                      double *max_violation, int *blew_up, double *blowup_time)
 {
-    double *work = calloc(6 * (size_t)n + 7 * (size_t)m + 2 * (size_t)p, sizeof(double));
+    double *work = calloc(6 * (size_t)n + 2 * (size_t)p, sizeof(double));
     if (work == NULL)
         return -1;
     double *xt = work, *kx1 = xt + n, *kx2 = kx1 + n, *kx3 = kx2 + n, *kx4 = kx3 + n;
-    double *ut = kx4 + n, *ku1 = ut + m, *ku2 = ku1 + m, *ku3 = ku2 + m, *ku4 = ku3 + m;
-    double *y = ku4 + m, *gu = y + p, *gy = gu + m, *pu = gy + p, *dx = pu + m;
-    field_t f = {n, m, p, sine, sqrtplus, projected, a, b, drift, c, s0, lo, hi,
-                 cq1, cq2, mu4, alpha, beta, y, gu, gy, pu, xi, lp, xstar, ustar, dx};
+    double *dx = kx4 + n, *y = dx + n, *gy = y + p;
+    field_t f = {n, p, sine, sqrtplus, projected, a, b, drift, c, s0,
+                 lo, hi, cq1, cq2, mu4, alpha, beta, y, gy, xi, lp, xstar, ustar, dx};
 
     long n_tot = n_full + (last_dt > 0.0 ? 1 : 0);
     long k = 0;
-    double d, violation = 0.0;
+    double d, ku1, ku2, ku3, ku4, violation = 0.0, uu = *u;
     *blew_up = 0;
-    record(&f, k++, step_time(0, n_tot, t0, t_end, dt), x, u,
+    record(&f, k++, step_time(0, n_tot, t0, t_end, dt), x, uu,
            rec_t, rec_x, rec_u, rec_y, rec_v);
     for (long i = 0; i < n_tot; i++) {
         double h = i < n_full ? dt : last_dt, h2 = 0.5 * h, h6 = h / 6.0;
-        eval_field(&f, x, u, kx1, ku1);
+        ku1 = eval_field(&f, x, uu, kx1);
         advance(n, xt, x, h2, kx1);
-        advance(m, ut, u, h2, ku1);
-        eval_field(&f, xt, ut, kx2, ku2);
+        ku2 = eval_field(&f, xt, uu + h2 * ku1, kx2);
         advance(n, xt, x, h2, kx2);
-        advance(m, ut, u, h2, ku2);
-        eval_field(&f, xt, ut, kx3, ku3);
+        ku3 = eval_field(&f, xt, uu + h2 * ku2, kx3);
         advance(n, xt, x, h, kx3);
-        advance(m, ut, u, h, ku3);
-        eval_field(&f, xt, ut, kx4, ku4);
+        ku4 = eval_field(&f, xt, uu + h * ku3, kx4);
         for (int j = 0; j < n; j++)
             x[j] = x[j] + h6 * (kx1[j] + 2.0 * kx2[j] + 2.0 * kx3[j] + kx4[j]);
-        for (int j = 0; j < m; j++)
-            u[j] = u[j] + h6 * (ku1[j] + 2.0 * ku2[j] + 2.0 * ku3[j] + ku4[j]);
+        uu = uu + h6 * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4);
         long step = i + 1;
-        int ok = 1;
+        int ok = isfinite(uu);
         for (int j = 0; j < n; j++)
             if (!isfinite(x[j]))
-                ok = 0;
-        for (int j = 0; j < m; j++)
-            if (!isfinite(u[j]))
                 ok = 0;
         if (!ok) {
             *blew_up = 1;
@@ -194,19 +175,18 @@ long ofo_run_segment(int n, int m, int p, int sine, int sqrtplus, int projected,
             break;
         }
         if (projected) {
-            for (int j = 0; j < m; j++) {
-                d = u[j] - hi[j];
-                if (d > violation)
-                    violation = d;
-                d = lo[j] - u[j];
-                if (d > violation)
-                    violation = d;
-            }
+            d = uu - hi;
+            if (d > violation)
+                violation = d;
+            d = lo - uu;
+            if (d > violation)
+                violation = d;
         }
         if ((step % stride == 0 && step < n_tot) || (step == n_tot && include_final))
-            record(&f, k++, step_time(step, n_tot, t0, t_end, dt), x, u,
+            record(&f, k++, step_time(step, n_tot, t0, t_end, dt), x, uu,
                    rec_t, rec_x, rec_u, rec_y, rec_v);
     }
+    *u = uu;
     *max_violation = violation;
     free(work);
     return k;

@@ -24,12 +24,12 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 
 _I, _L, _F = ctypes.c_int, ctypes.c_long, ctypes.c_double
 _A = ctypes.POINTER(ctypes.c_double)
-_ARGTYPES = [_I, _I, _I, _I, _I, _I,       # n, m, p, sine, sqrtplus, projected
+_ARGTYPES = [_I, _I, _I, _I, _I,           # n, p, sine, sqrtplus, projected
              _A, _A, _A, _A, _A,           # a, b, drift, c, sens0
              _F, _F, _F, _F, _F,           # cq1, cq2, mu4, alpha, beta
-             _A, _A,                       # lo, hi
+             _F, _F,                       # lo, hi
              _F, _F, _F, _L, _F, _L, _I,   # t0, t_end, dt, n_full, last_dt, stride, include_final
-             _F, _A, _A, _A,               # lyap_xi, lyap_p, xstar, ustar
+             _F, _A, _A, _F,               # lyap_xi, lyap_p, xstar, ustar
              _A, _A, _A, _A, _A, _A, _A,   # x, u, rec_t, rec_x, rec_u, rec_y, rec_v
              _A, ctypes.POINTER(_I), _A]   # max_violation, blew_up, blowup_time
 _TEXT_ARGTYPES = [ctypes.c_char_p, _L, ctypes.POINTER(ctypes.c_char)]  # in, len, out
@@ -94,33 +94,33 @@ def _doubles(values, count: int):
 
 
 def run_segment(spec: SegmentSpec) -> SegmentResult:
-    n, m, p, stride = spec.n, spec.m, spec.p, spec.record_stride
-    if min(n, m, p, stride) < 1 or spec.n_full < 0:
-        raise ValueError("kernel needs n, m, p, record_stride >= 1 and n_full >= 0")
+    n, p, stride = spec.n, spec.p, spec.record_stride
+    if min(n, p, stride) < 1 or spec.n_full < 0:
+        raise ValueError("kernel needs n, p, record_stride >= 1 and n_full >= 0")
     n_tot = spec.n_full + (1 if spec.last_dt > 0.0 else 0)
     cap = 2 + n_tot // stride
-    x, u = _doubles(spec.x0, n), _doubles(spec.u0, m)
-    rec_t, rec_x, rec_u, rec_y = ((_F * (cap * k))() for k in (1, n, m, p))
+    x, u = _doubles(spec.x0, n), _F(spec.u0)
+    rec_t, rec_x, rec_u, rec_y = ((_F * (cap * k))() for k in (1, n, 1, p))
     xi = spec.lyap_xi
     if xi:
-        lyap = (_doubles(spec.lyap_p, n * n), _doubles(spec.xstar, n), _doubles(spec.ustar, m))
+        lyap = (_doubles(spec.lyap_p, n * n), _doubles(spec.xstar, n))
         rec_v = (_F * cap)()
     else:
-        lyap, rec_v = (None, None, None), None
+        lyap, rec_v = (None, None), None
     violation, blew_up, blowup_time = _F(), _I(), _F()
-    k = _run(n, m, p, spec.sine, spec.sqrtplus, spec.projected,
-             _doubles(spec.a, n * n), _doubles(spec.b, n * m), _doubles(spec.drift, n),
-             _doubles(spec.c, p * n), _doubles(spec.sens0, p * m),
-             spec.cq1, spec.cq2, spec.mu4, spec.alpha, spec.beta,
-             _doubles(spec.lo, m), _doubles(spec.hi, m),
+    k = _run(n, p, spec.sine, spec.sqrtplus, spec.projected,
+             _doubles(spec.a, n * n), _doubles(spec.b, n), _doubles(spec.drift, n),
+             _doubles(spec.c, p * n), _doubles(spec.sens0, p),
+             spec.cq1, spec.cq2, spec.mu4, spec.alpha, spec.beta, spec.lo, spec.hi,
              spec.t0, spec.t_end, spec.dt, spec.n_full, spec.last_dt,
-             stride, spec.include_final, xi, *lyap, x, u, rec_t, rec_x, rec_u, rec_y, rec_v,
+             stride, spec.include_final, xi, *lyap, spec.ustar,
+             x, ctypes.byref(u), rec_t, rec_x, rec_u, rec_y, rec_v,
              ctypes.byref(violation), ctypes.byref(blew_up), ctypes.byref(blowup_time))
     if k < 0:
         raise MemoryError("compiled kernel could not allocate its scratch memory")
-    return SegmentResult(times=rec_t[:k], xs=rec_x[:k * n], us=rec_u[:k * m],
+    return SegmentResult(times=rec_t[:k], xs=rec_x[:k * n], us=rec_u[:k],
                          ys=rec_y[:k * p], vs=rec_v[:k] if xi else [],
-                         final_x=x[:], final_u=u[:],
+                         final_x=x[:], final_u=u.value,
                          max_violation=violation.value,
                          blowup_time=blowup_time.value if blew_up.value else None)
 

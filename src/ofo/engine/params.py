@@ -1,11 +1,13 @@
 """Flat parameter and result records exchanged with the stepping kernels.
 
 Everything is plain floats, ints, and lists so the compiled and pure kernels
-can consume the same object.  Matrices are row-major flat lists; the
-disturbance enters only through the precomputed drift vector B_w w, which is
-constant within a segment.  A nonzero `lyap_xi` makes the kernel record the
-composite function V = max(xi (x-x*)^T P (x-x*), |u-u*|^2 / 2) with every
-sample; the default 0.0 records none.
+can consume the same object.  The input is a scalar (RunConfig refuses any
+other plant), so u, its box bounds and its anchor are floats.  Matrices are
+row-major flat lists; the disturbance enters only through the precomputed
+drift vector B_w w, which is constant within a segment.  A nonzero
+`lyap_xi` makes the kernel record the composite function
+V = max(xi (x-x*)^T P (x-x*), (u-u*)^2 / 2) with every sample; the default
+0.0 records none.
 """
 
 from __future__ import annotations
@@ -17,25 +19,24 @@ class SegmentSpec:
     """One constant-disturbance integration segment."""
 
     n: int
-    m: int
     p: int
-    sine: bool              # sine input nonlinearity (scalar input); linear otherwise
+    sine: bool              # sine input nonlinearity; linear otherwise
     a: list[float]          # n*n
-    b: list[float]          # n*m
+    b: list[float]          # n
     drift: list[float]      # n, equals B_w w
     c: list[float]          # p*n
-    sens0: list[float]      # p*m, sensitivity before any input-dependent scaling
-    sqrtplus: bool          # sqrt-plus cost (scalar input and output); quadratic otherwise
+    sens0: list[float]      # p, sensitivity before any input-dependent scaling
+    sqrtplus: bool          # sqrt-plus cost (scalar output); quadratic otherwise
     cq1: float              # q_u (quadratic) or a (sqrt-plus)
     cq2: float              # q_y (quadratic; unused otherwise)
     mu4: float              # extra input curvature from regularization
     projected: bool         # projected law onto [lo, hi]; gradient law otherwise
     alpha: float
     beta: float
-    lo: list[float]         # m, -inf allowed
-    hi: list[float]         # m, +inf allowed
+    lo: float               # -inf allowed
+    hi: float               # +inf allowed
     x0: list[float]
-    u0: list[float]
+    u0: float
     t0: float
     t_end: float
     dt: float
@@ -46,7 +47,7 @@ class SegmentSpec:
     lyap_xi: float = 0.0    # weight xi of V; 0.0 records no V
     lyap_p: list[float] = field(default_factory=list)   # n*n
     xstar: list[float] = field(default_factory=list)    # n, the anchor of V
-    ustar: list[float] = field(default_factory=list)    # m, the anchor of V
+    ustar: float = 0.0                                  # the anchor of V
 
 
 @dataclass
@@ -55,10 +56,10 @@ class SegmentResult:
 
     times: list[float] = field(default_factory=list)
     xs: list[float] = field(default_factory=list)   # flat, n per record
-    us: list[float] = field(default_factory=list)   # flat, m per record
+    us: list[float] = field(default_factory=list)   # one input per record
     ys: list[float] = field(default_factory=list)   # flat, p per record
     vs: list[float] = field(default_factory=list)   # one V per record, when recorded
     final_x: list[float] = field(default_factory=list)
-    final_u: list[float] = field(default_factory=list)
+    final_u: float = 0.0
     max_violation: float = 0.0
     blowup_time: float | None = None

@@ -41,7 +41,6 @@ def plain_text(text: str) -> str:
 
 def run_segment(spec: SegmentSpec) -> SegmentResult:
     n = spec.n
-    m = spec.m
     p = spec.p
     sine = spec.sine
     sqrtplus = spec.sqrtplus
@@ -67,23 +66,17 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
     t_end = spec.t_end
 
     x = list(spec.x0)
-    u = list(spec.u0)
+    u = spec.u0
     xt = [0.0] * n
-    ut = [0.0] * m
     kx1 = [0.0] * n
     kx2 = [0.0] * n
     kx3 = [0.0] * n
     kx4 = [0.0] * n
-    ku1 = [0.0] * m
-    ku2 = [0.0] * m
-    ku3 = [0.0] * m
-    ku4 = [0.0] * m
     y = [0.0] * p
-    gu = [0.0] * m
     gy = [0.0] * p
-    pu = [0.0] * m
 
-    def eval_field(xs, us, kx, ku):
+    def eval_field(xs, us, kx):
+        """Writes dx/dt into kx and returns du/dt."""
         for i in range(p):
             acc = 0.0
             base = i * n
@@ -91,46 +84,35 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
                 acc += c[base + j] * xs[j]
             y[i] = acc
         if sine:
-            pu[0] = us[0] + sin(us[0])
-            fac = 1.0 + cos(us[0])
+            pu = us + sin(us)
+            fac = 1.0 + cos(us)
         else:
-            for j in range(m):
-                pu[j] = us[j]
+            pu = us
             fac = 1.0
         for i in range(n):
             acc = 0.0
             base = i * n
             for j in range(n):
                 acc += a[base + j] * xs[j]
-            base = i * m
-            for j in range(m):
-                acc += b[base + j] * pu[j]
-            kx[i] = acc + drift[i]
+            kx[i] = (acc + b[i] * pu) + drift[i]
+        acc = 2.0 * cq1 * us + mu4 * us
         if sqrtplus:
-            gu[0] = 2.0 * cq1 * us[0] + mu4 * us[0]
             gy[0] = y[0] / sqrt(y[0] * y[0] + 1.0)
         else:
-            for j in range(m):
-                gu[j] = 2.0 * cq1 * us[j] + mu4 * us[j]
             for i in range(p):
                 gy[i] = 2.0 * cq2 * y[i]
-        for j in range(m):
-            acc = gu[j]
-            for i in range(p):
-                acc += (s0[i * m + j] * fac) * gy[i]
-            if projected:
-                v = us[j] - beta * acc
-                lj = lo[j]
-                hj = hi[j]
-                if v < lj:
-                    v = lj
-                elif v > hj:
-                    v = hj
-                ku[j] = alpha * (v - us[j])
-            else:
-                ku[j] = -alpha * acc
+        for i in range(p):
+            acc += (s0[i] * fac) * gy[i]
+        if projected:
+            v = us - beta * acc
+            if v < lo:
+                v = lo
+            elif v > hi:
+                v = hi
+            return alpha * (v - us)
+        return -alpha * acc
 
-    res = SegmentResult(final_x=x, final_u=u)
+    res = SegmentResult(final_x=x)
     rec_t = res.times
     rec_x = res.xs
     rec_u = res.us
@@ -147,8 +129,7 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
         rec_t.append(t_end if step == n_tot else t0 + step * dt)
         for j in range(n):
             rec_x.append(x[j])
-        for j in range(m):
-            rec_u.append(u[j])
+        rec_u.append(u)
         for i in range(p):
             acc = 0.0
             base = i * n
@@ -166,11 +147,8 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
                 for j in range(n):
                     acc += lp[base + j] * dx[j]
                 vx += dx[i] * acc
-            vu = 0.0
-            for j in range(m):
-                d = u[j] - ustar[j]
-                vu += d * d
-            vu = 0.5 * vu
+            d = u - ustar
+            vu = 0.5 * (d * d)
             vx = xi * vx
             rec_v.append(vu if vu > vx else vx)
 
@@ -187,46 +165,36 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
             h = last_dt
             h2 = 0.5 * h
             h6 = h / 6.0
-        eval_field(x, u, kx1, ku1)
+        ku1 = eval_field(x, u, kx1)
         for j in range(n):
             xt[j] = x[j] + h2 * kx1[j]
-        for j in range(m):
-            ut[j] = u[j] + h2 * ku1[j]
-        eval_field(xt, ut, kx2, ku2)
+        ku2 = eval_field(xt, u + h2 * ku1, kx2)
         for j in range(n):
             xt[j] = x[j] + h2 * kx2[j]
-        for j in range(m):
-            ut[j] = u[j] + h2 * ku2[j]
-        eval_field(xt, ut, kx3, ku3)
+        ku3 = eval_field(xt, u + h2 * ku2, kx3)
         for j in range(n):
             xt[j] = x[j] + h * kx3[j]
-        for j in range(m):
-            ut[j] = u[j] + h * ku3[j]
-        eval_field(xt, ut, kx4, ku4)
+        ku4 = eval_field(xt, u + h * ku3, kx4)
         for j in range(n):
             x[j] = x[j] + h6 * (kx1[j] + 2.0 * kx2[j] + 2.0 * kx3[j] + kx4[j])
-        for j in range(m):
-            u[j] = u[j] + h6 * (ku1[j] + 2.0 * ku2[j] + 2.0 * ku3[j] + ku4[j])
+        u = u + h6 * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
         step = i + 1
-        ok = True
+        ok = isfinite(u)
         for j in range(n):
             if not isfinite(x[j]):
-                ok = False
-        for j in range(m):
-            if not isfinite(u[j]):
                 ok = False
         if not ok:
             res.blowup_time = t_end if step == n_tot else t0 + step * dt
             break
         if projected:
-            for j in range(m):
-                d = u[j] - hi[j]
-                if d > max_violation:
-                    max_violation = d
-                d = lo[j] - u[j]
-                if d > max_violation:
-                    max_violation = d
+            d = u - hi
+            if d > max_violation:
+                max_violation = d
+            d = lo - u
+            if d > max_violation:
+                max_violation = d
         if (step % stride == 0 and step < n_tot) or (step == n_tot and include_final):
             record(step)
+    res.final_u = u
     res.max_violation = max_violation
     return res

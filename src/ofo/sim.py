@@ -233,8 +233,7 @@ def optimal_input(plant: LinearPlant, cost: CostModel, w, box: BoxSet | None = N
     _searched_optimum).
     """
     if plant.m != 1:
-        raise InputError("the bundled optimizer handles scalar inputs only; "
-                         "supply a reference optimum for multi-input plants")
+        raise InputError("the bundled optimizer handles scalar inputs only")
     if box is not None and box.dim != 1:
         raise InputError("box dimension must match the scalar input")
     w = as_vector(w, "disturbance")
@@ -262,17 +261,17 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
     t_end = config.t_end
     if len(x0) != plant.n:
         raise InputError(f"x0 has length {len(x0)}, expected {plant.n}")
-    if len(u0) != plant.m:
-        raise InputError(f"u0 has length {len(u0)}, expected {plant.m}")
-    if t_end <= 0.0:
-        raise InputError("t_end must be positive")
+    if len(u0) != 1:
+        raise InputError(f"u0 has length {len(u0)}, expected 1")
+    if not 0.0 < t_end < math.inf:
+        raise InputError(f"t_end must be positive and finite, got {t_end}")
     if schedule.q != plant.bw.cols:
         raise InputError("schedule disturbance dimension does not match the plant")
     if schedule.segments[-1][0] >= t_end:
         raise InputError("schedule extends beyond t_end")
     dt = config.dt if config.dt is not None else default_dt(plant, cost, alpha)
-    if dt <= 0.0:
-        raise InputError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise InputError(f"dt must be positive and finite, got {dt}")
     lyapunov = config.lyapunov
     if lyapunov is not None and (lyapunov.p.rows, lyapunov.p.cols) != (plant.n, plant.n):
         raise InputError(f"the Lyapunov matrix must be {plant.n}x{plant.n}")
@@ -280,13 +279,11 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
     warnings: list[str] = []
     if box is None:
         beta = 0.0
-        lo, hi = [-math.inf] * plant.m, [math.inf] * plant.m
+        lo, hi = -math.inf, math.inf
     else:
-        if box.dim != plant.m:
-            raise InputError("box dimension does not match the plant input")
         if not box.contains(u0):
             warnings.append("u0 lies outside the input box; forward invariance is not guaranteed")
-        lo, hi = list(box.lo), list(box.hi)
+        (lo,), (hi,) = box.lo, box.hi
         beta = config.beta if config.beta is not None else 1.0 / cost.grad_u_lipschitz
     quadratic = isinstance(cost, QuadraticCost)
     cq1, cq2 = (cost.q_u, cost.q_y) if quadratic else (cost.a, 0.0)
@@ -305,7 +302,7 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
 
     ustar_cache: dict[Vector, Vector] = {}
     x = list(x0)
-    u = list(u0)
+    (u,) = u0
     for k, (t_start, w) in enumerate(schedule.segments):
         t_stop = boundaries[k + 1]
         if w not in ustar_cache:
@@ -317,7 +314,7 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
         n_tot = n_full + (1 if last_dt > 0.0 else 0)
         stride = max(1, -(-n_tot // per_seg_records))
         spec = engine.SegmentSpec(
-            n=plant.n, m=plant.m, p=plant.p,
+            n=plant.n, p=plant.p,
             sine=isinstance(plant, SinePlant),
             a=list(plant.a.data), b=list(plant.b.data),
             drift=list(plant.bw.matvec(w)),
@@ -328,7 +325,7 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
             x0=x, u0=u, t0=t_start, t_end=t_stop, dt=dt,
             n_full=n_full, last_dt=last_dt, record_stride=stride,
             include_final=(k == n_segments - 1),
-            lyap_xi=lyap_xi, lyap_p=lyap_p, xstar=list(xstar), ustar=list(ustar),
+            lyap_xi=lyap_xi, lyap_p=lyap_p, xstar=list(xstar), ustar=ustar[0],
         )
         res = engine.run_segment(spec)
         if res.blowup_time is not None:
@@ -345,14 +342,14 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
         traj.t += res.times
         # zip over n references to one iterator yields consecutive n-tuples
         traj.x += zip(*[iter(res.xs)] * plant.n)
-        traj.u += zip(*[iter(res.us)] * plant.m)
+        traj.u += zip(res.us)
         traj.y += zip(*[iter(res.ys)] * plant.p)
         traj.w += [w] * n_rec
         traj.seg_of += [k] * n_rec
         if traj.v is not None:
             traj.v += res.vs
         traj.seg_final_x.append(tuple(res.final_x))
-        traj.seg_final_u.append(tuple(res.final_u))
+        traj.seg_final_u.append((res.final_u,))
         traj.max_box_violation = max(traj.max_box_violation, res.max_violation)
         x = res.final_x
         u = res.final_u
@@ -458,9 +455,11 @@ def summarize(traj: Trajectory) -> RunSummary:
 class RunConfig:
     """Everything needed to run one scenario at a chosen gain.
 
-    The law is the projected one exactly when box is set, and the gradient
-    law otherwise.  A given beta must satisfy 0 < beta <= 1/L; None means
-    1/L, worked out at each run, so a replaced cost keeps no stale stepsize.
+    The plant's input is a scalar, and a given box is an interval; only the
+    certificate handles inputs of any dimension.  The law is the projected
+    one exactly when box is set, and the gradient law otherwise.  A given
+    beta must satisfy 0 < beta <= 1/L; None means 1/L, worked out at each
+    run, so a replaced cost keeps no stale stepsize.
     """
 
     plant: LinearPlant
@@ -476,6 +475,11 @@ class RunConfig:
     lyapunov: LyapunovSpec | None = None
 
     def __post_init__(self):
+        if self.plant.m != 1:
+            raise InputError("the simulator runs scalar-input plants only; "
+                             f"this plant has {self.plant.m} inputs")
+        if self.box is not None and self.box.dim != 1:
+            raise InputError(f"the input box must be one-dimensional, not {self.box.dim}")
         if self.beta is not None:
             if not self.beta > 0.0:
                 raise InputError("stepsize beta must be positive")
@@ -489,21 +493,19 @@ class RunConfig:
         """Whether the closed loop at this gain is Hurwitz, for the loops that
         are affine: a linear plant with a quadratic cost under the gradient
         law, whose matrix is
-        [[A, B], [-2 alpha q_y H^T C, -alpha (2 q_u + mu4) I]], H = -C A^-1 B.
+        [[A, B], [-2 alpha q_y H^T C, -alpha (2 q_u + mu4)]], H = -C A^-1 B.
         None for every other loop."""
         plant, cost = self.plant, self.cost
         if (self.box is not None or isinstance(plant, SinePlant)
                 or not isinstance(cost, QuadraticCost)):
             return None
-        n, m = plant.n, plant.m
         feedback = plant.base_sensitivity.transpose().matmul(plant.c)
         feedback = feedback.scale(-2.0 * alpha * cost.q_y)
         damping = -alpha * (2.0 * cost.q_u + cost.mu4)
-        rows = [plant.a.row(i) + plant.b.row(i) for i in range(n)]
-        rows += [feedback.row(j) + tuple(damping if i == j else 0.0 for i in range(m))
-                 for j in range(m)]
+        rows = [plant.a.row(i) + plant.b.row(i) for i in range(plant.n)]
+        rows.append(feedback.row(0) + (damping,))
         try:
-            solve_lyapunov(Matrix.from_rows(rows), Matrix.identity(n + m))
+            solve_lyapunov(Matrix.from_rows(rows), Matrix.identity(plant.n + 1))
         except NotStabilizedError:
             return False
         return True

@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -203,6 +205,22 @@ class TestSimulateCommand:
         assert "step-limited" in err and "divergence" not in err
         assert not out.exists()
 
+    def test_two_input_plant_refused_but_certified(self, tmp_path, capsys):
+        # the simulator needs a scalar input; the certificate takes any
+        doc = minimal_doc()
+        doc["plant"]["B"] = [[1.0, 0.0], [0.0, 1.0]]
+        path = write_doc(tmp_path, doc)
+        out_dir = tmp_path / "out"
+        for argv in (["simulate", path, "--out", str(out_dir / "x.csv")],
+                     ["sweep", path, "--alphas", "1,10", "--out", str(out_dir)]):
+            assert main(argv) == 2
+            assert ("the simulator runs scalar-input plants only; this plant has 2 inputs"
+                    in capsys.readouterr().err)
+        assert not out_dir.exists()
+        assert main(["certify", path]) == 3
+        out = capsys.readouterr().out
+        assert "certified = false" in out and "required_mu4 = " in out
+
     def test_unwritable_out(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file")
@@ -253,6 +271,29 @@ class TestSweepCommand:
                 assert main(argv) == 2
                 assert "controller.alpha" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_each_gain_written_before_the_next_runs(self, tmp_path, monkeypatch):
+        # a sweep holds one trajectory at a time: when a gain starts, every
+        # earlier gain's CSV is on disk and its trajectory is gone
+        from ofo.sim import RunConfig
+
+        real = RunConfig.run
+        out_dir = tmp_path / "sweep"
+        done = []
+
+        def watched(config, alpha):
+            gc.collect()
+            assert [a for a, ref in done if ref() is not None] == []
+            assert (sorted(path.name for path in out_dir.glob("*.csv"))
+                    == sorted(f"alpha_{a:g}.csv" for a, _ in done))
+            traj, summary = real(config, alpha)
+            done.append((alpha, weakref.ref(traj)))
+            return traj, summary
+
+        monkeypatch.setattr(RunConfig, "run", watched)
+        path = write_doc(tmp_path, minimal_doc())
+        assert main(["sweep", path, "--alphas", "1,10,100", "--out", str(out_dir)]) == 0
+        assert [a for a, _ in done] == [1.0, 10.0, 100.0]
 
     def test_per_row_error_recorded(self, tmp_path):
         doc = minimal_doc()

@@ -308,6 +308,20 @@ class TestSimulate:
         assert err.value.segment == 1
         assert err.value.time is not None and 0.0 < err.value.time <= 150.0
 
+    def test_run_config_needs_scalar_input(self, fast_plant, quad_cost):
+        # the one place that decides the simulator's input is scalar: a
+        # two-input plant or a two-dimensional box is refused on construction
+        two_inputs = LinearPlant(a=Matrix.identity(2).scale(-1.0), b=Matrix.identity(2),
+                                 bw=Matrix.from_rows([[1.0], [1.0]]),
+                                 c=Matrix.from_rows([[1.0, 0.0]]))
+        schedule = DisturbanceSchedule(((0.0, (1.0,)),))
+        with pytest.raises(InputError, match="scalar-input plants only; this plant has 2"):
+            RunConfig(plant=two_inputs, cost=quad_cost, schedule=schedule,
+                      x0=(0.0, 0.0), u0=(0.0, 0.0), t_end=1.0)
+        with pytest.raises(InputError, match="one-dimensional"):
+            gradient_config(fast_plant, quad_cost, schedule, 1.0,
+                            box=BoxSet(lo=(-1.0, -1.0), hi=(1.0, 1.0)))
+
     def test_u0_outside_box_warns(self, slow_sine_plant, sqrt_cost):
         schedule = DisturbanceSchedule(((0.0, (0.001,)),))
         cfg = RunConfig(plant=slow_sine_plant, cost=sqrt_cost,
@@ -388,9 +402,9 @@ class TestKernels:
         # every spec once more with V recorded: a P that is not symmetric, so
         # its index order shows, an anchor off the origin and a weight that is
         # not a power of two
-        assert all(spec.n == 2 and spec.m == 1 for spec in specs)
+        assert all(spec.n == 2 for spec in specs)
         weighted = [replace(spec, lyap_xi=0.37, lyap_p=[1.3, -0.45, 0.2, 0.9],
-                            xstar=[0.25, -1.5], ustar=[0.7]) for spec in specs]
+                            xstar=[0.25, -1.5], ustar=0.7) for spec in specs]
         for spec in specs + weighted:
             a = pure.run_segment(spec)
             b = _speedup.run_segment(spec)
@@ -401,7 +415,7 @@ class TestKernels:
             assert bits(a.ys) == bits(b.ys)
             assert bits(a.vs) == bits(b.vs)
             assert bits(a.final_x) == bits(b.final_x)
-            assert bits(a.final_u) == bits(b.final_u)
+            assert bits([a.final_u]) == bits([b.final_u])
             assert bits([a.max_violation]) == bits([b.max_violation])
             assert a.blowup_time == b.blowup_time
 
@@ -442,7 +456,7 @@ class TestKernels:
         from ofo.engine import _speedup
 
         spec = self.collect_specs(fast_plant, slow_sine_plant, quad_cost, sqrt_cost)[0]
-        for bad in (dict(a=spec.a[:-1]), dict(lo=[]), dict(x0=spec.x0 + [0.0]),
+        for bad in (dict(a=spec.a[:-1]), dict(b=spec.b + [0.0]), dict(x0=spec.x0 + [0.0]),
                     dict(record_stride=0), dict(n_full=-3)):
             with pytest.raises(ValueError):
                 _speedup.run_segment(replace(spec, **bad))
@@ -748,6 +762,11 @@ class TestSweep:
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(InputError):
                 sweep_alpha(cfg, [1.0, bad])
+        # simulate holds dt and t_end to the same 0 < x < inf gate
+        for bad in (dict(dt=0.0), dict(dt=math.nan), dict(dt=math.inf),
+                    dict(t_end=math.nan), dict(t_end=math.inf)):
+            with pytest.raises(InputError, match="positive and finite"):
+                sweep_alpha(replace(cfg, **bad), [1.0])
         with pytest.raises(InputError):
             sweep_alpha(cfg, [])
 
