@@ -1,19 +1,17 @@
 """Closed-loop simulation under piecewise-constant disturbance schedules.
 
 simulate() stitches together one stepping-kernel call per constant-disturbance
-segment, recording strided samples, per-segment reference optima, and (for the
-projected law) the worst box violation seen at any integration step.  The
-module also houses the steady-state optimizer used as the reference for
-every convergence claim, Lyapunov traces with their exponential
-envelope check, and deterministic gain sweeps.
+segment and keeps each call's samples, with the segment's reference optimum,
+as one Segment of the run's Trajectory.  The module also houses the
+steady-state optimizer used as the reference for every convergence claim,
+Lyapunov traces with their exponential envelope check, and deterministic
+gain sweeps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, itemgetter, mul, sub
 from typing import Callable, Sequence, TextIO
 
 from . import engine
@@ -28,7 +26,6 @@ from .linalg import (
     quad_form,
     solve_lyapunov,
     spectral_norm,
-    vec_norm,
     vec_sub,
 )
 from .ode import plan_steps
@@ -75,42 +72,43 @@ class DisturbanceSchedule:
 
 @dataclass(frozen=True)
 class LyapunovSpec:
-    """Composite-function weights: V = max(xi * (x-x*)^T P (x-x*), ||u-u*||^2 / 2)."""
+    """Composite-function weights: V = max(xi * (x-x*)^T P (x-x*), (u-u*)^2 / 2)."""
 
     xi: float
     p: Matrix
 
     def __post_init__(self):
-        if self.xi <= 0.0:
-            raise InputError("xi must be positive")
+        if not 0.0 < self.xi < math.inf:
+            raise InputError(f"xi must be positive and finite, got {self.xi}")
+
+
+@dataclass
+class Segment:
+    """One constant-disturbance segment of a run: its span from start to
+    end, its disturbance, the reference optimum u* with its steady state x*,
+    and the stepping kernel's result for it as returned.  samples.xs holds n
+    values and samples.ys p values per record; samples.vs is empty when no V
+    was recorded."""
+
+    start: float
+    end: float
+    w: Vector
+    ustar: float
+    xstar: Vector
+    samples: engine.SegmentResult
 
 
 @dataclass
 class Trajectory:
-    """Strided closed-loop samples plus per-segment metadata."""
+    """A run: one Segment per disturbance segment, in time order."""
 
-    t: list[float]
-    x: list[Vector]
-    u: list[Vector]
-    y: list[Vector]
-    w: list[Vector]
-    seg_of: list[int]
-    v: list[float] | None
-    segment_marks: list[int]
-    segment_starts: list[float]
-    segment_ends: list[float]
-    ustar: list[Vector]
-    xstar: list[Vector]
-    seg_final_x: list[Vector]
-    seg_final_u: list[Vector]
-    max_box_violation: float
-    dt: float
+    segments: list[Segment] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    def segment_indices(self, k: int) -> range:
-        lo = self.segment_marks[k]
-        hi = self.segment_marks[k + 1] if k + 1 < len(self.segment_marks) else len(self.t)
-        return range(lo, hi)
+    @property
+    def t(self) -> list[float]:
+        """Every sample time of the run, in order."""
+        return [t for seg in self.segments for t in seg.samples.times]
 
 
 @dataclass(frozen=True)
@@ -293,22 +291,16 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
     n_segments = len(schedule.segments)
     per_seg_records = max(2, config.max_records // n_segments)
 
-    traj = Trajectory(
-        t=[], x=[], u=[], y=[], w=[], seg_of=[], v=None if lyapunov is None else [],
-        segment_marks=[], segment_starts=[], segment_ends=[],
-        ustar=[], xstar=[], seg_final_x=[], seg_final_u=[],
-        max_box_violation=0.0, dt=dt, warnings=warnings,
-    )
-
-    ustar_cache: dict[Vector, Vector] = {}
+    traj = Trajectory(warnings=warnings)
+    ustar_cache: dict[Vector, float] = {}
     x = list(x0)
     (u,) = u0
     for k, (t_start, w) in enumerate(schedule.segments):
         t_stop = boundaries[k + 1]
         if w not in ustar_cache:
-            ustar_cache[w] = optimal_input(plant, cost, w, box=box)
+            (ustar_cache[w],) = optimal_input(plant, cost, w, box=box)
         ustar = ustar_cache[w]
-        xstar = plant.steady_state(ustar, w)
+        xstar = plant.steady_state((ustar,), w)
 
         n_full, last_dt = plan_steps(t_start, t_stop, dt)
         n_tot = n_full + (1 if last_dt > 0.0 else 0)
@@ -325,32 +317,25 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
             x0=x, u0=u, t0=t_start, t_end=t_stop, dt=dt,
             n_full=n_full, last_dt=last_dt, record_stride=stride,
             include_final=(k == n_segments - 1),
-            lyap_xi=lyap_xi, lyap_p=lyap_p, xstar=list(xstar), ustar=ustar[0],
+            lyap_xi=lyap_xi, lyap_p=lyap_p, xstar=list(xstar), ustar=ustar,
         )
         res = engine.run_segment(spec)
+        # the kernel stops at a non-finite state, but a finite state can give
+        # a recorded output or V that overflows; find its first record
+        bad = [i // width for values, width in ((res.ys, plant.p), (res.vs, 1))
+               if not all(map(math.isfinite, values))
+               for i, v in enumerate(values) if not math.isfinite(v)]
+        if bad:
+            t_bad = res.times[min(bad)]
+            raise DivergenceError(
+                f"divergence detected at t = {t_bad:.6g} in segment {k + 1}: "
+                "a recorded output or V is not finite", time=t_bad, segment=k + 1)
         if res.blowup_time is not None:
             raise DivergenceError(
                 f"divergence detected at t = {res.blowup_time:.6g} in segment {k + 1}",
                 time=res.blowup_time, segment=k + 1)
-
-        traj.segment_marks.append(len(traj.t))
-        traj.segment_starts.append(t_start)
-        traj.segment_ends.append(t_stop)
-        traj.ustar.append(ustar)
-        traj.xstar.append(xstar)
-        n_rec = len(res.times)
-        traj.t += res.times
-        # zip over n references to one iterator yields consecutive n-tuples
-        traj.x += zip(*[iter(res.xs)] * plant.n)
-        traj.u += zip(res.us)
-        traj.y += zip(*[iter(res.ys)] * plant.p)
-        traj.w += [w] * n_rec
-        traj.seg_of += [k] * n_rec
-        if traj.v is not None:
-            traj.v += res.vs
-        traj.seg_final_x.append(tuple(res.final_x))
-        traj.seg_final_u.append((res.final_u,))
-        traj.max_box_violation = max(traj.max_box_violation, res.max_violation)
+        traj.segments.append(Segment(start=t_start, end=t_stop, w=w, ustar=ustar,
+                                     xstar=xstar, samples=res))
         x = res.final_x
         u = res.final_u
     return traj
@@ -364,13 +349,13 @@ def lyapunov_trace(traj: Trajectory, spec: LyapunovSpec) -> list[float]:
     there they agree bit for bit.
     """
     out = []
-    for i in range(len(traj.t)):
-        k = traj.seg_of[i]
-        dx = vec_sub(traj.x[i], traj.xstar[k])
-        du = vec_sub(traj.u[i], traj.ustar[k])
-        vx = quad_form(spec.p, dx)
-        vu = 0.5 * sum(v * v for v in du)
-        out.append(max(spec.xi * vx, vu))
+    for seg in traj.segments:
+        # zip over n references to one iterator yields consecutive n-tuples
+        xs = zip(*[iter(seg.samples.xs)] * len(seg.xstar))
+        for x, u in zip(xs, seg.samples.us):
+            vx = quad_form(spec.p, vec_sub(x, seg.xstar))
+            du = u - seg.ustar
+            out.append(max(spec.xi * vx, 0.5 * (du * du)))
     return out
 
 
@@ -402,52 +387,32 @@ def envelope_check(
     return ok, worst
 
 
-def _distances(points: list[Vector], target: Vector) -> list[float]:
-    """vec_norm(vec_sub(point, target)) for every point, in the same operation
-    order but column by column, so the arithmetic runs inside map()."""
-    squares = [0.0] * len(points)
-    for j, value in enumerate(target):
-        diffs = list(map(sub, map(itemgetter(j), points), repeat(value)))
-        squares = list(map(add, squares, map(mul, diffs, diffs)))
-    return list(map(math.sqrt, squares))
-
-
 def summarize(traj: Trajectory) -> RunSummary:
     """Per-run metrics: final error, settling into the 1% band, overshoot."""
     settling = 0.0
     overshoot = 0.0
-    n_seg = len(traj.segment_starts)
-    for k in range(n_seg):
-        idx = traj.segment_indices(k)
-        seg_u = traj.u[idx.start:idx.stop]
-        ustar = traj.ustar[k]
-        band = 0.01 * (1.0 + vec_norm(ustar))
-        seg_settling = traj.segment_ends[k] - traj.segment_starts[k]
+    for seg in traj.segments:
+        times, us, ustar = seg.samples.times, seg.samples.us, seg.ustar
+        band = 0.01 * (1.0 + abs(ustar))
+        seg_settling = seg.end - seg.start
         # the exact segment end state is not among the strided samples
-        if vec_norm(vec_sub(traj.seg_final_u[k], ustar)) <= band:
+        if abs(seg.samples.final_u - ustar) <= band:
             # settled from the first of the trailing samples inside the band
-            inside = list(map(band.__ge__, _distances(seg_u, ustar)))[::-1]
-            inside = inside.index(False) if False in inside else len(inside)
-            if inside:
-                seg_settling = traj.t[idx.stop - inside] - traj.segment_starts[k]
+            outside = [abs(u - ustar) > band for u in us]
+            first_in = len(us) - outside[::-1].index(True) if True in outside else 0
+            if first_in < len(us):
+                seg_settling = times[first_in] - seg.start
         settling = max(settling, seg_settling)
-
-        if not seg_u:
-            continue
-        # u_j - u*_j is monotone in u_j, so the largest excess comes from the
+        # u - u* is monotone in u, so the largest excess comes from the
         # extreme sample in the direction of approach
-        for j, target in enumerate(ustar):
-            if target >= seg_u[0][j]:
-                excess = max(map(itemgetter(j), seg_u)) - target
-            else:
-                excess = -1.0 * (min(map(itemgetter(j), seg_u)) - target)
-            overshoot = max(overshoot, excess)
-    final_error = vec_norm(vec_sub(traj.seg_final_u[-1], traj.ustar[-1]))
+        excess = max(us) - ustar if ustar >= us[0] else ustar - min(us)
+        overshoot = max(overshoot, excess)
+    last = traj.segments[-1]
     return RunSummary(
-        final_error=final_error,
+        final_error=abs(last.samples.final_u - last.ustar),
         settling_time=settling,
         overshoot=overshoot,
-        max_violation=traj.max_box_violation,
+        max_violation=max(seg.samples.max_violation for seg in traj.segments),
     )
 
 
@@ -543,14 +508,13 @@ def sweep_alpha(config: RunConfig, alphas: Sequence[float]) -> list[SweepRow]:
     return [one(a) for a in alphas]
 
 
-def csv_header(n: int, m: int, p: int, q: int) -> str:
+def csv_header(n: int, p: int, q: int) -> str:
     cols = (["t"]
             + [f"x{i + 1}" for i in range(n)]
-            + [f"u{j + 1}" for j in range(m)]
+            + ["u1"]
             + [f"y{i + 1}" for i in range(p)]
             + [f"w{i + 1}" for i in range(q)]
-            + ["V"]
-            + [f"ustar{j + 1}" for j in range(m)])
+            + ["V", "ustar1"])
     return ",".join(cols)
 
 
@@ -564,25 +528,21 @@ def write_csv(traj: Trajectory, stream: TextIO) -> None:
     notation (in C when the compiled kernel loaded).  Each segment is written
     to the stream before the next is formatted.
     """
-    if traj.v is None:
+    if not all(seg.samples.vs for seg in traj.segments):
         raise InputError("trajectory has no Lyapunov samples; simulate with a LyapunovSpec")
-    n = len(traj.x[0])
-    m = len(traj.u[0])
-    p = len(traj.y[0])
-    q = len(traj.w[0])
-    stream.write(csv_header(n, m, p, q) + "\n")
-    samples = "%.12g," * (1 + n + m + p)
-    for k in range(len(traj.segment_marks)):
-        idx = traj.segment_indices(k)
-        if not idx:
-            continue
-        lo, hi = idx.start, idx.stop
-        w_text = ",".join(map(fmt12, traj.w[lo]))
-        ustar_text = ",".join(map(fmt12, traj.ustar[k]))
-        row = f"{samples}{w_text},%.12g,{ustar_text}\n"
-        text = "".join([row % (t, *x, *u, *y, v) for t, x, u, y, v in
-                        zip(traj.t[lo:hi], traj.x[lo:hi], traj.u[lo:hi], traj.y[lo:hi],
-                            traj.v[lo:hi])])
+    first = traj.segments[0]
+    n = len(first.xstar)
+    p = len(first.samples.ys) // len(first.samples.times)
+    stream.write(csv_header(n, p, len(first.w)) + "\n")
+    samples = "%.12g," * (2 + n + p)
+    for seg in traj.segments:
+        s = seg.samples
+        w_text = ",".join(map(fmt12, seg.w))
+        row = f"{samples}{w_text},%.12g,{fmt12(seg.ustar)}\n"
+        xs = zip(*[iter(s.xs)] * n)
+        ys = zip(*[iter(s.ys)] * p)
+        text = "".join([row % (t, *x, u, *y, v) for t, x, u, y, v in
+                        zip(s.times, xs, s.us, ys, s.vs)])
         # every printed sample is followed by a comma, so "-0," marks a -0 field
         if "e" in text or "n" in text or "-0," in text:
             text = engine.plain_text(text)

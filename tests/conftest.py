@@ -90,3 +90,28 @@ def closed_loop_field(config, alpha, w):
         return plant.dynamics(x, u, w) + du
 
     return field
+
+
+def states(traj) -> list[tuple[float, ...]]:
+    """Every recorded state of a trajectory as an n-tuple, in time order."""
+    return [x for seg in traj.segments for x in zip(*[iter(seg.samples.xs)] * len(seg.xstar))]
+
+
+def outputs(traj) -> list[tuple[float, ...]]:
+    """Every recorded output of a trajectory as a p-tuple, in time order."""
+    out = []
+    for seg in traj.segments:
+        p = len(seg.samples.ys) // len(seg.samples.times)
+        out += zip(*[iter(seg.samples.ys)] * p)
+    return out
+
+
+def inputs(traj) -> list[float]:
+    """Every recorded (scalar) input of a trajectory, in time order."""
+    return [u for seg in traj.segments for u in seg.samples.us]
+
+
+def final_state(traj) -> tuple[float, ...]:
+    """The exact stacked state (x, u) at the end of a trajectory."""
+    last = traj.segments[-1].samples
+    return (*last.final_x, last.final_u)

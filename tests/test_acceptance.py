@@ -29,7 +29,14 @@ from ofo.linalg import Matrix, solve_lyapunov, vec_norm, vec_sub
 from ofo.ode import integrate
 from ofo.sim import DisturbanceSchedule, optimal_input
 
-from conftest import bundled_scenario, bundled_scenario_path, random_hurwitz_rows, random_spd_rows
+from conftest import (
+    bundled_scenario,
+    bundled_scenario_path,
+    final_state,
+    inputs,
+    random_hurwitz_rows,
+    random_spd_rows,
+)
 
 
 def _criterion(num: int, ok: bool, detail: str) -> None:
@@ -170,8 +177,8 @@ def test_c04_resonant_scenario_convergence():
         return float(np.max(np.linalg.eigvals(loop).real))
 
     def final_errors(traj):
-        errs = [vec_norm(vec_sub(fin, ustar)) for fin, ustar in zip(traj.seg_final_u, traj.ustar)]
-        bands = [1e-2 * (1.0 + vec_norm(ustar)) for ustar in traj.ustar]
+        errs = [vec_norm(vec_sub((seg.samples.final_u,), (seg.ustar,))) for seg in traj.segments]
+        bands = [1e-2 * (1.0 + vec_norm((seg.ustar,))) for seg in traj.segments]
         return errs, bands
 
     stable_alphas, unstable_alpha = (1.0, 10.0, 100.0), 1000.0
@@ -250,16 +257,16 @@ def test_c05_box_invariance_and_active_bound():
         traj, summary = config.run(alpha)
         if summary.max_violation > 1e-12:
             problems.append(f"alpha={alpha:g}: box violation {summary.max_violation:.3e}")
-        for u in traj.u:
-            if abs(u[0]) > 5e-5 + 1e-12:
-                problems.append(f"alpha={alpha:g}: sample outside the box: {u[0]!r}")
+        for u in inputs(traj):
+            if abs(u) > 5e-5 + 1e-12:
+                problems.append(f"alpha={alpha:g}: sample outside the box: {u!r}")
                 break
-        for k, fin in enumerate(traj.seg_final_u):
-            w = traj.w[traj.segment_marks[k]][0]
-            if abs(fin[0] - expected[w]) > 1e-7:
+        for k, seg in enumerate(traj.segments):
+            fin, w = seg.samples.final_u, seg.w[0]
+            if abs(fin - expected[w]) > 1e-7:
                 problems.append(
                     f"alpha={alpha:g} segment {k + 1}: |u - {expected[w]:g}| = "
-                    f"{abs(fin[0] - expected[w]):.3e} > 1e-7")
+                    f"{abs(fin - expected[w]):.3e} > 1e-7")
     _criterion(5, not problems,
                "projected runs at alphas 1,10,100: every sample inside the box and "
                "segment-final inputs within 1e-7 of the active bounds"
@@ -347,8 +354,8 @@ def test_c08_numerics_gates():
             dt = default_dt(config.plant, config.cost, alpha)
             t1, _ = replace(config, dt=dt).run(alpha)
             t2, _ = replace(config, dt=0.5 * dt).run(alpha)
-            end1 = t1.seg_final_x[-1] + t1.seg_final_u[-1]
-            end2 = t2.seg_final_x[-1] + t2.seg_final_u[-1]
+            end1 = final_state(t1)
+            end2 = final_state(t2)
             rel = vec_norm(vec_sub(end1, end2)) / max(1.0, vec_norm(end2))
             worst_rel = max(worst_rel, rel)
     halving_ok = worst_rel <= 1e-6

@@ -10,7 +10,7 @@ from ofo.errors import InputError
 from ofo.linalg import Matrix, vec_norm, vec_sub
 from ofo.sim import DisturbanceSchedule, RunConfig
 
-from conftest import ofo_rate
+from conftest import inputs, ofo_rate
 
 
 class TestProjBox:
@@ -101,14 +101,14 @@ class TestProjectedController:
         assert self.cost.grad_u_lipschitz == 22.0
         default = self.config(slow_sine_plant)
         explicit = self.config(slow_sine_plant, beta=1.0 / 22.0)  # no error at the boundary
-        assert default.run(10.0)[0].u == explicit.run(10.0)[0].u
+        assert inputs(default.run(10.0)[0]) == inputs(explicit.run(10.0)[0])
         # the stepsize shows in the trajectory
         halved = self.config(slow_sine_plant, beta=1.0 / 44.0)
-        assert halved.run(10.0)[0].u != explicit.run(10.0)[0].u
+        assert inputs(halved.run(10.0)[0]) != inputs(explicit.run(10.0)[0])
         # the default follows the cost, so replace() keeps no stale value
         wider = SqrtPlusCost(a=5.5)
-        assert (replace(default, cost=wider).run(10.0)[0].u
-                == replace(explicit, cost=wider, beta=1.0 / 11.0).run(10.0)[0].u)
+        assert (inputs(replace(default, cost=wider).run(10.0)[0])
+                == inputs(replace(explicit, cost=wider, beta=1.0 / 11.0).run(10.0)[0]))
 
     def test_stepsize_gate(self, slow_sine_plant):
         with pytest.raises(InputError, match="projected-law precondition"):

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import os
 import subprocess
@@ -325,6 +326,30 @@ class TestSweepCommand:
         assert sorted(os.listdir(out_dir)) == ["alpha_400000.csv", "summary.csv"]
 
 
+    def test_overflow_of_finite_states_recorded(self, tmp_path, capsys):
+        # fig1 at gain 1000 over 700 time units: the states stay finite
+        # (|x| about 3e199), so the kernel never stops, but V overflows from
+        # t = 538.325 on.  The gain's row records the divergence, the sweep
+        # goes on, and `simulate` exits 4 without writing its CSV.
+        doc = yaml.safe_load(Path(bundled_scenario_path("fig1")).read_text("utf-8"))
+        doc["sim"]["t_end"] = 700.0
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", write_doc(tmp_path, doc), "--alphas", "10,1000",
+                     "--out", str(out_dir)]) == 0
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert rows[0].startswith("10,") and rows[0].endswith(",ok")
+        assert rows[1].startswith("1000,,,,,divergence detected at t = 538.325 in segment 4: ")
+        assert sorted(os.listdir(out_dir)) == ["alpha_10.csv", "summary.csv"]
+        capsys.readouterr()
+        doc["controller"]["alpha"] = 1000.0
+        out = tmp_path / "x.csv"
+        assert main(["simulate", write_doc(tmp_path, doc, name="a1000.yaml"),
+                     "--out", str(out)]) == 4
+        assert "divergence detected at t = 538.325 in segment 4" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReproduceCommand:
     def test_unknown_figure(self, tmp_path, capsys):
         rc = main(["reproduce", "fig9", "--out", str(tmp_path)])
@@ -368,3 +393,22 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "certified = true" in proc.stdout
+
+
+def test_benchmark_trace_counts_every_layer(tmp_path):
+    # the benchmark's trace mode wraps the program's functions by their
+    # module attributes; a renamed or bypassed one would read zero
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    out_dir = tmp_path / "d"
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "traced.py"),
+                           str(tmp_path / "trace.json"), "reproduce", "fig1", "--out",
+                           str(out_dir)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads((tmp_path / "trace.json").read_text("utf-8"))
+    rows = sum(len(csv.read_text().splitlines()) - 1 for csv in out_dir.glob("alpha_*.csv"))
+    assert rows == 32004
+    assert trace["counts"]["sim.write_csv_rows"] == rows
+    assert trace["calls"]["engine.run_segment"] == 16
+    assert trace["calls"]["sim.summarize"] == 4

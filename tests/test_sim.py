@@ -39,8 +39,12 @@ from ofo.sim import (
 from conftest import (
     bundled_scenario,
     closed_loop_field,
+    final_state,
+    inputs,
+    outputs,
     random_hurwitz_rows,
     random_spd_rows,
+    states,
 )
 
 
@@ -237,8 +241,8 @@ class TestSimulate:
         cfg = RunConfig(plant=fast_plant, cost=quad_cost,
                         schedule=schedule, x0=xstar, u0=ustar, t_end=5.0)
         traj, summary = cfg.run(100.0)
-        drift = max(max(abs(a - b) for a, b in zip(x, xstar)) for x in traj.x)
-        drift = max(drift, max(abs(u[0] - ustar[0]) for u in traj.u))
+        drift = max(max(abs(a - b) for a, b in zip(x, xstar)) for x in states(traj))
+        drift = max(drift, max(abs(u - ustar[0]) for u in inputs(traj)))
         assert drift <= 1e-8
         assert summary.final_error <= 1e-8
 
@@ -258,7 +262,7 @@ class TestSimulate:
         monkeypatch.setattr(plants, "solve_lyapunov", counting)
         rows = sweep_alpha(cfg, [1.0, 10.0])
         assert all(row.error is None for row in rows)
-        assert len(rows[0].trajectory.ustar) == 4
+        assert len(rows[0].trajectory.segments) == 4
         assert calls == []
 
     def test_gradient_convergence_over_long_segment(self, fast_plant, quad_cost):
@@ -277,15 +281,28 @@ class TestSimulate:
             _, summary = cfg.run(alpha)
             assert summary.final_error <= tol, (alpha, summary.final_error)
 
-    def test_segment_boundaries_and_marks(self, fast_plant, quad_cost):
+    def test_segment_boundaries_and_marks(self, fast_plant, quad_cost, monkeypatch):
+        # one Segment per schedule entry, holding the very result object the
+        # kernel returned for it
+        returned = []
+        real = engine.run_segment
+
+        def recording(spec):
+            returned.append(real(spec))
+            return returned[-1]
+
+        monkeypatch.setattr(engine, "run_segment", recording)
         schedule = DisturbanceSchedule(((0.0, (10.0,)), (5.0, (-10.0,))))
         cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=8.0)
         traj, _ = cfg.run(10.0)
-        assert traj.segment_marks[0] == 0
-        k = traj.segment_marks[1]
-        assert traj.t[k] == 5.0
-        assert traj.w[k - 1] == (10.0,)
-        assert traj.w[k] == (-10.0,)
+        assert len(returned) == len(traj.segments) == 2
+        assert all(seg.samples is res for seg, res in zip(traj.segments, returned))
+        assert ([(seg.start, seg.end, seg.w) for seg in traj.segments]
+                == [(0.0, 5.0, (10.0,)), (5.0, 8.0, (-10.0,))])
+        first, second = traj.segments
+        assert first.samples.times[0] == 0.0 and first.samples.times[-1] < 5.0
+        assert second.samples.times[0] == 5.0
+        assert traj.t == first.samples.times + second.samples.times
         assert traj.t[-1] == 8.0
         assert all(t2 > t1 for t1, t2 in zip(traj.t, traj.t[1:]))
 
@@ -294,9 +311,10 @@ class TestSimulate:
         cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=4.0)
         t1, _ = cfg.run(50.0)
         t2, _ = cfg.run(50.0)
-        assert t1.t == t2.t and t1.x == t2.x and t1.u == t2.u
+        assert t1.t == t2.t and states(t1) == states(t2) and inputs(t1) == inputs(t2)
         c = np.array(fast_plant.c.to_rows())
-        for x, y in zip(t1.x, t1.y):
+        assert len(outputs(t1)) == len(t1.t)
+        for x, y in zip(states(t1), outputs(t1)):
             assert y[0] == (c @ np.array(x))[0]
 
     def test_divergence_reports_time_and_segment(self, fast_plant, quad_cost):
@@ -338,8 +356,8 @@ class TestSimulate:
         dt = default_dt(slow_sine_plant, sqrt_cost, 10.0)
         t1, _ = replace(base, dt=dt).run(10.0)
         t2, _ = replace(base, dt=0.5 * dt).run(10.0)
-        end1 = t1.seg_final_x[-1] + t1.seg_final_u[-1]
-        end2 = t2.seg_final_x[-1] + t2.seg_final_u[-1]
+        end1 = final_state(t1)
+        end2 = final_state(t2)
         scale = max(1.0, vec_norm(end2))
         assert vec_norm(vec_sub(end1, end2)) <= 1e-6 * scale
 
@@ -350,7 +368,7 @@ class TestSimulate:
                         schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=100.0,
                         box=BoxSet(lo=(-5e-5,), hi=(5e-5,)))
         traj, _ = cfg.run(100.0)
-        us = [u[0] for u in traj.u]
+        us = inputs(traj)
         assert max(us) >= 5e-5 * (1.0 - 1e-6)
         assert min(us) <= -5e-5 * (1.0 - 1e-6)
         assert max(abs(v) for v in us) <= 5e-5 * (1.0 + 1e-6)
@@ -443,10 +461,10 @@ class TestKernels:
         ]
         for config, alpha in cases:
             field = closed_loop_field(config, alpha, config.schedule.segments[0][1])
-            _, states = integrate(field, config.x0 + config.u0, (0.0, config.t_end), dt)
+            _, generic = integrate(field, config.x0 + config.u0, (0.0, config.t_end), dt)
             traj, _ = config.run(alpha)
-            end_kernel = traj.seg_final_x[-1] + traj.seg_final_u[-1]
-            assert np.array(end_kernel) == pytest.approx(np.array(states[-1]), rel=1e-12,
+            end_kernel = final_state(traj)
+            assert np.array(end_kernel) == pytest.approx(np.array(generic[-1]), rel=1e-12,
                                                          abs=1e-12)
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -540,13 +558,19 @@ class TestLyapunovMachinery:
         for config, alpha in runs:
             traj, _ = config.run(alpha)
             reference = lyapunov_trace(traj, config.lyapunov)
-            assert len(traj.v) == len(traj.t) == len(reference)
+            v = [v for seg in traj.segments for v in seg.samples.vs]
+            assert len(v) == len(traj.t) == len(reference)
             if sys.version_info < (3, 12):
-                assert bits(traj.v) == bits(reference)
+                assert bits(v) == bits(reference)
             else:
                 # from Python 3.12 on, sum() compensates its rounding, so the
                 # reference no longer adds strictly left to right
-                assert traj.v == pytest.approx(reference, rel=1e-12, abs=0.0)
+                assert v == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, 0.0, -1.0])
+    def test_weight_must_be_positive_and_finite(self, xi):
+        with pytest.raises(InputError, match="xi must be positive and finite"):
+            LyapunovSpec(xi=xi, p=Matrix.identity(2))
 
     def test_lyapunov_matrix_must_match_the_plant(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (1.0,)),))
@@ -561,10 +585,8 @@ class TestLyapunovMachinery:
         traj, _ = cfg.run(1.0)
         spec = LyapunovSpec(xi=1.0, p=Matrix.identity(2))
         # anchor is (numerically) the origin here (w = 0); fabricate offsets
-        traj.x = [(0.0, 0.0), (1.0, 0.0)]
-        traj.u = [(0.0,), (0.0,)]
-        traj.t = [0.0, 1.0]
-        traj.seg_of = [0, 0]
+        samples = engine.SegmentResult(times=[0.0, 1.0], xs=[0.0, 0.0, 1.0, 0.0], us=[0.0, 0.0])
+        traj = sim.Trajectory(segments=[replace(traj.segments[0], samples=samples)])
         v = lyapunov_trace(traj, spec)
         assert v[0] == pytest.approx(0.0, abs=1e-16)
         assert v[1] == pytest.approx(1.0, abs=1e-9)
@@ -597,13 +619,14 @@ class TestLyapunovMachinery:
             assert tau > 0.0
             traj, _ = cfg.run(alpha)
             total = ok = 0
-            for seg in range(2):
-                idx = list(traj.segment_indices(seg))
-                for i in idx[:-1]:
-                    estimate = dini_upper_estimate(traj.t, traj.v, i)
-                    slack = tau * traj.v[i] * 0.05 + 1e-9
+            assert len(traj.segments) == 2
+            for seg in traj.segments:
+                times, vs = seg.samples.times, seg.samples.vs
+                for i in range(len(times) - 1):
+                    estimate = dini_upper_estimate(times, vs, i)
+                    slack = tau * vs[i] * 0.05 + 1e-9
                     total += 1
-                    if estimate <= -tau * traj.v[i] + slack:
+                    if estimate <= -tau * vs[i] + slack:
                         ok += 1
             assert ok / total >= 0.99, f"alpha={alpha}: {ok}/{total}"
 
@@ -619,41 +642,45 @@ class TestLyapunovMachinery:
                         lyapunov=spec)
         traj, _ = cfg.run(2.0)
         tau = report.tau(2.0)
-        for seg in range(2):
-            idx = list(traj.segment_indices(seg))
-            ok, worst = envelope_check([traj.v[i] for i in idx],
-                                       [traj.t[i] for i in idx], tau, rel_slack=1e-3)
-            assert ok, f"segment {seg}: worst ratio {worst}"
+        assert len(traj.segments) == 2
+        for k, seg in enumerate(traj.segments):
+            ok, worst = envelope_check(seg.samples.vs, seg.samples.times, tau, rel_slack=1e-3)
+            assert ok, f"segment {k}: worst ratio {worst}"
 
 
 def reference_summarize(traj) -> tuple[float, float, float, float]:
-    """summarize() as a plain loop over every sample."""
+    """summarize() as a plain loop over every sample, with vector norms."""
     settling = 0.0
     overshoot = 0.0
-    for k in range(len(traj.segment_starts)):
-        idx = list(traj.segment_indices(k))
-        ustar = traj.ustar[k]
+    max_violation = 0.0
+    for seg in traj.segments:
+        times = seg.samples.times
+        us = [(u,) for u in seg.samples.us]
+        final_u = (seg.samples.final_u,)
+        ustar = (seg.ustar,)
         band = 0.01 * (1.0 + vec_norm(ustar))
         settled_at = None
-        for i in reversed(idx):
-            if vec_norm(vec_sub(traj.u[i], ustar)) <= band:
+        for i in reversed(range(len(us))):
+            if vec_norm(vec_sub(us[i], ustar)) <= band:
                 settled_at = i
             else:
                 break
-        if settled_at is not None and vec_norm(vec_sub(traj.seg_final_u[k], ustar)) <= band:
-            seg_settling = traj.t[settled_at] - traj.segment_starts[k]
+        if settled_at is not None and vec_norm(vec_sub(final_u, ustar)) <= band:
+            seg_settling = times[settled_at] - seg.start
         else:
-            seg_settling = traj.segment_ends[k] - traj.segment_starts[k]
+            seg_settling = seg.end - seg.start
         settling = max(settling, seg_settling)
-        u_first = traj.u[idx[0]] if idx else traj.seg_final_u[k]
+        u_first = us[0] if us else final_u
         for j in range(len(ustar)):
             direction = 1.0 if ustar[j] >= u_first[j] else -1.0
-            for i in idx:
-                excess = direction * (traj.u[i][j] - ustar[j])
+            for u in us:
+                excess = direction * (u[j] - ustar[j])
                 if excess > overshoot:
                     overshoot = excess
-    final_error = vec_norm(vec_sub(traj.seg_final_u[-1], traj.ustar[-1]))
-    return final_error, settling, overshoot, traj.max_box_violation
+        max_violation = max(max_violation, seg.samples.max_violation)
+    last = traj.segments[-1]
+    final_error = vec_norm(vec_sub((last.samples.final_u,), (last.ustar,)))
+    return final_error, settling, overshoot, max_violation
 
 
 class TestSummaries:
@@ -672,11 +699,12 @@ class TestSummaries:
         settled = 0
         for config, alpha in runs:
             traj, summary = config.run(alpha)
-            settled += summary.settling_time < traj.segment_ends[0] - traj.segment_starts[0]
+            first = traj.segments[0]
+            settled += summary.settling_time < first.end - first.start
             assert bits([summary.final_error, summary.settling_time, summary.overshoot,
                          summary.max_violation]) == bits(reference_summarize(traj))
         assert settled >= 2
-        assert traj.ustar[0][0] < 0.0 and summary.overshoot > 0.0
+        assert traj.segments[0].ustar < 0.0 and summary.overshoot > 0.0
 
     def test_settled_run(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (10.0,)),))
@@ -740,7 +768,7 @@ class TestSweep:
         assert rows[0].alpha == 50.0
         assert rows[0].error is None
         assert rows[0].trajectory.t == traj.t
-        assert rows[0].trajectory.u == traj.u
+        assert inputs(rows[0].trajectory) == inputs(traj)
         assert rows[0].summary == summary
 
     def test_rows_keep_input_order(self, fast_plant, quad_cost):
@@ -784,7 +812,7 @@ class TestCsv:
         write_csv(traj, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,x1,x2,u1,y1,w1,V,ustar1"
-        assert lines[0] == csv_header(2, 1, 1, 1)
+        assert lines[0] == csv_header(2, 1, 1)
         assert len(lines) == len(traj.t) + 1
         first = lines[1].split(",")
         assert first[0] == "0"
@@ -816,29 +844,21 @@ class TestCsv:
     def table(segments) -> sim.Trajectory:
         """A two-state, one-input, one-output trajectory from
         (w, ustar, rows) segments, each row a (t, x1, x2, u1, y1, V) tuple."""
-        traj = sim.Trajectory(
-            t=[], x=[], u=[], y=[], w=[], seg_of=[], v=[], segment_marks=[],
-            segment_starts=[], segment_ends=[], ustar=[], xstar=[], seg_final_x=[],
-            seg_final_u=[], max_box_violation=0.0, dt=0.1)
-        for k, (w, ustar, rows) in enumerate(segments):
-            traj.segment_marks.append(len(traj.t))
-            traj.ustar.append((ustar,))
-            for t, x1, x2, u1, y1, v in rows:
-                traj.t.append(t)
-                traj.x.append((x1, x2))
-                traj.u.append((u1,))
-                traj.y.append((y1,))
-                traj.w.append((w,))
-                traj.v.append(v)
-                traj.seg_of.append(k)
+        traj = sim.Trajectory()
+        for w, ustar, rows in segments:
+            t, x1, x2, u1, y1, v = (list(column) for column in zip(*rows))
+            samples = engine.SegmentResult(times=t, xs=[x for pair in zip(x1, x2) for x in pair],
+                                           us=u1, ys=y1, vs=v)
+            traj.segments.append(sim.Segment(start=t[0], end=t[-1], w=(w,), ustar=ustar,
+                                             xstar=(0.0, 0.0), samples=samples))
         return traj
 
-    def oracle_csv(self, traj) -> str:
-        lines = [csv_header(2, 1, 1, 1)]
-        for i in range(len(traj.t)):
-            fields = [traj.t[i], *traj.x[i], *traj.u[i], *traj.y[i], *traj.w[i], traj.v[i],
-                      *traj.ustar[traj.seg_of[i]]]
-            lines.append(",".join(self.oracle_fmt12(f) for f in fields))
+    def oracle_csv(self, segments) -> str:
+        lines = [csv_header(2, 1, 1)]
+        for w, ustar, rows in segments:
+            for t, x1, x2, u1, y1, v in rows:
+                fields = [t, x1, x2, u1, y1, w, v, ustar]
+                lines.append(",".join(self.oracle_fmt12(f) for f in fields))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -859,7 +879,7 @@ class TestCsv:
 
     def assert_matches_oracle(self, segments, monkeypatch):
         traj = self.table(segments)
-        want = self.oracle_csv(traj)
+        want = self.oracle_csv(segments)
         for rewrite in self.rewrites():
             got = self.csv_with(rewrite, traj, monkeypatch)
             if got != want:
