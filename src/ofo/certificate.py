@@ -65,16 +65,12 @@ class SimplifyingConstants:
 
 @dataclass(frozen=True)
 class DominanceParams:
-    """Coefficients of the coupled decay inequalities plus sandwich constants."""
+    """Coefficients of the coupled decay inequalities."""
 
     mu1: float
     theta1: float
     mu2: float
     theta2: float
-    c1: float
-    d1: float
-    c2: float = 0.5
-    d2: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -104,10 +100,12 @@ class PlantConstants:
 def derive_plant_constants(plant: LinearPlant) -> PlantConstants:
     """Systematic plant constants from the canonical Lyapunov solve.
 
-    P is chosen so that the quadratic form W(x, u) = (x - s(u))^T P (x - s(u))
-    decays along the frozen-input dynamics at unit rate: A^T P + P A = -I,
-    giving mu3 = 1, sandwich constants from the extreme eigenvalues of P, and
-    gradient bound zeta3 = 2 lambda_max(P).
+    P is chosen so that the quadratic form W(x) = (x - x*)^T P (x - x*), taken
+    about the segment's steady state x* (the point the kernels record V
+    about, not the input's steady state s(u)), decays along the frozen-input
+    dynamics at unit rate: A^T P + P A = -I, giving mu3 = 1, sandwich
+    constants from the extreme eigenvalues of P, and gradient bound
+    zeta3 = 2 lambda_max(P).
     """
     try:
         p = solve_lyapunov(plant.a.transpose(), Matrix.identity(plant.n))
@@ -174,8 +172,6 @@ def derive_dominance_params(k: SimplifyingConstants) -> DominanceParams:
         theta1=(k.ell_f ** 2) * (k.zeta3 ** 2) / (2.0 * k.mu3),
         mu2=gap / 2.0,
         theta2=(k.ell_g ** 2) * (k.ell_phi_y ** 2) / (2.0 * gap * k.c3),
-        c1=k.c3,
-        d1=k.d3,
     )
 
 

@@ -87,7 +87,7 @@ def _summary_line(alpha: float, summary: RunSummary) -> str:
 def cmd_certify(args) -> int:
     scenario = Scenario.load(args.scenario)
     try:
-        report = certify(scenario.build_plant(), scenario.build_cost(), scenario.alpha,
+        report = certify(scenario.plant, scenario.cost, scenario.alpha,
                          scenario.overrides, scenario.claimed_mu_bound_rhs)
     except ConvexityGapError as exc:
         print(f"not certified: {exc}")

@@ -1,15 +1,21 @@
 """Scenario files: one YAML document describing plant, cost, controller,
 disturbance schedule, simulation window, and optional certificate inputs.
 
-Parsing is strict: every field is type- and shape-checked with the offending
-field path in the error message, before anything is built or run.
+Parsing builds the objects a run uses: the plant (LinearPlant or SinePlant),
+the cost (QuadraticCost or SqrtPlusCost), the projected law's BoxSet and the
+DisturbanceSchedule.  Each constructor makes its own checks, and its error is
+prefixed with the YAML section it came from.  Parsing itself checks the type
+and range of every field, naming its YAML path, and the fits across sections:
+the lengths of x0 and u0, the schedule's width against B_w and its last start
+against t_end, the box dimension, and the scalar input and output that the
+sqrtplus cost needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 import yaml
 
@@ -20,9 +26,11 @@ from .linalg import Matrix, Vector
 from .plants import LinearPlant, SinePlant
 from .sim import DisturbanceSchedule, RunConfig, DEFAULT_MAX_RECORDS
 
-PLANT_KINDS = ("linear", "sine")
+PLANTS = {"linear": LinearPlant, "sine": SinePlant}
 COST_KINDS = ("quadratic", "sqrtplus")
 CONTROLLER_KINDS = ("gradient", "projected")
+
+T = TypeVar("T")
 
 
 def _require(mapping: Any, key: str, path: str) -> Any:
@@ -64,35 +72,32 @@ def _matrix(value: Any, path: str) -> Matrix:
     return Matrix.from_rows(rows)
 
 
+def _build(section: str, make: Callable[..., T], **fields: Any) -> T:
+    """make(**fields), with an InputError it raises prefixed by its YAML section."""
+    try:
+        return make(**fields)
+    except InputError as exc:
+        raise InputError(f"{section}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario; all cross-field dimensional checks already done."""
+    """A parsed scenario: the plant, cost, input box (None for the gradient
+    law) and disturbance schedule it runs, with the run's numbers."""
 
-    plant_kind: str
-    a: Matrix
-    b: Matrix
-    bw: Matrix
-    c: Matrix
-    cost_kind: str
-    q_u: float | None
-    q_y: float | None
-    a_weight: float | None
-    mu4: float
-    controller_kind: str
+    plant: LinearPlant
+    cost: CostModel
+    box: BoxSet | None
+    schedule: DisturbanceSchedule
     alpha: float
     beta: float | None
-    box_lo: Vector | None
-    box_hi: Vector | None
-    schedule: DisturbanceSchedule
     t_end: float
     dt: float | None
-    x0: Vector | None
-    u0: Vector | None
+    x0: Vector
+    u0: Vector
     max_records: int
     overrides: dict[str, float] = dc_field(default_factory=dict)
     claimed_mu_bound_rhs: float | None = None
-
-    # ---------- construction ----------
 
     @classmethod
     def from_dict(cls, doc: Any) -> "Scenario":
@@ -103,28 +108,31 @@ class Scenario:
             if key not in known:
                 raise InputError(f"scenario: unknown section {key!r}")
 
-        plant = _require(doc, "plant", "scenario")
-        plant_kind = _require(plant, "kind", "plant")
-        if plant_kind not in PLANT_KINDS:
-            raise InputError(f"plant.kind: must be one of {PLANT_KINDS}, got {plant_kind!r}")
-        a = _matrix(_require(plant, "A", "plant"), "plant.A")
-        b = _matrix(_require(plant, "B", "plant"), "plant.B")
-        bw = _matrix(_require(plant, "B_w", "plant"), "plant.B_w")
-        c = _matrix(_require(plant, "C", "plant"), "plant.C")
+        plant_doc = _require(doc, "plant", "scenario")
+        plant_kind = _require(plant_doc, "kind", "plant")
+        if plant_kind not in PLANTS:
+            raise InputError(f"plant.kind: must be one of {tuple(PLANTS)}, got {plant_kind!r}")
+        a, b, bw, c = (_matrix(_require(plant_doc, key, "plant"), f"plant.{key}")
+                       for key in ("A", "B", "B_w", "C"))
+        plant = _build("plant", PLANTS[plant_kind], a=a, b=b, bw=bw, c=c)
+        n, m = plant.n, plant.m
 
-        cost = _require(doc, "cost", "scenario")
-        cost_kind = _require(cost, "kind", "cost")
+        cost_doc = _require(doc, "cost", "scenario")
+        cost_kind = _require(cost_doc, "kind", "cost")
         if cost_kind not in COST_KINDS:
             raise InputError(f"cost.kind: must be one of {COST_KINDS}, got {cost_kind!r}")
-        q_u = q_y = a_weight = None
-        if cost_kind == "quadratic":
-            q_u = _number(_require(cost, "q_u", "cost"), "cost.q_u")
-            q_y = _number(cost.get("q_y", 1.0), "cost.q_y")
-        else:
-            a_weight = _number(_require(cost, "a", "cost"), "cost.a")
-        mu4 = _number(cost.get("mu4", 0.0), "cost.mu4")
+        mu4 = _number(cost_doc.get("mu4", 0.0), "cost.mu4")
         if mu4 < 0.0:
             raise InputError("cost.mu4: must be nonnegative")
+        if cost_kind == "quadratic":
+            cost = _build("cost", QuadraticCost,
+                          q_u=_number(_require(cost_doc, "q_u", "cost"), "cost.q_u"),
+                          q_y=_number(cost_doc.get("q_y", 1.0), "cost.q_y"), mu4=mu4)
+        else:
+            cost = _build("cost", SqrtPlusCost,
+                          a=_number(_require(cost_doc, "a", "cost"), "cost.a"), mu4=mu4)
+            if m != 1 or plant.p != 1:
+                raise InputError("cost: the sqrtplus cost requires scalar input and output")
 
         controller = _require(doc, "controller", "scenario")
         controller_kind = _require(controller, "kind", "controller")
@@ -134,22 +142,20 @@ class Scenario:
         alpha = _number(_require(controller, "alpha", "controller"), "controller.alpha")
         if alpha <= 0.0:
             raise InputError("controller.alpha: must be positive")
-        beta = None
-        if "beta" in controller:
-            beta = _number(controller["beta"], "controller.beta")
-        box_lo = box_hi = None
+        box = beta = None
         if controller_kind == "projected":
-            box = _require(controller, "box", "controller")
-            box_lo = tuple(_number_list(_require(box, "lo", "controller.box"),
-                                        "controller.box.lo", finite=False))
-            box_hi = tuple(_number_list(_require(box, "hi", "controller.box"),
-                                        "controller.box.hi", finite=False))
-            for i, (lo_i, hi_i) in enumerate(zip(box_lo, box_hi)):
-                if lo_i > hi_i:
-                    raise InputError(
-                        f"controller.box: component {i + 1} has lo > hi ({lo_i} > {hi_i})")
-        elif "box" in controller:
-            raise InputError("controller.box: only valid for the projected law")
+            box_doc = _require(controller, "box", "controller")
+            lo, hi = (_number_list(_require(box_doc, key, "controller.box"),
+                                   f"controller.box.{key}", finite=False) for key in ("lo", "hi"))
+            box = _build("controller.box", BoxSet, lo=lo, hi=hi)
+            if box.dim != m:
+                raise InputError("controller.box: dimension does not match the plant input")
+            if "beta" in controller:
+                beta = _number(controller["beta"], "controller.beta")
+        else:
+            for key in ("box", "beta"):
+                if key in controller:
+                    raise InputError(f"controller.{key}: only valid for the projected law")
 
         schedule_doc = _require(doc, "schedule", "scenario")
         if not isinstance(schedule_doc, list) or not schedule_doc:
@@ -160,17 +166,27 @@ class Scenario:
             if len(vals) < 2:
                 raise InputError(f"schedule[{i}]: needs a start time and disturbance values")
             segments.append((vals[0], tuple(vals[1:])))
-        schedule = DisturbanceSchedule(tuple(segments))
+        schedule = _build("schedule", DisturbanceSchedule, segments=tuple(segments))
+        if schedule.q != plant.bw.cols:
+            raise InputError(
+                f"schedule: disturbance width {schedule.q} does not match plant.B_w "
+                f"({plant.bw.cols} columns)")
 
         sim = _require(doc, "sim", "scenario")
         t_end = _number(_require(sim, "t_end", "sim"), "sim.t_end")
         if t_end <= 0.0:
             raise InputError("sim.t_end: must be positive")
+        if schedule.segments[-1][0] >= t_end:
+            raise InputError("schedule: last segment starts at or after sim.t_end")
         dt = _number(sim["dt"], "sim.dt") if "dt" in sim else None
         if dt is not None and dt <= 0.0:
             raise InputError("sim.dt: must be positive")
-        x0 = tuple(_number_list(sim["x0"], "sim.x0")) if "x0" in sim else None
-        u0 = tuple(_number_list(sim["u0"], "sim.u0")) if "u0" in sim else None
+        x0 = tuple(_number_list(sim["x0"], "sim.x0")) if "x0" in sim else (0.0,) * n
+        if len(x0) != n:
+            raise InputError(f"sim.x0: expected length {n}")
+        u0 = tuple(_number_list(sim["u0"], "sim.u0")) if "u0" in sim else (0.0,) * m
+        if len(u0) != m:
+            raise InputError(f"sim.u0: expected length {m}")
         max_records = sim.get("max_records", DEFAULT_MAX_RECORDS)
         if isinstance(max_records, bool) or not isinstance(max_records, int) or max_records < 2:
             raise InputError(f"sim.max_records: expected an integer of at least 2, "
@@ -189,16 +205,9 @@ class Scenario:
             if "claimed_mu_bound_rhs" in cert:
                 claimed = _number(cert["claimed_mu_bound_rhs"], "certificate.claimed_mu_bound_rhs")
 
-        scenario = cls(
-            plant_kind=plant_kind, a=a, b=b, bw=bw, c=c,
-            cost_kind=cost_kind, q_u=q_u, q_y=q_y, a_weight=a_weight, mu4=mu4,
-            controller_kind=controller_kind, alpha=alpha, beta=beta,
-            box_lo=box_lo, box_hi=box_hi,
-            schedule=schedule, t_end=t_end, dt=dt, x0=x0, u0=u0,
-            max_records=max_records, overrides=overrides, claimed_mu_bound_rhs=claimed,
-        )
-        scenario.validate()
-        return scenario
+        return cls(plant=plant, cost=cost, box=box, schedule=schedule, alpha=alpha, beta=beta,
+                   t_end=t_end, dt=dt, x0=x0, u0=u0, max_records=max_records,
+                   overrides=overrides, claimed_mu_bound_rhs=claimed)
 
     @classmethod
     def loads(cls, text: str) -> "Scenario":
@@ -217,55 +226,7 @@ class Scenario:
             raise InputError(f"cannot read scenario file {path!r}: {exc}") from exc
         return cls.loads(text)
 
-    def validate(self) -> None:
-        n = self.a.rows
-        if self.b.rows != n or self.bw.rows != n or self.c.cols != n or not self.a.is_square():
-            raise InputError("plant: matrix shapes are inconsistent")
-        m = self.b.cols
-        if self.plant_kind == "sine" and m != 1:
-            raise InputError("plant.B: the sine plant requires a scalar input")
-        if self.cost_kind == "sqrtplus" and (m != 1 or self.c.rows != 1):
-            raise InputError("cost: the sqrtplus cost requires scalar input and output")
-        if self.schedule.q != self.bw.cols:
-            raise InputError(
-                f"schedule: disturbance width {self.schedule.q} does not match plant.B_w "
-                f"({self.bw.cols} columns)")
-        if self.schedule.segments[-1][0] >= self.t_end:
-            raise InputError("schedule: last segment starts at or after sim.t_end")
-        if self.box_lo is not None and len(self.box_lo) != m:
-            raise InputError("controller.box: dimension does not match the plant input")
-        if self.x0 is not None and len(self.x0) != n:
-            raise InputError(f"sim.x0: expected length {n}")
-        if self.u0 is not None and len(self.u0) != m:
-            raise InputError(f"sim.u0: expected length {m}")
-
-    # ---------- object construction ----------
-
-    def build_plant(self) -> LinearPlant:
-        cls = SinePlant if self.plant_kind == "sine" else LinearPlant
-        return cls(a=self.a, b=self.b, bw=self.bw, c=self.c)
-
-    def build_cost(self) -> CostModel:
-        if self.cost_kind == "quadratic":
-            return QuadraticCost(q_u=self.q_u, q_y=self.q_y, mu4=self.mu4)
-        return SqrtPlusCost(a=self.a_weight, mu4=self.mu4)
-
-    def build_box(self) -> BoxSet | None:
-        if self.box_lo is None:
-            return None
-        return BoxSet(lo=self.box_lo, hi=self.box_hi)
-
     def run_config(self) -> RunConfig:
-        plant = self.build_plant()
-        return RunConfig(
-            plant=plant,
-            cost=self.build_cost(),
-            schedule=self.schedule,
-            x0=self.x0 if self.x0 is not None else (0.0,) * plant.n,
-            u0=self.u0 if self.u0 is not None else (0.0,) * plant.m,
-            t_end=self.t_end,
-            beta=self.beta,
-            box=self.build_box(),
-            dt=self.dt,
-            max_records=self.max_records,
-        )
+        return RunConfig(plant=self.plant, cost=self.cost, schedule=self.schedule,
+                         x0=self.x0, u0=self.u0, t_end=self.t_end, beta=self.beta,
+                         box=self.box, dt=self.dt, max_records=self.max_records)

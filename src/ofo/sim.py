@@ -28,7 +28,6 @@ from .linalg import (
     spectral_norm,
     vec_sub,
 )
-from .ode import plan_steps
 from .plants import LinearPlant, SinePlant
 
 DEFAULT_MAX_RECORDS = 20000
@@ -140,6 +139,24 @@ def default_dt(plant: LinearPlant, cost: CostModel, alpha: float) -> float:
             f"step-limited: alpha = {alpha:.6g} needs dt = {dt:.6g} for explicit stepping "
             f"to stay stable; the floor is {_DT_FLOOR:g}")
     return min(2.5e-3, dt)
+
+
+def plan_steps(t0: float, t1: float, dt: float) -> tuple[int, float]:
+    """Split [t0, t1] into full dt steps plus one shortened final step.
+
+    Returns (n_full, last_dt); last_dt == 0.0 when dt divides the span.  A dt
+    longer than the span degenerates to a single shortened step.
+    """
+    if dt <= 0.0:
+        raise InputError("dt must be positive")
+    span = t1 - t0
+    if span <= 0.0:
+        raise InputError("time span must have t1 > t0")
+    n_full = int(math.floor(span / dt + 1e-12))
+    rem = span - n_full * dt
+    if rem <= 1e-12 * dt:
+        rem = 0.0
+    return n_full, rem
 
 
 def _closed_form_optimum(plant: LinearPlant, cost: CostModel, w: Vector,
@@ -254,32 +271,15 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
     if not 0.0 < alpha < math.inf:
         raise InputError(f"controller gain alpha must be positive and finite, got {alpha}")
     plant, cost, box, schedule = config.plant, config.cost, config.box, config.schedule
-    x0 = as_vector(config.x0, "x0")
-    u0 = as_vector(config.u0, "u0")
-    t_end = config.t_end
-    if len(x0) != plant.n:
-        raise InputError(f"x0 has length {len(x0)}, expected {plant.n}")
-    if len(u0) != 1:
-        raise InputError(f"u0 has length {len(u0)}, expected 1")
-    if not 0.0 < t_end < math.inf:
-        raise InputError(f"t_end must be positive and finite, got {t_end}")
-    if schedule.q != plant.bw.cols:
-        raise InputError("schedule disturbance dimension does not match the plant")
-    if schedule.segments[-1][0] >= t_end:
-        raise InputError("schedule extends beyond t_end")
     dt = config.dt if config.dt is not None else default_dt(plant, cost, alpha)
-    if not 0.0 < dt < math.inf:
-        raise InputError(f"dt must be positive and finite, got {dt}")
     lyapunov = config.lyapunov
-    if lyapunov is not None and (lyapunov.p.rows, lyapunov.p.cols) != (plant.n, plant.n):
-        raise InputError(f"the Lyapunov matrix must be {plant.n}x{plant.n}")
 
     warnings: list[str] = []
     if box is None:
         beta = 0.0
         lo, hi = -math.inf, math.inf
     else:
-        if not box.contains(u0):
+        if not box.contains(config.u0):
             warnings.append("u0 lies outside the input box; forward invariance is not guaranteed")
         (lo,), (hi,) = box.lo, box.hi
         beta = config.beta if config.beta is not None else 1.0 / cost.grad_u_lipschitz
@@ -287,14 +287,14 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
     cq1, cq2 = (cost.q_u, cost.q_y) if quadratic else (cost.a, 0.0)
     lyap_xi, lyap_p = (lyapunov.xi, list(lyapunov.p.data)) if lyapunov is not None else (0.0, [])
 
-    boundaries = [t for t, _ in schedule.segments] + [t_end]
+    boundaries = [t for t, _ in schedule.segments] + [config.t_end]
     n_segments = len(schedule.segments)
     per_seg_records = max(2, config.max_records // n_segments)
 
     traj = Trajectory(warnings=warnings)
     ustar_cache: dict[Vector, float] = {}
-    x = list(x0)
-    (u,) = u0
+    x = list(config.x0)
+    (u,) = config.u0
     for k, (t_start, w) in enumerate(schedule.segments):
         t_stop = boundaries[k + 1]
         if w not in ustar_cache:
@@ -421,7 +421,10 @@ class RunConfig:
     """Everything needed to run one scenario at a chosen gain.
 
     The plant's input is a scalar, and a given box is an interval; only the
-    certificate handles inputs of any dimension.  The law is the projected
+    certificate handles inputs of any dimension.  The run's fit is checked
+    here, once for every gain: the lengths of x0 and u0, the schedule's
+    width against B_w and its last start against a positive, finite t_end,
+    a given dt, and the Lyapunov matrix's shape.  The law is the projected
     one exactly when box is set, and the gradient law otherwise.  A given
     beta must satisfy 0 < beta <= 1/L; None means 1/L, worked out at each
     run, so a replaced cost keeps no stale stepsize.
@@ -440,11 +443,29 @@ class RunConfig:
     lyapunov: LyapunovSpec | None = None
 
     def __post_init__(self):
-        if self.plant.m != 1:
+        plant, schedule = self.plant, self.schedule
+        if plant.m != 1:
             raise InputError("the simulator runs scalar-input plants only; "
-                             f"this plant has {self.plant.m} inputs")
+                             f"this plant has {plant.m} inputs")
         if self.box is not None and self.box.dim != 1:
             raise InputError(f"the input box must be one-dimensional, not {self.box.dim}")
+        object.__setattr__(self, "x0", as_vector(self.x0, "x0"))
+        object.__setattr__(self, "u0", as_vector(self.u0, "u0"))
+        if len(self.x0) != plant.n:
+            raise InputError(f"x0 has length {len(self.x0)}, expected {plant.n}")
+        if len(self.u0) != 1:
+            raise InputError(f"u0 has length {len(self.u0)}, expected 1")
+        if not 0.0 < self.t_end < math.inf:
+            raise InputError(f"t_end must be positive and finite, got {self.t_end}")
+        if schedule.q != plant.bw.cols:
+            raise InputError("schedule disturbance dimension does not match the plant")
+        if schedule.segments[-1][0] >= self.t_end:
+            raise InputError("schedule extends beyond t_end")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise InputError(f"dt must be positive and finite, got {self.dt}")
+        lyapunov = self.lyapunov
+        if lyapunov is not None and (lyapunov.p.rows, lyapunov.p.cols) != (plant.n, plant.n):
+            raise InputError(f"the Lyapunov matrix must be {plant.n}x{plant.n}")
         if self.beta is not None:
             if not self.beta > 0.0:
                 raise InputError("stepsize beta must be positive")

@@ -1,14 +1,20 @@
+import math
 import random
 from importlib.resources import files as resource_files
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 
 from ofo.controllers import proj_box
 from ofo.costs import QuadraticCost, SqrtPlusCost, reduced_gradient
+from ofo.errors import DivergenceError, InputError
 from ofo.linalg import Matrix
 from ofo.plants import LinearPlant, SinePlant
 from ofo.scenario import Scenario
+from ofo.sim import plan_steps
+
+VectorField = Callable[[tuple[float, ...]], Sequence[float]]
 
 
 def bundled_scenario_path(name: str) -> str:
@@ -90,6 +96,55 @@ def closed_loop_field(config, alpha, w):
         return plant.dynamics(x, u, w) + du
 
     return field
+
+
+def rk4_step(field: VectorField, x: tuple[float, ...], h: float) -> tuple[float, ...]:
+    """One classical 4th-order Runge-Kutta step of size h."""
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    k1 = field(x)
+    k2 = field(tuple(x[i] + h2 * k1[i] for i in range(len(x))))
+    k3 = field(tuple(x[i] + h2 * k2[i] for i in range(len(x))))
+    k4 = field(tuple(x[i] + h * k3[i] for i in range(len(x))))
+    return tuple(x[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(len(x)))
+
+
+def integrate(
+    field: VectorField,
+    x0: Sequence[float],
+    t_span: tuple[float, float],
+    dt: float,
+) -> tuple[list[float], list[tuple[float, ...]]]:
+    """Generic fixed-step RK4 reference integration of an autonomous field,
+    sampling every step.
+
+    Samples are taken at t0, t0+dt, ... with the final partial step shortened
+    (see plan_steps) to land exactly on t1.  A non-finite state raises
+    DivergenceError carrying the blow-up time.
+    """
+    t0, t1 = t_span
+    n_full, last_dt = plan_steps(t0, t1, dt)
+    x = tuple(float(v) for v in x0)
+    times = [t0]
+    states = [x]
+    n_tot = n_full + (1 if last_dt > 0.0 else 0)
+    for i in range(n_tot):
+        h = dt if i < n_full else last_dt
+        x = rk4_step(field, x, h)
+        t = t1 if i + 1 == n_tot else t0 + (i + 1) * dt
+        for v in x:
+            if not math.isfinite(v):
+                raise DivergenceError(f"divergence detected at t = {t:.6g}", time=t)
+        times.append(t)
+        states.append(x)
+    return times, states
+
+
+def dini_upper_estimate(times: Sequence[float], values: Sequence[float], index: int) -> float:
+    """Forward-difference surrogate for the upper right Dini derivative."""
+    if index < 0 or index >= len(values) - 1:
+        raise InputError("index must not point at the last sample")
+    return (values[index + 1] - values[index]) / (times[index + 1] - times[index])
 
 
 def states(traj) -> list[tuple[float, ...]]:

@@ -26,7 +26,6 @@ from ofo.controllers import BoxSet, proj_box
 from ofo.engine import pure
 from ofo.errors import DivergenceError
 from ofo.linalg import Matrix, solve_lyapunov, vec_norm, vec_sub
-from ofo.ode import integrate
 from ofo.sim import DisturbanceSchedule, optimal_input
 
 from conftest import (
@@ -34,6 +33,7 @@ from conftest import (
     bundled_scenario_path,
     final_state,
     inputs,
+    integrate,
     random_hurwitz_rows,
     random_spd_rows,
 )
@@ -166,9 +166,9 @@ def test_c04_resonant_scenario_convergence():
 
     # numpy oracle: the gradient law on a linear plant with a quadratic cost
     # is the affine loop [[A, B], [-2 alpha q_y H^T C, -2 alpha q_u I]]
-    a = np.array(scenario.a.to_rows())
-    b = np.array(scenario.b.to_rows())
-    c = np.array(scenario.c.to_rows())
+    a = np.array(scenario.plant.a.to_rows())
+    b = np.array(scenario.plant.b.to_rows())
+    c = np.array(scenario.plant.c.to_rows())
     h = -c @ np.linalg.inv(a) @ b
 
     def abscissa(alpha):
@@ -237,10 +237,10 @@ def test_c05_box_invariance_and_active_bound():
 
     # derived active-bound optima via dense grid over the box
     grid = np.linspace(-5e-5, 5e-5, 100001)
-    a = np.array(scenario.a.to_rows())
-    b = np.array(scenario.b.to_rows())[:, 0]
-    bw = np.array(scenario.bw.to_rows())[:, 0]
-    c = np.array(scenario.c.to_rows())[0]
+    a = np.array(scenario.plant.a.to_rows())
+    b = np.array(scenario.plant.b.to_rows())[:, 0]
+    bw = np.array(scenario.plant.bw.to_rows())[:, 0]
+    c = np.array(scenario.plant.c.to_rows())[0]
 
     def grid_opt(w):
         states = -np.linalg.inv(a) @ (np.outer(b, grid + np.sin(grid))
@@ -279,8 +279,7 @@ def test_c06_constrained_scenario_certifies(capsys):
     taus = []
     scenario = bundled_scenario("fig2")
     for alpha in (1.0, 10.0, 100.0):
-        report = certify(scenario.build_plant(), scenario.build_cost(), alpha,
-                         scenario.overrides)
+        report = certify(scenario.plant, scenario.cost, alpha, scenario.overrides)
         taus.append(report.tau_at_alpha)
     _criterion(6, rc == 0 and "certified = true" in out and all(t > 0.0 for t in taus),
                f"certify exits 0 and tau(alpha) > 0 for alphas 1,10,100: {[f'{t:.4g}' for t in taus]}")
@@ -295,7 +294,7 @@ def test_c07_discrepancy_reported_not_asserted(capsys):
         if line.startswith("mu_bound_rhs = "):
             k = float(line.split(" = ")[1])
     # independent recomputation of the bound from first principles (numpy)
-    a = np.array(scenario.a.to_rows())
+    a = np.array(scenario.plant.a.to_rows())
     p = np.linalg.solve(np.kron(np.eye(2), a.T) + np.kron(a.T, np.eye(2)),
                         -np.eye(2).reshape(-1)).reshape(2, 2)
     lam = np.linalg.eigvalsh(0.5 * (p + p.T))

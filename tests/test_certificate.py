@@ -83,7 +83,6 @@ class TestDominanceParams:
     def test_unit_plug_in(self):
         p = derive_dominance_params(all_ones())
         assert (p.mu1, p.theta1, p.mu2, p.theta2) == (0.5, 0.5, 0.5, 0.5)
-        assert (p.c1, p.d1, p.c2, p.d2) == (1.0, 1.0, 0.5, 0.5)
 
     def test_quadratic_example_arithmetic(self):
         k = all_ones(mu_phi=0.02, ell_phi_y=0.19802, lip_grad_u=0.02)
@@ -118,7 +117,7 @@ class TestFeasibleXi:
     def test_boundary_is_infeasible(self):
         from ofo.certificate import DominanceParams
 
-        p = DominanceParams(mu1=1.0, theta1=1.0, mu2=1.0, theta2=1.0, c1=1.0, d1=1.0)
+        p = DominanceParams(mu1=1.0, theta1=1.0, mu2=1.0, theta2=1.0)
         assert feasible_xi(p) is None
 
     def test_conservative_resonant_example_infeasible(self, fast_plant, quad_cost):
@@ -152,7 +151,7 @@ class TestDecayRate:
     def test_min_structure(self):
         from ofo.certificate import DominanceParams
 
-        p = DominanceParams(mu1=1.0, theta1=0.5, mu2=1.0, theta2=0.5, c1=1.0, d1=1.0)
+        p = DominanceParams(mu1=1.0, theta1=0.5, mu2=1.0, theta2=0.5)
         assert decay_rate(p, 1.0, 2.0) == pytest.approx(0.5)
         assert decay_rate(p, 1.0, 0.1) == pytest.approx(0.05)
         assert decay_rate(p, 1.0, 1e9) == pytest.approx(0.5)
@@ -160,7 +159,7 @@ class TestDecayRate:
     def test_infeasible_xi_rejected(self):
         from ofo.certificate import DominanceParams
 
-        p = DominanceParams(mu1=1.0, theta1=0.5, mu2=1.0, theta2=0.5, c1=1.0, d1=1.0)
+        p = DominanceParams(mu1=1.0, theta1=0.5, mu2=1.0, theta2=0.5)
         with pytest.raises(InputError, match="dominance"):
             decay_rate(p, 3.0, 1.0)
         with pytest.raises(InputError, match="dominance"):

@@ -61,7 +61,7 @@ class TestSolveLyapunov:
     @pytest.mark.parametrize("alpha", [111.0, 112.0, 2263.0, 2263.7, 2264.0, 2300.0])
     def test_fig1_closed_loop_verdict_matches_spectral_abscissa(self, alpha):
         # fig1's gradient loop [[A, B], [-2 alpha q_y H^T C, -2 alpha q_u I]]
-        # at gains on either side of its unstable interval (111.6, 2263.7);
+        # at gains on either side of its unstable interval (111.5, 2263.7);
         # at 2264 the abscissa is -1e-4 and P is large, so the residual must
         # be judged against ||A|| ||P||, not ||Q|| alone
         a = np.array([[-1.0, 10.0], [-10.0, -1.0]])

@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg
 
 from ofo.errors import DivergenceError, InputError
-from ofo.ode import dini_upper_estimate, integrate, plan_steps
+from ofo.sim import plan_steps
+
+from conftest import dini_upper_estimate, integrate
 
 A_ROWS = np.array([[-1.0, 10.0], [-10.0, -1.0]])
 

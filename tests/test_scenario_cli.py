@@ -42,12 +42,12 @@ def write_doc(tmp_path, doc, name="scenario.yaml") -> str:
 class TestScenarioParsing:
     def test_bundled_scenarios_parse(self):
         fig1 = bundled_scenario("fig1")
-        assert fig1.plant_kind == "linear"
+        assert fig1.plant.kind == "linear"
         assert fig1.claimed_mu_bound_rhs == 0.0198
         fig2 = bundled_scenario("fig2")
-        assert fig2.plant_kind == "sine"
-        assert fig2.controller_kind == "projected"
-        assert fig2.box_hi == (5e-5,)
+        assert fig2.plant.kind == "sine"
+        assert fig2.box is not None
+        assert fig2.box.hi == (5e-5,)
         assert set(fig2.overrides) == {"c3", "d3", "mu3", "zeta3"}
 
     def test_custom_fields_parse(self, tmp_path):
@@ -56,15 +56,13 @@ class TestScenarioParsing:
         doc["cost"]["mu4"] = 0.125
         first = Scenario.load(write_doc(tmp_path, doc))
         assert first.x0 == (0.5, -0.25)
-        assert first.mu4 == 0.125
-        assert first.build_cost().mu4 == 0.125
+        assert first.cost.mu4 == 0.125
         # box bounds are the only numbers that may be infinite
         doc["controller"] = {"kind": "projected", "alpha": 1.0,
                              "box": {"lo": [-math.inf], "hi": [2.0]}}
         second = Scenario.load(write_doc(tmp_path, doc))
-        assert second.box_lo == (-math.inf,)
-        assert second.box_hi == (2.0,)
-        assert second.build_box().lo == (-math.inf,)
+        assert second.box.lo == (-math.inf,)
+        assert second.box.hi == (2.0,)
 
     @pytest.mark.parametrize("mutate, fragment", [
         (lambda d: d.pop("plant"), "plant"),
@@ -86,6 +84,8 @@ class TestScenarioParsing:
         (lambda d: d["controller"].update(alpha=math.inf), "controller.alpha"),
         (lambda d: d["controller"].update(alpha=10 ** 400), "controller.alpha"),
         (lambda d: d["controller"].update(beta=math.nan), "controller.beta"),
+        (lambda d: d["controller"].update(beta=0.5),
+         "controller.beta: only valid for the projected law"),
         (lambda d: d["controller"].update(kind="projected", box={"lo": [math.nan], "hi": [1.0]}),
          "controller.box.lo"),
         (lambda d: d.update(schedule=[[0.0, -math.inf]]), "schedule[0][1]"),
@@ -170,8 +170,7 @@ class TestSimulateCommand:
 
         doc = minimal_doc()
         scenario = Scenario.from_dict(doc)
-        plant = scenario.build_plant()
-        cost = scenario.build_cost()
+        plant, cost = scenario.plant, scenario.cost
         ustar = optimal_input(plant, cost, (10.0,))
         xstar = plant.steady_state(ustar, (10.0,))
         doc["sim"]["x0"] = list(xstar)
@@ -371,7 +370,7 @@ class TestReproduceCommand:
         rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
         settling = [float(r.split(",")[1]) for r in rows[:3]]
         assert settling[0] >= settling[1] >= settling[2]
-        # gain 1000 lies inside the unstable interval (111.6, 2263.7); its
+        # gain 1000 lies inside the unstable interval (111.5, 2263.7); its
         # trajectory is still written
         assert [r.split(",")[-1] for r in rows] == ["ok", "ok", "ok", "not-hurwitz"]
 
@@ -412,3 +411,8 @@ def test_benchmark_trace_counts_every_layer(tmp_path):
     assert trace["counts"]["sim.write_csv_rows"] == rows
     assert trace["calls"]["engine.run_segment"] == 16
     assert trace["calls"]["sim.summarize"] == 4
+    # one parse, which builds the plant and runs its Hurwitz gate, and one
+    # certificate with its own Lyapunov solve
+    assert trace["calls"]["scenario.loads"] == 1
+    assert trace["calls"]["linalg.solve_lyapunov"] == 2
+    assert trace["calls"]["certificate.certify"] == 1

@@ -2,6 +2,7 @@ import io
 import math
 import os
 import random
+import re
 import shutil
 import struct
 import subprocess
@@ -20,7 +21,6 @@ from ofo.costs import QuadraticCost, SqrtPlusCost
 from ofo.engine import pure
 from ofo.errors import DivergenceError, InputError, StepLimitError
 from ofo.linalg import Matrix, vec_norm, vec_sub
-from ofo.ode import dini_upper_estimate, integrate
 from ofo.plants import LinearPlant, SinePlant
 from ofo.sim import (
     DisturbanceSchedule,
@@ -39,8 +39,10 @@ from ofo.sim import (
 from conftest import (
     bundled_scenario,
     closed_loop_field,
+    dini_upper_estimate,
     final_state,
     inputs,
+    integrate,
     outputs,
     random_hurwitz_rows,
     random_spd_rows,
@@ -137,7 +139,7 @@ class TestOptimalInput:
         # the search path (bisection of the reduced gradient) against the
         # closed form, at the tolerance the optimizer once checked at run time
         scenario = bundled_scenario("fig1")
-        cases = [(scenario.build_plant(), scenario.build_cost(), (w,), None) for w in (10.0, -10.0)]
+        cases = [(scenario.plant, scenario.cost, (w,), None) for w in (10.0, -10.0)]
         rng = random.Random(404)
         for _ in range(6):
             plant = LinearPlant(a=Matrix.from_rows(random_hurwitz_rows(rng, 3)),
@@ -245,6 +247,30 @@ class TestSimulate:
         drift = max(drift, max(abs(u - ustar[0]) for u in inputs(traj)))
         assert drift <= 1e-8
         assert summary.final_error <= 1e-8
+
+    @pytest.mark.parametrize("fault, fragment", [
+        (dict(x0=(0.0,)), "x0 has length 1, expected 2"),
+        (dict(u0=(0.0, 0.0)), "u0 has length 2, expected 1"),
+        (dict(schedule=DisturbanceSchedule(((0.0, (10.0, 1.0)),))),
+         "disturbance dimension does not match"),
+        (dict(t_end=0.5), "beyond t_end"),
+        (dict(t_end=0.25), "beyond t_end"),
+        (dict(t_end=math.inf), "t_end must be positive and finite"),
+        (dict(t_end=math.nan), "t_end must be positive and finite"),
+        (dict(dt=math.inf), "dt must be positive and finite"),
+        (dict(dt=math.nan), "dt must be positive and finite"),
+        (dict(lyapunov=LyapunovSpec(xi=1.0, p=Matrix.identity(3))),
+         "the Lyapunov matrix must be 2x2"),
+    ])
+    def test_config_refuses_cross_field_faults_when_built(self, fast_plant, quad_cost,
+                                                          fault, fragment):
+        # a run's own faults are found once, when its configuration is built,
+        # not again at every gain
+        fields = dict(plant=fast_plant, cost=quad_cost, x0=(0.0, 0.0), u0=(0.0,), t_end=1.0,
+                      schedule=DisturbanceSchedule(((0.0, (10.0,)), (0.5, (-10.0,)))))
+        RunConfig(**fields)
+        with pytest.raises(InputError, match=re.escape(fragment)):
+            RunConfig(**{**fields, **fault})
 
     def test_sweep_does_not_rebuild_the_plant(self, fast_plant, quad_cost, monkeypatch):
         # switching the disturbance builds no plant, so the Hurwitz gate runs
@@ -574,9 +600,9 @@ class TestLyapunovMachinery:
 
     def test_lyapunov_matrix_must_match_the_plant(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (1.0,)),))
-        cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0,
-                              lyapunov=LyapunovSpec(xi=1.0, p=Matrix.identity(3)))
         with pytest.raises(InputError, match="2x2"):
+            cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0,
+                                  lyapunov=LyapunovSpec(xi=1.0, p=Matrix.identity(3)))
             cfg.run(1.0)
 
     def test_trace_values_at_anchor_and_unit_offsets(self, fast_plant, quad_cost):
@@ -733,9 +759,10 @@ class TestHurwitzVerdict:
         return bool(np.linalg.eigvals(m).real.max() < 0.0)
 
     def test_affine_loops_match_numpy(self):
-        fig1 = _run_config(bundled_scenario("fig1"))
+        scenario = bundled_scenario("fig1")
+        fig1 = _run_config(scenario)
         # a cost that already carries mu4 from its scenario, varied once more
-        fig1_mu4 = _run_config(replace(bundled_scenario("fig1"), mu4=0.2))
+        fig1_mu4 = _run_config(replace(scenario, cost=replace(scenario.cost, mu4=0.2)))
         assert fig1_mu4.cost.mu4 == 0.2
         configs = [fig1, replace(fig1, cost=replace(fig1.cost, mu4=0.5)),
                    replace(fig1_mu4, cost=replace(fig1_mu4.cost, mu4=0.3))]
@@ -748,6 +775,36 @@ class TestHurwitzVerdict:
                 verdicts.append(verdict)
         assert True in verdicts and False in verdicts
         assert [fig1.hurwitz(a) for a in (1.0, 10.0, 100.0, 1000.0)] == [True, True, True, False]
+
+    def test_verdict_scales_with_the_plant(self):
+        # scaling A, B and B_w by s scales the loop matrix at gain s alpha
+        # by s, so the verdict at s alpha is the unscaled one at alpha and the
+        # unstable gain interval scales by s: fig1's (111.54, 2263.70)
+        # becomes (1115.4, 22637.0)
+        s = 10.0
+        fig1 = bundled_scenario("fig1").run_config()
+        p = fig1.plant
+        scaled = replace(fig1, plant=LinearPlant(a=p.a.scale(s), b=p.b.scale(s),
+                                                 bw=p.bw.scale(s), c=p.c))
+        grid = [10.0 ** (k / 8.0) for k in range(-8, 41)]
+        verdicts = [fig1.hurwitz(alpha) for alpha in grid]
+        assert [scaled.hurwitz(s * alpha) for alpha in grid] == verdicts
+        assert True in verdicts and False in verdicts
+
+        def unstable_end(lo: float, hi: float) -> float:
+            # numpy bisection of the spectral abscissa's sign change
+            stable_lo = self.numpy_verdict(scaled, lo)
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if self.numpy_verdict(scaled, mid) == stable_lo else (lo, mid)
+            return lo
+
+        assert round(unstable_end(1000.0, 2000.0), 1) == 1115.4
+        assert round(unstable_end(2e4, 3e4), 1) == 22637.0
+        checks = {1100.0: True, 1115.0: True, 1116.0: False, 1130.0: False,
+                  22500.0: False, 22636.0: False, 22638.0: True, 22800.0: True}
+        assert {alpha: scaled.hurwitz(alpha) for alpha in checks} == checks
+        assert {alpha: self.numpy_verdict(scaled, alpha) for alpha in checks} == checks
 
     def test_other_loops_have_no_verdict(self, fast_plant, slow_sine_plant, quad_cost, sqrt_cost):
         schedule = DisturbanceSchedule(((0.0, (1.0,)),))
@@ -790,7 +847,7 @@ class TestSweep:
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(InputError):
                 sweep_alpha(cfg, [1.0, bad])
-        # simulate holds dt and t_end to the same 0 < x < inf gate
+        # RunConfig holds dt and t_end to the same 0 < x < inf gate
         for bad in (dict(dt=0.0), dict(dt=math.nan), dict(dt=math.inf),
                     dict(t_end=math.nan), dict(t_end=math.inf)):
             with pytest.raises(InputError, match="positive and finite"):
