@@ -1,9 +1,10 @@
 """Gain-independent stability certification for the closed loop.
 
-Pipeline: derive plant-side constants from a Lyapunov solve, merge them with
-the cost moduli (and any user overrides), map the result to the four dominance
-parameters, and search for a weight xi that makes both coupled decay
-inequalities strict.  When such a weight exists the loop is certified
+Pipeline: take the plant-side constants from the plant's Lyapunov matrix
+(solved once, when the plant is built; this module solves none), merge them
+with the cost moduli and any user overrides, map the result to the four
+dominance parameters, and search for a weight xi that makes both coupled
+decay inequalities strict.  When such a weight exists the loop is certified
 exponentially stable for every controller gain, with rate
 
     tau(alpha) = min(mu1 - xi * theta1, alpha * (mu2 - theta2 / xi)).
@@ -18,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .costs import CostModel
-from .errors import ConvexityGapError, InputError, NotStabilizedError
-from .linalg import Matrix, solve_lyapunov, spectral_norm, sym_eigenvalues
+from .errors import ConvexityGapError, InputError
+from .linalg import spectral_norm, sym_eigenvalues
 from .plants import LinearPlant
 
 #: Names accepted as scenario-file overrides of derived constants.
@@ -82,70 +83,31 @@ class XiInterval:
     chosen: float
 
 
-@dataclass(frozen=True)
-class PlantConstants:
-    """Plant-side certificate data, including the Lyapunov weight matrix."""
-
-    ell_f: float
-    ell_g: float
-    c3: float
-    d3: float
-    mu3: float
-    zeta3: float
-    ell_h: float
-    ell_grad_h: float
-    p: Matrix
-
-
-def derive_plant_constants(plant: LinearPlant) -> PlantConstants:
-    """Systematic plant constants from the canonical Lyapunov solve.
-
-    P is chosen so that the quadratic form W(x) = (x - x*)^T P (x - x*), taken
-    about the segment's steady state x* (the point the kernels record V
-    about, not the input's steady state s(u)), decays along the frozen-input
-    dynamics at unit rate: A^T P + P A = -I, giving mu3 = 1, sandwich
-    constants from the extreme eigenvalues of P, and gradient bound
-    zeta3 = 2 lambda_max(P).
-    """
-    try:
-        p = solve_lyapunov(plant.a.transpose(), Matrix.identity(plant.n))
-    except NotStabilizedError as exc:
-        raise NotStabilizedError(f"plant not certifiable: {exc}") from exc
-    eigs = sym_eigenvalues(p)
-    lam_min, lam_max = eigs[0], eigs[-1]
-    ell_h, ell_grad_h = plant.steady_moduli
-    return PlantConstants(
-        ell_f=plant.input_lipschitz_factor * spectral_norm(plant.b),
-        ell_g=spectral_norm(plant.c),
-        c3=lam_min,
-        d3=lam_max,
-        mu3=1.0,
-        zeta3=2.0 * lam_max,
-        ell_h=ell_h,
-        ell_grad_h=ell_grad_h,
-        p=p,
-    )
-
-
 def assemble_constants(
     plant: LinearPlant,
     cost: CostModel,
     overrides: dict[str, float] | None = None,
-) -> tuple[SimplifyingConstants, PlantConstants, tuple[str, ...]]:
-    """Merge derived plant constants, cost moduli, and user overrides.
+) -> tuple[SimplifyingConstants, tuple[str, ...]]:
+    """The systematic constants with user overrides applied field by field;
+    also returns the sorted names of the overridden fields.
 
-    Overrides win over derived values field by field; the returned tuple names
-    the fields that were overridden so reports can flag them.
+    The plant side comes from plant.lyapunov_p, the P of A^T P + P A = -I:
+    the quadratic form W(x) = (x - x*)^T P (x - x*), taken about the
+    segment's steady state x* (the point the kernels record V about, not the
+    input's steady state s(u)), decays along the frozen-input dynamics at
+    unit rate, so mu3 = 1, the sandwich constants c3 and d3 are the extreme
+    eigenvalues of P and the gradient bound is zeta3 = 2 lambda_max(P).
+    The cost moduli are taken at the plant's steady-output moduli.
     """
-    pc = derive_plant_constants(plant)
-    desc = cost.descriptor(pc.ell_h, pc.ell_grad_h)
+    eigs = sym_eigenvalues(plant.lyapunov_p)
+    desc = cost.descriptor(*plant.steady_moduli)
     values = {
-        "ell_f": pc.ell_f,
-        "ell_g": pc.ell_g,
-        "c3": pc.c3,
-        "d3": pc.d3,
-        "mu3": pc.mu3,
-        "zeta3": pc.zeta3,
+        "ell_f": plant.input_lipschitz_factor * spectral_norm(plant.b),
+        "ell_g": spectral_norm(plant.c),
+        "c3": eigs[0],
+        "d3": eigs[-1],
+        "mu3": 1.0,
+        "zeta3": 2.0 * eigs[-1],
         "mu_phi": desc.mu_phi,
         "ell_phi_u": desc.ell_phi_u,
         "ell_phi_y": desc.ell_phi_y,
@@ -157,7 +119,7 @@ def assemble_constants(
             raise InputError(f"unknown certificate constant override: {name}")
         values[name] = float(value)
         overridden.append(name)
-    return SimplifyingConstants(**values), pc, tuple(sorted(overridden))
+    return SimplifyingConstants(**values), tuple(sorted(overridden))
 
 
 def derive_dominance_params(k: SimplifyingConstants) -> DominanceParams:
@@ -178,13 +140,15 @@ def derive_dominance_params(k: SimplifyingConstants) -> DominanceParams:
 def feasible_xi(p: DominanceParams) -> XiInterval | None:
     """Open interval (theta2/mu2, mu1/theta1) of weights making both decay
     margins strict; None when it is empty.  The geometric mean is picked as
-    the representative weight, balancing the two margins.
+    the representative weight, balancing the two margins; with no output
+    coupling (lo = 0) that mean would be 0, outside the interval, so hi/2 is.
     """
     lo = p.theta2 / p.mu2
     hi = p.mu1 / p.theta1
     if not lo < hi:
         return None
-    return XiInterval(lo=lo, hi=hi, chosen=math.sqrt(lo) * math.sqrt(hi))
+    chosen = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
+    return XiInterval(lo=lo, hi=hi, chosen=chosen)
 
 
 def check_mu_bound(k: SimplifyingConstants) -> tuple[bool, float]:
@@ -234,7 +198,6 @@ class CertificateReport:
     required_mu4: float
     tau_at_alpha: float | None
     claimed_mu_bound_rhs: float | None = None
-    p_matrix: Matrix | None = None
 
     def tau(self, alpha: float) -> float:
         """Certified decay rate at a given gain; only defined when certified."""
@@ -294,7 +257,7 @@ def certify(
     """Run the full certification pipeline for one plant/cost/gain triple."""
     if not 0.0 < alpha < math.inf:
         raise InputError(f"alpha must be positive and finite, got {alpha}")
-    constants, pc, overridden = assemble_constants(plant, cost, overrides)
+    constants, overridden = assemble_constants(plant, cost, overrides)
     params = derive_dominance_params(constants)
     # The interval route is operative (the decay rate needs a concrete
     # weight); the scalar bound is algebraically equivalent and reported.
@@ -315,5 +278,4 @@ def certify(
         required_mu4=required_regularization(constants, margin),
         tau_at_alpha=tau_at_alpha,
         claimed_mu_bound_rhs=claimed_mu_bound_rhs,
-        p_matrix=pc.p,
     )

@@ -17,7 +17,7 @@ from dataclasses import replace
 from importlib.resources import files as resource_files
 from typing import Callable, TextIO
 
-from .certificate import certify, derive_plant_constants
+from .certificate import certify
 from .errors import ConvexityGapError, DivergenceError, InputError, OfoError
 from .scenario import Scenario
 from .sim import LyapunovSpec, RunConfig, RunSummary, fmt12, sweep_alpha, write_csv
@@ -64,17 +64,16 @@ def _atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
 
 def _run_config(scenario: Scenario) -> RunConfig:
     """The scenario's run configuration, with weights for the diagnostic V
-    column: the certified weight when one exists, otherwise weight 1 with the
-    systematic Lyapunov matrix."""
+    column: the plant's Lyapunov matrix, and the certified weight when one
+    exists, otherwise weight 1."""
     config = scenario.run_config()
     try:
         report = certify(config.plant, config.cost, scenario.alpha, scenario.overrides,
                          scenario.claimed_mu_bound_rhs)
         xi = report.xi.chosen if report.xi is not None else 1.0
-        spec = LyapunovSpec(xi=xi, p=report.p_matrix)
     except ConvexityGapError:
-        spec = LyapunovSpec(xi=1.0, p=derive_plant_constants(config.plant).p)
-    return replace(config, lyapunov=spec)
+        xi = 1.0
+    return replace(config, lyapunov=LyapunovSpec(xi=xi, p=config.plant.lyapunov_p))
 
 
 def _summary_line(alpha: float, summary: RunSummary) -> str:

@@ -13,7 +13,7 @@ depend on it, so switching it builds nothing and re-checks nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError
@@ -40,12 +40,15 @@ class LinearPlant:
     b: Matrix
     bw: Matrix
     c: Matrix
+    #: P of A^T P + P A = -I, the weight matrix of the certificate and of V.
+    lyapunov_p: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_lti_shapes(self.a, self.b, self.bw, self.c)
         # Hurwitz gate: the Lyapunov solve succeeds with a positive-definite
-        # solution exactly when A is Hurwitz.
-        solve_lyapunov(self.a, Matrix.identity(self.a.rows))
+        # solution exactly when A^T, and so A, is Hurwitz.
+        object.__setattr__(self, "lyapunov_p",
+                           solve_lyapunov(self.a.transpose(), Matrix.identity(self.a.rows)))
 
     @property
     def n(self) -> int:

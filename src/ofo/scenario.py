@@ -152,6 +152,9 @@ class Scenario:
                 raise InputError("controller.box: dimension does not match the plant input")
             if "beta" in controller:
                 beta = _number(controller["beta"], "controller.beta")
+                limit = 1.0 / cost.grad_u_lipschitz
+                if not 0.0 < beta <= limit:
+                    raise InputError(f"controller.beta: must lie in (0, 1/L] = (0, {limit}]")
         else:
             for key in ("box", "beta"):
                 if key in controller:

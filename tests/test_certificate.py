@@ -13,7 +13,6 @@ from ofo.certificate import (
     check_mu_bound,
     decay_rate,
     derive_dominance_params,
-    derive_plant_constants,
     feasible_xi,
     required_regularization,
 )
@@ -32,35 +31,41 @@ def all_ones(**overrides) -> SimplifyingConstants:
     return SimplifyingConstants(**values)
 
 
+def plant_constants(plant) -> SimplifyingConstants:
+    return assemble_constants(plant, QuadraticCost(q_u=1.0))[0]
+
+
 class TestDerivePlantConstants:
     def test_resonant_plant(self, fast_plant):
-        pc = derive_plant_constants(fast_plant)
+        pc = plant_constants(fast_plant)
+        ell_h, ell_grad_h = fast_plant.steady_moduli
         assert pc.c3 == pytest.approx(0.5, abs=1e-11)
         assert pc.d3 == pytest.approx(0.5, abs=1e-11)
         assert pc.mu3 == 1.0
         assert pc.zeta3 == pytest.approx(1.0, abs=1e-10)
         assert pc.ell_f == pytest.approx(1.0, abs=1e-10)
         assert pc.ell_g == pytest.approx(1.0, abs=1e-10)
-        assert pc.ell_h == pytest.approx(10.0 / 101.0, abs=1e-10)
-        assert pc.ell_grad_h == 0.0
+        assert ell_h == pytest.approx(10.0 / 101.0, abs=1e-10)
+        assert ell_grad_h == 0.0
 
     def test_slow_sine_plant(self, slow_sine_plant):
-        pc = derive_plant_constants(slow_sine_plant)
-        lam = np.linalg.eigvalsh(np.array(pc.p.to_rows()))
+        pc = plant_constants(slow_sine_plant)
+        ell_h, ell_grad_h = slow_sine_plant.steady_moduli
+        lam = np.linalg.eigvalsh(np.array(slow_sine_plant.lyapunov_p.to_rows()))
         assert pc.c3 == pytest.approx(lam[0], abs=1e-10)
         assert pc.d3 == pytest.approx(lam[-1], abs=1e-10)
         assert pc.zeta3 == pytest.approx(2.0 * lam[-1], abs=1e-10)
         assert pc.ell_f == pytest.approx(0.2, abs=1e-12)
         assert pc.ell_g == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert pc.ell_h == pytest.approx(2.0, abs=1e-10)
-        assert pc.ell_grad_h == pytest.approx(1.0, abs=1e-10)
+        assert ell_h == pytest.approx(2.0, abs=1e-10)
+        assert ell_grad_h == pytest.approx(1.0, abs=1e-10)
 
     def test_isotropic_plant(self):
         plant = LinearPlant(a=Matrix.identity(2).scale(-1.0),
                             b=Matrix.from_rows([[1.0], [0.0]]),
                             bw=Matrix.from_rows([[1.0], [1.0]]),
                             c=Matrix.from_rows([[1.0, 0.0]]))
-        pc = derive_plant_constants(plant)
+        pc = plant_constants(plant)
         assert pc.c3 == pytest.approx(0.5, abs=1e-12)
         assert pc.d3 == pytest.approx(0.5, abs=1e-12)
         assert pc.zeta3 == pytest.approx(1.0, abs=1e-12)
@@ -68,7 +73,7 @@ class TestDerivePlantConstants:
     def test_decay_orientation(self, slow_sine_plant):
         # W(x, u) built on P must actually decay at unit rate along the
         # frozen-input dynamics: A^T P + P A = -I.
-        p = np.array(derive_plant_constants(slow_sine_plant).p.to_rows())
+        p = np.array(slow_sine_plant.lyapunov_p.to_rows())
         a = np.array(slow_sine_plant.a.to_rows())
         residual = a.T @ p + p @ a + np.eye(2)
         assert np.max(np.abs(residual)) <= 1e-10
@@ -121,7 +126,7 @@ class TestFeasibleXi:
         assert feasible_xi(p) is None
 
     def test_conservative_resonant_example_infeasible(self, fast_plant, quad_cost):
-        k, _, _ = assemble_constants(fast_plant, quad_cost)
+        k, _ = assemble_constants(fast_plant, quad_cost)
         p = derive_dominance_params(k)
         assert p.theta2 / p.mu2 > p.mu1 / p.theta1
         assert feasible_xi(p) is None
@@ -136,7 +141,7 @@ class TestMuBound:
         assert not certified
 
     def test_resonant_example_rhs(self, fast_plant, quad_cost):
-        k, _, _ = assemble_constants(fast_plant, quad_cost)
+        k, _ = assemble_constants(fast_plant, quad_cost)
         _, rhs = check_mu_bound(k)
         # independent recomputation with numpy
         ref = k.ell_phi_u + float(np.sqrt(
@@ -176,11 +181,11 @@ class TestRequiredRegularization:
         assert required_regularization(k, margin=1e-6) == pytest.approx(0.5 + 1e-6, rel=1e-9)
 
     def test_round_trip_flips_verdict(self, fast_plant, quad_cost):
-        k, _, _ = assemble_constants(fast_plant, quad_cost)
+        k, _ = assemble_constants(fast_plant, quad_cost)
         assert not check_mu_bound(k)[0]
         mu4 = required_regularization(k)
         reg = replace(quad_cost, mu4=mu4)
-        k2, _, _ = assemble_constants(fast_plant, reg)
+        k2, _ = assemble_constants(fast_plant, reg)
         assert check_mu_bound(k2)[0]
         assert feasible_xi(derive_dominance_params(k2)) is not None
 
@@ -253,7 +258,7 @@ class TestCertify:
                     b=Matrix.from_rows([[v * scale for v in row] for row in b_rows]),
                     bw=Matrix.from_rows([[v * scale for v in row] for row in bw_rows]),
                     c=Matrix.from_rows(c_rows))
-                k, _, _ = assemble_constants(plant, cost)
+                k, _ = assemble_constants(plant, cost)
                 verdicts.append(check_mu_bound(k)[0])
             assert len(set(verdicts)) == 1, (a_rows, verdicts)
 
@@ -263,3 +268,55 @@ class TestCertify:
                         b=Matrix.from_rows([[0.0], [1.0]]),
                         bw=Matrix.from_rows([[0.0], [1.0]]),
                         c=Matrix.from_rows([[1.0, 0.0]]))
+
+
+def random_loop(rng: random.Random, resonant: bool) -> tuple[LinearPlant, QuadraticCost]:
+    """A loop chosen to probe the certificate: a Hurwitz plant with one input,
+    either general (n 1 to 4, p 1 to 2, time scale 1e-2 to 1e2) or lightly
+    damped resonant, and a quadratic cost with or without regularization."""
+    if resonant:
+        d, w = 10 ** rng.uniform(-2, 0), 10 ** rng.uniform(math.log10(0.3), math.log10(30.0))
+        n, p, a_rows = 2, 1, [[-d, w], [-w, -d]]
+    else:
+        n, p, scale = rng.randint(1, 4), rng.randint(1, 2), 10 ** rng.uniform(-2, 2)
+        a_rows = [[v * scale for v in row] for row in random_hurwitz_rows(rng, n)]
+    plant = LinearPlant(a=Matrix.from_rows(a_rows),
+                        b=Matrix.from_rows([[rng.gauss(0, 1)] for _ in range(n)]),
+                        bw=Matrix.from_rows([[1.0] for _ in range(n)]),
+                        c=Matrix.from_rows([[rng.gauss(0, 1) for _ in range(n)] for _ in range(p)]))
+    mu4 = 0.0 if rng.random() < 0.5 else 10 ** rng.uniform(-2, 1)
+    return plant, QuadraticCost(q_u=10 ** rng.uniform(-2, 1), q_y=10 ** rng.uniform(-1, 1), mu4=mu4)
+
+
+def test_certificate_sound_on_adversarial_loops():
+    # The theorem's conclusion, checked with the numpy spectral abscissa of the
+    # affine loop [[A, B], [-2 alpha q_y H^T C, -alpha (2 q_u + mu4)]],
+    # H = -C A^-1 B, over twelve decades of gain: no certified loop may be
+    # unstable at any gain, and a quadratic V decays at most at twice the
+    # abscissa.  Reading ell_f as ||A^-1 B||, the reading behind fig1's printed
+    # threshold, certifies resonant loops that are not stable at every gain,
+    # so the same check must catch it.
+    rng = random.Random(7)
+    gains = np.logspace(-3, 9, 121)
+    certified = {"systematic": 0, "ell_f": 0}
+    broken = {"systematic": 0, "ell_f": 0}
+    for resonant in [False] * 200 + [True] * 200:
+        plant, cost = random_loop(rng, resonant)
+        a, b, c = (np.array(m.to_rows()) for m in (plant.a, plant.b, plant.c))
+        h = -c @ np.linalg.solve(a, b)
+        abscissae = [float(np.max(np.linalg.eigvals(np.block(
+            [[a, b], [-2.0 * alpha * cost.q_y * h.T @ c,
+                      np.full((1, 1), -alpha * (2.0 * cost.q_u + cost.mu4))]])).real))
+                     for alpha in gains]
+        ell_f = float(np.linalg.norm(np.linalg.solve(a, b), 2))
+        for reading, overrides in (("systematic", None), ("ell_f", {"ell_f": ell_f})):
+            report = certify(plant, cost, 1.0, overrides)
+            if not report.certified:
+                continue
+            certified[reading] += 1
+            broken[reading] += max(abscissae) >= 0.0
+            if reading == "systematic":
+                for alpha, abscissa in zip(gains, abscissae):
+                    assert report.tau(alpha) <= -2.0 * abscissa * (1.0 + 1e-9), alpha
+    assert certified["systematic"] > 100 and broken["systematic"] == 0
+    assert certified["ell_f"] > certified["systematic"] and broken["ell_f"] > 0

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from ofo.certificate import certify
 from ofo.cli import main
 from ofo.errors import InputError
 from ofo.scenario import Scenario
@@ -88,6 +90,10 @@ class TestScenarioParsing:
          "controller.beta: only valid for the projected law"),
         (lambda d: d["controller"].update(kind="projected", box={"lo": [math.nan], "hi": [1.0]}),
          "controller.box.lo"),
+        (lambda d: d["controller"].update(kind="projected", box={"lo": [-1.0], "hi": [1.0]},
+                                          beta=1000.0), "controller.beta"),
+        (lambda d: d["controller"].update(kind="projected", box={"lo": [-1.0], "hi": [1.0]},
+                                          beta=0.0), "controller.beta"),
         (lambda d: d.update(schedule=[[0.0, -math.inf]]), "schedule[0][1]"),
         (lambda d: d["sim"].update(t_end=math.inf), "sim.t_end"),
         (lambda d: d["sim"].update(dt=math.nan), "sim.dt"),
@@ -138,6 +144,25 @@ class TestCertifyCommand:
         rc = main(["certify", write_doc(tmp_path, doc)])
         assert rc == 3
         assert "not certified" in capsys.readouterr().out
+
+    def test_zero_output_coupling_certifies(self, tmp_path):
+        # With no output coupling (theta2 = 0) the feasible weights are
+        # (0, xi_hi), whose geometric mean, 0, is not one of them, and the
+        # decay rate divides by the weight.  Both loops here have zero
+        # coupling: fig1 without output weight, and a plant with C A^-1 B = 0.
+        fig1 = yaml.safe_load(Path(bundled_scenario_path("fig1")).read_text("utf-8"))
+        fig1["cost"]["q_y"] = 0.0
+        decoupled = minimal_doc()
+        decoupled["plant"].update(A=[[-1.0, 0.0], [0.0, -1.0]], C=[[1.0, 0.0]])
+        for doc in (fig1, decoupled):
+            scenario = Scenario.from_dict(doc)
+            report = certify(scenario.plant, scenario.cost, scenario.alpha)
+            assert report.params.theta2 == 0.0
+            assert report.xi.lo < report.xi.chosen < report.xi.hi
+            assert report.tau_at_alpha > 0.0
+            path = write_doc(tmp_path, doc)
+            assert main(["certify", path]) == 0
+            assert main(["simulate", path, "--out", str(tmp_path / "x.csv")]) == 0
 
     def test_missing_file(self, capsys):
         rc = main(["certify", "/nonexistent/scenario.yaml"])
@@ -243,16 +268,23 @@ class TestSweepCommand:
         assert len(summary) == 2 and summary[1].startswith("10,") and summary[1].endswith(",ok")
 
     def test_plant_built_once(self, tmp_path, monkeypatch):
-        # building the plant runs its Hurwitz gate, one Lyapunov solve
+        # building the plant runs its Hurwitz gate, the one solve for the
+        # plant's Lyapunov matrix; the certificate and V read it from the plant
+        import ofo.certificate
         import ofo.plants
 
         calls = []
         solve = ofo.plants.solve_lyapunov
-        monkeypatch.setattr(ofo.plants, "solve_lyapunov",
-                            lambda a, q: calls.append(a) or solve(a, q))
+        counted = lambda a, q: calls.append(a) or solve(a, q)
+        monkeypatch.setattr(ofo.plants, "solve_lyapunov", counted)
+        monkeypatch.setattr(ofo.certificate, "solve_lyapunov", counted, raising=False)
         path = write_doc(tmp_path, minimal_doc())
-        assert main(["sweep", path, "--alphas", "1,10", "--out", str(tmp_path / "d")]) == 0
-        assert len(calls) == 1
+        for argv, rc in ((["certify", path], 3),
+                         (["simulate", path, "--out", str(tmp_path / "x.csv")], 0),
+                         (["sweep", path, "--alphas", "1,10", "--out", str(tmp_path / "d")], 0)):
+            calls.clear()
+            assert main(argv) == rc
+            assert len(calls) == 1, argv
 
     def test_bad_alphas_exit_code(self, tmp_path, capsys):
         path = write_doc(tmp_path, minimal_doc())
@@ -374,6 +406,32 @@ class TestReproduceCommand:
         # trajectory is still written
         assert [r.split(",")[-1] for r in rows] == ["ok", "ok", "ok", "not-hurwitz"]
 
+    def test_fig1_and_certify_bytes_pinned(self, tmp_path, capsys):
+        # SHA-256 of every file `reproduce fig1` writes and of the `certify`
+        # text for both bundled scenarios.  fig2's trajectories are left out:
+        # they call libm sin and cos, whose last bit may differ by platform.
+        # A change that moves these bytes on purpose updates them and says why.
+        pinned = {
+            "alpha_1.csv": "09b8e2cb03a2b04420d509ef4ad2c40fbc65fd1d19e7c5f6fdf3f386b693c506",
+            "alpha_10.csv": "cada44c8afbe8e7609f6dd40bec21a22864bfa0760c6e62603297d1a48f9d939",
+            "alpha_100.csv": "b2d5291c7e091e15836a51aeb10e1c402c69c9d72572c532215ae54f4e2a785b",
+            "alpha_1000.csv": "c5cba32e2440fae0f2a3150019f3767ab00e48a659163d3ff28bb77794464c24",
+            "summary.csv": "05266348a1210aed226b6c2f8a2f23ac51e226dfb5b8407e29a6edc1a0e8d75a",
+            "scenario.yaml": "d538a05753288ae8ed2b8c89cc8e07e2773eb6b7f4b0735a8a8d073ab84e1cb1",
+            "certify fig1": "973dd618059e41bb138028fba6e10264d528ba78572bceca4db1766d3ab0302c",
+            "certify fig2": "cd4c2cb3c0450fd50602242a9dc17b37e7a3e5fbaa1e3ba9ec0595d6ade6baae",
+        }
+        out_dir = tmp_path / "fig1"
+        assert main(["reproduce", "fig1", "--out", str(out_dir)]) == 0
+        digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                   for name in os.listdir(out_dir)}
+        capsys.readouterr()
+        for figure in ("fig1", "fig2"):
+            main(["certify", bundled_scenario_path(figure)])
+            text = capsys.readouterr().out.encode("utf-8")
+            digests[f"certify {figure}"] = hashlib.sha256(text).hexdigest()
+        assert digests == pinned
+
     def test_outputs_follow_umask(self, tmp_path):
         out_dir = tmp_path / "fig1"
         old = os.umask(0o022)
@@ -411,8 +469,8 @@ def test_benchmark_trace_counts_every_layer(tmp_path):
     assert trace["counts"]["sim.write_csv_rows"] == rows
     assert trace["calls"]["engine.run_segment"] == 16
     assert trace["calls"]["sim.summarize"] == 4
-    # one parse, which builds the plant and runs its Hurwitz gate, and one
-    # certificate with its own Lyapunov solve
+    # one parse, which builds the plant and runs its Hurwitz gate, the one
+    # Lyapunov solve; the certificate reads its P from the plant
     assert trace["calls"]["scenario.loads"] == 1
-    assert trace["calls"]["linalg.solve_lyapunov"] == 2
+    assert trace["calls"]["linalg.solve_lyapunov"] == 1
     assert trace["calls"]["certificate.certify"] == 1

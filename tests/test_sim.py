@@ -630,12 +630,12 @@ class TestLyapunovMachinery:
     def test_dini_decrease_on_certified_regularized_loop(self, fast_plant, quad_cost):
         # regularize until the certificate passes with real margin, then check
         # the sampled decay inequality along the closed loop
-        k, _, _ = assemble_constants(fast_plant, quad_cost)
+        k, _ = assemble_constants(fast_plant, quad_cost)
         mu4 = required_regularization(k, margin=0.5)
         reg = replace(quad_cost, mu4=mu4)
         report = certify(fast_plant, reg, 1.0)
         assert report.certified
-        spec = LyapunovSpec(xi=report.xi.chosen, p=report.p_matrix)
+        spec = LyapunovSpec(xi=report.xi.chosen, p=fast_plant.lyapunov_p)
         schedule = DisturbanceSchedule(((0.0, (10.0,)), (6.0, (-10.0,))))
         cfg = RunConfig(plant=fast_plant, cost=reg,
                         schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=12.0,
@@ -658,10 +658,10 @@ class TestLyapunovMachinery:
 
     def test_per_segment_decay_within_constant_disturbance(self, fast_plant, quad_cost):
         # same certified setup; V must obey its exponential envelope per segment
-        k, _, _ = assemble_constants(fast_plant, quad_cost)
+        k, _ = assemble_constants(fast_plant, quad_cost)
         reg = replace(quad_cost, mu4=required_regularization(k, margin=0.5))
         report = certify(fast_plant, reg, 2.0)
-        spec = LyapunovSpec(xi=report.xi.chosen, p=report.p_matrix)
+        spec = LyapunovSpec(xi=report.xi.chosen, p=fast_plant.lyapunov_p)
         schedule = DisturbanceSchedule(((0.0, (10.0,)), (6.0, (-10.0,))))
         cfg = RunConfig(plant=fast_plant, cost=reg,
                         schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=12.0,
@@ -859,9 +859,7 @@ class TestSweep:
 class TestCsv:
     def test_header_and_shape(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (10.0,)),))
-        from ofo.certificate import derive_plant_constants
-
-        spec = LyapunovSpec(xi=1.0, p=derive_plant_constants(fast_plant).p)
+        spec = LyapunovSpec(xi=1.0, p=fast_plant.lyapunov_p)
         cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0,
                               lyapunov=spec, max_records=50)
         traj, _ = cfg.run(10.0)
