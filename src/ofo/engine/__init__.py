@@ -1,7 +1,7 @@
 """Closed-loop stepping kernels with import-time selection.
 
 The compiled kernel (`_kernel.c`, built and loaded by `_speedup`) is used
-whenever it loads, for stepping and for the CSV plain-notation rewrite.
+whenever it loads, for stepping and for formatting CSV rows.
 When it cannot be built or loaded, the pure-Python reference takes over
 with identical semantics and bit-identical output, and a RuntimeWarning
 says why.
@@ -24,12 +24,12 @@ HAVE_COMPILED = _speedup is not None
 
 __all__ = [
     "SegmentResult", "SegmentSpec",
-    "HAVE_COMPILED", "active_kernel", "kernel_name", "plain_text", "run_segment",
+    "HAVE_COMPILED", "active_kernel", "format_rows", "kernel_name", "run_segment",
 ]
 
-#: Rewrites every `%.12g` field of a CSV text into plain decimal notation
-#: (see pure.plain_field); raises InputError on inf or nan.
-plain_text = pure.plain_text if _speedup is None else _speedup.plain_text
+#: Formats a segment's samples as CSV rows, every field in plain decimal
+#: notation (see pure.format_rows); raises InputError on inf or nan.
+format_rows = pure.format_rows if _speedup is None else _speedup.format_rows
 
 
 def active_kernel():

@@ -6,15 +6,20 @@
  * kernels produce bit-identical trajectories; any change here must be
  * replicated there.
  *
- * ofo_plain_text rewrites the `%.12g` fields of a CSV text into plain
- * decimal notation, byte for byte as ofo.engine.pure.plain_text does.  It
- * formats no float: it only moves the digits Python already printed.
+ * ofo_format_rows writes a segment's samples as CSV rows, each field the
+ * `%.12g` printout of its double in plain decimal notation, byte for byte
+ * as ofo.engine.pure.format_rows does.  For 2^-36 <= |x| < 2^127 the 12
+ * digits are computed exactly in 128-bit integers and placed around the
+ * decimal point, so no exponent form is built; other values go through
+ * snprintf("%.12g") and have their printed digits placed the same way.
  *
- * There is no global or static state: each call touches only its arguments
- * and the scratch memory it allocates.
+ * There is no mutable global or static state: each call touches only its
+ * arguments and the scratch memory it allocates.
  */
 
 #include <math.h>
+#include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -192,42 +197,58 @@ long ofo_run_segment(int n, int p, int sine, int sqrtplus, int projected,
     return k;
 }
 
-/* Appends count bytes of src at out + *pos, or only counts them when out is
- * NULL. */
+/* Appends count bytes of src at out + *pos. */
 static void put(char *out, long *pos, const char *src, long count)
 {
-    if (out != NULL)
-        memcpy(out + *pos, src, (size_t)count);
+    memcpy(out + *pos, src, (size_t)count);
     *pos += count;
 }
 
 static void put_zeros(char *out, long *pos, long count)
 {
-    if (out != NULL)
-        memset(out + *pos, '0', (size_t)count);
+    memset(out + *pos, '0', (size_t)count);
     *pos += count;
 }
 
-/* Puts the field [f, f + len) in plain notation, as ofo.engine.pure.plain_field
- * does: an exponent form is expanded by placing its printed digits and -0
- * becomes 0.  Returns -1 for inf or nan, and for an exponent form that
- * `%.12g` does not print (more than 17 digits, or an exponent of more than
- * four digits), which would not fit the buffer and the arithmetic here. */
+/* Puts the digits [d, d + nd) with the decimal point after the first
+ * `point` of them, padding with zeros on either side as needed. */
+static void place_digits(const char *d, long nd, long point, char *out, long *pos)
+{
+    if (point <= 0) {
+        put(out, pos, "0.", 2);
+        put_zeros(out, pos, -point);
+        put(out, pos, d, nd);
+    } else if (point >= nd) {
+        put(out, pos, d, nd);
+        put_zeros(out, pos, point - nd);
+    } else {
+        put(out, pos, d, point);
+        put(out, pos, ".", 1);
+        put(out, pos, d + point, nd - point);
+    }
+}
+
+/* The longest field either path writes: an exact-path field is at most
+ * 40 bytes (-1.7e38 has 39 integer digits), a fallback field at most 338
+ * ("-0." then 323 zeros and 12 digits, for -9.88131291682e-324). */
+#define FIELD_MAX 40
+#define FALLBACK_MAX 338
+
+/* Puts the `%.12g` printout [f, f + len) of a finite nonzero double in
+ * plain notation, as ofo.engine.pure.plain_field does: a plain form as it
+ * is, an exponent form by placing its printed digits around the decimal
+ * point.  Returns -1 for an exponent form that `%.12g` of a double does not
+ * print (more than 12 digits, or an exponent beyond 324), which would not
+ * fit in FALLBACK_MAX bytes. */
 static int plain_field(const char *f, long len, char *out, long *pos)
 {
-    const char *e = memchr(f, 'e', (size_t)len), *end = f + len;
+    const char *e = memchr(f, 'e', (size_t)len), *end = f + len, *c = f;
+    char digits[12];
+    long nd = 0, exponent = 0;
     if (e == NULL) {
-        if (memchr(f, 'n', (size_t)len) != NULL)
-            return -1;
-        if (len == 2 && f[0] == '-' && f[1] == '0')
-            put(out, pos, "0", 1);
-        else
-            put(out, pos, f, len);
+        put(out, pos, f, len);
         return 0;
     }
-    char digits[17];
-    long nd = 0, exponent = 0, point;
-    const char *c = f;
     if (c < e && *c == '-') {
         put(out, pos, "-", 1);
         c++;
@@ -241,55 +262,188 @@ static int plain_field(const char *f, long len, char *out, long *pos)
     }
     int negative = e + 1 < end && e[1] == '-';
     c = e + 1 + (e + 1 < end && (e[1] == '-' || e[1] == '+'));
-    if (c == end || end - c > 4)
+    if (c == end || end - c > 3)
         return -1;
     for (; c < end; c++) {
         if (*c < '0' || *c > '9')
             return -1;
         exponent = 10 * exponent + (*c - '0');
     }
-    point = (negative ? -exponent : exponent) + 1;  /* digits before the point */
-    if (point <= 0) {
-        put(out, pos, "0.", 2);
-        put_zeros(out, pos, -point);
-        put(out, pos, digits, nd);
-    } else if (point >= nd) {
-        put(out, pos, digits, nd);
-        put_zeros(out, pos, point - nd);
-    } else {
-        put(out, pos, digits, point);
-        put(out, pos, ".", 1);
-        put(out, pos, digits + point, nd - point);
-    }
+    if (exponent > 324)
+        return -1;
+    place_digits(digits, nd, (negative ? -exponent : exponent) + 1, out, pos);
     return 0;
 }
 
-/* Rewrites every field of the CSV text [in, in + len), fields separated by
- * commas and line feeds, into out.  With out NULL it writes nothing and
- * returns the exact output length; otherwise out must hold that many bytes.
- * Returns the output length, or -1 when a field is inf, nan or an exponent
- * form that `%.12g` does not print.  Bytes that stay as they are, separators included, are
- * put in runs between the fields that change. */
-long ofo_plain_text(const char *in, long len, char *out)
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const uint64_t POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL,
+    1000000000000ULL, 10000000000000ULL, 100000000000000ULL,
+    1000000000000000ULL, 10000000000000000ULL, 100000000000000000ULL,
+    1000000000000000000ULL, 10000000000000000000ULL,
+};
+
+/* 10^k for 0 <= k <= 38. */
+static u128 pow10_u128(int k)
 {
-    const char *p = in, *end = in + len, *run = in, *f;
-    long pos = 0;
-    int special;
-    while (p < end) {
-        f = p;
-        special = 0;
-        for (; p < end && *p != ',' && *p != '\n'; p++)
-            if (*p == 'e' || *p == 'n')
-                special = 1;
-        if (special || (p - f == 2 && f[0] == '-' && f[1] == '0')) {
-            put(out, &pos, run, f - run);
-            if (plain_field(f, p - f, out, &pos) < 0)
-                return -1;
-            run = p;
-        }
-        if (p < end)
-            p++;
+    return k < 20 ? (u128)POW10[k] : (u128)POW10[19] * POW10[k - 19];
+}
+
+/* N = round-half-even(m 2^e 10^k) for m < 2^53, computed exactly as the
+ * quotient num / den and its remainder: with k >= 0 (then k <= 22 and
+ * 1 <= -e <= 88) num = m 10^k and den = 2^-e, a right shift; otherwise
+ * (-k <= 38, and e <= 74 or -e <= 13) den = 10^-k, times 2^-e when e < 0. */
+static u128 scaled_round(uint64_t m, int e, int k)
+{
+    u128 q, r, den;
+    if (k >= 0) {
+        u128 num = (u128)m * pow10_u128(k);
+        den = (u128)1 << -e;
+        q = num >> -e;
+        r = num - (q << -e);
+    } else {
+        u128 num = e >= 0 ? (u128)m << e : (u128)m;
+        den = e >= 0 ? pow10_u128(-k) : pow10_u128(-k) << -e;
+        q = num / den;
+        r = num - q * den;
     }
-    put(out, &pos, run, end - run);
+    if (r > den - r || (r == den - r && (q & 1)))
+        q++;
+    return q;
+}
+
+/* Puts the finite nonzero x, 2^-36 <= |x| < 2^127, as `%.12g` in plain
+ * notation.  Its 12 significant digits N and decimal exponent E come from
+ * integer arithmetic on the binary form x = m 2^e, so no float is printed. */
+static void exact_field(double x, char *out, long *pos)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int b = (int)((bits >> 52) & 0x7ff) - 1023;           /* 2^b <= |x| < 2^(b+1) */
+    uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | (UINT64_C(1) << 52);
+    int e = b - 52;
+    int big_e = (b * 78913) >> 18;                          /* floor(b log10 2) */
+    const u128 top = POW10[12];
+    u128 n = scaled_round(m, e, 11 - big_e);
+    if (n > top) {                    /* |x| >= 10^(E+1): E was one too low */
+        big_e++;
+        n = scaled_round(m, e, 11 - big_e);
+    }
+    if (n == top) {                   /* rounded up to the next power of ten */
+        big_e++;
+        n = top / 10;
+    }
+    char d[12];
+    uint64_t v = (uint64_t)n;
+    for (int i = 11; i >= 0; i--) {
+        d[i] = (char)('0' + v % 10);
+        v /= 10;
+    }
+    long nd = 12;
+    while (d[nd - 1] == '0')
+        nd--;
+    if (x < 0)
+        put(out, pos, "-", 1);
+    place_digits(d, nd, big_e + 1, out, pos);
+}
+
+static int in_exact_range(double a)
+{
+    return a >= 0x1p-36 && a < 0x1p127;
+}
+#else
+static void exact_field(double x, char *out, long *pos)
+{
+    (void)x, (void)out, (void)pos;
+}
+
+static int in_exact_range(double a)
+{
+    (void)a;
+    return 0;
+}
+#endif
+
+/* Puts x as `%.12g` in plain notation, as ofo.engine.pure.plain_field
+ * ("%.12g" % x) does, followed by a comma, if that fits in cap.  Returns 0
+ * when put, 1 when there is no room and -1 for inf or nan. */
+static int put_double(double x, char *out, long *pos, long cap)
+{
+    double a = fabs(x);
+    if (!isfinite(x))
+        return -1;
+    if (in_exact_range(a)) {
+        if (cap - *pos < FIELD_MAX + 1)
+            return 1;
+        exact_field(x, out, pos);
+    } else if (a == 0.0) {
+        if (cap - *pos < 2)
+            return 1;
+        out[(*pos)++] = '0';
+    } else {
+        char text[32], field[FALLBACK_MAX];
+        long len = 0;
+        int printed = snprintf(text, sizeof text, "%.12g", x);
+        if (printed < 0 || printed >= (int)sizeof text
+            || plain_field(text, printed, field, &len) < 0)
+            return -1;
+        if (cap - *pos < len + 1)
+            return 1;
+        put(out, pos, field, len);
+    }
+    out[(*pos)++] = ',';
+    return 0;
+}
+
+/* Puts [s, s + len) followed by `end`, if that fits in cap.  Returns 0 when
+ * put and 1 when there is no room. */
+static int put_text(const char *s, long len, char end, char *out, long *pos, long cap)
+{
+    if (cap - *pos < len + 1)
+        return 1;
+    put(out, pos, s, len);
+    out[(*pos)++] = end;
+    return 0;
+}
+
+/* Writes rows [first, rows) of a segment's samples to out as CSV lines
+ * t,x1..xn,u,y1..yp,<w_text>,V,<ustar_text>, each sample `%.12g` in plain
+ * notation.  t, u and v hold one value per row, x n and y p.  Stops before
+ * the first row that does not fit in cap bytes and sets *done to its index
+ * (to rows when all fit).  Returns the number of bytes written, or -1 when
+ * a value is inf or nan. */
+long ofo_format_rows(const double *t, const double *x, const double *u,
+                     const double *y, const double *v, int n, int p,
+                     long first, long rows,
+                     const char *w_text, long w_len, const char *ustar_text, long ustar_len,
+                     char *out, long cap, long *done)
+{
+    long pos = 0;
+    for (long r = first; r < rows; r++) {
+        long start = pos;
+        int status = put_double(t[r], out, &pos, cap);
+        for (int j = 0; j < n && status == 0; j++)
+            status = put_double(x[r * n + j], out, &pos, cap);
+        if (status == 0)
+            status = put_double(u[r], out, &pos, cap);
+        for (int i = 0; i < p && status == 0; i++)
+            status = put_double(y[r * p + i], out, &pos, cap);
+        if (status == 0)
+            status = put_text(w_text, w_len, ',', out, &pos, cap);
+        if (status == 0)
+            status = put_double(v[r], out, &pos, cap);
+        if (status == 0)
+            status = put_text(ustar_text, ustar_len, '\n', out, &pos, cap);
+        if (status < 0)
+            return -1;
+        if (status > 0) {
+            *done = r;
+            return start;
+        }
+    }
+    *done = rows;
     return pos;
 }

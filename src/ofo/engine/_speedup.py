@@ -1,6 +1,6 @@
 """Compiled closed-loop kernel: `_kernel.c` called through ctypes, for
-stepping (`run_segment`) and for the CSV plain-notation rewrite
-(`plain_text`).
+stepping (`run_segment`) and for writing a segment's CSV rows
+(`format_rows`).  Both read their float inputs from `array('d')` buffers.
 
 The C source is built on first import with the system `cc` into the per-user
 cache, `$XDG_CACHE_HOME/ofo` or `~/.cache/ofo`, under a name keyed by the
@@ -13,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import os
 import zlib
+from array import array
 
 from ..errors import InputError
 from .params import SegmentResult, SegmentSpec
@@ -32,7 +33,13 @@ _ARGTYPES = [_I, _I, _I, _I, _I,           # n, p, sine, sqrtplus, projected
              _F, _A, _A, _F,               # lyap_xi, lyap_p, xstar, ustar
              _A, _A, _A, _A, _A, _A, _A,   # x, u, rec_t, rec_x, rec_u, rec_y, rec_v
              _A, ctypes.POINTER(_I), _A]   # max_violation, blew_up, blowup_time
-_TEXT_ARGTYPES = [ctypes.c_char_p, _L, ctypes.POINTER(ctypes.c_char)]  # in, len, out
+_FORMAT_ARGTYPES = [_A, _A, _A, _A, _A,    # t, x, u, y, v
+                    _I, _I, _L, _L,        # n, p, first, rows
+                    ctypes.c_char_p, _L, ctypes.c_char_p, _L,  # w_text, w_len, ustar_text, ustar_len
+                    ctypes.c_char_p, _L, ctypes.POINTER(_L)]   # out, cap, done
+#: Bytes a sample field and its separator take at most on the exact path
+#: (FIELD_MAX + 1 in _kernel.c) and on the snprintf fallback (FALLBACK_MAX + 1).
+_FIELD_BYTES, _LONG_FIELD_BYTES = 41, 339
 
 
 def _cache_dir() -> str:
@@ -76,21 +83,23 @@ def _load():
         if not os.path.exists(path):
             _build(source, path)
         lib = ctypes.CDLL(path)
-        run, plain = lib.ofo_run_segment, lib.ofo_plain_text
+        run, fmt = lib.ofo_run_segment, lib.ofo_format_rows
     except (OSError, AttributeError) as exc:
         raise ImportError(f"cannot build or load the compiled kernel: {exc}") from exc
     run.argtypes, run.restype = _ARGTYPES, _L
-    plain.argtypes, plain.restype = _TEXT_ARGTYPES, _L
-    return run, plain
+    fmt.argtypes, fmt.restype = _FORMAT_ARGTYPES, _L
+    return run, fmt
 
 
-_run, _plain = _load()
+_run, _format = _load()
 
 
 def _doubles(values, count: int):
+    """values as a C double array over an `array('d')` copy, which it keeps
+    alive."""
     if len(values) != count:
         raise ValueError(f"kernel input has {len(values)} values, expected {count}")
-    return (_F * count)(*values)
+    return (_F * count).from_buffer(array("d", values))
 
 
 def run_segment(spec: SegmentSpec) -> SegmentResult:
@@ -125,13 +134,24 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
                          blowup_time=blowup_time.value if blew_up.value else None)
 
 
-def plain_text(text: str) -> str:
-    """pure.plain_text in C: one pass sizes the output, a second fills it."""
-    data = text.encode("ascii")
-    size = _plain(data, len(data), None)
-    if size < 0:
-        raise InputError("cannot format a non-finite value")
-    out = ctypes.create_string_buffer(size)
-    _plain(data, len(data), out)
-    del data  # freed before the decoded copy is built, to keep peak memory down
-    return str(memoryview(out), "ascii")
+def format_rows(samples: SegmentResult, n: int, p: int, w_text: str, ustar_text: str) -> str:
+    """pure.format_rows in C.  The output buffer is sized for every field on
+    the exact path; when long fallback fields overflow it, the rows left are
+    written into a larger one."""
+    rows = len(samples.times)
+    columns = (_doubles(samples.times, rows), _doubles(samples.xs, rows * n),
+               _doubles(samples.us, rows), _doubles(samples.ys, rows * p),
+               _doubles(samples.vs, rows))
+    w, ustar = w_text.encode("ascii"), ustar_text.encode("ascii")
+    fields = n + p + 3
+    cap = rows * (fields * _FIELD_BYTES + len(w) + len(ustar) + 2)
+    parts, done = [], _L(0)
+    while done.value < rows:
+        out = ctypes.create_string_buffer(cap)
+        size = _format(*columns, n, p, done.value, rows, w, len(w), ustar, len(ustar),
+                       out, cap, ctypes.byref(done))
+        if size < 0:
+            raise InputError("cannot format a non-finite value")
+        parts.append(str(memoryview(out)[:size], "ascii"))
+        cap = max(2 * cap, fields * _LONG_FIELD_BYTES + len(w) + len(ustar) + 2)
+    return "".join(parts)

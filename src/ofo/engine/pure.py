@@ -1,8 +1,8 @@
-"""Pure-Python closed-loop stepping kernel and CSV plain-notation rewrite.
+"""Pure-Python closed-loop stepping kernel and CSV row formatter.
 
 This is the reference implementation: the compiled kernel (_kernel.c)
-mirrors it expression by expression so that both produce bit-identical
-trajectories and CSV text.  Any change here must be replicated there.
+mirrors it so that both produce bit-identical trajectories and CSV text.
+Any change here must be replicated there.
 """
 
 from __future__ import annotations
@@ -37,6 +37,22 @@ def plain_text(text: str) -> str:
     return "\n".join([",".join(map(plain_field, line.split(",")))
                       if "e" in line or "n" in line or "-0" in line else line
                       for line in text.split("\n")])
+
+
+def format_rows(samples: SegmentResult, n: int, p: int, w_text: str, ustar_text: str) -> str:
+    """A segment's CSV rows t,x1..xn,u,y1..yp,<w_text>,V,<ustar_text>, one
+    per sample, each sample "%.12g" in plain notation (see plain_field);
+    samples.xs holds n values and samples.ys p values per row."""
+    row = "%.12g," * (2 + n + p) + w_text + ",%.12g," + ustar_text + "\n"
+    s = samples
+    xs = zip(*[iter(s.xs)] * n)
+    ys = zip(*[iter(s.ys)] * p)
+    text = "".join([row % (t, *x, u, *y, v) for t, x, u, y, v in
+                    zip(s.times, xs, s.us, ys, s.vs)])
+    # every printed sample is followed by a comma, so "-0," marks a -0 field
+    if "e" in text or "n" in text or "-0," in text:
+        text = plain_text(text)
+    return text
 
 
 def run_segment(spec: SegmentSpec) -> SegmentResult:

@@ -542,12 +542,10 @@ def csv_header(n: int, p: int, q: int) -> str:
 def write_csv(traj: Trajectory, stream: TextIO) -> None:
     """Trajectory CSV: fixed column schema, 12 significant digits, LF endings.
 
-    Each row is one `%.12g` format of its samples, with the segment's
-    disturbance and optimum already in place as text.  A segment's rows are
-    joined into one text, and a text that holds an exponent, inf, nan or -0
-    goes once through engine.plain_text, which writes every field in plain
-    notation (in C when the compiled kernel loaded).  Each segment is written
-    to the stream before the next is formatted.
+    Each segment's rows are formatted by engine.format_rows (in C when the
+    compiled kernel loaded), with the segment's disturbance and optimum
+    already in place as text, and written to the stream before the next
+    segment is formatted.
     """
     if not all(seg.samples.vs for seg in traj.segments):
         raise InputError("trajectory has no Lyapunov samples; simulate with a LyapunovSpec")
@@ -555,16 +553,6 @@ def write_csv(traj: Trajectory, stream: TextIO) -> None:
     n = len(first.xstar)
     p = len(first.samples.ys) // len(first.samples.times)
     stream.write(csv_header(n, p, len(first.w)) + "\n")
-    samples = "%.12g," * (2 + n + p)
     for seg in traj.segments:
-        s = seg.samples
         w_text = ",".join(map(fmt12, seg.w))
-        row = f"{samples}{w_text},%.12g,{fmt12(seg.ustar)}\n"
-        xs = zip(*[iter(s.xs)] * n)
-        ys = zip(*[iter(s.ys)] * p)
-        text = "".join([row % (t, *x, u, *y, v) for t, x, u, y, v in
-                        zip(s.times, xs, s.us, ys, s.vs)])
-        # every printed sample is followed by a comma, so "-0," marks a -0 field
-        if "e" in text or "n" in text or "-0," in text:
-            text = engine.plain_text(text)
-        stream.write(text)
+        stream.write(engine.format_rows(seg.samples, n, p, w_text, fmt12(seg.ustar)))

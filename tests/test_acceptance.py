@@ -380,12 +380,12 @@ def test_c09_projection_properties():
 
 
 def test_c10_reproduce_determinism(tmp_path, monkeypatch):
-    # two ordinary runs, then one with the pure CSV plain-notation rewrite in
-    # place of the selected (compiled, when it loaded) one
-    def run(figure, out_dir, rewrite=None):
+    # two ordinary runs, then one with the pure CSV row formatter in place of
+    # the selected (compiled, when it loaded) one
+    def run(figure, out_dir, formatter=None):
         with monkeypatch.context() as patch:
-            if rewrite is not None:
-                patch.setattr(engine, "plain_text", rewrite)
+            if formatter is not None:
+                patch.setattr(engine, "format_rows", formatter)
             assert main(["reproduce", figure, "--out", str(out_dir)]) == 0
 
     def snapshot(out_dir):
@@ -396,14 +396,14 @@ def test_c10_reproduce_determinism(tmp_path, monkeypatch):
     for figure in ("fig1", "fig2"):
         base = tmp_path / f"{figure}_a"
         again = tmp_path / f"{figure}_b"
-        rewritten = tmp_path / f"{figure}_c"
+        formatted = tmp_path / f"{figure}_c"
         run(figure, base)
         run(figure, again)
-        run(figure, rewritten, pure.plain_text)
-        s0, s1, s2 = snapshot(base), snapshot(again), snapshot(rewritten)
+        run(figure, formatted, pure.format_rows)
+        s0, s1, s2 = snapshot(base), snapshot(again), snapshot(formatted)
         same = (s0 == s1 == s2)
         identical &= same
         detail.append(f"{figure}: {len(s0)} files {'identical' if same else 'DIFFER'}")
     _criterion(10, identical,
                "reproduce outputs bit-identical across two runs and a third with the pure "
-               f"CSV rewrite in place of the {engine.kernel_name()} one ({'; '.join(detail)})")
+               f"CSV row formatter in place of the {engine.kernel_name()} one ({'; '.join(detail)})")

@@ -917,17 +917,17 @@ class TestCsv:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def rewrites() -> list:
-        """The CSV plain-notation rewrites to check: the pure one, and the
-        compiled one whenever it loaded."""
-        found = [pure.plain_text]
+    def formatters() -> list:
+        """The CSV row formatters to check: the pure one, and the compiled
+        one whenever it loaded."""
+        found = [pure.format_rows]
         if engine.HAVE_COMPILED:
-            found.append(engine._speedup.plain_text)
+            found.append(engine._speedup.format_rows)
         return found
 
     @staticmethod
-    def csv_with(rewrite, traj, monkeypatch) -> str:
-        monkeypatch.setattr(engine, "plain_text", rewrite)
+    def csv_with(formatter, traj, monkeypatch) -> str:
+        monkeypatch.setattr(engine, "format_rows", formatter)
         buf = io.StringIO()
         write_csv(traj, buf)
         return buf.getvalue()
@@ -935,13 +935,61 @@ class TestCsv:
     def assert_matches_oracle(self, segments, monkeypatch):
         traj = self.table(segments)
         want = self.oracle_csv(segments)
-        for rewrite in self.rewrites():
-            got = self.csv_with(rewrite, traj, monkeypatch)
+        for formatter in self.formatters():
+            got = self.csv_with(formatter, traj, monkeypatch)
             if got != want:
                 # name the first differing line; a diff of megabytes takes minutes
                 lines = zip(got.split("\n"), want.split("\n"))
                 first = next((a, b) for a, b in lines if a != b)
-                pytest.fail(f"{rewrite.__module__}: row differs from the oracle: {first}")
+                pytest.fail(f"{formatter.__module__}: row differs from the oracle: {first}")
+
+    def assert_fields_match_printf(self, values):
+        # each value as one sample field of two-state, one-output rows
+        # (t, x1, x2, u1, y1, V), against "%.12g" with its exponent form
+        # expanded by plain_field
+        values = [float(x) for x in values]
+        values += [0.5] * (-len(values) % 6)
+        samples = engine.SegmentResult(times=values[0::6], xs=[x for i in range(0, len(values), 6)
+                                                               for x in values[i + 1:i + 3]],
+                                       us=values[3::6], ys=values[4::6], vs=values[5::6])
+        want = [pure.plain_field("%.12g" % x) for x in values]
+        for formatter in self.formatters():
+            lines = formatter(samples, 2, 1, "7", "-3").split("\n")
+            assert lines.pop() == ""
+            got = [f for line in lines for i, f in enumerate(line.split(",")) if i not in (5, 7)]
+            assert len(got) == len(values), formatter.__module__
+            bad = [(x, a, b) for x, a, b in zip(values, got, want) if a != b]
+            assert not bad, f"{formatter.__module__}: {len(bad)} fields differ, first {bad[0]}"
+
+    def test_exact_decimal_ties_match_printf(self):
+        # a 13-digit integer ending in 5 is a tie at 12 digits: as it is,
+        # scaled up to 1e16, and as r / 2^j, with both float neighbours of each
+        rng = random.Random(1313)
+        ties = []
+        for _ in range(2000):
+            tie = rng.randrange(10 ** 11, 10 ** 12) * 10 + 5
+            ties += [tie * 10 ** s for s in range(4)]
+            for j in (1, 2, 3):
+                odd = rng.randrange(10 ** 12 // 5 ** j + 1, 10 ** 13 // 5 ** j) | 1
+                ties.append(odd * 5 ** j / 10 ** j)  # odd / 2^j, exactly
+        values = [y for x in ties for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))]
+        self.assert_fields_match_printf(values + [-x for x in values])
+
+    def test_rounding_carries_and_exact_range_edges_match_printf(self):
+        # carries into the next power of ten, and both sides of each edge of
+        # the compiled formatter's exact range [2^-36, 2^127), whose values
+        # outside go through snprintf
+        carries = [999999999999.5, 9.99999999999995e-5, 9.999999999995, 99999999999.95,
+                   9.999999999995e15, 9.999999999995e-11, 9.999999999995e37]
+        edges = [2.0 ** -36, 2.0 ** 127, 1e-11, 1e-4, 1e12, 1.7e38]
+        values = [y for x in carries + edges
+                  for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))]
+        self.assert_fields_match_printf(values + [-x for x in values])
+
+    def test_log_uniform_magnitudes_match_printf(self):
+        rng = random.Random(4040)
+        self.assert_fields_match_printf([rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-25.0, 40.0)
+                                         for _ in range(100_000)])
 
     def test_rows_match_per_field_decimal_oracle(self, monkeypatch):
         # 200k random bit patterns, 40k at a time, on 50-row segments
@@ -969,18 +1017,17 @@ class TestCsv:
             [(e, e, [tuple(e if j == i else 0.5 for j in range(6)) for i in range(6)])
              for e in edges], monkeypatch)
 
-    def test_rewrites_agree_on_field_boundaries(self):
+    def test_plain_text_field_boundaries(self):
         # -0 and exponent forms first and last on a line, at the end of a
         # text with no final line feed, and empty fields
         cases = {"": "", "-0": "0", "-0,1e-05\n-0.5,-0\n": "0,0.00001\n-0.5,0\n",
                  "1e+12,,-1e-05": "1000000000000,,-0.00001", "\n-0\n": "\n0\n",
                  "-1.5e+300": "-15" + "0" * 299}
-        for rewrite in self.rewrites():
-            assert {text: rewrite(text) for text in cases} == cases, rewrite.__module__
+        assert {text: pure.plain_text(text) for text in cases} == cases
 
     def test_non_finite_rejected_in_every_column(self, monkeypatch):
-        for rewrite in self.rewrites():
-            monkeypatch.setattr(engine, "plain_text", rewrite)
+        for formatter in self.formatters():
+            monkeypatch.setattr(engine, "format_rows", formatter)
             for bad in (math.inf, -math.inf, math.nan):
                 cases = [(bad, 0.5, [(0.0,) * 6]), (0.5, bad, [(0.0,) * 6])]
                 cases += [(0.5, 0.5, [tuple(bad if j == i else 0.0 for j in range(6))])
@@ -990,9 +1037,19 @@ class TestCsv:
                         write_csv(self.table([segment]), io.StringIO())
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-    def test_fig2_same_bytes_under_both_rewrites(self, monkeypatch):
-        # every fig2 row holds a field below 1e-4, so every row is rewritten
+    def test_compiled_formatter_rejects_mismatched_sizes(self):
+        # sizes are checked before any pointer reaches the C code
+        samples = engine.SegmentResult(times=[0.0, 1.0], xs=[0.5] * 4, us=[0.5] * 2,
+                                       ys=[0.5] * 2, vs=[0.5] * 2)
+        assert engine._speedup.format_rows(samples, 2, 1, "0", "0").count("\n") == 2
+        for bad in (dict(xs=[0.5] * 3), dict(us=[0.5]), dict(ys=[0.5] * 3), dict(vs=[])):
+            with pytest.raises(ValueError):
+                engine._speedup.format_rows(replace(samples, **bad), 2, 1, "0", "0")
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_fig2_same_bytes_under_both_formatters(self, monkeypatch):
+        # every fig2 row holds a field below 1e-4, which "%.12g" prints with an exponent
         traj, _ = _run_config(bundled_scenario("fig2")).run(100.0)
-        compiled = self.csv_with(engine._speedup.plain_text, traj, monkeypatch)
+        compiled = self.csv_with(engine._speedup.format_rows, traj, monkeypatch)
         assert "e" not in compiled.split("\n", 1)[1]
-        assert compiled == self.csv_with(pure.plain_text, traj, monkeypatch)
+        assert compiled == self.csv_with(pure.format_rows, traj, monkeypatch)
