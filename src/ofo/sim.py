@@ -118,22 +118,27 @@ class RunSummary:
     max_violation: float
 
 
-def default_dt(plant: LinearPlant, cost: CostModel, alpha: float) -> float:
+def default_dt(plant: LinearPlant, cost: CostModel, alpha: float,
+               beta: float | None = None) -> float:
     """Step size that keeps explicit stepping stable across the gain sweep.
 
-    Scales 0.1 by the fastest of: unit rate, the plant's spectral norm, and an
-    estimate stiffness = L + ell_phi_y * ell_g * ell_h of the controller
-    field's stiffness per unit gain, so that alpha * stiffness * dt <= 0.1
-    and ||A|| dt <= 0.1 hold; capped at 2.5e-3, which keeps the step-halving
-    end-state agreement below 1e-6 even for lightly damped loops.  A step
-    below the floor 1e-6 is refused with StepLimitError rather than clamped,
-    because a clamped step would break that bound and report a divergence
-    of the integrator as one of the loop.
+    Scales 0.1 by the fastest of: unit rate, the plant's spectral norm, and
+    the controller field's rate at this gain.  With stiffness = L +
+    ell_phi_y * ell_g * ell_h, an estimate of the gradient field's stiffness
+    per unit gain, that rate is alpha * stiffness for the gradient law (beta
+    None) and alpha * (1 + beta * stiffness) for the projected law with
+    stepsize beta, whose field alpha (proj(u - beta g) - u) moves no faster.
+    The step is capped at 2.5e-3, which keeps the step-halving end-state
+    agreement below 1e-6 even for lightly damped loops.  A step below the
+    floor 1e-6 is refused with StepLimitError rather than clamped, because a
+    clamped step would break that bound and report a divergence of the
+    integrator as one of the loop.
     """
     ell_h, ell_grad_h = plant.steady_moduli
     desc = cost.descriptor(ell_h, ell_grad_h)
     stiffness = desc.lip_grad_u + desc.ell_phi_y * spectral_norm(plant.c) * ell_h
-    dt = 0.1 / max(1.0, spectral_norm(plant.a), alpha * stiffness)
+    rate = alpha * stiffness if beta is None else alpha * (1.0 + beta * stiffness)
+    dt = 0.1 / max(1.0, spectral_norm(plant.a), rate)
     if dt < _DT_FLOOR:
         raise StepLimitError(
             f"step-limited: alpha = {alpha:.6g} needs dt = {dt:.6g} for explicit stepping "
@@ -265,13 +270,14 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
     The disturbance is held constant within each segment and switched exactly
     at segment boundaries (the integration lands on every boundary).  Records
     are strided to stay near config.max_records in total; final states are exact.
-    Without config.dt, a gain whose default step falls below its floor raises
-    StepLimitError (see default_dt).
+    Without config.dt, the step is default_dt's rule for the run's law: the
+    gradient law's at beta None, and the projected law's at the run's
+    stepsize beta (the given one, or 1/L).  A gain whose default step falls
+    below its floor raises StepLimitError.
     """
     if not 0.0 < alpha < math.inf:
         raise InputError(f"controller gain alpha must be positive and finite, got {alpha}")
     plant, cost, box, schedule = config.plant, config.cost, config.box, config.schedule
-    dt = config.dt if config.dt is not None else default_dt(plant, cost, alpha)
     lyapunov = config.lyapunov
 
     warnings: list[str] = []
@@ -283,6 +289,8 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
             warnings.append("u0 lies outside the input box; forward invariance is not guaranteed")
         (lo,), (hi,) = box.lo, box.hi
         beta = config.beta if config.beta is not None else 1.0 / cost.grad_u_lipschitz
+    dt = config.dt if config.dt is not None else default_dt(
+        plant, cost, alpha, None if box is None else beta)
     quadratic = isinstance(cost, QuadraticCost)
     cq1, cq2 = (cost.q_u, cost.q_y) if quadratic else (cost.a, 0.0)
     lyap_xi, lyap_p = (lyapunov.xi, list(lyapunov.p.data)) if lyapunov is not None else (0.0, [])

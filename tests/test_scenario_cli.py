@@ -356,6 +356,23 @@ class TestSweepCommand:
             assert status.startswith("step-limited:") and "divergence" not in status
         assert sorted(os.listdir(out_dir)) == ["alpha_400000.csv", "summary.csv"]
 
+    def test_projected_step_limited_gains_recorded(self, tmp_path):
+        # fig2 steps the projected law at 0.1 / (alpha (1 + beta stiffness)),
+        # which falls below the 1e-6 floor above alpha = 4.43e4: 4e4
+        # (dt = 1.11e-6) runs, 5e4 is refused
+        doc = yaml.safe_load(Path(bundled_scenario_path("fig2")).read_text("utf-8"))
+        doc["schedule"] = doc["schedule"][:1]
+        doc["sim"]["t_end"] = 0.01
+        out_dir = tmp_path / "sweep"
+        rc = main(["sweep", write_doc(tmp_path, doc), "--alphas", "4e4,5e4",
+                   "--out", str(out_dir)])
+        assert rc == 0
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        statuses = [row.split(",")[-1] for row in rows]
+        assert statuses[0] == "ok"
+        assert statuses[1].startswith("step-limited:") and "divergence" not in statuses[1]
+        assert sorted(os.listdir(out_dir)) == ["alpha_40000.csv", "summary.csv"]
+
 
     def test_overflow_of_finite_states_recorded(self, tmp_path, capsys):
         # fig1 at gain 1000 over 700 time units: the states stay finite

@@ -233,6 +233,72 @@ class TestDefaultDt:
             with pytest.raises(StepLimitError, match="step-limited"):
                 default_dt(fast_plant, quad_cost, alpha)
 
+    # fast_plant with quad_cost: stiffness = L + ell_phi_y ||C|| ell_h, L = 0.02
+    STIFF = 0.02 + (20.0 / 101.0) * 1.0 * (10.0 / 101.0)
+
+    @staticmethod
+    def run_steps(monkeypatch, config, alpha):
+        """The step of every segment that simulate hands to the kernel."""
+        seen = []
+        real = engine.run_segment
+        monkeypatch.setattr(engine, "run_segment", lambda spec: seen.append(spec.dt) or real(spec))
+        sim.simulate(config, alpha)
+        return seen
+
+    @staticmethod
+    def boxed(plant, cost, **kw):
+        return gradient_config(plant, cost, DisturbanceSchedule(((0.0, (10.0,)),)), 1e-4,
+                               box=BoxSet(lo=(-1.0,), hi=(1.0,)), **kw)
+
+    @pytest.mark.parametrize("beta", [None, 10.0])
+    def test_projected_rule(self, fast_plant, quad_cost, monkeypatch, beta):
+        # the projected field alpha (proj(u - beta g) - u) moves at most at
+        # alpha (1 + beta stiffness), with beta the given stepsize or 1/L = 50
+        config = self.boxed(fast_plant, quad_cost, beta=beta)
+        run_beta = 50.0 if beta is None else beta
+        alpha = 3000.0
+        dt = default_dt(fast_plant, quad_cost, alpha, run_beta)
+        assert dt == pytest.approx(0.1 / (alpha * (1.0 + run_beta * self.STIFF)), rel=1e-12)
+        assert self.run_steps(monkeypatch, config, alpha) == [dt]
+
+    def test_gradient_rule_unmoved(self, fast_plant, quad_cost, monkeypatch):
+        config = gradient_config(fast_plant, quad_cost, DisturbanceSchedule(((0.0, (10.0,)),)), 1e-4)
+        alpha = 3000.0
+        (dt,) = self.run_steps(monkeypatch, config, alpha)
+        assert dt == default_dt(fast_plant, quad_cost, alpha)
+        assert dt == pytest.approx(0.1 / (alpha * self.STIFF), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [None, 10.0])
+    def test_projected_floor_edge(self, fast_plant, quad_cost, beta):
+        # the projected step is refused, not clamped, below 1e-6 too
+        config = self.boxed(fast_plant, quad_cost, beta=beta)
+        run_beta = 50.0 if beta is None else beta
+        edge = 0.1 / ((1.0 + run_beta * self.STIFF) * 1e-6)
+        _, summary = config.run(edge * (1.0 - 1e-9))
+        assert summary.max_violation == 0.0
+        with pytest.raises(StepLimitError, match="step-limited"):
+            config.run(edge * (1.0 + 1e-9))
+
+    def test_fig2_step_halving_at_projected_step(self):
+        # bundled fig2 on its first 2 time units (the switch moved to t = 1),
+        # at the step simulate takes and at half of it.  fig2's states there
+        # are about 1e-5, so the usual 1e-6 * max(1, |end|) alone would let
+        # them differ by a tenth; they must also agree to 1e-6 of their size.
+        config = bundled_scenario("fig2").run_config()
+        (_, w1), (_, w2) = config.schedule.segments
+        config = replace(config, t_end=2.0,
+                         schedule=DisturbanceSchedule(((0.0, w1), (1.0, w2))))
+        beta = 1.0 / config.cost.grad_u_lipschitz
+        for alpha in (1.0, 10.0, 100.0, 1000.0):
+            dt = default_dt(config.plant, config.cost, alpha, beta)
+            # config sets no dt, so its run takes the projected rule's step
+            runs = [config.run(alpha), replace(config, dt=0.5 * dt).run(alpha)]
+            end1, end2 = (final_state(traj) for traj, _ in runs)
+            gap = vec_norm(vec_sub(end1, end2))
+            assert gap <= 1e-6 * max(1.0, vec_norm(end2)), alpha
+            assert gap <= 1e-6 * vec_norm(end2), alpha
+            assert all(summary.max_violation == 0.0 for _, summary in runs)
+
 
 class TestSimulate:
     def test_equilibrium_residence(self, fast_plant, quad_cost):
