@@ -20,7 +20,7 @@ from typing import Callable, TextIO
 from .certificate import certify
 from .errors import ConvexityGapError, DivergenceError, InputError, OfoError
 from .scenario import Scenario
-from .sim import LyapunovSpec, RunConfig, RunSummary, fmt12, sweep_alpha, write_csv
+from .sim import RunConfig, RunSummary, fmt12, sweep_alpha, write_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -63,9 +63,9 @@ def _atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
 
 
 def _run_config(scenario: Scenario) -> RunConfig:
-    """The scenario's run configuration, with weights for the diagnostic V
-    column: the plant's Lyapunov matrix, and the certified weight when one
-    exists, otherwise weight 1."""
+    """The scenario's run configuration, with the weight of the diagnostic V
+    column: the certified xi when one exists, otherwise 1.  Prints the
+    configuration's warnings on standard error, once for all its gains."""
     config = scenario.run_config()
     try:
         report = certify(config.plant, config.cost, scenario.alpha, scenario.overrides,
@@ -73,7 +73,9 @@ def _run_config(scenario: Scenario) -> RunConfig:
         xi = report.xi.chosen if report.xi is not None else 1.0
     except ConvexityGapError:
         xi = 1.0
-    return replace(config, lyapunov=LyapunovSpec(xi=xi, p=config.plant.lyapunov_p))
+    for warning in config.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return replace(config, xi=xi)
 
 
 def _summary_line(alpha: float, summary: RunSummary) -> str:
@@ -99,15 +101,15 @@ def cmd_simulate(args) -> int:
     scenario = Scenario.load(args.scenario)
     config = _run_config(scenario)
     traj, summary = config.run(scenario.alpha)
-    for warning in traj.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     _atomic_write(args.out, lambda fh: write_csv(traj, fh))
     print(_summary_line(scenario.alpha, summary))
     return EXIT_OK
 
 
 def _parse_alphas(text: str) -> list[float]:
-    out = []
+    """The gains of --alphas, in order; two gains whose 12-digit labels, and
+    so whose CSV names and summary rows, coincide are refused."""
+    out, labels = [], {}
     for token in text.split(","):
         token = token.strip()
         if not token:
@@ -118,6 +120,10 @@ def _parse_alphas(text: str) -> list[float]:
             raise InputError(f"--alphas: {token!r} is not a number")
         if not 0.0 < value < math.inf:
             raise InputError(f"--alphas: values must be positive and finite, got {token}")
+        label = fmt12(value)
+        if label in labels:
+            raise InputError(f"--alphas: {labels[label]!r} and {token!r} both print as {label}")
+        labels[label] = token
         out.append(value)
     if not out:
         raise InputError("--alphas: no values given")

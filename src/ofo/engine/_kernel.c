@@ -28,7 +28,7 @@ typedef struct {
     const double *a, *b, *drift, *c, *s0;
     double lo, hi, cq1, cq2, mu4, alpha, beta;
     double *y, *gy;            /* scratch */
-    double xi;                 /* weight of V; 0.0 records no V */
+    double xi;                 /* weight of V */
     const double *lp, *xstar;
     double ustar;
     double *dx;                /* scratch */
@@ -91,7 +91,7 @@ static double step_time(long step, long n_tot, double t0, double t_end, double d
     return step == n_tot ? t_end : t0 + step * dt;
 }
 
-/* Appends record k: its time, x, u, y = C x and, when xi is nonzero,
+/* Appends record k: its time, x, u, y = C x and
  * V = max(xi (x-x*)^T P (x-x*), (u-u*)^2 / 2), summed in the order of
  * ofo.sim.lyapunov_trace. */
 static void record(const field_t *f, long k, double t, const double *x, double u,
@@ -109,28 +109,25 @@ static void record(const field_t *f, long k, double t, const double *x, double u
             acc += f->c[i * n + j] * x[j];
         rec_y[k * p + i] = acc;
     }
-    if (f->xi != 0.0) {
-        double vx = 0.0, vu, d;
+    double vx = 0.0, vu, d;
+    for (int j = 0; j < n; j++)
+        f->dx[j] = x[j] - f->xstar[j];
+    for (int i = 0; i < n; i++) {
+        double acc = 0.0;
         for (int j = 0; j < n; j++)
-            f->dx[j] = x[j] - f->xstar[j];
-        for (int i = 0; i < n; i++) {
-            double acc = 0.0;
-            for (int j = 0; j < n; j++)
-                acc += f->lp[i * n + j] * f->dx[j];
-            vx += f->dx[i] * acc;
-        }
-        d = u - f->ustar;
-        vu = 0.5 * (d * d);
-        vx = f->xi * vx;
-        rec_v[k] = vu > vx ? vu : vx;
+            acc += f->lp[i * n + j] * f->dx[j];
+        vx += f->dx[i] * acc;
     }
+    d = u - f->ustar;
+    vu = 0.5 * (d * d);
+    vx = f->xi * vx;
+    rec_v[k] = vu > vx ? vu : vx;
 }
 
 /* Integrates one constant-disturbance segment from (x, *u), which come back
  * as the final state.  b holds n values and s0 p values.  The record buffers
- * hold 2 + n_tot / stride records; lp, xstar, ustar and rec_v are read only
- * when xi is nonzero.  Returns the number of records written, or -1 when
- * scratch memory cannot be allocated. */
+ * hold 2 + n_tot / stride records.  Returns the number of records written,
+ * or -1 when scratch memory cannot be allocated. */
 long ofo_run_segment(int n, int p, int sine, int sqrtplus, int projected,
                      const double *a, const double *b, const double *drift,
                      const double *c, const double *s0,

@@ -4,10 +4,10 @@ Everything is plain floats, ints, and lists so the compiled and pure kernels
 can consume the same object.  The input is a scalar (RunConfig refuses any
 other plant), so u, its box bounds and its anchor are floats.  Matrices are
 row-major flat lists; the disturbance enters only through the precomputed
-drift vector B_w w, which is constant within a segment.  A nonzero
-`lyap_xi` makes the kernel record the composite function
-V = max(xi (x-x*)^T P (x-x*), (u-u*)^2 / 2) with every sample; the default
-0.0 records none.
+drift vector B_w w, which is constant within a segment.  Every sample
+comes with the composite function V = max(xi (x-x*)^T P (x-x*), (u-u*)^2 / 2)
+at the weight `lyap_xi`, the matrix `lyap_p` and the anchor (`xstar`,
+`ustar`); simulate() passes the plant's own P, but the kernels take any.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class SegmentSpec:
     last_dt: float
     record_stride: int
     include_final: bool
-    lyap_xi: float = 0.0    # weight xi of V; 0.0 records no V
-    lyap_p: list[float] = field(default_factory=list)   # n*n
-    xstar: list[float] = field(default_factory=list)    # n, the anchor of V
-    ustar: float = 0.0                                  # the anchor of V
+    lyap_xi: float          # weight xi of V
+    lyap_p: list[float]     # n*n
+    xstar: list[float]      # n, the anchor of V
+    ustar: float            # the anchor of V
 
 
 @dataclass
@@ -58,7 +58,7 @@ class SegmentResult:
     xs: list[float] = field(default_factory=list)   # flat, n per record
     us: list[float] = field(default_factory=list)   # one input per record
     ys: list[float] = field(default_factory=list)   # flat, p per record
-    vs: list[float] = field(default_factory=list)   # one V per record, when recorded
+    vs: list[float] = field(default_factory=list)   # one V per record
     final_x: list[float] = field(default_factory=list)
     final_u: float = 0.0
     max_violation: float = 0.0

@@ -152,21 +152,20 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
             for j in range(n):
                 acc += c[base + j] * x[j]
             rec_y.append(acc)
-        if xi:
-            # the operation order of ofo.sim.lyapunov_trace
+        # the operation order of ofo.sim.lyapunov_trace
+        for j in range(n):
+            dx[j] = x[j] - xstar[j]
+        vx = 0.0
+        for i in range(n):
+            acc = 0.0
+            base = i * n
             for j in range(n):
-                dx[j] = x[j] - xstar[j]
-            vx = 0.0
-            for i in range(n):
-                acc = 0.0
-                base = i * n
-                for j in range(n):
-                    acc += lp[base + j] * dx[j]
-                vx += dx[i] * acc
-            d = u - ustar
-            vu = 0.5 * (d * d)
-            vx = xi * vx
-            rec_v.append(vu if vu > vx else vx)
+                acc += lp[base + j] * dx[j]
+            vx += dx[i] * acc
+        d = u - ustar
+        vu = 0.5 * (d * d)
+        vx = xi * vx
+        rec_v.append(vu if vu > vx else vx)
 
     record(0)
     h2_main = 0.5 * dt

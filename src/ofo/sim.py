@@ -69,25 +69,12 @@ class DisturbanceSchedule:
         return len(self.segments[0][1])
 
 
-@dataclass(frozen=True)
-class LyapunovSpec:
-    """Composite-function weights: V = max(xi * (x-x*)^T P (x-x*), (u-u*)^2 / 2)."""
-
-    xi: float
-    p: Matrix
-
-    def __post_init__(self):
-        if not 0.0 < self.xi < math.inf:
-            raise InputError(f"xi must be positive and finite, got {self.xi}")
-
-
 @dataclass
 class Segment:
     """One constant-disturbance segment of a run: its span from start to
     end, its disturbance, the reference optimum u* with its steady state x*,
     and the stepping kernel's result for it as returned.  samples.xs holds n
-    values and samples.ys p values per record; samples.vs is empty when no V
-    was recorded."""
+    values and samples.ys p values per record, and samples.vs one V."""
 
     start: float
     end: float
@@ -102,7 +89,6 @@ class Trajectory:
     """A run: one Segment per disturbance segment, in time order."""
 
     segments: list[Segment] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def t(self) -> list[float]:
@@ -278,28 +264,24 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
     if not 0.0 < alpha < math.inf:
         raise InputError(f"controller gain alpha must be positive and finite, got {alpha}")
     plant, cost, box, schedule = config.plant, config.cost, config.box, config.schedule
-    lyapunov = config.lyapunov
 
-    warnings: list[str] = []
     if box is None:
         beta = 0.0
         lo, hi = -math.inf, math.inf
     else:
-        if not box.contains(config.u0):
-            warnings.append("u0 lies outside the input box; forward invariance is not guaranteed")
         (lo,), (hi,) = box.lo, box.hi
         beta = config.beta if config.beta is not None else 1.0 / cost.grad_u_lipschitz
     dt = config.dt if config.dt is not None else default_dt(
         plant, cost, alpha, None if box is None else beta)
     quadratic = isinstance(cost, QuadraticCost)
     cq1, cq2 = (cost.q_u, cost.q_y) if quadratic else (cost.a, 0.0)
-    lyap_xi, lyap_p = (lyapunov.xi, list(lyapunov.p.data)) if lyapunov is not None else (0.0, [])
+    lyap_p = list(plant.lyapunov_p.data)
 
     boundaries = [t for t, _ in schedule.segments] + [config.t_end]
     n_segments = len(schedule.segments)
     per_seg_records = max(2, config.max_records // n_segments)
 
-    traj = Trajectory(warnings=warnings)
+    traj = Trajectory()
     ustar_cache: dict[Vector, float] = {}
     x = list(config.x0)
     (u,) = config.u0
@@ -325,7 +307,7 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
             x0=x, u0=u, t0=t_start, t_end=t_stop, dt=dt,
             n_full=n_full, last_dt=last_dt, record_stride=stride,
             include_final=(k == n_segments - 1),
-            lyap_xi=lyap_xi, lyap_p=lyap_p, xstar=list(xstar), ustar=ustar,
+            lyap_xi=config.xi, lyap_p=lyap_p, xstar=list(xstar), ustar=ustar,
         )
         res = engine.run_segment(spec)
         # the kernel stops at a non-finite state, but a finite state can give
@@ -349,8 +331,9 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
     return traj
 
 
-def lyapunov_trace(traj: Trajectory, spec: LyapunovSpec) -> list[float]:
-    """Composite-function samples along a trajectory, re-anchored per segment.
+def lyapunov_trace(traj: Trajectory, xi: float, p: Matrix) -> list[float]:
+    """Composite-function samples V = max(xi (x-x*)^T P (x-x*), (u-u*)^2 / 2)
+    along a trajectory, re-anchored per segment.
 
     This is the reference for the V that the stepping kernel records during
     simulate().  Both add left to right, as sum() does before Python 3.12, so
@@ -361,9 +344,9 @@ def lyapunov_trace(traj: Trajectory, spec: LyapunovSpec) -> list[float]:
         # zip over n references to one iterator yields consecutive n-tuples
         xs = zip(*[iter(seg.samples.xs)] * len(seg.xstar))
         for x, u in zip(xs, seg.samples.us):
-            vx = quad_form(spec.p, vec_sub(x, seg.xstar))
+            vx = quad_form(p, vec_sub(x, seg.xstar))
             du = u - seg.ustar
-            out.append(max(spec.xi * vx, 0.5 * (du * du)))
+            out.append(max(xi * vx, 0.5 * (du * du)))
     return out
 
 
@@ -432,10 +415,12 @@ class RunConfig:
     certificate handles inputs of any dimension.  The run's fit is checked
     here, once for every gain: the lengths of x0 and u0, the schedule's
     width against B_w and its last start against a positive, finite t_end,
-    a given dt, and the Lyapunov matrix's shape.  The law is the projected
-    one exactly when box is set, and the gradient law otherwise.  A given
-    beta must satisfy 0 < beta <= 1/L; None means 1/L, worked out at each
-    run, so a replaced cost keeps no stale stepsize.
+    and a given dt.  The law is the projected one exactly when box is set,
+    and the gradient law otherwise.  A given beta needs a box and must
+    satisfy 0 < beta <= 1/L; None means 1/L, worked out at each run, so a
+    replaced cost keeps no stale stepsize.  Every run records
+    V = max(xi (x-x*)^T P (x-x*), (u-u*)^2 / 2) with the plant's own
+    P = plant.lyapunov_p and the positive, finite weight xi.
     """
 
     plant: LinearPlant
@@ -448,7 +433,7 @@ class RunConfig:
     box: BoxSet | None = None
     dt: float | None = None
     max_records: int = DEFAULT_MAX_RECORDS
-    lyapunov: LyapunovSpec | None = None
+    xi: float = 1.0
 
     def __post_init__(self):
         plant, schedule = self.plant, self.schedule
@@ -471,10 +456,12 @@ class RunConfig:
             raise InputError("schedule extends beyond t_end")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise InputError(f"dt must be positive and finite, got {self.dt}")
-        lyapunov = self.lyapunov
-        if lyapunov is not None and (lyapunov.p.rows, lyapunov.p.cols) != (plant.n, plant.n):
-            raise InputError(f"the Lyapunov matrix must be {plant.n}x{plant.n}")
+        if not 0.0 < self.xi < math.inf:
+            raise InputError(f"xi must be positive and finite, got {self.xi}")
         if self.beta is not None:
+            if self.box is None:
+                raise InputError("stepsize beta is only valid for the projected law, "
+                                 "which needs a box")
             if not self.beta > 0.0:
                 raise InputError("stepsize beta must be positive")
             limit = 1.0 / self.cost.grad_u_lipschitz
@@ -482,6 +469,13 @@ class RunConfig:
                 raise InputError(
                     f"stepsize beta = {self.beta} violates the projected-law precondition "
                     f"beta <= 1/L = {limit}")
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """What this configuration does not guarantee, the same at every gain."""
+        if self.box is not None and not self.box.contains(self.u0):
+            return ("u0 lies outside the input box; forward invariance is not guaranteed",)
+        return ()
 
     def hurwitz(self, alpha: float) -> bool | None:
         """Whether the closed loop at this gain is Hurwitz, for the loops that
@@ -555,8 +549,6 @@ def write_csv(traj: Trajectory, stream: TextIO) -> None:
     already in place as text, and written to the stream before the next
     segment is formatted.
     """
-    if not all(seg.samples.vs for seg in traj.segments):
-        raise InputError("trajectory has no Lyapunov samples; simulate with a LyapunovSpec")
     first = traj.segments[0]
     n = len(first.xstar)
     p = len(first.samples.ys) // len(first.samples.times)

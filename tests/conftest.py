@@ -6,8 +6,10 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
+from ofo import engine
 from ofo.controllers import proj_box
 from ofo.costs import QuadraticCost, SqrtPlusCost, reduced_gradient
+from ofo.engine import pure
 from ofo.errors import DivergenceError, InputError
 from ofo.linalg import Matrix
 from ofo.plants import LinearPlant, SinePlant
@@ -23,6 +25,16 @@ def bundled_scenario_path(name: str) -> str:
 
 def bundled_scenario(name: str) -> Scenario:
     return Scenario.load(bundled_scenario_path(name))
+
+
+@pytest.fixture(params=["selected", "pure"])
+def kernel(request, monkeypatch) -> str:
+    """Runs the test once with the kernel the import selected and once with
+    the pure-Python kernel, for stepping and for CSV rows alike."""
+    if request.param == "pure":
+        monkeypatch.setattr(engine, "run_segment", pure.run_segment)
+        monkeypatch.setattr(engine, "format_rows", pure.format_rows)
+    return request.param
 
 
 @pytest.fixture

@@ -35,6 +35,27 @@ def minimal_doc() -> dict:
     }
 
 
+def dense_doc() -> dict:
+    """A four-state linear plant with a dense, diagonally dominant A and two
+    outputs, so its Lyapunov matrix P is dense too; no sin or cos runs."""
+    return {
+        "plant": {
+            "kind": "linear",
+            "A": [[-3.0, 1.0, 0.5, -0.25],
+                  [0.5, -2.0, 1.0, 0.25],
+                  [-0.25, 0.5, -2.5, 1.0],
+                  [1.0, -0.5, 0.25, -4.0]],
+            "B": [[1.0], [0.5], [-0.5], [0.25]],
+            "B_w": [[0.5], [1.0], [0.0], [-0.5]],
+            "C": [[1.0, -0.5, 0.25, 0.5], [0.0, 1.0, 0.5, -0.25]],
+        },
+        "cost": {"kind": "quadratic", "q_u": 0.1, "q_y": 1.0},
+        "controller": {"kind": "gradient", "alpha": 1.0},
+        "schedule": [[0.0, 1.0], [1.0, -0.5]],
+        "sim": {"t_end": 2.0, "x0": [0.5, -0.25, 0.0, 0.125], "u0": [0.25]},
+    }
+
+
 def write_doc(tmp_path, doc, name="scenario.yaml") -> str:
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
@@ -303,6 +324,53 @@ class TestSweepCommand:
                 assert main(argv) == 2
                 assert "controller.alpha" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_gains_with_one_label_refused(self, tmp_path, capsys):
+        # gains whose 12-digit labels coincide would share one CSV and write
+        # two rows with one label into summary.csv
+        path = write_doc(tmp_path, minimal_doc())
+        for alphas, first, second in (("1,1.0000000000001", "1", "1.0000000000001"),
+                                      ("10,2,10", "10", "10"), ("3, 3.0", "3", "3.0")):
+            assert main(["sweep", path, "--alphas", alphas, "--out", str(tmp_path / "d")]) == 2
+            err = capsys.readouterr().err
+            assert f"--alphas: {first!r} and {second!r} both print as" in err, err
+        assert not (tmp_path / "d").exists()
+
+    def test_box_warning_printed_once(self, tmp_path, capsys):
+        # u0 outside the box is a fact of the configuration: every command
+        # prints it once on standard error, and it changes no other output
+        doc = yaml.safe_load(Path(bundled_scenario_path("fig2")).read_text("utf-8"))
+        doc["schedule"] = doc["schedule"][:1]
+        doc["sim"].update(t_end=1.0, u0=[0.001])
+        path = write_doc(tmp_path, doc)
+        single = tmp_path / "single.csv"
+        assert main(["simulate", path, "--out", str(single)]) == 0
+        simulated = capsys.readouterr()
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", path, "--alphas", "1,10", "--out", str(out_dir)]) == 0
+        swept = capsys.readouterr()
+        for run, lines in ((simulated, 1), (swept, 2)):
+            assert run.err.count("warning:") == 1, run.err
+            assert "u0 lies outside the input box" in run.err
+            assert [line[:8] for line in run.out.splitlines()] == ["alpha = "] * lines
+        assert swept.out.splitlines()[1] == simulated.out.strip()
+        assert (out_dir / "alpha_10.csv").read_bytes() == single.read_bytes()
+        assert sorted(os.listdir(out_dir)) == ["alpha_1.csv", "alpha_10.csv", "summary.csv"]
+
+    def test_dense_lyapunov_matrix_bytes_pinned(self, tmp_path, kernel):
+        # SHA-256 of every file `sweep --alphas 1,10,100` writes for a plant
+        # whose P is a dense 4x4 matrix, under both kernels
+        pinned = {
+            "alpha_1.csv": "796b703859fc92a2de53dd72210efc2a38b2889d21ed4bc9779aa848df508ce1",
+            "alpha_10.csv": "894aacc8e6ccf19f9c987e103740576b3f3700f14289e6aa3c5a79bf7a42e1b8",
+            "alpha_100.csv": "5c65f4168fe26ecf326f39144622d4dfa2fd05a3e49a745455441a70a8cc48cb",
+            "summary.csv": "2685819089826d87b41f2b19126ab3e87bc0032e7ba9cfca2e8bee1a63cb5f1c",
+        }
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", write_doc(tmp_path, dense_doc()), "--alphas", "1,10,100",
+                     "--out", str(out_dir)]) == 0
+        assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                for name in os.listdir(out_dir)} == pinned
 
     def test_each_gain_written_before_the_next_runs(self, tmp_path, monkeypatch):
         # a sweep holds one trajectory at a time: when a gain starts, every

@@ -24,7 +24,6 @@ from ofo.linalg import Matrix, vec_norm, vec_sub
 from ofo.plants import LinearPlant, SinePlant
 from ofo.sim import (
     DisturbanceSchedule,
-    LyapunovSpec,
     RunConfig,
     csv_header,
     default_dt,
@@ -45,7 +44,6 @@ from conftest import (
     integrate,
     outputs,
     random_hurwitz_rows,
-    random_spd_rows,
     states,
 )
 
@@ -325,8 +323,7 @@ class TestSimulate:
         (dict(t_end=math.nan), "t_end must be positive and finite"),
         (dict(dt=math.inf), "dt must be positive and finite"),
         (dict(dt=math.nan), "dt must be positive and finite"),
-        (dict(lyapunov=LyapunovSpec(xi=1.0, p=Matrix.identity(3))),
-         "the Lyapunov matrix must be 2x2"),
+        (dict(beta=0.001), "only valid for the projected law"),
     ])
     def test_config_refuses_cross_field_faults_when_built(self, fast_plant, quad_cost,
                                                           fault, fragment):
@@ -437,8 +434,8 @@ class TestSimulate:
         cfg = RunConfig(plant=slow_sine_plant, cost=sqrt_cost,
                         schedule=schedule, x0=(0.0, 0.0), u0=(1e-3,), t_end=1.0,
                         box=BoxSet(lo=(-5e-5,), hi=(5e-5,)))
-        traj, _ = cfg.run(1.0)
-        assert traj.warnings and "box" in traj.warnings[0]
+        assert len(cfg.warnings) == 1 and "box" in cfg.warnings[0]
+        assert replace(cfg, u0=(0.0,)).warnings == ()
 
     def test_step_halving_consistency_short(self, slow_sine_plant, sqrt_cost):
         schedule = DisturbanceSchedule(((0.0, (-0.001,)), (5.0, (0.001,))))
@@ -518,7 +515,7 @@ class TestKernels:
         for spec in specs + weighted:
             a = pure.run_segment(spec)
             b = _speedup.run_segment(spec)
-            assert len(a.vs) == (len(a.times) if spec.lyap_xi else 0)
+            assert len(a.vs) == len(a.times)
             assert bits(a.times) == bits(b.times)
             assert bits(a.xs) == bits(b.xs)
             assert bits(a.us) == bits(b.us)
@@ -639,17 +636,19 @@ def two_output_config(seed: int, **kw) -> RunConfig:
 
 
 class TestLyapunovMachinery:
-    def test_kernel_v_matches_lyapunov_trace(self):
+    def test_kernel_v_matches_lyapunov_trace(self, kernel):
+        # V is recorded with the plant's own P on every run; a configuration
+        # built without xi weighs it by 1
         fig1 = _run_config(bundled_scenario("fig1"))
         fig2 = bundled_scenario("fig2")
-        rng = random.Random(11)
-        weights = LyapunovSpec(xi=0.37, p=Matrix.from_rows(random_spd_rows(rng, 3)))
         runs = [(fig1, alpha) for alpha in (1.0, 10.0, 100.0, 1000.0)]
         runs += [(_run_config(fig2), fig2.alpha),
-                 (two_output_config(11, lyapunov=weights), 5.0)]
+                 (two_output_config(11, xi=0.37), 5.0),
+                 (two_output_config(11), 5.0)]
+        assert runs[-1][0].xi == 1.0
         for config, alpha in runs:
             traj, _ = config.run(alpha)
-            reference = lyapunov_trace(traj, config.lyapunov)
+            reference = lyapunov_trace(traj, config.xi, config.plant.lyapunov_p)
             v = [v for seg in traj.segments for v in seg.samples.vs]
             assert len(v) == len(traj.t) == len(reference)
             if sys.version_info < (3, 12):
@@ -660,26 +659,19 @@ class TestLyapunovMachinery:
                 assert v == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("xi", [math.nan, math.inf, 0.0, -1.0])
-    def test_weight_must_be_positive_and_finite(self, xi):
-        with pytest.raises(InputError, match="xi must be positive and finite"):
-            LyapunovSpec(xi=xi, p=Matrix.identity(2))
-
-    def test_lyapunov_matrix_must_match_the_plant(self, fast_plant, quad_cost):
+    def test_weight_must_be_positive_and_finite(self, fast_plant, quad_cost, xi):
         schedule = DisturbanceSchedule(((0.0, (1.0,)),))
-        with pytest.raises(InputError, match="2x2"):
-            cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0,
-                                  lyapunov=LyapunovSpec(xi=1.0, p=Matrix.identity(3)))
-            cfg.run(1.0)
+        with pytest.raises(InputError, match="xi must be positive and finite"):
+            gradient_config(fast_plant, quad_cost, schedule, t_end=1.0, xi=xi)
 
     def test_trace_values_at_anchor_and_unit_offsets(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (0.0,)),))
         cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0)
         traj, _ = cfg.run(1.0)
-        spec = LyapunovSpec(xi=1.0, p=Matrix.identity(2))
         # anchor is (numerically) the origin here (w = 0); fabricate offsets
         samples = engine.SegmentResult(times=[0.0, 1.0], xs=[0.0, 0.0, 1.0, 0.0], us=[0.0, 0.0])
         traj = sim.Trajectory(segments=[replace(traj.segments[0], samples=samples)])
-        v = lyapunov_trace(traj, spec)
+        v = lyapunov_trace(traj, 1.0, Matrix.identity(2))
         assert v[0] == pytest.approx(0.0, abs=1e-16)
         assert v[1] == pytest.approx(1.0, abs=1e-9)
 
@@ -701,11 +693,10 @@ class TestLyapunovMachinery:
         reg = replace(quad_cost, mu4=mu4)
         report = certify(fast_plant, reg, 1.0)
         assert report.certified
-        spec = LyapunovSpec(xi=report.xi.chosen, p=fast_plant.lyapunov_p)
         schedule = DisturbanceSchedule(((0.0, (10.0,)), (6.0, (-10.0,))))
         cfg = RunConfig(plant=fast_plant, cost=reg,
                         schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=12.0,
-                        lyapunov=spec)
+                        xi=report.xi.chosen)
         for alpha in (0.5, 5.0, 50.0):
             tau = report.tau(alpha)
             assert tau > 0.0
@@ -727,11 +718,10 @@ class TestLyapunovMachinery:
         k, _ = assemble_constants(fast_plant, quad_cost)
         reg = replace(quad_cost, mu4=required_regularization(k, margin=0.5))
         report = certify(fast_plant, reg, 2.0)
-        spec = LyapunovSpec(xi=report.xi.chosen, p=fast_plant.lyapunov_p)
         schedule = DisturbanceSchedule(((0.0, (10.0,)), (6.0, (-10.0,))))
         cfg = RunConfig(plant=fast_plant, cost=reg,
                         schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=12.0,
-                        lyapunov=spec)
+                        xi=report.xi.chosen)
         traj, _ = cfg.run(2.0)
         tau = report.tau(2.0)
         assert len(traj.segments) == 2
@@ -925,9 +915,7 @@ class TestSweep:
 class TestCsv:
     def test_header_and_shape(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (10.0,)),))
-        spec = LyapunovSpec(xi=1.0, p=fast_plant.lyapunov_p)
-        cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0,
-                              lyapunov=spec, max_records=50)
+        cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0, max_records=50)
         traj, _ = cfg.run(10.0)
         buf = io.StringIO()
         write_csv(traj, buf)
@@ -939,13 +927,6 @@ class TestCsv:
         assert first[0] == "0"
         assert first[5] == "10"
         assert "e" not in buf.getvalue() and "E" not in buf.getvalue()
-
-    def test_v_required(self, fast_plant, quad_cost):
-        schedule = DisturbanceSchedule(((0.0, (10.0,)),))
-        cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0)
-        traj, _ = cfg.run(10.0)
-        with pytest.raises(InputError):
-            write_csv(traj, io.StringIO())
 
     @staticmethod
     def oracle_fmt12(x: float) -> str:
