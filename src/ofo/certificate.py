@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .costs import CostModel
+from .costs import CostModel, check_fit
 from .errors import ConvexityGapError, InputError
 from .linalg import spectral_norm, sym_eigenvalues
 from .plants import LinearPlant
@@ -252,11 +252,11 @@ def certify(
     alpha: float,
     overrides: dict[str, float] | None = None,
     claimed_mu_bound_rhs: float | None = None,
-    margin: float = 1e-6,
 ) -> CertificateReport:
     """Run the full certification pipeline for one plant/cost/gain triple."""
     if not 0.0 < alpha < math.inf:
         raise InputError(f"alpha must be positive and finite, got {alpha}")
+    check_fit(cost, plant.m, plant.p)
     constants, overridden = assemble_constants(plant, cost, overrides)
     params = derive_dominance_params(constants)
     # The interval route is operative (the decay rate needs a concrete
@@ -275,7 +275,7 @@ def certify(
         xi=xi,
         certified=certified,
         mu_bound_rhs=rhs,
-        required_mu4=required_regularization(constants, margin),
+        required_mu4=required_regularization(constants),
         tau_at_alpha=tau_at_alpha,
         claimed_mu_bound_rhs=claimed_mu_bound_rhs,
     )

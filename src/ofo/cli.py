@@ -207,17 +207,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except OfoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SystemExit:
-        raise
     except Exception as exc:  # total exit-code contract
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INPUT

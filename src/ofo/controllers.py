@@ -40,8 +40,8 @@ class BoxSet:
     def dim(self) -> int:
         return len(self.lo)
 
-    def contains(self, u: Vector, tol: float = 0.0) -> bool:
-        return all(l - tol <= v <= h + tol for l, v, h in zip(self.lo, u, self.hi))
+    def contains(self, u: Vector) -> bool:
+        return all(l <= v <= h for l, v, h in zip(self.lo, u, self.hi))
 
 
 def proj_box(v: Vector, box: BoxSet) -> Vector:

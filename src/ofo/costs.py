@@ -29,14 +29,6 @@ class CostDescriptor:
     ell_phi_u: float       # Lipschitz modulus (in u) of the sensitivity-weighted y-gradient
     ell_phi_y: float
 
-    def __post_init__(self):
-        if self.mu_phi <= 0.0:
-            raise InputError("strong convexity modulus must be positive")
-        if self.lip_grad_u < self.mu_phi:
-            raise InputError("gradient Lipschitz modulus cannot be below the convexity modulus")
-        if self.ell_phi_u < 0.0 or self.ell_phi_y < 0.0:
-            raise InputError("Lipschitz moduli must be nonnegative")
-
 
 def _check_moduli(ell_h: float, ell_grad_h: float) -> None:
     if ell_h < 0.0 or ell_grad_h < 0.0:
@@ -142,6 +134,12 @@ class SqrtPlusCost:
 
 
 CostModel = QuadraticCost | SqrtPlusCost
+
+
+def check_fit(cost: CostModel, m: int, p: int) -> None:
+    """Refuse a cost on a plant with m inputs and p outputs it is not defined for."""
+    if isinstance(cost, SqrtPlusCost) and (m != 1 or p != 1):
+        raise InputError("the sqrtplus cost requires scalar input and output")
 
 
 def reduced_gradient(cost: CostModel, sensitivity: Matrix, u: Vector, y: Vector) -> Vector:

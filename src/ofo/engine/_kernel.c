@@ -10,8 +10,9 @@
  * `%.12g` printout of its double in plain decimal notation, byte for byte
  * as ofo.engine.pure.format_rows does.  For 2^-36 <= |x| < 2^127 the 12
  * digits are computed exactly in 128-bit integers and placed around the
- * decimal point, so no exponent form is built; other values go through
- * snprintf("%.12g") and have their printed digits placed the same way.
+ * decimal point, so no exponent form is built; other values, and every
+ * value on a compiler without __int128, go through snprintf("%.11e"), whose
+ * 12 printed digits are the same and are placed the same way.
  *
  * There is no mutable global or static state: each call touches only its
  * arguments and the scratch memory it allocates.
@@ -231,45 +232,23 @@ static void place_digits(const char *d, long nd, long point, char *out, long *po
 #define FIELD_MAX 40
 #define FALLBACK_MAX 338
 
-/* Puts the `%.12g` printout [f, f + len) of a finite nonzero double in
- * plain notation, as ofo.engine.pure.plain_field does: a plain form as it
- * is, an exponent form by placing its printed digits around the decimal
- * point.  Returns -1 for an exponent form that `%.12g` of a double does not
- * print (more than 12 digits, or an exponent beyond 324), which would not
- * fit in FALLBACK_MAX bytes. */
-static int plain_field(const char *f, long len, char *out, long *pos)
+/* Puts the finite nonzero x as `%.12g` in plain notation, as
+ * ofo.engine.pure.plain_field does.  snprintf("%.11e") prints the same 12
+ * digits in the fixed layout [-]d.ddddddddddde(+|-)dd[d]; `%.12g` drops
+ * their trailing zeros, and so does this before placing them. */
+static void printed_field(double x, char *out, long *pos)
 {
-    const char *e = memchr(f, 'e', (size_t)len), *end = f + len, *c = f;
-    char digits[12];
-    long nd = 0, exponent = 0;
-    if (e == NULL) {
-        put(out, pos, f, len);
-        return 0;
-    }
-    if (c < e && *c == '-') {
+    char text[24], d[12];
+    const char *c = text + (x < 0);
+    snprintf(text, sizeof text, "%.11e", x);
+    d[0] = c[0];
+    memcpy(d + 1, c + 2, 11);
+    long nd = 12;
+    while (d[nd - 1] == '0')
+        nd--;
+    if (x < 0)
         put(out, pos, "-", 1);
-        c++;
-    }
-    for (; c < e; c++) {
-        if (*c == '.')
-            continue;
-        if (nd == (long)sizeof digits)
-            return -1;
-        digits[nd++] = *c;
-    }
-    int negative = e + 1 < end && e[1] == '-';
-    c = e + 1 + (e + 1 < end && (e[1] == '-' || e[1] == '+'));
-    if (c == end || end - c > 3)
-        return -1;
-    for (; c < end; c++) {
-        if (*c < '0' || *c > '9')
-            return -1;
-        exponent = 10 * exponent + (*c - '0');
-    }
-    if (exponent > 324)
-        return -1;
-    place_digits(digits, nd, (negative ? -exponent : exponent) + 1, out, pos);
-    return 0;
+    place_digits(d, nd, atoi(c + 14) + 1, out, pos);
 }
 
 #ifdef __SIZEOF_INT128__
@@ -381,12 +360,9 @@ static int put_double(double x, char *out, long *pos, long cap)
             return 1;
         out[(*pos)++] = '0';
     } else {
-        char text[32], field[FALLBACK_MAX];
+        char field[FALLBACK_MAX];
         long len = 0;
-        int printed = snprintf(text, sizeof text, "%.12g", x);
-        if (printed < 0 || printed >= (int)sizeof text
-            || plain_field(text, printed, field, &len) < 0)
-            return -1;
+        printed_field(x, field, &len);
         if (cap - *pos < len + 1)
             return 1;
         put(out, pos, field, len);

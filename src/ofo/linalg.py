@@ -2,9 +2,9 @@
 
 Everything here is sized for desk-scale control problems (a handful of states),
 so the algorithms favour exactness and testability over asymptotic speed:
-Lyapunov equations are solved by vectorizing the n^2 x n^2 linear system,
-symmetric eigenvalues come from cyclic Jacobi sweeps, and matrices are
-immutable tuples.
+the one Lyapunov equation in use, A P + P A^T = -I, is solved by vectorizing
+its n^2 x n^2 linear system, symmetric eigenvalues come from cyclic Jacobi
+sweeps, and matrices are immutable tuples.
 """
 
 from __future__ import annotations
@@ -159,22 +159,16 @@ def _solve_dense(a: list[list[float]], b: list[float]) -> list[float]:
     return x
 
 
-def solve_lyapunov(a: Matrix, q: Matrix) -> Matrix:
-    """Solve A P + P A^T = -Q for symmetric positive-definite P.
+def solve_lyapunov(a: Matrix) -> Matrix:
+    """Solve A P + P A^T = -I for symmetric positive-definite P.
 
-    Q must be symmetric positive-definite; a positive-definite solution exists
-    exactly when A is Hurwitz, so failure (singular system or an indefinite P)
-    is reported as "plant not pre-stabilized".
+    A positive-definite solution exists exactly when A is Hurwitz, so failure
+    (singular system or an indefinite P) is reported as "plant not
+    pre-stabilized".
     """
     if not a.is_square():
         raise InputError("Lyapunov solve needs a square A")
     n = a.rows
-    if q.rows != n or q.cols != n:
-        raise InputError("Lyapunov solve dimension mismatch between A and Q")
-    if q.symmetry_defect() > 1e-12 * max(1.0, q.max_norm()):
-        raise InputError("Q must be symmetric")
-    if min(sym_eigenvalues(q)) <= 0.0:
-        raise InputError("Q must be positive-definite")
 
     # Row-major vectorization: vec(A P) = (A (x) I) vec(P), vec(P A^T) = (I (x) A) vec(P).
     size = n * n
@@ -183,7 +177,7 @@ def solve_lyapunov(a: Matrix, q: Matrix) -> Matrix:
     for i in range(n):
         for j in range(n):
             r = i * n + j
-            rhs[r] = -q.entry(i, j)
+            rhs[r] = -(1.0 if i == j else 0.0)
             for l in range(n):
                 k[r][i * n + l] += a.entry(j, l)
                 k[r][l * n + j] += a.entry(i, l)
@@ -197,9 +191,9 @@ def solve_lyapunov(a: Matrix, q: Matrix) -> Matrix:
     p = Matrix(n, n, sym)
 
     # The residual carries rounding of the size of the terms A P and P A^T,
-    # so it is judged against ||A|| ||P|| as well as ||Q||.
-    residual = a.matmul(p).add(p.matmul(a.transpose())).add(q).max_norm()
-    if residual > LYAPUNOV_RESIDUAL_TOL * max(1.0, q.max_norm(), a.max_norm() * p.max_norm()):
+    # so it is judged against ||A|| ||P|| as well as ||I|| = 1.
+    residual = a.matmul(p).add(p.matmul(a.transpose())).add(Matrix.identity(n)).max_norm()
+    if residual > LYAPUNOV_RESIDUAL_TOL * max(1.0, a.max_norm() * p.max_norm()):
         raise NotStabilizedError(
             f"plant not pre-stabilized: Lyapunov residual {residual:.3e} exceeds tolerance")
     if min(sym_eigenvalues(p)) <= 0.0:

@@ -47,8 +47,7 @@ class LinearPlant:
         _check_lti_shapes(self.a, self.b, self.bw, self.c)
         # Hurwitz gate: the Lyapunov solve succeeds with a positive-definite
         # solution exactly when A^T, and so A, is Hurwitz.
-        object.__setattr__(self, "lyapunov_p",
-                           solve_lyapunov(self.a.transpose(), Matrix.identity(self.a.rows)))
+        object.__setattr__(self, "lyapunov_p", solve_lyapunov(self.a.transpose()))
 
     @property
     def n(self) -> int:

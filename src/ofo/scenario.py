@@ -20,7 +20,7 @@ from typing import Any, Callable, TypeVar
 import yaml
 
 from .controllers import BoxSet
-from .costs import CostModel, QuadraticCost, SqrtPlusCost
+from .costs import CostModel, QuadraticCost, SqrtPlusCost, check_fit
 from .errors import InputError
 from .linalg import Matrix, Vector
 from .plants import LinearPlant, SinePlant
@@ -66,10 +66,7 @@ def _matrix(value: Any, path: str) -> Matrix:
     if not isinstance(value, list) or not value:
         raise InputError(f"{path}: expected a non-empty list of rows")
     rows = [_number_list(row, f"{path}[{i}]") for i, row in enumerate(value)]
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise InputError(f"{path}: rows have inconsistent widths")
-    return Matrix.from_rows(rows)
+    return _build(path, Matrix.from_rows, rows=rows)
 
 
 def _build(section: str, make: Callable[..., T], **fields: Any) -> T:
@@ -131,8 +128,7 @@ class Scenario:
         else:
             cost = _build("cost", SqrtPlusCost,
                           a=_number(_require(cost_doc, "a", "cost"), "cost.a"), mu4=mu4)
-            if m != 1 or plant.p != 1:
-                raise InputError("cost: the sqrtplus cost requires scalar input and output")
+        _build("cost", check_fit, cost=cost, m=m, p=plant.p)
 
         controller = _require(doc, "controller", "scenario")
         controller_kind = _require(controller, "kind", "controller")

@@ -16,7 +16,7 @@ from typing import Callable, Sequence, TextIO
 
 from . import engine
 from .controllers import BoxSet
-from .costs import CostModel, QuadraticCost, reduced_gradient
+from .costs import CostModel, QuadraticCost, check_fit, reduced_gradient
 from .engine.pure import plain_field
 from .errors import DivergenceError, InputError, NotStabilizedError, StepLimitError
 from .linalg import (
@@ -413,12 +413,12 @@ class RunConfig:
 
     The plant's input is a scalar, and a given box is an interval; only the
     certificate handles inputs of any dimension.  The run's fit is checked
-    here, once for every gain: the lengths of x0 and u0, the schedule's
-    width against B_w and its last start against a positive, finite t_end,
-    and a given dt.  The law is the projected one exactly when box is set,
-    and the gradient law otherwise.  A given beta needs a box and must
-    satisfy 0 < beta <= 1/L; None means 1/L, worked out at each run, so a
-    replaced cost keeps no stale stepsize.  Every run records
+    here, once for every gain: the cost's fit to the plant's output, the
+    lengths of x0 and u0, the schedule's width against B_w and its last
+    start against a positive, finite t_end, and a given dt.  The law is the
+    projected one exactly when box is set, and the gradient law otherwise.
+    A given beta needs a box and must satisfy 0 < beta <= 1/L; None means
+    1/L, worked out at each run, so a replaced cost keeps no stale stepsize.  Every run records
     V = max(xi (x-x*)^T P (x-x*), (u-u*)^2 / 2) with the plant's own
     P = plant.lyapunov_p and the positive, finite weight xi.
     """
@@ -440,6 +440,7 @@ class RunConfig:
         if plant.m != 1:
             raise InputError("the simulator runs scalar-input plants only; "
                              f"this plant has {plant.m} inputs")
+        check_fit(self.cost, plant.m, plant.p)
         if self.box is not None and self.box.dim != 1:
             raise InputError(f"the input box must be one-dimensional, not {self.box.dim}")
         object.__setattr__(self, "x0", as_vector(self.x0, "x0"))
@@ -493,7 +494,7 @@ class RunConfig:
         rows = [plant.a.row(i) + plant.b.row(i) for i in range(plant.n)]
         rows.append(feedback.row(0) + (damping,))
         try:
-            solve_lyapunov(Matrix.from_rows(rows), Matrix.identity(plant.n + 1))
+            solve_lyapunov(Matrix.from_rows(rows))
         except NotStabilizedError:
             return False
         return True

@@ -230,6 +230,15 @@ class TestCertify:
         with pytest.raises(InputError, match="unknown certificate constant"):
             certify(fast_plant, quad_cost, 1.0, {"bogus": 1.0})
 
+    def test_sqrtplus_cost_needs_scalar_input_and_output(self, fast_plant, sqrt_cost):
+        # the cost is defined for scalar u and y only, so no report is given
+        # for a plant with two outputs or two inputs
+        two_outputs = replace(fast_plant, c=Matrix.identity(2))
+        two_inputs = replace(fast_plant, b=Matrix.identity(2))
+        for plant in (two_outputs, two_inputs):
+            with pytest.raises(InputError, match="requires scalar input and output"):
+                certify(plant, sqrt_cost, 1.0)
+
     def test_report_text_keys(self, slow_sine_plant, sqrt_cost):
         report = certify(slow_sine_plant, sqrt_cost, 10.0,
                          {"c3": 0.33, "d3": 0.99, "mu3": 0.1485, "zeta3": 0.99},

@@ -296,7 +296,7 @@ class TestSweepCommand:
 
         calls = []
         solve = ofo.plants.solve_lyapunov
-        counted = lambda a, q: calls.append(a) or solve(a, q)
+        counted = lambda a: calls.append(a) or solve(a)
         monkeypatch.setattr(ofo.plants, "solve_lyapunov", counted)
         monkeypatch.setattr(ofo.certificate, "solve_lyapunov", counted, raising=False)
         path = write_doc(tmp_path, minimal_doc())

@@ -1,3 +1,4 @@
+import ctypes
 import io
 import math
 import os
@@ -324,6 +325,11 @@ class TestSimulate:
         (dict(dt=math.inf), "dt must be positive and finite"),
         (dict(dt=math.nan), "dt must be positive and finite"),
         (dict(beta=0.001), "only valid for the projected law"),
+        (dict(plant=LinearPlant(a=Matrix.from_rows([[-1.0, 10.0], [-10.0, -1.0]]),
+                                b=Matrix.from_rows([[0.0], [1.0]]),
+                                bw=Matrix.from_rows([[1.0], [1.0]]), c=Matrix.identity(2)),
+              cost=SqrtPlusCost(a=1.0)),
+         "the sqrtplus cost requires scalar input and output"),
     ])
     def test_config_refuses_cross_field_faults_when_built(self, fast_plant, quad_cost,
                                                           fault, fragment):
@@ -979,10 +985,10 @@ class TestCsv:
         write_csv(traj, buf)
         return buf.getvalue()
 
-    def assert_matches_oracle(self, segments, monkeypatch):
+    def assert_matches_oracle(self, segments, monkeypatch, formatters=None):
         traj = self.table(segments)
         want = self.oracle_csv(segments)
-        for formatter in self.formatters():
+        for formatter in formatters or self.formatters():
             got = self.csv_with(formatter, traj, monkeypatch)
             if got != want:
                 # name the first differing line; a diff of megabytes takes minutes
@@ -1038,8 +1044,9 @@ class TestCsv:
         self.assert_fields_match_printf([rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-25.0, 40.0)
                                          for _ in range(100_000)])
 
-    def test_rows_match_per_field_decimal_oracle(self, monkeypatch):
-        # 200k random bit patterns, 40k at a time, on 50-row segments
+    @staticmethod
+    def random_bit_segments():
+        """200k random bit patterns, 40k at a time, on 50-row segments."""
         rng = random.Random(2024)
         for _ in range(5):
             values = []
@@ -1048,21 +1055,43 @@ class TestCsv:
                 if math.isfinite(x):
                     values.append(x)
             step = 2 + 6 * 50
-            self.assert_matches_oracle(
-                [(chunk[0], chunk[1], list(zip(*[iter(chunk[2:])] * 6)))
-                 for chunk in (values[i:i + step] for i in range(0, len(values), step))],
-                monkeypatch)
+            yield [(chunk[0], chunk[1], list(zip(*[iter(chunk[2:])] * 6)))
+                   for chunk in (values[i:i + step] for i in range(0, len(values), step))]
 
-    def test_edge_values_match_per_field_decimal_oracle(self, monkeypatch):
-        # each value in every column: as w and ustar, then once per sample
-        # column.  5e-324 expands to 323 zeros, 1e12 and 1.5e300 have positive
-        # exponents, and -0 lands in the first (t) and the last (ustar) column.
+    @staticmethod
+    def edge_segments():
+        """Each edge value in every column: as w and ustar, then once per
+        sample column.  5e-324 expands to 323 zeros, 1e12 and 1.5e300 have
+        positive exponents, and -0 lands in the first (t) and the last
+        (ustar) column."""
         edges = [-0.0, 0.0, 1e-4, -1e-4, 9.99999999999995e-5, 1e12, -1e12, 999999999999.5,
                  5e-324, -5e-324, 2.2250738585072e-308, 1.5e-310, 1.7e308, -1.7e308,
                  1e-5, -1e-5, 1e16, 1.5e300, 0.1, -123456.789012345]
-        self.assert_matches_oracle(
-            [(e, e, [tuple(e if j == i else 0.5 for j in range(6)) for i in range(6)])
-             for e in edges], monkeypatch)
+        return [(e, e, [tuple(e if j == i else 0.5 for j in range(6)) for i in range(6)])
+                for e in edges]
+
+    def test_rows_match_per_field_decimal_oracle(self, monkeypatch):
+        for segments in self.random_bit_segments():
+            self.assert_matches_oracle(segments, monkeypatch)
+
+    def test_edge_values_match_per_field_decimal_oracle(self, monkeypatch):
+        self.assert_matches_oracle(self.edge_segments(), monkeypatch)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_no_int128_build_matches_per_field_decimal_oracle(self, tmp_path, monkeypatch):
+        # a compiler without __int128 puts every field through the
+        # snprintf("%.11e") fallback, which the usual build reaches only
+        # below 2^-36 and from 2^127 on
+        from ofo.engine import _speedup
+
+        lib = tmp_path / "kernel-no-int128.so"
+        subprocess.run(["cc", *_speedup.FLAGS, "-U__SIZEOF_INT128__", "-o", str(lib),
+                        _speedup.SOURCE, "-lm"], check=True)
+        fmt = ctypes.CDLL(str(lib)).ofo_format_rows
+        fmt.argtypes, fmt.restype = _speedup._FORMAT_ARGTYPES, ctypes.c_long
+        monkeypatch.setattr(_speedup, "_format", fmt)
+        for segments in [*self.random_bit_segments(), self.edge_segments()]:
+            self.assert_matches_oracle(segments, monkeypatch, [_speedup.format_rows])
 
     def test_plain_text_field_boundaries(self):
         # -0 and exponent forms first and last on a line, at the end of a
