@@ -256,7 +256,7 @@ def certify(
     """Run the full certification pipeline for one plant/cost/gain triple."""
     if not 0.0 < alpha < math.inf:
         raise InputError(f"alpha must be positive and finite, got {alpha}")
-    check_fit(cost, plant.m, plant.p)
+    check_fit(cost, plant.p)
     constants, overridden = assemble_constants(plant, cost, overrides)
     params = derive_dominance_params(constants)
     # The interval route is operative (the decay rate needs a concrete

@@ -2,10 +2,11 @@
 
 Each model reports a CostDescriptor: strong-convexity and Lipschitz moduli of
 its gradients, assembled with the plant's steady-output Lipschitz constants.
-Both models carry an input regularization mu4 >= 0, which adds
-(mu4 / 2) ||u||^2 to the cost and mu4 to its input curvature.  The reduced
-gradient combines the input gradient with the sensitivity-weighted output
-gradient; the stepping kernels evaluate the same expressions in place.
+The input u is a scalar and the output y a vector.  Both models carry an
+input regularization mu4 >= 0, which adds (mu4 / 2) u^2 to the cost and mu4
+to its input curvature.  The reduced gradient combines the input gradient
+with the sensitivity-weighted output gradient; the stepping kernels evaluate
+the same expressions in place.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError
-from .linalg import Matrix, Vector
+from .linalg import Vector
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def _check_mu4(mu4: float) -> None:
 
 @dataclass(frozen=True)
 class QuadraticCost:
-    """phi(u, y) = q_u ||u||^2 + q_y ||y||^2 + (mu4 / 2) ||u||^2."""
+    """phi(u, y) = q_u u^2 + q_y ||y||^2 + (mu4 / 2) u^2."""
 
     q_u: float
     q_y: float = 1.0
@@ -55,14 +56,14 @@ class QuadraticCost:
             raise InputError("output weight q_y must be nonnegative")
         _check_mu4(self.mu4)
 
-    def phi(self, u: Vector, y: Vector) -> float:
-        base = self.q_u * sum(v * v for v in u) + self.q_y * sum(v * v for v in y)
-        return base + 0.5 * self.mu4 * sum(v * v for v in u)
+    def phi(self, u: float, y: Vector) -> float:
+        base = self.q_u * (u * u) + self.q_y * sum(v * v for v in y)
+        return base + 0.5 * self.mu4 * (u * u)
 
-    def grad_u(self, u: Vector, y: Vector) -> Vector:
-        return tuple(2.0 * self.q_u * v + self.mu4 * v for v in u)
+    def grad_u(self, u: float, y: Vector) -> float:
+        return 2.0 * self.q_u * u + self.mu4 * u
 
-    def grad_y(self, u: Vector, y: Vector) -> Vector:
+    def grad_y(self, u: float, y: Vector) -> Vector:
         return tuple(2.0 * self.q_y * v for v in y)
 
     @property
@@ -87,7 +88,7 @@ class QuadraticCost:
 
 @dataclass(frozen=True)
 class SqrtPlusCost:
-    """phi(u, y) = a u^2 + sqrt(y^2 + 1) + (mu4 / 2) u^2, scalar input and output."""
+    """phi(u, y) = a u^2 + sqrt(y^2 + 1) + (mu4 / 2) u^2, scalar output."""
 
     a: float
     mu4: float = 0.0
@@ -98,21 +99,20 @@ class SqrtPlusCost:
         _check_mu4(self.mu4)
 
     @staticmethod
-    def _check_scalar(u: Vector, y: Vector) -> None:
-        if len(u) != 1 or len(y) != 1:
-            raise InputError("this cost is defined for scalar input and output")
+    def _check_scalar(y: Vector) -> None:
+        if len(y) != 1:
+            raise InputError("this cost is defined for a scalar output")
 
-    def phi(self, u: Vector, y: Vector) -> float:
-        self._check_scalar(u, y)
-        base = self.a * u[0] * u[0] + math.sqrt(y[0] * y[0] + 1.0)
-        return base + 0.5 * self.mu4 * (u[0] * u[0])
+    def phi(self, u: float, y: Vector) -> float:
+        self._check_scalar(y)
+        base = self.a * u * u + math.sqrt(y[0] * y[0] + 1.0)
+        return base + 0.5 * self.mu4 * (u * u)
 
-    def grad_u(self, u: Vector, y: Vector) -> Vector:
-        self._check_scalar(u, y)
-        return (2.0 * self.a * u[0] + self.mu4 * u[0],)
+    def grad_u(self, u: float, y: Vector) -> float:
+        return 2.0 * self.a * u + self.mu4 * u
 
-    def grad_y(self, u: Vector, y: Vector) -> Vector:
-        self._check_scalar(u, y)
+    def grad_y(self, u: float, y: Vector) -> Vector:
+        self._check_scalar(y)
         return (y[0] / math.sqrt(y[0] * y[0] + 1.0),)
 
     @property
@@ -136,19 +136,20 @@ class SqrtPlusCost:
 CostModel = QuadraticCost | SqrtPlusCost
 
 
-def check_fit(cost: CostModel, m: int, p: int) -> None:
-    """Refuse a cost on a plant with m inputs and p outputs it is not defined for."""
-    if isinstance(cost, SqrtPlusCost) and (m != 1 or p != 1):
-        raise InputError("the sqrtplus cost requires scalar input and output")
+def check_fit(cost: CostModel, p: int) -> None:
+    """Refuse a cost on a plant with p outputs it is not defined for."""
+    if isinstance(cost, SqrtPlusCost) and p != 1:
+        raise InputError("the sqrtplus cost requires a scalar output")
 
 
-def reduced_gradient(cost: CostModel, sensitivity: Matrix, u: Vector, y: Vector) -> Vector:
-    """Gradient of u -> phi(u, h(u)) assembled from live measurements:
-    grad_u phi + sensitivity^T grad_y phi.
+def reduced_gradient(cost: CostModel, sensitivity: Vector, u: float, y: Vector) -> float:
+    """Derivative of u -> phi(u, h(u)) assembled from live measurements:
+    grad_u phi + sensitivity . grad_y phi, with the p entries of d y / du.
     """
-    gu = cost.grad_u(u, y)
     gy = cost.grad_y(u, y)
-    if sensitivity.rows != len(y) or sensitivity.cols != len(u):
-        raise InputError("sensitivity shape does not match input/output dimensions")
-    coupled = sensitivity.transpose().matvec(gy)
-    return tuple(a + b for a, b in zip(gu, coupled))
+    if len(sensitivity) != len(y):
+        raise InputError("sensitivity length does not match the output dimension")
+    coupled = 0.0
+    for s, g in zip(sensitivity, gy):
+        coupled += s * g
+    return cost.grad_u(u, y) + coupled

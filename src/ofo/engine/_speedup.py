@@ -4,8 +4,9 @@ stepping (`run_segment`) and for writing a segment's CSV rows
 
 The C source is built on first import with the system `cc` into the per-user
 cache, `$XDG_CACHE_HOME/ofo` or `~/.cache/ofo`, under a name keyed by the
-source, the flags and the machine, so later imports load it directly.  Any
-failure to build or load raises ImportError.
+source, the flags and the machine, so later imports load it directly.  Every
+load touches its library and every build deletes those no import has loaded
+for 30 days.  Any failure to build or load raises ImportError.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import ctypes
 import os
 import zlib
 from array import array
+from contextlib import suppress
 
 from ..errors import InputError
 from .params import SegmentResult, SegmentSpec
@@ -59,6 +61,8 @@ def _cache_dir() -> str:
 
 
 def _build(source: bytes, target: str) -> None:
+    """Compile source into target; then delete the libraries untouched for 30 days."""
+    import glob
     import subprocess
     import tempfile
 
@@ -74,6 +78,11 @@ def _build(source: bytes, target: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    cutoff = os.stat(target).st_mtime - 30 * 24 * 3600
+    for path in glob.glob(os.path.join(os.path.dirname(target), "kernel-*.so")):
+        with suppress(OSError):
+            if os.stat(path).st_mtime < cutoff:
+                os.unlink(path)
 
 
 def _load():
@@ -84,6 +93,8 @@ def _load():
         path = os.path.join(_cache_dir(), f"kernel-{key:08x}.so")
         if not os.path.exists(path):
             _build(source, path)
+        with suppress(OSError):  # marks it in use; a failed touch still loads
+            os.utime(path)
         lib = ctypes.CDLL(path)
         run, fmt = lib.ofo_run_segment, lib.ofo_format_rows
     except (OSError, AttributeError) as exc:

@@ -1,8 +1,8 @@
 """Flat parameter and result records exchanged with the stepping kernels.
 
 Everything is plain floats, ints, and lists so the compiled and pure kernels
-can consume the same object.  The input is a scalar (RunConfig refuses any
-other plant), so u, its box bounds and its anchor are floats.  Matrices are
+can consume the same object.  The input is a scalar (the plant refuses any
+other B), so u, its box bounds and its anchor are floats.  Matrices are
 row-major flat lists; the disturbance enters only through the precomputed
 drift vector B_w w, which is constant within a segment.  Every sample
 comes with the composite function V = max(xi (x-x*)^T P (x-x*), (u-u*)^2 / 2)

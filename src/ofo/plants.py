@@ -1,9 +1,10 @@
 """Plant models with globally stable dynamics and closed-form steady-state maps.
 
 Two concrete families are provided: a linear time-invariant plant and its
-variant with a scalar sine input nonlinearity.  Both expose the same surface
-(dynamics, output, steady state, steady output, sensitivity), so the
-certificate and the searched reference optimum treat them alike.  The
+variant with a sine input nonlinearity, both with a scalar input u (B has one
+column).  Both expose the same surface (dynamics, output, steady state,
+steady output, sensitivity), so the certificate and the searched reference
+optimum treat them alike.  The
 simulator does tell them apart: a SinePlant selects the kernel's sine branch
 and has neither the closed-form optimum nor a Hurwitz verdict.  A plant is the
 model (A, B, B_w, C) alone: the disturbance w is an argument of the maps that
@@ -26,6 +27,8 @@ def _check_lti_shapes(a: Matrix, b: Matrix, bw: Matrix, c: Matrix) -> None:
     n = a.rows
     if b.rows != n:
         raise InputError("input matrix row count must match the state dimension")
+    if b.cols != 1:
+        raise InputError(f"the input is scalar: B must have one column, not {b.cols}")
     if bw.rows != n:
         raise InputError("disturbance matrix row count must match the state dimension")
     if c.cols != n:
@@ -54,10 +57,6 @@ class LinearPlant:
         return self.a.rows
 
     @property
-    def m(self) -> int:
-        return self.b.cols
-
-    @property
     def p(self) -> int:
         return self.c.rows
 
@@ -77,18 +76,13 @@ class LinearPlant:
         gain = spectral_norm(self.base_sensitivity)
         return self.sensitivity_bound_factor * gain, self.sensitivity_lipschitz_factor * gain
 
-    def _check_u(self, u: Vector) -> None:
-        if len(u) != self.m:
-            raise InputError(f"input has length {len(u)}, expected {self.m}")
-
-    def input_effect(self, u: Vector) -> Vector:
+    def input_effect(self, u: float) -> Vector:
         """The term the input contributes to dx/dt (before adding A x and B_w w)."""
-        return self.b.matvec(u)
+        return self.b.matvec((u,))
 
-    def dynamics(self, x: Vector, u: Vector, w: Vector) -> Vector:
+    def dynamics(self, x: Vector, u: float, w: Vector) -> Vector:
         if len(x) != self.n:
             raise InputError(f"state has length {len(x)}, expected {self.n}")
-        self._check_u(u)
         return vec_add(vec_add(self.a.matvec(x), self.input_effect(u)), self.bw.matvec(w))
 
     def output(self, x: Vector) -> Vector:
@@ -96,17 +90,16 @@ class LinearPlant:
             raise InputError(f"state has length {len(x)}, expected {self.n}")
         return self.c.matvec(x)
 
-    def steady_state(self, u: Vector, w: Vector) -> Vector:
-        self._check_u(u)
+    def steady_state(self, u: float, w: Vector) -> Vector:
         forced = vec_add(self.input_effect(u), self.bw.matvec(w))
         return tuple(-v for v in self.a_inverse.matvec(forced))
 
-    def steady_output(self, u: Vector, w: Vector) -> Vector:
+    def steady_output(self, u: float, w: Vector) -> Vector:
         return self.c.matvec(self.steady_state(u, w))
 
-    def sensitivity(self, u: Vector) -> Matrix:
-        self._check_u(u)
-        return self.base_sensitivity
+    def sensitivity(self, u: float) -> Vector:
+        """The p entries of d y_ss / du at u."""
+        return self.base_sensitivity.data
 
     # Descriptors used when deriving certificate constants.
     kind = "linear"
@@ -117,19 +110,13 @@ class LinearPlant:
 
 @dataclass(frozen=True)
 class SinePlant(LinearPlant):
-    """dx/dt = A x + B (u + sin u) + B_w w with scalar input, y = C x."""
+    """dx/dt = A x + B (u + sin u) + B_w w, y = C x."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.b.cols != 1:
-            raise InputError("sine-input plant requires a scalar input")
+    def input_effect(self, u: float) -> Vector:
+        return self.b.matvec((u + math.sin(u),))
 
-    def input_effect(self, u: Vector) -> Vector:
-        return self.b.matvec((u[0] + math.sin(u[0]),))
-
-    def sensitivity(self, u: Vector) -> Matrix:
-        self._check_u(u)
-        return self.base_sensitivity.scale(1.0 + math.cos(u[0]))
+    def sensitivity(self, u: float) -> Vector:
+        return self.base_sensitivity.scale(1.0 + math.cos(u)).data
 
     kind = "sine"
     input_lipschitz_factor = 2.0     # max |d/du (u + sin u)| = 2

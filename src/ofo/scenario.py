@@ -3,11 +3,12 @@ disturbance schedule, simulation window, and optional certificate inputs.
 
 Parsing builds the objects a run uses: the plant (LinearPlant or SinePlant),
 the cost (QuadraticCost or SqrtPlusCost), the projected law's BoxSet and the
-DisturbanceSchedule.  Each constructor makes its own checks, and its error is
-prefixed with the YAML section it came from.  Parsing itself checks the type
-and range of every field, naming its YAML path, and the fits across sections:
-the lengths of x0 and u0, the schedule's width against B_w and its last start
-against t_end, the box dimension, and the scalar input and output that the
+DisturbanceSchedule.  Each constructor makes its own checks (the plant's
+refuses a B of other than one column), its error prefixed with its YAML
+section.  Parsing itself refuses unknown keys, checks the type and range of
+every field, naming its YAML path, and the fits across sections: the length
+of x0, the one value of u0 and of each box bound, the schedule's width
+against B_w and its last start against t_end, and the scalar output that the
 sqrtplus cost needs.
 """
 
@@ -27,7 +28,8 @@ from .plants import LinearPlant, SinePlant
 from .sim import DisturbanceSchedule, RunConfig, DEFAULT_MAX_RECORDS
 
 PLANTS = {"linear": LinearPlant, "sine": SinePlant}
-COST_KINDS = ("quadratic", "sqrtplus")
+#: Each cost kind's own keys, besides `kind` and `mu4`.
+COST_KEYS = {"quadratic": ("q_u", "q_y"), "sqrtplus": ("a",)}
 CONTROLLER_KINDS = ("gradient", "projected")
 
 T = TypeVar("T")
@@ -39,6 +41,13 @@ def _require(mapping: Any, key: str, path: str) -> Any:
     if key not in mapping:
         raise InputError(f"{path}.{key}: missing required field")
     return mapping[key]
+
+
+def _known_keys(mapping: dict, allowed: tuple, path: str, what: str = "field") -> None:
+    """Refuse a key of the mapping at path that is not in allowed."""
+    for key in mapping:
+        if key not in allowed:
+            raise InputError(f"{path}.{key}: unknown {what}; expected one of {', '.join(allowed)}")
 
 
 def _number(value: Any, path: str, finite: bool = True) -> float:
@@ -56,9 +65,12 @@ def _number(value: Any, path: str, finite: bool = True) -> float:
     return number
 
 
-def _number_list(value: Any, path: str, finite: bool = True) -> list[float]:
+def _number_list(value: Any, path: str, finite: bool = True,
+                 length: int | None = None) -> list[float]:
     if not isinstance(value, list) or not value:
         raise InputError(f"{path}: expected a non-empty list of numbers")
+    if length is not None and len(value) != length:
+        raise InputError(f"{path}: expected a list of length {length}, got {len(value)}")
     return [_number(v, f"{path}[{i}]", finite) for i, v in enumerate(value)]
 
 
@@ -91,7 +103,7 @@ class Scenario:
     t_end: float
     dt: float | None
     x0: Vector
-    u0: Vector
+    u0: float
     max_records: int
     overrides: dict[str, float] = dc_field(default_factory=dict)
     claimed_mu_bound_rhs: float | None = None
@@ -100,24 +112,23 @@ class Scenario:
     def from_dict(cls, doc: Any) -> "Scenario":
         if not isinstance(doc, dict):
             raise InputError("scenario: expected a mapping at the top level")
-        known = {"plant", "cost", "controller", "schedule", "sim", "certificate"}
-        for key in doc:
-            if key not in known:
-                raise InputError(f"scenario: unknown section {key!r}")
+        _known_keys(doc, ("plant", "cost", "controller", "schedule", "sim", "certificate"),
+                    "scenario", "section")
 
         plant_doc = _require(doc, "plant", "scenario")
         plant_kind = _require(plant_doc, "kind", "plant")
         if plant_kind not in PLANTS:
             raise InputError(f"plant.kind: must be one of {tuple(PLANTS)}, got {plant_kind!r}")
+        _known_keys(plant_doc, ("kind", "A", "B", "B_w", "C"), "plant")
         a, b, bw, c = (_matrix(_require(plant_doc, key, "plant"), f"plant.{key}")
                        for key in ("A", "B", "B_w", "C"))
         plant = _build("plant", PLANTS[plant_kind], a=a, b=b, bw=bw, c=c)
-        n, m = plant.n, plant.m
 
         cost_doc = _require(doc, "cost", "scenario")
         cost_kind = _require(cost_doc, "kind", "cost")
-        if cost_kind not in COST_KINDS:
-            raise InputError(f"cost.kind: must be one of {COST_KINDS}, got {cost_kind!r}")
+        if cost_kind not in COST_KEYS:
+            raise InputError(f"cost.kind: must be one of {tuple(COST_KEYS)}, got {cost_kind!r}")
+        _known_keys(cost_doc, ("kind", "mu4", *COST_KEYS[cost_kind]), "cost")
         mu4 = _number(cost_doc.get("mu4", 0.0), "cost.mu4")
         if mu4 < 0.0:
             raise InputError("cost.mu4: must be nonnegative")
@@ -128,24 +139,25 @@ class Scenario:
         else:
             cost = _build("cost", SqrtPlusCost,
                           a=_number(_require(cost_doc, "a", "cost"), "cost.a"), mu4=mu4)
-        _build("cost", check_fit, cost=cost, m=m, p=plant.p)
+        _build("cost", check_fit, cost=cost, p=plant.p)
 
         controller = _require(doc, "controller", "scenario")
         controller_kind = _require(controller, "kind", "controller")
         if controller_kind not in CONTROLLER_KINDS:
             raise InputError(
                 f"controller.kind: must be one of {CONTROLLER_KINDS}, got {controller_kind!r}")
+        _known_keys(controller, ("kind", "alpha", "box", "beta"), "controller")
         alpha = _number(_require(controller, "alpha", "controller"), "controller.alpha")
         if alpha <= 0.0:
             raise InputError("controller.alpha: must be positive")
         box = beta = None
         if controller_kind == "projected":
             box_doc = _require(controller, "box", "controller")
-            lo, hi = (_number_list(_require(box_doc, key, "controller.box"),
-                                   f"controller.box.{key}", finite=False) for key in ("lo", "hi"))
+            (lo,), (hi,) = (_number_list(_require(box_doc, key, "controller.box"),
+                                         f"controller.box.{key}", finite=False, length=1)
+                            for key in ("lo", "hi"))
+            _known_keys(box_doc, ("lo", "hi"), "controller.box")
             box = _build("controller.box", BoxSet, lo=lo, hi=hi)
-            if box.dim != m:
-                raise InputError("controller.box: dimension does not match the plant input")
             if "beta" in controller:
                 beta = _number(controller["beta"], "controller.beta")
                 limit = 1.0 / cost.grad_u_lipschitz
@@ -173,6 +185,7 @@ class Scenario:
 
         sim = _require(doc, "sim", "scenario")
         t_end = _number(_require(sim, "t_end", "sim"), "sim.t_end")
+        _known_keys(sim, ("t_end", "dt", "x0", "u0", "max_records"), "sim")
         if t_end <= 0.0:
             raise InputError("sim.t_end: must be positive")
         if schedule.segments[-1][0] >= t_end:
@@ -180,12 +193,9 @@ class Scenario:
         dt = _number(sim["dt"], "sim.dt") if "dt" in sim else None
         if dt is not None and dt <= 0.0:
             raise InputError("sim.dt: must be positive")
-        x0 = tuple(_number_list(sim["x0"], "sim.x0")) if "x0" in sim else (0.0,) * n
-        if len(x0) != n:
-            raise InputError(f"sim.x0: expected length {n}")
-        u0 = tuple(_number_list(sim["u0"], "sim.u0")) if "u0" in sim else (0.0,) * m
-        if len(u0) != m:
-            raise InputError(f"sim.u0: expected length {m}")
+        n = plant.n
+        x0 = tuple(_number_list(sim["x0"], "sim.x0", length=n)) if "x0" in sim else (0.0,) * n
+        (u0,) = _number_list(sim["u0"], "sim.u0", length=1) if "u0" in sim else (0.0,)
         max_records = sim.get("max_records", DEFAULT_MAX_RECORDS)
         if isinstance(max_records, bool) or not isinstance(max_records, int) or max_records < 2:
             raise InputError(f"sim.max_records: expected an integer of at least 2, "
@@ -197,6 +207,7 @@ class Scenario:
             cert = doc["certificate"]
             if not isinstance(cert, dict):
                 raise InputError("certificate: expected a mapping")
+            _known_keys(cert, ("overrides", "claimed_mu_bound_rhs"), "certificate")
             raw = cert.get("overrides", {}) or {}
             if not isinstance(raw, dict):
                 raise InputError("certificate.overrides: expected a mapping")

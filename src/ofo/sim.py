@@ -161,12 +161,12 @@ def _closed_form_optimum(plant: LinearPlant, cost: CostModel, w: Vector,
         return None
     q_u, q_y, mu4 = cost.q_u, cost.q_y, cost.mu4
     h = plant.base_sensitivity.data
-    h_off = plant.steady_output((0.0,), w)
+    h_off = plant.steady_output(0.0, w)
     # -0.0 is the exact additive identity, so p = 1 keeps the sign of a zero term
     num = sum((2.0 * q_y * hi * oi for hi, oi in zip(h, h_off)), -0.0)
     u = -num / (2.0 * q_u + mu4 + sum(2.0 * q_y * hi * hi for hi in h))
     if box is not None:
-        u = min(max(u, box.lo[0]), box.hi[0])
+        u = min(max(u, box.lo), box.hi)
     return u
 
 
@@ -206,17 +206,16 @@ def _searched_optimum(plant: LinearPlant, cost: CostModel, w: Vector,
     """
     lo, hi = -_BRACKET, _BRACKET
     if box is not None:
-        lo = box.lo[0] if math.isfinite(box.lo[0]) else lo
-        hi = box.hi[0] if math.isfinite(box.hi[0]) else hi
+        lo = box.lo if math.isfinite(box.lo) else lo
+        hi = box.hi if math.isfinite(box.hi) else hi
     if not lo < hi:
         return lo
 
     def objective(u: float) -> float:
-        return cost.phi((u,), plant.steady_output((u,), w))
+        return cost.phi(u, plant.steady_output(u, w))
 
     def grad(u: float) -> float:
-        return reduced_gradient(cost, plant.sensitivity((u,)), (u,),
-                                plant.steady_output((u,), w))[0]
+        return reduced_gradient(cost, plant.sensitivity(u), u, plant.steady_output(u, w))
 
     desc = cost.descriptor(*plant.steady_moduli)
     if desc.mu_phi - desc.ell_phi_u > 0.0:
@@ -231,22 +230,16 @@ def _searched_optimum(plant: LinearPlant, cost: CostModel, w: Vector,
     return min([_bisect(grad, lo, hi), scanned, *corners], key=objective)
 
 
-def optimal_input(plant: LinearPlant, cost: CostModel, w, box: BoxSet | None = None) -> Vector:
+def optimal_input(plant: LinearPlant, cost: CostModel, w, box: BoxSet | None = None) -> float:
     """Reference optimum of the steady-state problem min_u phi(u, h(u, w)) over the box.
 
     An affine plant with a quadratic cost gets the clamped closed form; every
     other configuration is solved from its reduced gradient (see
     _searched_optimum).
     """
-    if plant.m != 1:
-        raise InputError("the bundled optimizer handles scalar inputs only")
-    if box is not None and box.dim != 1:
-        raise InputError("box dimension must match the scalar input")
     w = as_vector(w, "disturbance")
     exact = _closed_form_optimum(plant, cost, w, box)
-    if exact is not None:
-        return (exact,)
-    return (_searched_optimum(plant, cost, w, box),)
+    return exact if exact is not None else _searched_optimum(plant, cost, w, box)
 
 
 def simulate(config: RunConfig, alpha: float) -> Trajectory:
@@ -265,11 +258,9 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
         raise InputError(f"controller gain alpha must be positive and finite, got {alpha}")
     plant, cost, box, schedule = config.plant, config.cost, config.box, config.schedule
 
-    if box is None:
-        beta = 0.0
-        lo, hi = -math.inf, math.inf
-    else:
-        (lo,), (hi,) = box.lo, box.hi
+    lo, hi, beta = -math.inf, math.inf, 0.0
+    if box is not None:
+        lo, hi = box.lo, box.hi
         beta = config.beta if config.beta is not None else 1.0 / cost.grad_u_lipschitz
     dt = config.dt if config.dt is not None else default_dt(
         plant, cost, alpha, None if box is None else beta)
@@ -284,13 +275,13 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
     traj = Trajectory()
     ustar_cache: dict[Vector, float] = {}
     x = list(config.x0)
-    (u,) = config.u0
+    u = config.u0
     for k, (t_start, w) in enumerate(schedule.segments):
         t_stop = boundaries[k + 1]
         if w not in ustar_cache:
-            (ustar_cache[w],) = optimal_input(plant, cost, w, box=box)
+            ustar_cache[w] = optimal_input(plant, cost, w, box=box)
         ustar = ustar_cache[w]
-        xstar = plant.steady_state((ustar,), w)
+        xstar = plant.steady_state(ustar, w)
 
         n_full, last_dt = plan_steps(t_start, t_stop, dt)
         n_tot = n_full + (1 if last_dt > 0.0 else 0)
@@ -411,14 +402,11 @@ def summarize(traj: Trajectory) -> RunSummary:
 class RunConfig:
     """Everything needed to run one scenario at a chosen gain.
 
-    The plant's input is a scalar, and a given box is an interval; only the
-    certificate handles inputs of any dimension.  The run's fit is checked
-    here, once for every gain: the cost's fit to the plant's output, the
-    lengths of x0 and u0, the schedule's width against B_w and its last
-    start against a positive, finite t_end, and a given dt.  The law is the
-    projected one exactly when box is set, and the gradient law otherwise.
-    A given beta needs a box and must satisfy 0 < beta <= 1/L; None means
-    1/L, worked out at each run, so a replaced cost keeps no stale stepsize.  Every run records
+    u0 is a finite float and a given box an interval.  The run's fit is
+    checked here, once for every gain.  The law is the projected one exactly
+    when box is set, and the gradient law otherwise.  A given beta needs a
+    box and must satisfy 0 < beta <= 1/L; None means 1/L, worked out at each
+    run, so a replaced cost keeps no stale stepsize.  Every run records
     V = max(xi (x-x*)^T P (x-x*), (u-u*)^2 / 2) with the plant's own
     P = plant.lyapunov_p and the positive, finite weight xi.
     """
@@ -427,7 +415,7 @@ class RunConfig:
     cost: CostModel
     schedule: DisturbanceSchedule
     x0: Vector
-    u0: Vector
+    u0: float
     t_end: float
     beta: float | None = None
     box: BoxSet | None = None
@@ -437,18 +425,13 @@ class RunConfig:
 
     def __post_init__(self):
         plant, schedule = self.plant, self.schedule
-        if plant.m != 1:
-            raise InputError("the simulator runs scalar-input plants only; "
-                             f"this plant has {plant.m} inputs")
-        check_fit(self.cost, plant.m, plant.p)
-        if self.box is not None and self.box.dim != 1:
-            raise InputError(f"the input box must be one-dimensional, not {self.box.dim}")
+        check_fit(self.cost, plant.p)
         object.__setattr__(self, "x0", as_vector(self.x0, "x0"))
-        object.__setattr__(self, "u0", as_vector(self.u0, "u0"))
+        object.__setattr__(self, "u0", float(self.u0))
         if len(self.x0) != plant.n:
             raise InputError(f"x0 has length {len(self.x0)}, expected {plant.n}")
-        if len(self.u0) != 1:
-            raise InputError(f"u0 has length {len(self.u0)}, expected 1")
+        if not math.isfinite(self.u0):
+            raise InputError(f"u0 must be finite, got {self.u0}")
         if not 0.0 < self.t_end < math.inf:
             raise InputError(f"t_end must be positive and finite, got {self.t_end}")
         if schedule.q != plant.bw.cols:

@@ -90,9 +90,8 @@ def ofo_rate(cost, sensitivity, alpha, u, y, beta=None, box=None):
     for the projected law, with g the reduced gradient at sensitivity(u)."""
     g = reduced_gradient(cost, sensitivity(u), u, y)
     if box is None:
-        return tuple(-alpha * gi for gi in g)
-    target = proj_box(tuple(v - beta * gi for v, gi in zip(u, g)), box)
-    return tuple(alpha * (c - v) for c, v in zip(target, u))
+        return -alpha * g
+    return alpha * (proj_box(u - beta * g, box) - u)
 
 
 def closed_loop_field(config, alpha, w):
@@ -103,9 +102,9 @@ def closed_loop_field(config, alpha, w):
     beta = config.beta if config.beta is not None else 1.0 / config.cost.grad_u_lipschitz
 
     def field(state):
-        x, u = state[:n], state[n:]
+        x, u = state[:n], state[n]
         du = ofo_rate(config.cost, plant.sensitivity, alpha, u, plant.output(x), beta, config.box)
-        return plant.dynamics(x, u, w) + du
+        return plant.dynamics(x, u, w) + (du,)
 
     return field
 

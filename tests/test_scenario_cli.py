@@ -70,7 +70,7 @@ class TestScenarioParsing:
         fig2 = bundled_scenario("fig2")
         assert fig2.plant.kind == "sine"
         assert fig2.box is not None
-        assert fig2.box.hi == (5e-5,)
+        assert fig2.box.hi == 5e-5
         assert set(fig2.overrides) == {"c3", "d3", "mu3", "zeta3"}
 
     def test_custom_fields_parse(self, tmp_path):
@@ -84,8 +84,8 @@ class TestScenarioParsing:
         doc["controller"] = {"kind": "projected", "alpha": 1.0,
                              "box": {"lo": [-math.inf], "hi": [2.0]}}
         second = Scenario.load(write_doc(tmp_path, doc))
-        assert second.box.lo == (-math.inf,)
-        assert second.box.hi == (2.0,)
+        assert second.box.lo == -math.inf
+        assert second.box.hi == 2.0
 
     @pytest.mark.parametrize("mutate, fragment", [
         (lambda d: d.pop("plant"), "plant"),
@@ -124,6 +124,23 @@ class TestScenarioParsing:
         (lambda d: d["cost"].update(mu4=-0.1), "cost.mu4"),
         (lambda d: d.update(certificate={"overrides": {"c3": math.nan}}),
          "certificate.overrides.c3"),
+        # the input is scalar: one value for u0 and for each box bound
+        (lambda d: d["sim"].update(u0=[0.0, 0.0]),
+         "sim.u0: expected a list of length 1, got 2"),
+        (lambda d: d["controller"].update(kind="projected",
+                                          box={"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}),
+         "controller.box.lo: expected a list of length 1, got 2"),
+        # a key a section does not have is refused, not ignored
+        (lambda d: d["plant"].update(Bw=[[1.0], [1.0]]), "plant.Bw: unknown field"),
+        (lambda d: d["cost"].update(qy=7.0), "cost.qy: unknown field"),
+        (lambda d: d["cost"].update(a=1.0), "cost.a: unknown field"),
+        (lambda d: d["controller"].update(bta=0.5), "controller.bta: unknown field"),
+        (lambda d: d["controller"].update(kind="projected",
+                                          box={"lo": [-1.0], "hi": [1.0], "mid": [0.0]}),
+         "controller.box.mid: unknown field"),
+        (lambda d: d["sim"].update(x_0=[0.0, 0.0]), "sim.x_0: unknown field"),
+        (lambda d: d.update(certificate={"override": {"c3": 0.3}}),
+         "certificate.override: unknown field"),
     ])
     def test_validation_names_offending_field(self, mutate, fragment):
         doc = minimal_doc()
@@ -220,7 +237,7 @@ class TestSimulateCommand:
         ustar = optimal_input(plant, cost, (10.0,))
         xstar = plant.steady_state(ustar, (10.0,))
         doc["sim"]["x0"] = list(xstar)
-        doc["sim"]["u0"] = list(ustar)
+        doc["sim"]["u0"] = [ustar]
         out = tmp_path / "eq.csv"
         rc = main(["simulate", write_doc(tmp_path, doc), "--out", str(out)])
         assert rc == 0
@@ -251,21 +268,20 @@ class TestSimulateCommand:
         assert "step-limited" in err and "divergence" not in err
         assert not out.exists()
 
-    def test_two_input_plant_refused_but_certified(self, tmp_path, capsys):
-        # the simulator needs a scalar input; the certificate takes any
+    def test_two_input_plant_refused_by_every_command(self, tmp_path, capsys):
+        # the input is scalar, so a two-column B is refused while parsing
         doc = minimal_doc()
         doc["plant"]["B"] = [[1.0, 0.0], [0.0, 1.0]]
         path = write_doc(tmp_path, doc)
         out_dir = tmp_path / "out"
-        for argv in (["simulate", path, "--out", str(out_dir / "x.csv")],
+        for argv in (["certify", path],
+                     ["simulate", path, "--out", str(out_dir / "x.csv")],
                      ["sweep", path, "--alphas", "1,10", "--out", str(out_dir)]):
             assert main(argv) == 2
-            assert ("the simulator runs scalar-input plants only; this plant has 2 inputs"
-                    in capsys.readouterr().err)
+            run = capsys.readouterr()
+            assert "plant: the input is scalar: B must have one column, not 2" in run.err
+            assert run.out == ""
         assert not out_dir.exists()
-        assert main(["certify", path]) == 3
-        out = capsys.readouterr().out
-        assert "certified = false" in out and "required_mu4 = " in out
 
     def test_unwritable_out(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -535,6 +551,23 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "certified = true" in proc.stdout
+
+
+def test_runtime_imports_neither_numpy_nor_scipy(tmp_path):
+    # numpy and scipy are test oracles only; certify and simulate run on the
+    # standard library and PyYAML
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = ("import sys; from ofo.cli import main; "
+            "codes = (main(['certify', sys.argv[1]]), "
+            "main(['simulate', sys.argv[2], '--out', sys.argv[3]])); "
+            "heavy = sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}); "
+            "print(*codes, *heavy, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, bundled_scenario_path("fig1"),
+                           write_doc(tmp_path, minimal_doc()), str(tmp_path / "x.csv")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "3 0", proc.stderr
 
 
 def test_benchmark_trace_counts_every_layer(tmp_path):

@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from decimal import Decimal
 
@@ -51,7 +52,7 @@ from conftest import (
 
 def gradient_config(plant, cost, schedule, t_end, **kw):
     return RunConfig(plant=plant, cost=cost,
-                     schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=t_end, **kw)
+                     schedule=schedule, x0=(0.0, 0.0), u0=0.0, t_end=t_end, **kw)
 
 
 class TestFmt12:
@@ -85,23 +86,23 @@ class TestSchedule:
 
 class TestOptimalInput:
     def test_zero_disturbance_gives_origin(self, fast_plant, slow_sine_plant, quad_cost, sqrt_cost):
-        assert abs(optimal_input(fast_plant, quad_cost, (0.0,))[0]) <= 1e-8
-        box = BoxSet(lo=(-5e-5,), hi=(5e-5,))
-        assert abs(optimal_input(slow_sine_plant, sqrt_cost, (0.0,), box=box)[0]) <= 1e-8
+        assert abs(optimal_input(fast_plant, quad_cost, (0.0,))) <= 1e-8
+        box = BoxSet(lo=-5e-5, hi=5e-5)
+        assert abs(optimal_input(slow_sine_plant, sqrt_cost, (0.0,), box=box)) <= 1e-8
 
     def test_resonant_example_matches_closed_form(self, fast_plant, quad_cost):
-        u = optimal_input(fast_plant, quad_cost, (10.0,))[0]
+        u = optimal_input(fast_plant, quad_cost, (10.0,))
         h_gain = 10.0 / 101.0
         h_off = 110.0 / 101.0
         exact = -(2.0 * h_gain * h_off) / (0.02 + 2.0 * h_gain ** 2)
         assert u == pytest.approx(exact, abs=1e-6)
         assert exact == pytest.approx(-5.44527, abs=1e-5)
-        y = fast_plant.steady_output((u,), (10.0,))[0]
+        y = fast_plant.steady_output(u, (10.0,))[0]
         assert y == pytest.approx(0.54997, abs=1e-4)
 
     def test_sine_example_hits_active_bound(self, slow_sine_plant, sqrt_cost):
-        box = BoxSet(lo=(-5e-5,), hi=(5e-5,))
-        u = optimal_input(slow_sine_plant, sqrt_cost, (0.001,), box=box)[0]
+        box = BoxSet(lo=-5e-5, hi=5e-5)
+        u = optimal_input(slow_sine_plant, sqrt_cost, (0.001,), box=box)
         # oracle: vectorized grid search over the box at 1e-9 resolution
         grid = np.linspace(-5e-5, 5e-5, 100001)
         a = np.array(slow_sine_plant.a.to_rows())
@@ -116,12 +117,12 @@ class TestOptimalInput:
         assert best == pytest.approx(5e-5, abs=1e-9)
         assert u == 5e-5
         # the unconstrained minimizer lies outside the box
-        u_free = optimal_input(slow_sine_plant, sqrt_cost, (0.001,))[0]
+        u_free = optimal_input(slow_sine_plant, sqrt_cost, (0.001,))
         assert u_free > 5e-5
 
     def test_symmetry(self, slow_sine_plant, sqrt_cost):
-        box = BoxSet(lo=(-5e-5,), hi=(5e-5,))
-        assert optimal_input(slow_sine_plant, sqrt_cost, (-0.001,), box=box)[0] == -5e-5
+        box = BoxSet(lo=-5e-5, hi=5e-5)
+        assert optimal_input(slow_sine_plant, sqrt_cost, (-0.001,), box=box) == -5e-5
 
     def test_reduced_gradient_vanishes_at_unconstrained_optimum(
             self, fast_plant, slow_sine_plant, quad_cost, sqrt_cost):
@@ -132,7 +133,7 @@ class TestOptimalInput:
         for plant, cost, w in cases:
             ustar = optimal_input(plant, cost, w)
             rg = reduced_gradient(cost, plant.sensitivity(ustar), ustar, plant.steady_output(ustar, w))
-            assert abs(rg[0]) <= 1e-8, (w, rg)
+            assert abs(rg) <= 1e-8, (w, rg)
 
     def test_search_agrees_with_closed_form(self):
         # the search path (bisection of the reduced gradient) against the
@@ -149,12 +150,12 @@ class TestOptimalInput:
             w = (rng.uniform(-10.0, 10.0),)
             cases.append((plant, cost, w, None))
             cases.append((plant, replace(cost, mu4=0.5), w, None))
-            cases.append((plant, cost, w, BoxSet(lo=(-0.1,), hi=(0.1,))))
+            cases.append((plant, cost, w, BoxSet(lo=-0.1, hi=0.1)))
         for plant, cost, w, box in cases:
             exact = sim._closed_form_optimum(plant, cost, w, box)
             found = sim._searched_optimum(plant, cost, w, box)
             assert abs(found - exact) <= 1e-6 * (1.0 + abs(exact)), (w, found, exact)
-            assert optimal_input(plant, cost, w, box=box) == (exact,)
+            assert optimal_input(plant, cost, w, box=box) == exact
 
     def test_closed_form_with_vector_output(self):
         # a linear plant with two outputs: the closed form uses every output,
@@ -177,9 +178,9 @@ class TestOptimalInput:
                               (QuadraticCost(q_u=q_u, q_y=q_y, mu4=mu4), mu4)]:
                 u_np = float(np.linalg.solve([[2 * q_u + reg + 2 * q_y * h @ h]],
                                              [-2 * q_y * h @ h_off])[0])
-                for box in (None, BoxSet(lo=(-0.1,), hi=(0.1,))):
+                for box in (None, BoxSet(lo=-0.1, hi=0.1)):
                     expected = u_np if box is None else min(max(u_np, -0.1), 0.1)
-                    u = optimal_input(plant, cost, w, box=box)[0]
+                    u = optimal_input(plant, cost, w, box=box)
                     assert u == pytest.approx(expected, rel=1e-9, abs=1e-12)
                     found = sim._searched_optimum(plant, cost, w, box)
                     assert abs(found - u) <= 1e-6 * (1.0 + abs(u)), (w, found, u)
@@ -195,24 +196,16 @@ class TestOptimalInput:
         assert not desc.mu_phi - desc.ell_phi_u > 0.0
         grid = np.linspace(-200.0, 200.0, 400001)
         for w, box in [(-300.0, None), (-30.0, None), (0.0, None), (5.0, None),
-                       (1000.0, None), (-300.0, BoxSet(lo=(-5.0,), hi=(20.0,))),
-                       (30.0, BoxSet(lo=(0.5,), hi=(4.0,)))]:
-            u = optimal_input(plant, cost, (w,), box=box)[0]
-            found = cost.phi((u,), plant.steady_output((u,), (w,)))
-            pts = grid if box is None else np.linspace(box.lo[0], box.hi[0], 100001)
+                       (1000.0, None), (-300.0, BoxSet(lo=-5.0, hi=20.0)),
+                       (30.0, BoxSet(lo=0.5, hi=4.0))]:
+            u = optimal_input(plant, cost, (w,), box=box)
+            found = cost.phi(u, plant.steady_output(u, (w,)))
+            pts = grid if box is None else np.linspace(box.lo, box.hi, 100001)
             # oracle: y = u + sin u + w for this plant
             phis = pts ** 2 + 0.1 * (pts + np.sin(pts) + w) ** 2
             assert found <= float(phis.min()) * (1.0 + 1e-12), (w, u, pts[int(np.argmin(phis))])
             if box is not None:
-                assert box.contains((u,))
-
-    def test_multi_input_rejected(self):
-        plant = LinearPlant(a=Matrix.identity(2).scale(-1.0),
-                            b=Matrix.identity(2),
-                            bw=Matrix.from_rows([[1.0], [1.0]]),
-                            c=Matrix.from_rows([[1.0, 0.0]]))
-        with pytest.raises(InputError, match="scalar"):
-            optimal_input(plant, QuadraticCost(q_u=1.0), (0.0,))
+                assert box.contains(u)
 
 
 class TestDefaultDt:
@@ -247,7 +240,7 @@ class TestDefaultDt:
     @staticmethod
     def boxed(plant, cost, **kw):
         return gradient_config(plant, cost, DisturbanceSchedule(((0.0, (10.0,)),)), 1e-4,
-                               box=BoxSet(lo=(-1.0,), hi=(1.0,)), **kw)
+                               box=BoxSet(lo=-1.0, hi=1.0), **kw)
 
     @pytest.mark.parametrize("beta", [None, 10.0])
     def test_projected_rule(self, fast_plant, quad_cost, monkeypatch, beta):
@@ -309,13 +302,13 @@ class TestSimulate:
                         schedule=schedule, x0=xstar, u0=ustar, t_end=5.0)
         traj, summary = cfg.run(100.0)
         drift = max(max(abs(a - b) for a, b in zip(x, xstar)) for x in states(traj))
-        drift = max(drift, max(abs(u - ustar[0]) for u in inputs(traj)))
+        drift = max(drift, max(abs(u - ustar) for u in inputs(traj)))
         assert drift <= 1e-8
         assert summary.final_error <= 1e-8
 
     @pytest.mark.parametrize("fault, fragment", [
         (dict(x0=(0.0,)), "x0 has length 1, expected 2"),
-        (dict(u0=(0.0, 0.0)), "u0 has length 2, expected 1"),
+        (dict(u0=math.nan), "u0 must be finite"),
         (dict(schedule=DisturbanceSchedule(((0.0, (10.0, 1.0)),))),
          "disturbance dimension does not match"),
         (dict(t_end=0.5), "beyond t_end"),
@@ -329,13 +322,14 @@ class TestSimulate:
                                 b=Matrix.from_rows([[0.0], [1.0]]),
                                 bw=Matrix.from_rows([[1.0], [1.0]]), c=Matrix.identity(2)),
               cost=SqrtPlusCost(a=1.0)),
-         "the sqrtplus cost requires scalar input and output"),
+         "the sqrtplus cost requires a scalar output"),
+        (dict(u0=-math.inf), "u0 must be finite"),
     ])
     def test_config_refuses_cross_field_faults_when_built(self, fast_plant, quad_cost,
                                                           fault, fragment):
         # a run's own faults are found once, when its configuration is built,
         # not again at every gain
-        fields = dict(plant=fast_plant, cost=quad_cost, x0=(0.0, 0.0), u0=(0.0,), t_end=1.0,
+        fields = dict(plant=fast_plant, cost=quad_cost, x0=(0.0, 0.0), u0=0.0, t_end=1.0,
                       schedule=DisturbanceSchedule(((0.0, (10.0,)), (0.5, (-10.0,)))))
         RunConfig(**fields)
         with pytest.raises(InputError, match=re.escape(fragment)):
@@ -421,33 +415,19 @@ class TestSimulate:
         assert err.value.segment == 1
         assert err.value.time is not None and 0.0 < err.value.time <= 150.0
 
-    def test_run_config_needs_scalar_input(self, fast_plant, quad_cost):
-        # the one place that decides the simulator's input is scalar: a
-        # two-input plant or a two-dimensional box is refused on construction
-        two_inputs = LinearPlant(a=Matrix.identity(2).scale(-1.0), b=Matrix.identity(2),
-                                 bw=Matrix.from_rows([[1.0], [1.0]]),
-                                 c=Matrix.from_rows([[1.0, 0.0]]))
-        schedule = DisturbanceSchedule(((0.0, (1.0,)),))
-        with pytest.raises(InputError, match="scalar-input plants only; this plant has 2"):
-            RunConfig(plant=two_inputs, cost=quad_cost, schedule=schedule,
-                      x0=(0.0, 0.0), u0=(0.0, 0.0), t_end=1.0)
-        with pytest.raises(InputError, match="one-dimensional"):
-            gradient_config(fast_plant, quad_cost, schedule, 1.0,
-                            box=BoxSet(lo=(-1.0, -1.0), hi=(1.0, 1.0)))
-
     def test_u0_outside_box_warns(self, slow_sine_plant, sqrt_cost):
         schedule = DisturbanceSchedule(((0.0, (0.001,)),))
         cfg = RunConfig(plant=slow_sine_plant, cost=sqrt_cost,
-                        schedule=schedule, x0=(0.0, 0.0), u0=(1e-3,), t_end=1.0,
-                        box=BoxSet(lo=(-5e-5,), hi=(5e-5,)))
+                        schedule=schedule, x0=(0.0, 0.0), u0=1e-3, t_end=1.0,
+                        box=BoxSet(lo=-5e-5, hi=5e-5))
         assert len(cfg.warnings) == 1 and "box" in cfg.warnings[0]
-        assert replace(cfg, u0=(0.0,)).warnings == ()
+        assert replace(cfg, u0=0.0).warnings == ()
 
     def test_step_halving_consistency_short(self, slow_sine_plant, sqrt_cost):
         schedule = DisturbanceSchedule(((0.0, (-0.001,)), (5.0, (0.001,))))
-        box = BoxSet(lo=(-5e-5,), hi=(5e-5,))
+        box = BoxSet(lo=-5e-5, hi=5e-5)
         base = RunConfig(plant=slow_sine_plant, cost=sqrt_cost,
-                         schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=10.0, box=box)
+                         schedule=schedule, x0=(0.0, 0.0), u0=0.0, t_end=10.0, box=box)
         dt = default_dt(slow_sine_plant, sqrt_cost, 10.0)
         t1, _ = replace(base, dt=dt).run(10.0)
         t2, _ = replace(base, dt=0.5 * dt).run(10.0)
@@ -460,8 +440,8 @@ class TestSimulate:
         # with a large gain the projected input rides the box bounds
         schedule = DisturbanceSchedule(((0.0, (-0.001,)), (50.0, (0.001,))))
         cfg = RunConfig(plant=slow_sine_plant, cost=sqrt_cost,
-                        schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=100.0,
-                        box=BoxSet(lo=(-5e-5,), hi=(5e-5,)))
+                        schedule=schedule, x0=(0.0, 0.0), u0=0.0, t_end=100.0,
+                        box=BoxSet(lo=-5e-5, hi=5e-5))
         traj, _ = cfg.run(100.0)
         us = inputs(traj)
         assert max(us) >= 5e-5 * (1.0 - 1e-6)
@@ -484,8 +464,8 @@ class TestKernels:
             gradient_config(fast_plant, quad_cost, sched1, t_end=3.0).run(25.0)
             sched2 = DisturbanceSchedule(((0.0, (-0.001,)), (1.0, (0.001,))))
             cfg2 = RunConfig(plant=slow_sine_plant, cost=sqrt_cost,
-                             schedule=sched2, x0=(0.0, 0.0), u0=(0.0,), t_end=2.0,
-                             box=BoxSet(lo=(-5e-5,), hi=(5e-5,)))
+                             schedule=sched2, x0=(0.0, 0.0), u0=0.0, t_end=2.0,
+                             box=BoxSet(lo=-5e-5, hi=5e-5))
             cfg2.run(10.0)
             # sensitivity -0.7, not a power of two, so the grouping of
             # (sens0 * fac) * gy shows in the last bits
@@ -544,8 +524,8 @@ class TestKernels:
         linear_w = DisturbanceSchedule(((0.0, (10.0,)),))
         sine_w = DisturbanceSchedule(((0.0, (0.01,)),))
         sine_projected = RunConfig(plant=slow_sine_plant, cost=sqrt_cost, schedule=sine_w,
-                                   x0=(0.0, 0.0), u0=(0.0,), t_end=3.0, dt=dt,
-                                   box=BoxSet(lo=(-5e-5,), hi=(5e-5,)))
+                                   x0=(0.0, 0.0), u0=0.0, t_end=3.0, dt=dt,
+                                   box=BoxSet(lo=-5e-5, hi=5e-5))
         sqrt_reg = SqrtPlusCost(a=11.0, mu4=0.3)
         cases = [
             (gradient_config(fast_plant, quad_cost, linear_w, 3.0, dt=dt), 25.0),
@@ -556,7 +536,7 @@ class TestKernels:
         ]
         for config, alpha in cases:
             field = closed_loop_field(config, alpha, config.schedule.segments[0][1])
-            _, generic = integrate(field, config.x0 + config.u0, (0.0, config.t_end), dt)
+            _, generic = integrate(field, config.x0 + (config.u0,), (0.0, config.t_end), dt)
             traj, _ = config.run(alpha)
             end_kernel = final_state(traj)
             assert np.array(end_kernel) == pytest.approx(np.array(generic[-1]), rel=1e-12,
@@ -613,16 +593,37 @@ class TestKernels:
         cache = tmp_path / "ofo"
         assert cache.stat().st_mode & 0o777 == 0o700
         (lib,) = cache.iterdir()
-        built = lib.stat().st_mtime_ns
+        built = lib.stat().st_ino
+        # back-date it: the second import loads the same file, not a rebuild
+        # (which would be a new file), and touches it
+        os.utime(lib, (1e9, 1e9))
         second = self.fresh_python(code, tmp_path)
         assert (second.returncode, second.stdout.strip()) == (0, "compiled")
         assert list(cache.iterdir()) == [lib]
-        assert lib.stat().st_mtime_ns == built
+        assert lib.stat().st_ino == built
+        assert lib.stat().st_mtime > time.time() - 3600
 
         cache.chmod(0o770)
         shared = self.fresh_python(code, tmp_path)
         assert shared.stdout.strip() == "pure-python"
         assert "not private to this user" in shared.stderr
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_build_drops_libraries_not_loaded_for_30_days(self, tmp_path):
+        # a library another checkout still loads has been touched by that
+        # load, so a build keeps it; one nobody loaded for 30 days goes
+        cache = tmp_path / "ofo"
+        cache.mkdir(mode=0o700)
+        stale, fresh = cache / "kernel-00000001.so", cache / "kernel-00000002.so"
+        for lib in (stale, fresh):
+            lib.write_bytes(b"")
+        month = time.time() - 31 * 24 * 3600
+        os.utime(stale, (month, month))
+        loaded = self.fresh_python(["-c", "from ofo import engine; print(engine.kernel_name())"],
+                                   tmp_path)
+        assert (loaded.returncode, loaded.stdout.strip(), loaded.stderr) == (0, "compiled", "")
+        names = sorted(p.name for p in cache.iterdir())
+        assert fresh.name in names and stale.name not in names and len(names) == 2
 
 
 def bits(values):
@@ -638,7 +639,7 @@ def two_output_config(seed: int, **kw) -> RunConfig:
                         c=Matrix.from_rows([[1.0, 0.0, 0.5], [0.0, 1.0, -1.0]]))
     schedule = DisturbanceSchedule(((0.0, (3.0,)), (2.0, (-1.5,))))
     return RunConfig(plant=plant, cost=QuadraticCost(q_u=0.1, q_y=1.0), schedule=schedule,
-                     x0=(0.0, 0.0, 0.0), u0=(0.0,), t_end=4.0, **kw)
+                     x0=(0.0, 0.0, 0.0), u0=0.0, t_end=4.0, **kw)
 
 
 class TestLyapunovMachinery:
@@ -701,7 +702,7 @@ class TestLyapunovMachinery:
         assert report.certified
         schedule = DisturbanceSchedule(((0.0, (10.0,)), (6.0, (-10.0,))))
         cfg = RunConfig(plant=fast_plant, cost=reg,
-                        schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=12.0,
+                        schedule=schedule, x0=(0.0, 0.0), u0=0.0, t_end=12.0,
                         xi=report.xi.chosen)
         for alpha in (0.5, 5.0, 50.0):
             tau = report.tau(alpha)
@@ -726,7 +727,7 @@ class TestLyapunovMachinery:
         report = certify(fast_plant, reg, 2.0)
         schedule = DisturbanceSchedule(((0.0, (10.0,)), (6.0, (-10.0,))))
         cfg = RunConfig(plant=fast_plant, cost=reg,
-                        schedule=schedule, x0=(0.0, 0.0), u0=(0.0,), t_end=12.0,
+                        schedule=schedule, x0=(0.0, 0.0), u0=0.0, t_end=12.0,
                         xi=report.xi.chosen)
         traj, _ = cfg.run(2.0)
         tau = report.tau(2.0)
@@ -870,7 +871,7 @@ class TestHurwitzVerdict:
 
     def test_other_loops_have_no_verdict(self, fast_plant, slow_sine_plant, quad_cost, sqrt_cost):
         schedule = DisturbanceSchedule(((0.0, (1.0,)),))
-        box = BoxSet(lo=(-1.0,), hi=(1.0,))
+        box = BoxSet(lo=-1.0, hi=1.0)
         assert _run_config(bundled_scenario("fig2")).hurwitz(10.0) is None
         assert gradient_config(fast_plant, sqrt_cost, schedule, 1.0).hurwitz(10.0) is None
         assert gradient_config(slow_sine_plant, quad_cost, schedule, 1.0).hurwitz(10.0) is None
