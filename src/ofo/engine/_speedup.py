@@ -1,6 +1,8 @@
 """Compiled closed-loop kernel: `_kernel.c` called through ctypes, for
 stepping (`run_segment`) and for writing a segment's CSV rows
-(`format_rows`).  Both read their float inputs from `array('d')` buffers.
+(`format_rows`).  Both read their float inputs from `array('d')` buffers,
+and run_segment records its samples straight into the `array('d')` columns
+it returns, which format_rows reads in place.
 
 The C source is built on first import with the system `cc` into the per-user
 cache, `$XDG_CACHE_HOME/ofo` or `~/.cache/ofo`, under a name keyed by the
@@ -29,15 +31,17 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 
 _I, _L, _F = ctypes.c_int, ctypes.c_long, ctypes.c_double
 _A = ctypes.POINTER(ctypes.c_double)
+#: An `array('d')` column passed by the address of its buffer.
+_C = ctypes.c_void_p
 _ARGTYPES = [_I, _I, _I, _I, _I,           # n, p, sine, sqrtplus, projected
              _A, _A, _A, _A, _A,           # a, b, drift, c, sens0
              _F, _F, _F, _F, _F,           # cq1, cq2, mu4, alpha, beta
              _F, _F,                       # lo, hi
              _F, _F, _F, _L, _F, _L, _I,   # t0, t_end, dt, n_full, last_dt, stride, include_final
              _F, _A, _A, _F,               # lyap_xi, lyap_p, xstar, ustar
-             _A, _A, _A, _A, _A, _A, _A,   # x, u, rec_t, rec_x, rec_u, rec_y, rec_v
+             _A, _A, _C, _C, _C, _C, _C,   # x, u, rec_t, rec_x, rec_u, rec_y, rec_v
              _A, ctypes.POINTER(_I), _A]   # max_violation, blew_up, blowup_time
-_FORMAT_ARGTYPES = [_A, _A, _A, _A, _A,    # t, x, u, y, v
+_FORMAT_ARGTYPES = [_C, _C, _C, _C, _C,    # t, x, u, y, v
                     _I, _I, _L, _L,        # n, p, first, rows
                     ctypes.c_char_p, _L, ctypes.c_char_p, _L,  # w_text, w_len, ustar_text, ustar_len
                     ctypes.c_char_p, _L, ctypes.POINTER(_L)]   # out, cap, done
@@ -122,7 +126,8 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
     n_tot = spec.n_full + (1 if spec.last_dt > 0.0 else 0)
     cap = 2 + n_tot // stride
     x, u = _doubles(spec.x0, n), _F(spec.u0)
-    rec_t, rec_x, rec_u, rec_y, rec_v = ((_F * (cap * k))() for k in (1, n, 1, p, 1))
+    widths = (1, n, 1, p, 1)
+    columns = [array("d", [0.0]) * (cap * width) for width in widths]
     violation, blew_up, blowup_time = _F(), _I(), _F()
     k = _run(n, p, spec.sine, spec.sqrtplus, spec.projected,
              _doubles(spec.a, n * n), _doubles(spec.b, n), _doubles(spec.drift, n),
@@ -131,32 +136,40 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
              spec.t0, spec.t_end, spec.dt, spec.n_full, spec.last_dt,
              stride, spec.include_final,
              spec.lyap_xi, _doubles(spec.lyap_p, n * n), _doubles(spec.xstar, n), spec.ustar,
-             x, ctypes.byref(u), rec_t, rec_x, rec_u, rec_y, rec_v,
+             x, ctypes.byref(u), *(column.buffer_info()[0] for column in columns),
              ctypes.byref(violation), ctypes.byref(blew_up), ctypes.byref(blowup_time))
     if k < 0:
         raise MemoryError("compiled kernel could not allocate its scratch memory")
-    return SegmentResult(times=rec_t[:k], xs=rec_x[:k * n], us=rec_u[:k],
-                         ys=rec_y[:k * p], vs=rec_v[:k],
+    for column, width in zip(columns, widths):
+        del column[k * width:]
+    times, xs, us, ys, vs = columns
+    return SegmentResult(times=times, xs=xs, us=us, ys=ys, vs=vs,
                          final_x=x[:], final_u=u.value,
                          max_violation=violation.value,
                          blowup_time=blowup_time.value if blew_up.value else None)
 
 
 def format_rows(samples: SegmentResult, n: int, p: int, w_text: str, ustar_text: str) -> str:
-    """pure.format_rows in C.  The output buffer is sized for every field on
-    the exact path; when long fallback fields overflow it, the rows left are
-    written into a larger one."""
+    """pure.format_rows in C.  An `array('d')` column is read in place, any
+    other sequence from an `array('d')` copy.  The output buffer is sized for
+    every field on the exact path; when long fallback fields overflow it, the
+    rows left are written into a larger one."""
     rows = len(samples.times)
-    columns = (_doubles(samples.times, rows), _doubles(samples.xs, rows * n),
-               _doubles(samples.us, rows), _doubles(samples.ys, rows * p),
-               _doubles(samples.vs, rows))
+    columns = []
+    for values, width in ((samples.times, 1), (samples.xs, n), (samples.us, 1),
+                          (samples.ys, p), (samples.vs, 1)):
+        if len(values) != rows * width:
+            raise ValueError(f"sample column has {len(values)} values, expected {rows * width}")
+        columns.append(values if isinstance(values, array) and values.typecode == "d"
+                       else array("d", values))
+    addresses = [column.buffer_info()[0] for column in columns]
     w, ustar = w_text.encode("ascii"), ustar_text.encode("ascii")
     fields = n + p + 3
     cap = rows * (fields * _FIELD_BYTES + len(w) + len(ustar) + 2)
     parts, done = [], _L(0)
     while done.value < rows:
         out = ctypes.create_string_buffer(cap)
-        size = _format(*columns, n, p, done.value, rows, w, len(w), ustar, len(ustar),
+        size = _format(*addresses, n, p, done.value, rows, w, len(w), ustar, len(ustar),
                        out, cap, ctypes.byref(done))
         if size < 0:
             raise InputError("cannot format a non-finite value")

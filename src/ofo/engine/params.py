@@ -1,7 +1,9 @@
 """Flat parameter and result records exchanged with the stepping kernels.
 
-Everything is plain floats, ints, and lists so the compiled and pure kernels
-can consume the same object.  The input is a scalar (the plant refuses any
+A spec is plain floats, ints, and lists so the compiled and pure kernels
+can consume the same object; a result's sample columns are `array('d')`
+buffers, which the compiled kernel writes and reads in place, and its final
+state a list.  The input is a scalar (the plant refuses any
 other B), so u, its box bounds and its anchor are floats.  Matrices are
 row-major flat lists; the disturbance enters only through the precomputed
 drift vector B_w w, which is constant within a segment.  Every sample
@@ -12,6 +14,7 @@ at the weight `lyap_xi`, the matrix `lyap_p` and the anchor (`xstar`,
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 @dataclass
@@ -54,11 +57,11 @@ class SegmentSpec:
 class SegmentResult:
     """Strided samples plus exact final state of one segment."""
 
-    times: list[float] = field(default_factory=list)
-    xs: list[float] = field(default_factory=list)   # flat, n per record
-    us: list[float] = field(default_factory=list)   # one input per record
-    ys: list[float] = field(default_factory=list)   # flat, p per record
-    vs: list[float] = field(default_factory=list)   # one V per record
+    times: array = field(default_factory=lambda: array("d"))
+    xs: array = field(default_factory=lambda: array("d"))   # flat, n per record
+    us: array = field(default_factory=lambda: array("d"))   # one input per record
+    ys: array = field(default_factory=lambda: array("d"))   # flat, p per record
+    vs: array = field(default_factory=lambda: array("d"))   # one V per record
     final_x: list[float] = field(default_factory=list)
     final_u: float = 0.0
     max_violation: float = 0.0

@@ -4,7 +4,8 @@ Everything here is sized for desk-scale control problems (a handful of states),
 so the algorithms favour exactness and testability over asymptotic speed:
 the one Lyapunov equation in use, A P + P A^T = -I, is solved by vectorizing
 its n^2 x n^2 linear system, symmetric eigenvalues come from cyclic Jacobi
-sweeps, and matrices are immutable tuples.
+sweeps, characteristic polynomials from the Faddeev-LeVerrier recursion and
+their stability from Routh's array, and matrices are immutable tuples.
 """
 
 from __future__ import annotations
@@ -72,9 +73,6 @@ class Matrix:
 
     def row(self, i: int) -> Vector:
         return self.data[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[float]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
@@ -201,6 +199,54 @@ def solve_lyapunov(a: Matrix) -> Matrix:
     return p
 
 
+def faddeev_leverrier(a: Matrix, left: Sequence[float],
+                      right: Sequence[float]) -> tuple[Vector, Vector]:
+    """Coefficients, highest power first, of det(sI - A) and of
+    left^T adj(sI - A) right.
+
+    The recursion M_1 = I, c_k = -tr(A M_k) / k, M_(k+1) = A M_k + c_k I
+    gives det(sI - A) = s^n + c_1 s^(n-1) + ... + c_n and
+    adj(sI - A) = M_1 s^(n-1) + ... + M_n, so the second polynomial has the
+    n coefficients left^T M_k right.
+    """
+    if not a.is_square():
+        raise InputError("characteristic polynomial needs a square matrix")
+    n = a.rows
+    rows = [a.row(i) for i in range(n)]
+    m = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    char, adj = [1.0], []
+    for k in range(1, n + 1):
+        adj.append(sum(li * sum(mij * rj for mij, rj in zip(mi, right))
+                       for li, mi in zip(left, m)))
+        cols = list(zip(*m))
+        am = [[sum(aij * cj for aij, cj in zip(ai, col)) for col in cols] for ai in rows]
+        ck = -sum(am[i][i] for i in range(n)) / k
+        char.append(ck)
+        for i in range(n):
+            am[i][i] += ck
+        m = am
+    return tuple(char), tuple(adj)
+
+
+def routh_hurwitz(coeffs: Sequence[float]) -> bool:
+    """Whether every root of the polynomial with these coefficients, highest
+    power first and the first positive, has a negative real part.
+
+    Routh's test: each row of the Routh array is the row two above it minus
+    the multiple of the row above that clears its first entry, and the roots
+    are all in the open left half-plane exactly when every first entry is
+    positive.  A first entry that is zero or not a number fails the test.
+    """
+    prev, cur = list(coeffs[0::2]), list(coeffs[1::2])
+    while cur:
+        if not cur[0] > 0.0:
+            return False
+        ratio = prev[0] / cur[0]
+        cur.append(0.0)
+        prev, cur = cur[:-1], [prev[j + 1] - ratio * cur[j + 1] for j in range(len(prev) - 1)]
+    return True
+
+
 def sym_eigenvalues(m: Matrix) -> Vector:
     """Eigenvalues of a symmetric matrix, ascending, via cyclic Jacobi rotations."""
     if not m.is_square():
@@ -285,10 +331,6 @@ def vec_add(a: Sequence[float], b: Sequence[float]) -> Vector:
 
 def vec_sub(a: Sequence[float], b: Sequence[float]) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_norm(a: Sequence[float]) -> float:
-    return math.sqrt(sum(x * x for x in a))
 
 
 def quad_form(p: Matrix, v: Sequence[float]) -> float:

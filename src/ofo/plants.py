@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError
-from .linalg import Matrix, Vector, inverse, solve_lyapunov, spectral_norm, vec_add
+from .linalg import (
+    Matrix,
+    Vector,
+    faddeev_leverrier,
+    inverse,
+    solve_lyapunov,
+    spectral_norm,
+    vec_add,
+)
 
 
 def _check_lti_shapes(a: Matrix, b: Matrix, bw: Matrix, c: Matrix) -> None:
@@ -68,6 +76,14 @@ class LinearPlant:
     def base_sensitivity(self) -> Matrix:
         """-C A^-1 B; the input-to-steady-output gain."""
         return self.c.matmul(self.a_inverse).matmul(self.b).neg()
+
+    @cached_property
+    def loop_polynomials(self) -> tuple[Vector, Vector]:
+        """(a, N): det(sI - A) and H^T C adj(sI - A) B with H the base
+        sensitivity, coefficients highest power first.  The affine loop's
+        characteristic polynomial is built from them (see RunConfig.hurwitz)."""
+        feedback = self.base_sensitivity.transpose().matmul(self.c)
+        return faddeev_leverrier(self.a, feedback.data, self.b.data)
 
     @cached_property
     def steady_moduli(self) -> tuple[float, float]:

@@ -18,13 +18,13 @@ from . import engine
 from .controllers import BoxSet
 from .costs import CostModel, QuadraticCost, check_fit, reduced_gradient
 from .engine.pure import plain_field
-from .errors import DivergenceError, InputError, NotStabilizedError, StepLimitError
+from .errors import DivergenceError, InputError, StepLimitError
 from .linalg import (
     Matrix,
     Vector,
     as_vector,
     quad_form,
-    solve_lyapunov,
+    routh_hurwitz,
     spectral_norm,
     vec_sub,
 )
@@ -465,22 +465,22 @@ class RunConfig:
         """Whether the closed loop at this gain is Hurwitz, for the loops that
         are affine: a linear plant with a quadratic cost under the gradient
         law, whose matrix is
-        [[A, B], [-2 alpha q_y H^T C, -alpha (2 q_u + mu4)]], H = -C A^-1 B.
+        M = [[A, B], [-2 alpha q_y H^T C, -alpha (2 q_u + mu4)]], H = -C A^-1 B.
+        A Schur complement on the input row gives
+        det(sI - M) = s a(s) + alpha ((2 q_u + mu4) a(s) + 2 q_y N(s)) with
+        the plant's loop_polynomials a and N, and Routh's test decides.
         None for every other loop."""
         plant, cost = self.plant, self.cost
         if (self.box is not None or isinstance(plant, SinePlant)
                 or not isinstance(cost, QuadraticCost)):
             return None
-        feedback = plant.base_sensitivity.transpose().matmul(plant.c)
-        feedback = feedback.scale(-2.0 * alpha * cost.q_y)
-        damping = -alpha * (2.0 * cost.q_u + cost.mu4)
-        rows = [plant.a.row(i) + plant.b.row(i) for i in range(plant.n)]
-        rows.append(feedback.row(0) + (damping,))
-        try:
-            solve_lyapunov(Matrix.from_rows(rows))
-        except NotStabilizedError:
-            return False
-        return True
+        char, adj = plant.loop_polynomials
+        damping, coupling = 2.0 * cost.q_u + cost.mu4, 2.0 * cost.q_y
+        # the gain's polynomial, of degree n; s a(s) = s^(n+1) + ... has one more
+        gain_poly = [damping * c for c in char]
+        for k, c in enumerate(adj):
+            gain_poly[k + 1] += coupling * c
+        return routh_hurwitz([1.0] + [c + alpha * g for c, g in zip((*char[1:], 0.0), gain_poly)])
 
     def run(self, alpha: float) -> tuple[Trajectory, RunSummary]:
         traj = simulate(self, alpha)

@@ -69,6 +69,16 @@ def sqrt_cost() -> SqrtPlusCost:
     return SqrtPlusCost(a=11.0)
 
 
+def to_rows(m: Matrix) -> list[list[float]]:
+    """The rows of a matrix as lists."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def vec_norm(a: Sequence[float]) -> float:
+    """Euclidean norm of a vector."""
+    return math.sqrt(sum(x * x for x in a))
+
+
 def random_hurwitz_rows(rng: random.Random, n: int) -> list[list[float]]:
     """Random Hurwitz matrix: random entries shifted left of the imag axis
     (shift computed with the numpy eigenvalue oracle)."""

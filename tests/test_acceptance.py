@@ -25,7 +25,7 @@ from ofo.cli import main
 from ofo.controllers import BoxSet, proj_box
 from ofo.engine import pure
 from ofo.errors import DivergenceError
-from ofo.linalg import Matrix, solve_lyapunov, vec_norm, vec_sub
+from ofo.linalg import Matrix, solve_lyapunov, vec_sub
 from ofo.sim import DisturbanceSchedule, optimal_input
 
 from conftest import (
@@ -35,6 +35,8 @@ from conftest import (
     inputs,
     integrate,
     random_hurwitz_rows,
+    to_rows,
+    vec_norm,
 )
 
 
@@ -165,9 +167,9 @@ def test_c04_resonant_scenario_convergence():
 
     # numpy oracle: the gradient law on a linear plant with a quadratic cost
     # is the affine loop [[A, B], [-2 alpha q_y H^T C, -2 alpha q_u I]]
-    a = np.array(scenario.plant.a.to_rows())
-    b = np.array(scenario.plant.b.to_rows())
-    c = np.array(scenario.plant.c.to_rows())
+    a = np.array(to_rows(scenario.plant.a))
+    b = np.array(to_rows(scenario.plant.b))
+    c = np.array(to_rows(scenario.plant.c))
     h = -c @ np.linalg.inv(a) @ b
 
     def abscissa(alpha):
@@ -236,10 +238,10 @@ def test_c05_box_invariance_and_active_bound():
 
     # derived active-bound optima via dense grid over the box
     grid = np.linspace(-5e-5, 5e-5, 100001)
-    a = np.array(scenario.plant.a.to_rows())
-    b = np.array(scenario.plant.b.to_rows())[:, 0]
-    bw = np.array(scenario.plant.bw.to_rows())[:, 0]
-    c = np.array(scenario.plant.c.to_rows())[0]
+    a = np.array(to_rows(scenario.plant.a))
+    b = np.array(to_rows(scenario.plant.b))[:, 0]
+    bw = np.array(to_rows(scenario.plant.bw))[:, 0]
+    c = np.array(to_rows(scenario.plant.c))[0]
 
     def grid_opt(w):
         states = -np.linalg.inv(a) @ (np.outer(b, grid + np.sin(grid))
@@ -293,7 +295,7 @@ def test_c07_discrepancy_reported_not_asserted(capsys):
         if line.startswith("mu_bound_rhs = "):
             k = float(line.split(" = ")[1])
     # independent recomputation of the bound from first principles (numpy)
-    a = np.array(scenario.plant.a.to_rows())
+    a = np.array(to_rows(scenario.plant.a))
     p = np.linalg.solve(np.kron(np.eye(2), a.T) + np.kron(a.T, np.eye(2)),
                         -np.eye(2).reshape(-1)).reshape(2, 2)
     lam = np.linalg.eigvalsh(0.5 * (p + p.T))
@@ -317,7 +319,7 @@ def test_c08_numerics_gates():
     for a_np in mats:
         n = a_np.shape[0]
         for orient in (a_np, a_np.T):
-            p_np = np.array(solve_lyapunov(Matrix.from_rows(orient.tolist())).to_rows())
+            p_np = np.array(to_rows(solve_lyapunov(Matrix.from_rows(orient.tolist()))))
             res = float(np.max(np.abs(orient @ p_np + p_np @ orient.T + np.eye(n))))
             worst_residual = max(worst_residual, res)
     residual_ok = worst_residual <= 1e-10

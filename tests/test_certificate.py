@@ -21,7 +21,7 @@ from ofo.errors import ConvexityGapError, InputError, NotStabilizedError
 from ofo.linalg import Matrix
 from ofo.plants import LinearPlant, SinePlant
 
-from conftest import random_hurwitz_rows
+from conftest import random_hurwitz_rows, to_rows
 
 
 def all_ones(**overrides) -> SimplifyingConstants:
@@ -51,7 +51,7 @@ class TestDerivePlantConstants:
     def test_slow_sine_plant(self, slow_sine_plant):
         pc = plant_constants(slow_sine_plant)
         ell_h, ell_grad_h = slow_sine_plant.steady_moduli
-        lam = np.linalg.eigvalsh(np.array(slow_sine_plant.lyapunov_p.to_rows()))
+        lam = np.linalg.eigvalsh(np.array(to_rows(slow_sine_plant.lyapunov_p)))
         assert pc.c3 == pytest.approx(lam[0], abs=1e-10)
         assert pc.d3 == pytest.approx(lam[-1], abs=1e-10)
         assert pc.zeta3 == pytest.approx(2.0 * lam[-1], abs=1e-10)
@@ -73,8 +73,8 @@ class TestDerivePlantConstants:
     def test_decay_orientation(self, slow_sine_plant):
         # W(x, u) built on P must actually decay at unit rate along the
         # frozen-input dynamics: A^T P + P A = -I.
-        p = np.array(slow_sine_plant.lyapunov_p.to_rows())
-        a = np.array(slow_sine_plant.a.to_rows())
+        p = np.array(to_rows(slow_sine_plant.lyapunov_p))
+        a = np.array(to_rows(slow_sine_plant.a))
         residual = a.T @ p + p @ a + np.eye(2)
         assert np.max(np.abs(residual)) <= 1e-10
         rng = random.Random(3)
@@ -309,7 +309,7 @@ def test_certificate_sound_on_adversarial_loops():
     broken = {"systematic": 0, "ell_f": 0}
     for resonant in [False] * 200 + [True] * 200:
         plant, cost = random_loop(rng, resonant)
-        a, b, c = (np.array(m.to_rows()) for m in (plant.a, plant.b, plant.c))
+        a, b, c = (np.array(to_rows(m)) for m in (plant.a, plant.b, plant.c))
         h = -c @ np.linalg.solve(a, b)
         abscissae = [float(np.max(np.linalg.eigvals(np.block(
             [[a, b], [-2.0 * alpha * cost.q_y * h.T @ c,

@@ -14,11 +14,11 @@ from ofo.linalg import (
     sym_eigenvalues,
 )
 
-from conftest import random_hurwitz_rows, random_spd_rows
+from conftest import random_hurwitz_rows, random_spd_rows, to_rows
 
 
 def as_np(m: Matrix) -> np.ndarray:
-    return np.array(m.to_rows())
+    return np.array(to_rows(m))
 
 
 class TestSolveLyapunov:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from ofo.errors import InputError, NotStabilizedError
-from ofo.linalg import Matrix, vec_norm
+from ofo.linalg import Matrix
 from ofo.plants import LinearPlant, SinePlant
+
+from conftest import to_rows, vec_norm
 
 
 class TestDynamics:
@@ -159,9 +161,9 @@ class TestConstructionGates:
 
 def test_sine_steady_state_matches_numpy_closed_form(slow_sine_plant):
     rng = random.Random(77)
-    a = np.array(slow_sine_plant.a.to_rows())
-    b = np.array(slow_sine_plant.b.to_rows())[:, 0]
-    bw = np.array(slow_sine_plant.bw.to_rows())[:, 0]
+    a = np.array(to_rows(slow_sine_plant.a))
+    b = np.array(to_rows(slow_sine_plant.b))[:, 0]
+    bw = np.array(to_rows(slow_sine_plant.bw))[:, 0]
     for _ in range(20):
         u = rng.uniform(-3.0, 3.0)
         w = rng.uniform(-0.01, 0.01)

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import time
+from array import array
 from dataclasses import replace
 from decimal import Decimal
 
@@ -22,7 +23,7 @@ from ofo.controllers import BoxSet
 from ofo.costs import QuadraticCost, SqrtPlusCost
 from ofo.engine import pure
 from ofo.errors import DivergenceError, InputError, StepLimitError
-from ofo.linalg import Matrix, vec_norm, vec_sub
+from ofo.linalg import Matrix, vec_sub
 from ofo.plants import LinearPlant, SinePlant
 from ofo.sim import (
     DisturbanceSchedule,
@@ -47,6 +48,8 @@ from conftest import (
     outputs,
     random_hurwitz_rows,
     states,
+    to_rows,
+    vec_norm,
 )
 
 
@@ -105,10 +108,10 @@ class TestOptimalInput:
         u = optimal_input(slow_sine_plant, sqrt_cost, (0.001,), box=box)
         # oracle: vectorized grid search over the box at 1e-9 resolution
         grid = np.linspace(-5e-5, 5e-5, 100001)
-        a = np.array(slow_sine_plant.a.to_rows())
-        b = np.array(slow_sine_plant.b.to_rows())[:, 0]
-        bw = np.array(slow_sine_plant.bw.to_rows())[:, 0]
-        c = np.array(slow_sine_plant.c.to_rows())[0]
+        a = np.array(to_rows(slow_sine_plant.a))
+        b = np.array(to_rows(slow_sine_plant.b))[:, 0]
+        bw = np.array(to_rows(slow_sine_plant.bw))[:, 0]
+        c = np.array(to_rows(slow_sine_plant.c))[0]
         states = -np.linalg.inv(a) @ (np.outer(b, grid + np.sin(grid))
                                       + np.outer(bw, np.full_like(grid, 0.001)))
         ys = c @ states
@@ -391,7 +394,7 @@ class TestSimulate:
         first, second = traj.segments
         assert first.samples.times[0] == 0.0 and first.samples.times[-1] < 5.0
         assert second.samples.times[0] == 5.0
-        assert traj.t == first.samples.times + second.samples.times
+        assert traj.t == [*first.samples.times, *second.samples.times]
         assert traj.t[-1] == 8.0
         assert all(t2 > t1 for t1, t2 in zip(traj.t, traj.t[1:]))
 
@@ -401,7 +404,7 @@ class TestSimulate:
         t1, _ = cfg.run(50.0)
         t2, _ = cfg.run(50.0)
         assert t1.t == t2.t and states(t1) == states(t2) and inputs(t1) == inputs(t2)
-        c = np.array(fast_plant.c.to_rows())
+        c = np.array(to_rows(fast_plant.c))
         assert len(outputs(t1)) == len(t1.t)
         for x, y in zip(states(t1), outputs(t1)):
             assert y[0] == (c @ np.array(x))[0]
@@ -541,6 +544,32 @@ class TestKernels:
             end_kernel = final_state(traj)
             assert np.array(end_kernel) == pytest.approx(np.array(generic[-1]), rel=1e-12,
                                                          abs=1e-12)
+
+    def test_sample_columns_are_arrays_of_their_records(self, fast_plant, slow_sine_plant,
+                                                        quad_cost, sqrt_cost):
+        # each kernel returns array('d') columns of exactly k records, here
+        # for a segment with a shortened last step and its final record; a
+        # second call leaves the first call's columns as they were, so no
+        # buffer is shared or reused
+        spec = self.collect_specs(fast_plant, slow_sine_plant, quad_cost, sqrt_cost)[0]
+        n_full, stride = 103, 7
+        last_dt = 0.3 * spec.dt
+        spec = replace(spec, n_full=n_full, last_dt=last_dt, record_stride=stride,
+                       t_end=spec.t0 + n_full * spec.dt + last_dt, include_final=True)
+        k = 1 + n_full // stride + 1
+        kernels = [pure.run_segment]
+        if engine.HAVE_COMPILED:
+            kernels.append(engine._speedup.run_segment)
+        for run_segment in kernels:
+            first = run_segment(spec)
+            columns = [first.times, first.xs, first.us, first.ys, first.vs]
+            assert all(type(col) is array and col.typecode == "d" for col in columns)
+            assert [len(col) for col in columns] == [k, k * spec.n, k, k * spec.p, k]
+            assert first.times[-1] == spec.t_end
+            kept = [col.tobytes() for col in columns]
+            second = run_segment(replace(spec, x0=[5.0, -5.0], u0=3.0))
+            assert second.xs != first.xs
+            assert [col.tobytes() for col in columns] == kept
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_compiled_kernel_rejects_malformed_spec(self, fast_plant, slow_sine_plant,
@@ -810,16 +839,81 @@ class TestSummaries:
         assert summary.settling_time == 5.0
 
 
+def random_affine_loop(rng: np.random.Generator) -> RunConfig:
+    """A seeded affine loop under the gradient law: n from 1 to 8 states, a
+    time scale from 1e-2 to 1e2, about half of them with a lightly damped
+    2 x 2 block mixed into the rest, one or two outputs, q_u from 1e-3 to 1
+    and mu4 from 0 to 0.5."""
+    def hurwitz_block(k):
+        g = rng.normal(size=(k, k))
+        return g - (np.linalg.eigvals(g).real.max() + rng.uniform(0.2, 1.0)) * np.eye(k)
+
+    n = int(rng.integers(1, 9))
+    if n >= 2 and rng.random() < 0.5:
+        omega, zeta = rng.uniform(0.5, 5.0), rng.uniform(0.005, 0.05)
+        a = np.zeros((n, n))
+        a[:2, :2] = [[-zeta * omega, omega], [-omega, -zeta * omega]]
+        if n > 2:
+            a[2:, 2:] = hurwitz_block(n - 2)
+        mix = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
+        a = mix @ a @ np.linalg.inv(mix)
+    else:
+        a = hurwitz_block(n)
+    a *= 10.0 ** rng.uniform(-2.0, 2.0)
+    p = int(rng.integers(1, 3))
+    plant = LinearPlant(a=Matrix.from_rows(a.tolist()),
+                        b=Matrix.from_rows(rng.normal(size=(n, 1)).tolist()),
+                        bw=Matrix.from_rows(rng.normal(size=(n, 1)).tolist()),
+                        c=Matrix.from_rows(rng.normal(size=(p, n)).tolist()))
+    cost = QuadraticCost(q_u=10.0 ** rng.uniform(-3.0, 0.0), q_y=1.0,
+                         mu4=rng.uniform(0.0, 0.5))
+    return RunConfig(plant=plant, cost=cost, schedule=DisturbanceSchedule(((0.0, (1.0,)),)),
+                     x0=(0.0,) * n, u0=0.0, t_end=1.0)
+
+
 class TestHurwitzVerdict:
     @staticmethod
-    def numpy_verdict(config: RunConfig, alpha: float) -> bool:
+    def loop_eigenvalues(config: RunConfig, alpha: float) -> np.ndarray:
         plant = config.plant
-        a, b, c = (np.array(mat.to_rows()) for mat in (plant.a, plant.b, plant.c))
+        a, b, c = (np.array(to_rows(mat)) for mat in (plant.a, plant.b, plant.c))
         cost = config.cost
         h = -c @ np.linalg.solve(a, b)
         m = np.block([[a, b], [-2.0 * alpha * cost.q_y * h.T @ c,
                                -alpha * (2.0 * cost.q_u + cost.mu4) * np.eye(b.shape[1])]])
-        return bool(np.linalg.eigvals(m).real.max() < 0.0)
+        return np.linalg.eigvals(m)
+
+    def numpy_verdict(self, config: RunConfig, alpha: float) -> bool:
+        return bool(self.loop_eigenvalues(config, alpha).real.max() < 0.0)
+
+    def test_random_affine_loops_match_numpy(self):
+        # Routh's test on the loop polynomial against numpy eigenvalues; a
+        # pair whose spectral abscissa is within 1e-7 of the spectrum's size
+        # lies on the boundary to rounding and is not judged
+        rng = np.random.default_rng(2024)
+        gains = np.logspace(-3.0, 7.0, 41)
+        judged, skipped, verdicts = 0, 0, set()
+        for _ in range(200):
+            config = random_affine_loop(rng)
+            for alpha in gains:
+                eig = self.loop_eigenvalues(config, float(alpha))
+                abscissa = eig.real.max()
+                if abs(abscissa) <= 1e-7 * np.abs(eig).max():
+                    skipped += 1
+                    continue
+                verdict = config.hurwitz(float(alpha))
+                assert verdict is bool(abscissa < 0.0), (to_rows(config.plant.a), alpha)
+                verdicts.add(verdict)
+                judged += 1
+        assert verdicts == {True, False}
+        assert skipped < 0.05 * judged
+
+    def test_fig1_verdict_flips_at_its_crossing_gains(self):
+        # fig1's loop leaves the Hurwitz set at alpha 111.5428 and returns at
+        # 2263.7047
+        fig1 = _run_config(bundled_scenario("fig1"))
+        checks = {111.5: True, 111.6: False, 2263.6: False, 2263.8: True}
+        assert {alpha: fig1.hurwitz(alpha) for alpha in checks} == checks
+        assert {alpha: self.numpy_verdict(fig1, alpha) for alpha in checks} == checks
 
     def test_affine_loops_match_numpy(self):
         scenario = bundled_scenario("fig1")
@@ -1112,6 +1206,24 @@ class TestCsv:
                 for segment in cases:
                     with pytest.raises(InputError, match="non-finite"):
                         write_csv(self.table([segment]), io.StringIO())
+
+    def test_list_and_array_columns_give_the_same_bytes(self):
+        # the kernels hand format_rows array('d') columns, and lists are
+        # still accepted; fig2's rows take the exponent path, the two-output
+        # plant's rows do not
+        runs = [(two_output_config(0).run(10.0)[0], 3, 2),
+                (_run_config(bundled_scenario("fig2")).run(10.0)[0], 2, 1)]
+        for traj, n, p in runs:
+            for seg in traj.segments:
+                samples = seg.samples
+                names = ("times", "xs", "us", "ys", "vs")
+                assert all(type(getattr(samples, name)) is array for name in names)
+                as_lists = replace(samples, **{name: list(getattr(samples, name))
+                                               for name in names})
+                for formatter in self.formatters():
+                    text = formatter(samples, n, p, "1.5", "-2")
+                    assert text.count("\n") == len(samples.times)
+                    assert formatter(as_lists, n, p, "1.5", "-2") == text
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_compiled_formatter_rejects_mismatched_sizes(self):
