@@ -52,12 +52,13 @@ class SimplifyingConstants:
     lip_grad_u: float
 
     def __post_init__(self):
-        positive = ("ell_f", "ell_g", "c3", "d3", "mu3", "zeta3", "mu_phi", "lip_grad_u")
-        for name in positive:
+        # ell_g = 0 (C = 0) only zeroes theta2; ell_f > 0 because theta1 divides mu1
+        for name in ("ell_f", "c3", "d3", "mu3", "zeta3", "mu_phi", "lip_grad_u"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"constant {name} must be positive")
-        if self.ell_phi_u < 0.0 or self.ell_phi_y < 0.0:
-            raise InputError("coupling moduli must be nonnegative")
+        for name in ("ell_g", "ell_phi_u", "ell_phi_y"):
+            if getattr(self, name) < 0.0:
+                raise InputError(f"constant {name} must be nonnegative")
         if self.c3 > self.d3 * (1.0 + 1e-12):
             raise InputError("sandwich constants must satisfy c3 <= d3")
         if self.lip_grad_u < self.mu_phi * (1.0 - 1e-12):
@@ -198,12 +199,6 @@ class CertificateReport:
     required_mu4: float
     tau_at_alpha: float | None
     claimed_mu_bound_rhs: float | None = None
-
-    def tau(self, alpha: float) -> float:
-        """Certified decay rate at a given gain; only defined when certified."""
-        if self.xi is None:
-            raise InputError("no feasible weight: the certificate did not pass")
-        return decay_rate(self.params, self.xi.chosen, alpha)
 
     def to_text(self) -> str:
         """Flat `name = value` block for CLI output and golden-file tests."""

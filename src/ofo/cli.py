@@ -66,7 +66,7 @@ def _run_config(scenario: Scenario) -> RunConfig:
     """The scenario's run configuration, with the weight of the diagnostic V
     column: the certified xi when one exists, otherwise 1.  Prints the
     configuration's warnings on standard error, once for all its gains."""
-    config = scenario.run_config()
+    config = scenario.config
     try:
         report = certify(config.plant, config.cost, scenario.alpha, scenario.overrides,
                          scenario.claimed_mu_bound_rhs)
@@ -88,7 +88,7 @@ def _summary_line(alpha: float, summary: RunSummary) -> str:
 def cmd_certify(args) -> int:
     scenario = Scenario.load(args.scenario)
     try:
-        report = certify(scenario.plant, scenario.cost, scenario.alpha,
+        report = certify(scenario.config.plant, scenario.config.cost, scenario.alpha,
                          scenario.overrides, scenario.claimed_mu_bound_rhs)
     except ConvexityGapError as exc:
         print(f"not certified: {exc}")

@@ -319,8 +319,10 @@ def inverse(m: Matrix) -> Matrix:
             for c in range(2 * n):
                 a[r][c] -= factor * a[col][c]
     inv = Matrix(n, n, tuple(a[i][n + j] for i in range(n) for j in range(n)))
+    # Rounding leaves a residual of about eps ||A|| ||A^-1||, so it is judged
+    # against ||A|| ||A^-1|| as well as ||I|| = 1, as in solve_lyapunov.
     check = m.matmul(inv).add(Matrix.identity(n).neg()).max_norm()
-    if check > 1e-10 * max(1.0, m.max_norm()):
+    if check > 1e-10 * max(1.0, m.max_norm() * inv.max_norm()):
         raise SingularMatrixError("singular plant matrix")
     return inv
 

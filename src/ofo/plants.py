@@ -2,13 +2,13 @@
 
 Two concrete families are provided: a linear time-invariant plant and its
 variant with a sine input nonlinearity, both with a scalar input u (B has one
-column).  Both expose the same surface (dynamics, output, steady state,
-steady output, sensitivity), so the certificate and the searched reference
-optimum treat them alike.  The
-simulator does tell them apart: a SinePlant selects the kernel's sine branch
-and has neither the closed-form optimum nor a Hurwitz verdict.  A plant is the
-model (A, B, B_w, C) alone: the disturbance w is an argument of the maps that
-depend on it, so switching it builds nothing and re-checks nothing.
+column).  Both expose the same surface (input effect, steady state, steady
+output, sensitivity), so the certificate and the searched reference optimum
+treat them alike.  The simulator does tell them apart: a SinePlant selects
+the kernel's sine branch and has neither the closed-form optimum nor a
+Hurwitz verdict.  A plant is the model (A, B, B_w, C) alone: the disturbance
+w is an argument of the maps that depend on it, so switching it builds
+nothing and re-checks nothing.
 """
 
 from __future__ import annotations
@@ -95,16 +95,6 @@ class LinearPlant:
     def input_effect(self, u: float) -> Vector:
         """The term the input contributes to dx/dt (before adding A x and B_w w)."""
         return self.b.matvec((u,))
-
-    def dynamics(self, x: Vector, u: float, w: Vector) -> Vector:
-        if len(x) != self.n:
-            raise InputError(f"state has length {len(x)}, expected {self.n}")
-        return vec_add(vec_add(self.a.matvec(x), self.input_effect(u)), self.bw.matvec(w))
-
-    def output(self, x: Vector) -> Vector:
-        if len(x) != self.n:
-            raise InputError(f"state has length {len(x)}, expected {self.n}")
-        return self.c.matvec(x)
 
     def steady_state(self, u: float, w: Vector) -> Vector:
         forced = vec_add(self.input_effect(u), self.bw.matvec(w))

@@ -1,15 +1,16 @@
 """Scenario files: one YAML document describing plant, cost, controller,
 disturbance schedule, simulation window, and optional certificate inputs.
 
-Parsing builds the objects a run uses: the plant (LinearPlant or SinePlant),
-the cost (QuadraticCost or SqrtPlusCost), the projected law's BoxSet and the
-DisturbanceSchedule.  Each constructor makes its own checks (the plant's
-refuses a B of other than one column), its error prefixed with its YAML
-section.  Parsing itself refuses unknown keys, checks the type and range of
+Parsing builds the RunConfig the scenario runs, from the plant (LinearPlant
+or SinePlant), the cost (QuadraticCost or SqrtPlusCost), the projected law's
+BoxSet and the DisturbanceSchedule.  Each constructor makes its own checks
+(the plant's refuses a B of other than one column), its error prefixed with
+its YAML section.  Parsing itself refuses unknown keys, checks the type and range of
 every field, naming its YAML path, and the fits across sections: the length
 of x0, the one value of u0 and of each box bound, the schedule's width
 against B_w and its last start against t_end, and the scalar output that the
-sqrtplus cost needs.
+sqrtplus cost needs.  RunConfig repeats the run's checks for library
+callers, so on a parsed scenario they always pass.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import Any, Callable, TypeVar
 import yaml
 
 from .controllers import BoxSet
-from .costs import CostModel, QuadraticCost, SqrtPlusCost, check_fit
+from .costs import QuadraticCost, SqrtPlusCost, check_fit
 from .errors import InputError
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 from .plants import LinearPlant, SinePlant
 from .sim import DisturbanceSchedule, RunConfig, DEFAULT_MAX_RECORDS
 
@@ -91,20 +92,12 @@ def _build(section: str, make: Callable[..., T], **fields: Any) -> T:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed scenario: the plant, cost, input box (None for the gradient
-    law) and disturbance schedule it runs, with the run's numbers."""
+    """A parsed scenario: the run configuration it describes (at the default
+    weight xi = 1), its gain, and the certificate's overrides and claimed
+    bound."""
 
-    plant: LinearPlant
-    cost: CostModel
-    box: BoxSet | None
-    schedule: DisturbanceSchedule
+    config: RunConfig
     alpha: float
-    beta: float | None
-    t_end: float
-    dt: float | None
-    x0: Vector
-    u0: float
-    max_records: int
     overrides: dict[str, float] = dc_field(default_factory=dict)
     claimed_mu_bound_rhs: float | None = None
 
@@ -215,9 +208,9 @@ class Scenario:
             if "claimed_mu_bound_rhs" in cert:
                 claimed = _number(cert["claimed_mu_bound_rhs"], "certificate.claimed_mu_bound_rhs")
 
-        return cls(plant=plant, cost=cost, box=box, schedule=schedule, alpha=alpha, beta=beta,
-                   t_end=t_end, dt=dt, x0=x0, u0=u0, max_records=max_records,
-                   overrides=overrides, claimed_mu_bound_rhs=claimed)
+        config = RunConfig(plant=plant, cost=cost, schedule=schedule, x0=x0, u0=u0,
+                           t_end=t_end, beta=beta, box=box, dt=dt, max_records=max_records)
+        return cls(config=config, alpha=alpha, overrides=overrides, claimed_mu_bound_rhs=claimed)
 
     @classmethod
     def loads(cls, text: str) -> "Scenario":
@@ -235,8 +228,3 @@ class Scenario:
         except OSError as exc:
             raise InputError(f"cannot read scenario file {path!r}: {exc}") from exc
         return cls.loads(text)
-
-    def run_config(self) -> RunConfig:
-        return RunConfig(plant=self.plant, cost=self.cost, schedule=self.schedule,
-                         x0=self.x0, u0=self.u0, t_end=self.t_end, beta=self.beta,
-                         box=self.box, dt=self.dt, max_records=self.max_records)

@@ -1,6 +1,8 @@
 import math
+import os
 import random
 from importlib.resources import files as resource_files
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -11,12 +13,20 @@ from ofo.controllers import proj_box
 from ofo.costs import QuadraticCost, SqrtPlusCost, reduced_gradient
 from ofo.engine import pure
 from ofo.errors import DivergenceError, InputError
-from ofo.linalg import Matrix
+from ofo.linalg import Matrix, vec_add
 from ofo.plants import LinearPlant, SinePlant
 from ofo.scenario import Scenario
 from ofo.sim import plan_steps
 
 VectorField = Callable[[tuple[float, ...]], Sequence[float]]
+
+
+def checkout_env(**env: str) -> dict[str, str]:
+    """The environment for a child Python that imports this checkout's ofo:
+    os.environ with the checkout's src put first on PYTHONPATH, and env."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **env)
 
 
 def bundled_scenario_path(name: str) -> str:
@@ -94,6 +104,21 @@ def random_spd_rows(rng: random.Random, n: int) -> list[list[float]]:
     return [[float(s[i, j]) for j in range(n)] for i in range(n)]
 
 
+def plant_dynamics(plant, x, u, w):
+    """dx/dt = A x + (the plant's input term) + B_w w at state x, input u and
+    disturbance w."""
+    if len(x) != plant.n:
+        raise InputError(f"state has length {len(x)}, expected {plant.n}")
+    return vec_add(vec_add(plant.a.matvec(x), plant.input_effect(u)), plant.bw.matvec(w))
+
+
+def plant_output(plant, x):
+    """y = C x at state x."""
+    if len(x) != plant.n:
+        raise InputError(f"state has length {len(x)}, expected {plant.n}")
+    return plant.c.matvec(x)
+
+
 def ofo_rate(cost, sensitivity, alpha, u, y, beta=None, box=None):
     """The input rate of the OFO law at (u, y), written from its definition:
     -alpha g for the gradient law (box None), alpha (proj_box(u - beta g) - u)
@@ -106,15 +131,16 @@ def ofo_rate(cost, sensitivity, alpha, u, y, beta=None, box=None):
 
 def closed_loop_field(config, alpha, w):
     """The field of the stacked state (x, u) of a run configuration at gain
-    alpha under a constant disturbance w, built from plant.dynamics and
+    alpha under a constant disturbance w, built from plant_dynamics and
     ofo_rate; the projected law's stepsize defaults to 1/L."""
     plant, n = config.plant, config.plant.n
     beta = config.beta if config.beta is not None else 1.0 / config.cost.grad_u_lipschitz
 
     def field(state):
         x, u = state[:n], state[n]
-        du = ofo_rate(config.cost, plant.sensitivity, alpha, u, plant.output(x), beta, config.box)
-        return plant.dynamics(x, u, w) + (du,)
+        du = ofo_rate(config.cost, plant.sensitivity, alpha, u, plant_output(plant, x), beta,
+                      config.box)
+        return plant_dynamics(plant, x, u, w) + (du,)
 
     return field
 

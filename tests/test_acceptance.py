@@ -152,7 +152,7 @@ def test_c03_comparison_system_envelope():
 
 def test_c04_resonant_scenario_convergence():
     scenario = bundled_scenario("fig1")
-    config = scenario.run_config()
+    config = scenario.config
     plant, cost = config.plant, config.cost
 
     # reference optima: the hand-derived closed form and optimal_input must agree to 1e-6
@@ -167,9 +167,9 @@ def test_c04_resonant_scenario_convergence():
 
     # numpy oracle: the gradient law on a linear plant with a quadratic cost
     # is the affine loop [[A, B], [-2 alpha q_y H^T C, -2 alpha q_u I]]
-    a = np.array(to_rows(scenario.plant.a))
-    b = np.array(to_rows(scenario.plant.b))
-    c = np.array(to_rows(scenario.plant.c))
+    a = np.array(to_rows(scenario.config.plant.a))
+    b = np.array(to_rows(scenario.config.plant.b))
+    c = np.array(to_rows(scenario.config.plant.c))
     h = -c @ np.linalg.inv(a) @ b
 
     def abscissa(alpha):
@@ -234,14 +234,14 @@ def test_c04_resonant_scenario_convergence():
 
 def test_c05_box_invariance_and_active_bound():
     scenario = bundled_scenario("fig2")
-    config = scenario.run_config()
+    config = scenario.config
 
     # derived active-bound optima via dense grid over the box
     grid = np.linspace(-5e-5, 5e-5, 100001)
-    a = np.array(to_rows(scenario.plant.a))
-    b = np.array(to_rows(scenario.plant.b))[:, 0]
-    bw = np.array(to_rows(scenario.plant.bw))[:, 0]
-    c = np.array(to_rows(scenario.plant.c))[0]
+    a = np.array(to_rows(scenario.config.plant.a))
+    b = np.array(to_rows(scenario.config.plant.b))[:, 0]
+    bw = np.array(to_rows(scenario.config.plant.bw))[:, 0]
+    c = np.array(to_rows(scenario.config.plant.c))[0]
 
     def grid_opt(w):
         states = -np.linalg.inv(a) @ (np.outer(b, grid + np.sin(grid))
@@ -280,7 +280,7 @@ def test_c06_constrained_scenario_certifies(capsys):
     taus = []
     scenario = bundled_scenario("fig2")
     for alpha in (1.0, 10.0, 100.0):
-        report = certify(scenario.plant, scenario.cost, alpha, scenario.overrides)
+        report = certify(scenario.config.plant, scenario.config.cost, alpha, scenario.overrides)
         taus.append(report.tau_at_alpha)
     _criterion(6, rc == 0 and "certified = true" in out and all(t > 0.0 for t in taus),
                f"certify exits 0 and tau(alpha) > 0 for alphas 1,10,100: {[f'{t:.4g}' for t in taus]}")
@@ -295,7 +295,7 @@ def test_c07_discrepancy_reported_not_asserted(capsys):
         if line.startswith("mu_bound_rhs = "):
             k = float(line.split(" = ")[1])
     # independent recomputation of the bound from first principles (numpy)
-    a = np.array(to_rows(scenario.plant.a))
+    a = np.array(to_rows(scenario.config.plant.a))
     p = np.linalg.solve(np.kron(np.eye(2), a.T) + np.kron(a.T, np.eye(2)),
                         -np.eye(2).reshape(-1)).reshape(2, 2)
     lam = np.linalg.eigvalsh(0.5 * (p + p.T))
@@ -348,7 +348,7 @@ def test_c08_numerics_gates():
 
     worst_rel = 0.0
     for name, alphas in (("fig1", (1.0, 10.0, 100.0)), ("fig2", (1.0, 10.0, 100.0))):
-        config = bundled_scenario(name).run_config()
+        config = bundled_scenario(name).config
         beta = None
         if config.box is not None:
             beta = config.beta if config.beta is not None else 1.0 / config.cost.grad_u_lipschitz

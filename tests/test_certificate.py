@@ -324,6 +324,7 @@ def test_certificate_sound_on_adversarial_loops():
             broken[reading] += max(abscissae) >= 0.0
             if reading == "systematic":
                 for alpha, abscissa in zip(gains, abscissae):
-                    assert report.tau(alpha) <= -2.0 * abscissa * (1.0 + 1e-9), alpha
+                    tau = decay_rate(report.params, report.xi.chosen, alpha)
+                    assert tau <= -2.0 * abscissa * (1.0 + 1e-9), alpha
     assert certified["systematic"] > 100 and broken["systematic"] == 0
     assert certified["ell_f"] > certified["systematic"] and broken["ell_f"] > 0

@@ -13,6 +13,7 @@ from ofo.linalg import (
     spectral_norm,
     sym_eigenvalues,
 )
+from ofo.plants import LinearPlant
 
 from conftest import random_hurwitz_rows, random_spd_rows, to_rows
 
@@ -176,6 +177,34 @@ class TestInverse:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError, match="singular plant matrix"):
             inverse(Matrix.from_rows([[1.0, 2.0], [2.0, 4.0]]))
+
+    def test_ill_conditioned_hurwitz_plants_accepted(self):
+        """Hurwitz plants with cond(A) in [1e6, 1e8) pass their Lyapunov gate,
+        and their -C A^-1 B agrees with numpy's to rounding times cond(A):
+        the residual of A A^-1 - I grows with ||A|| ||A^-1||, so judging it
+        against ||A|| alone refused about two in five of them."""
+        rng = np.random.default_rng(1)
+        kept = 0
+        for _ in range(1600):
+            n = int(rng.choice([2, 3, 4, 6, 8]))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            t = np.diag(-np.logspace(rng.uniform(-4.0, -1.0), rng.uniform(0.0, 1.0), n))
+            t += np.triu(rng.standard_normal((n, n)), 1) * rng.uniform(0.0, 3.0)
+            a = q @ t @ q.T
+            cond = np.linalg.cond(a)
+            if not 1e6 <= cond < 1e8:
+                continue
+            b, c = rng.standard_normal((n, 1)), rng.standard_normal((1, n))
+            kept += 1
+            plant = LinearPlant(a=Matrix.from_rows(a.tolist()), b=Matrix.from_rows(b.tolist()),
+                                bw=Matrix.from_rows(b.tolist()), c=Matrix.from_rows(c.tolist()))
+            (h,) = plant.base_sensitivity.data
+            ref = float(-(c @ np.linalg.solve(a, b))[0, 0])
+            assert abs(h - ref) <= 1e-15 * cond * abs(ref)
+        assert kept > 200
+        for rows in ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]], [[0.1, 0.3], [0.2, 0.6]]):
+            with pytest.raises(SingularMatrixError, match="singular plant matrix"):
+                inverse(Matrix.from_rows(rows))
 
 
 class TestMatrixBasics:

@@ -1,11 +1,13 @@
 import gc
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,9 @@ from ofo.certificate import certify
 from ofo.cli import main
 from ofo.errors import InputError
 from ofo.scenario import Scenario
+from ofo.sim import write_csv
 
-from conftest import bundled_scenario, bundled_scenario_path
+from conftest import bundled_scenario, bundled_scenario_path, checkout_env
 
 
 def minimal_doc() -> dict:
@@ -65,12 +68,12 @@ def write_doc(tmp_path, doc, name="scenario.yaml") -> str:
 class TestScenarioParsing:
     def test_bundled_scenarios_parse(self):
         fig1 = bundled_scenario("fig1")
-        assert fig1.plant.kind == "linear"
+        assert fig1.config.plant.kind == "linear"
         assert fig1.claimed_mu_bound_rhs == 0.0198
         fig2 = bundled_scenario("fig2")
-        assert fig2.plant.kind == "sine"
-        assert fig2.box is not None
-        assert fig2.box.hi == 5e-5
+        assert fig2.config.plant.kind == "sine"
+        assert fig2.config.box is not None
+        assert fig2.config.box.hi == 5e-5
         assert set(fig2.overrides) == {"c3", "d3", "mu3", "zeta3"}
 
     def test_custom_fields_parse(self, tmp_path):
@@ -78,14 +81,14 @@ class TestScenarioParsing:
         doc["sim"]["x0"] = [0.5, -0.25]
         doc["cost"]["mu4"] = 0.125
         first = Scenario.load(write_doc(tmp_path, doc))
-        assert first.x0 == (0.5, -0.25)
-        assert first.cost.mu4 == 0.125
+        assert first.config.x0 == (0.5, -0.25)
+        assert first.config.cost.mu4 == 0.125
         # box bounds are the only numbers that may be infinite
         doc["controller"] = {"kind": "projected", "alpha": 1.0,
                              "box": {"lo": [-math.inf], "hi": [2.0]}}
         second = Scenario.load(write_doc(tmp_path, doc))
-        assert second.box.lo == -math.inf
-        assert second.box.hi == 2.0
+        assert second.config.box.lo == -math.inf
+        assert second.config.box.hi == 2.0
 
     @pytest.mark.parametrize("mutate, fragment", [
         (lambda d: d.pop("plant"), "plant"),
@@ -118,6 +121,9 @@ class TestScenarioParsing:
         (lambda d: d.update(schedule=[[0.0, -math.inf]]), "schedule[0][1]"),
         (lambda d: d["sim"].update(t_end=math.inf), "sim.t_end"),
         (lambda d: d["sim"].update(dt=math.nan), "sim.dt"),
+        (lambda d: d["sim"].update(dt=-0.1), "sim.dt: must be positive"),
+        (lambda d: d.update(schedule=[[0.0, 10.0], [2.0, -10.0]]),
+         "schedule: last segment starts at or after sim.t_end"),
         (lambda d: d["sim"].update(max_records=math.inf), "sim.max_records"),
         (lambda d: d["sim"].update(max_records=2.9), "sim.max_records"),
         (lambda d: d["sim"].update(max_records=1), "sim.max_records"),
@@ -186,15 +192,18 @@ class TestCertifyCommand:
     def test_zero_output_coupling_certifies(self, tmp_path):
         # With no output coupling (theta2 = 0) the feasible weights are
         # (0, xi_hi), whose geometric mean, 0, is not one of them, and the
-        # decay rate divides by the weight.  Both loops here have zero
-        # coupling: fig1 without output weight, and a plant with C A^-1 B = 0.
+        # decay rate divides by the weight.  All three loops here have zero
+        # coupling: fig1 without output weight, a plant with C A^-1 B = 0,
+        # and a plant with C = 0, whose ell_g = 0.
         fig1 = yaml.safe_load(Path(bundled_scenario_path("fig1")).read_text("utf-8"))
         fig1["cost"]["q_y"] = 0.0
         decoupled = minimal_doc()
         decoupled["plant"].update(A=[[-1.0, 0.0], [0.0, -1.0]], C=[[1.0, 0.0]])
-        for doc in (fig1, decoupled):
+        unobserved = minimal_doc()
+        unobserved["plant"].update(C=[[0.0, 0.0]])
+        for doc in (fig1, decoupled, unobserved):
             scenario = Scenario.from_dict(doc)
-            report = certify(scenario.plant, scenario.cost, scenario.alpha)
+            report = certify(scenario.config.plant, scenario.config.cost, scenario.alpha)
             assert report.params.theta2 == 0.0
             assert report.xi.lo < report.xi.chosen < report.xi.hi
             assert report.tau_at_alpha > 0.0
@@ -233,7 +242,7 @@ class TestSimulateCommand:
 
         doc = minimal_doc()
         scenario = Scenario.from_dict(doc)
-        plant, cost = scenario.plant, scenario.cost
+        plant, cost = scenario.config.plant, scenario.config.cost
         ustar = optimal_input(plant, cost, (10.0,))
         xstar = plant.steady_state(ustar, (10.0,))
         doc["sim"]["x0"] = list(xstar)
@@ -244,6 +253,29 @@ class TestSimulateCommand:
         stdout = capsys.readouterr().out
         final = float(stdout.split("final_error = ")[1].split()[0])
         assert final <= 1e-8
+
+    def test_uncertifiable_loop_simulates_at_unit_weight(self, tmp_path, capsys):
+        # a sine plant with a quadratic cost has ell_phi_u = inf, so no xi is
+        # certified and the V column is weighted by xi = 1
+        doc = minimal_doc()
+        doc["plant"] = {"kind": "sine", "A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[1.0], [0.0]],
+                        "B_w": [[1.0], [0.0]], "C": [[1.0, 0.0]]}
+        doc["cost"] = {"kind": "quadratic", "q_u": 1.0, "q_y": 0.1}
+        path = write_doc(tmp_path, doc)
+        assert main(["certify", path]) == 3
+        assert "ell_phi_u = inf" in capsys.readouterr().out
+        out = tmp_path / "sine.csv"
+        assert main(["simulate", path, "--out", str(out)]) == 0
+        scenario = Scenario.from_dict(doc)
+
+        def v_column(xi):
+            text = io.StringIO()
+            write_csv(replace(scenario.config, xi=xi).run(scenario.alpha)[0], text)
+            return [row.split(",")[6] for row in text.getvalue().splitlines()]
+
+        written = [row.split(",")[6] for row in out.read_text().splitlines()]
+        assert written == v_column(1.0)
+        assert written != v_column(2.0)
 
     def test_fig2_golden_header(self, tmp_path):
         out = tmp_path / "fig2.csv"
@@ -548,7 +580,7 @@ class TestReproduceCommand:
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "ofo.cli", "certify",
                            bundled_scenario_path("fig2")],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0
     assert "certified = true" in proc.stdout
 
@@ -556,8 +588,6 @@ def test_console_entry_point():
 def test_runtime_imports_neither_numpy_nor_scipy(tmp_path):
     # numpy and scipy are test oracles only; certify and simulate run on the
     # standard library and PyYAML
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     code = ("import sys; from ofo.cli import main; "
             "codes = (main(['certify', sys.argv[1]]), "
             "main(['simulate', sys.argv[2], '--out', sys.argv[3]])); "
@@ -565,7 +595,7 @@ def test_runtime_imports_neither_numpy_nor_scipy(tmp_path):
             "print(*codes, *heavy, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code, bundled_scenario_path("fig1"),
                            write_doc(tmp_path, minimal_doc()), str(tmp_path / "x.csv")],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+                          capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "3 0", proc.stderr
 

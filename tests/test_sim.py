@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ofo import engine, plants, sim
-from ofo.certificate import assemble_constants, certify, required_regularization
+from ofo.certificate import assemble_constants, certify, decay_rate, required_regularization
 from ofo.cli import _run_config, main
 from ofo.controllers import BoxSet
 from ofo.costs import QuadraticCost, SqrtPlusCost
@@ -40,6 +40,7 @@ from ofo.sim import (
 
 from conftest import (
     bundled_scenario,
+    checkout_env,
     closed_loop_field,
     dini_upper_estimate,
     final_state,
@@ -142,7 +143,7 @@ class TestOptimalInput:
         # the search path (bisection of the reduced gradient) against the
         # closed form, at the tolerance the optimizer once checked at run time
         scenario = bundled_scenario("fig1")
-        cases = [(scenario.plant, scenario.cost, (w,), None) for w in (10.0, -10.0)]
+        cases = [(scenario.config.plant, scenario.config.cost, (w,), None) for w in (10.0, -10.0)]
         rng = random.Random(404)
         for _ in range(6):
             plant = LinearPlant(a=Matrix.from_rows(random_hurwitz_rows(rng, 3)),
@@ -279,7 +280,7 @@ class TestDefaultDt:
         # at the step simulate takes and at half of it.  fig2's states there
         # are about 1e-5, so the usual 1e-6 * max(1, |end|) alone would let
         # them differ by a tenth; they must also agree to 1e-6 of their size.
-        config = bundled_scenario("fig2").run_config()
+        config = bundled_scenario("fig2").config
         (_, w1), (_, w2) = config.schedule.segments
         config = replace(config, t_end=2.0,
                          schedule=DisturbanceSchedule(((0.0, w1), (1.0, w2))))
@@ -417,6 +418,18 @@ class TestSimulate:
             cfg.run(1.0)
         assert err.value.segment == 1
         assert err.value.time is not None and 0.0 < err.value.time <= 150.0
+
+    def test_kernel_blowup_reports_time_and_segment(self, kernel, fast_plant, quad_cost):
+        # at this gain the state overflows between the two records, so the
+        # kernel's own blow-up time is reported, not a non-finite record
+        schedule = DisturbanceSchedule(((0.0, (10.0,)),))
+        cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=150.0, dt=1.0,
+                              max_records=2)
+        with pytest.raises(DivergenceError) as err:
+            cfg.run(1e4)
+        assert err.value.segment == 1
+        assert err.value.time == 40.0
+        assert str(err.value) == "divergence detected at t = 40 in segment 1"
 
     def test_u0_outside_box_warns(self, slow_sine_plant, sqrt_cost):
         schedule = DisturbanceSchedule(((0.0, (0.001,)),))
@@ -592,7 +605,7 @@ class TestKernels:
     @staticmethod
     def fresh_python(args, cache, **env):
         return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                              env=dict(os.environ, XDG_CACHE_HOME=str(cache), **env))
+                              env=checkout_env(XDG_CACHE_HOME=str(cache), **env))
 
     def test_fallback_without_cc_warns_and_writes_same_bytes(self, tmp_path):
         no_cc = tmp_path / "bin"
@@ -734,7 +747,7 @@ class TestLyapunovMachinery:
                         schedule=schedule, x0=(0.0, 0.0), u0=0.0, t_end=12.0,
                         xi=report.xi.chosen)
         for alpha in (0.5, 5.0, 50.0):
-            tau = report.tau(alpha)
+            tau = decay_rate(report.params, report.xi.chosen, alpha)
             assert tau > 0.0
             traj, _ = cfg.run(alpha)
             total = ok = 0
@@ -759,7 +772,7 @@ class TestLyapunovMachinery:
                         schedule=schedule, x0=(0.0, 0.0), u0=0.0, t_end=12.0,
                         xi=report.xi.chosen)
         traj, _ = cfg.run(2.0)
-        tau = report.tau(2.0)
+        tau = decay_rate(report.params, report.xi.chosen, 2.0)
         assert len(traj.segments) == 2
         for k, seg in enumerate(traj.segments):
             ok, worst = envelope_check(seg.samples.vs, seg.samples.times, tau, rel_slack=1e-3)
@@ -919,7 +932,8 @@ class TestHurwitzVerdict:
         scenario = bundled_scenario("fig1")
         fig1 = _run_config(scenario)
         # a cost that already carries mu4 from its scenario, varied once more
-        fig1_mu4 = _run_config(replace(scenario, cost=replace(scenario.cost, mu4=0.2)))
+        config_mu4 = replace(scenario.config, cost=replace(scenario.config.cost, mu4=0.2))
+        fig1_mu4 = _run_config(replace(scenario, config=config_mu4))
         assert fig1_mu4.cost.mu4 == 0.2
         configs = [fig1, replace(fig1, cost=replace(fig1.cost, mu4=0.5)),
                    replace(fig1_mu4, cost=replace(fig1_mu4.cost, mu4=0.3))]
@@ -939,7 +953,7 @@ class TestHurwitzVerdict:
         # unstable gain interval scales by s: fig1's (111.54, 2263.70)
         # becomes (1115.4, 22637.0)
         s = 10.0
-        fig1 = bundled_scenario("fig1").run_config()
+        fig1 = bundled_scenario("fig1").config
         p = fig1.plant
         scaled = replace(fig1, plant=LinearPlant(a=p.a.scale(s), b=p.b.scale(s),
                                                  bw=p.bw.scale(s), c=p.c))
