@@ -15,7 +15,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from importlib.resources import files as resource_files
-from typing import Callable, TextIO
+from typing import BinaryIO, Callable
 
 from .certificate import certify
 from .errors import ConvexityGapError, DivergenceError, InputError, OfoError
@@ -36,9 +36,9 @@ REPRODUCE_ALPHAS = {
 SUMMARY_HEADER = "alpha,settling_time,overshoot,final_error,max_violation,status"
 
 
-def _atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
-    """Create path with the text that write(fh) writes to fh, through a
-    temp file in the same directory and a rename."""
+def _atomic_write(path: str, write: Callable[[BinaryIO], object]) -> None:
+    """Create path with the bytes that write(fh) writes to the binary file
+    fh, through a temp file in the same directory and a rename."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
@@ -51,7 +51,7 @@ def _atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 write(fh)
             os.replace(tmp, path)
         except BaseException:
@@ -151,7 +151,7 @@ def _run_sweep(scenario: Scenario, alphas, out_dir: str) -> None:
     then write summary.csv."""
     config = _run_config(scenario)
     summary_lines = [SUMMARY_HEADER] + [_sweep_gain(config, a, out_dir) for a in alphas]
-    summary = "\n".join(summary_lines) + "\n"
+    summary = ("\n".join(summary_lines) + "\n").encode("utf-8")
     _atomic_write(os.path.join(out_dir, "summary.csv"), lambda fh: fh.write(summary))
 
 
@@ -166,9 +166,9 @@ def cmd_reproduce(args) -> int:
     if args.figure not in REPRODUCE_ALPHAS:
         raise InputError(f"unknown figure id {args.figure!r}; expected one of "
                          f"{sorted(REPRODUCE_ALPHAS)}")
-    text = resource_files("ofo").joinpath(f"scenarios/{args.figure}.yaml").read_text("utf-8")
-    scenario = Scenario.loads(text)
-    _atomic_write(os.path.join(args.out, "scenario.yaml"), lambda fh: fh.write(text))
+    data = resource_files("ofo").joinpath(f"scenarios/{args.figure}.yaml").read_bytes()
+    scenario = Scenario.loads(data.decode("utf-8"))
+    _atomic_write(os.path.join(args.out, "scenario.yaml"), lambda fh: fh.write(data))
     _run_sweep(scenario, REPRODUCE_ALPHAS[args.figure], args.out)
     return EXIT_OK
 

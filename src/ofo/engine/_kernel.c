@@ -15,7 +15,8 @@
  * 12 printed digits are the same and are placed the same way.
  *
  * There is no mutable global or static state: each call touches only its
- * arguments and the scratch memory it allocates.
+ * arguments and the memory it allocates, which ofo_run_segment frees and
+ * ofo_format_rows hands to its caller.
  */
 
 #include <math.h>
@@ -32,20 +33,45 @@ typedef struct {
     double xi;                 /* weight of V */
     const double *lp, *xstar;
     double ustar;
-    double *dx;                /* scratch */
+    double *dx, *pdx;          /* scratch */
 } field_t;
+
+/* out = M v for the rows x cols row-major M.  Each entry is its own sum
+ * from 0.0, left to right; four rows are summed side by side, so v[j] is
+ * loaded once for all four, and each sum still adds its terms in order. */
+static void matvec(const double *m, int rows, int cols, const double *v, double *out)
+{
+    int i = 0;
+    for (; i + 4 <= rows; i += 4) {
+        const double *m0 = m + (long)i * cols, *m1 = m0 + cols, *m2 = m1 + cols, *m3 = m2 + cols;
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (int j = 0; j < cols; j++) {
+            double vj = v[j];
+            s0 += m0[j] * vj;
+            s1 += m1[j] * vj;
+            s2 += m2[j] * vj;
+            s3 += m3[j] * vj;
+        }
+        out[i] = s0;
+        out[i + 1] = s1;
+        out[i + 2] = s2;
+        out[i + 3] = s3;
+    }
+    for (; i < rows; i++) {
+        const double *mi = m + (long)i * cols;
+        double acc = 0.0;
+        for (int j = 0; j < cols; j++)
+            acc += mi[j] * v[j];
+        out[i] = acc;
+    }
+}
 
 /* Writes dx/dt into kx and returns du/dt. */
 static double eval_field(const field_t *f, const double *xs, double us, double *kx)
 {
     int n = f->n, p = f->p;
     double acc, fac, pu, v;
-    for (int i = 0; i < p; i++) {
-        acc = 0.0;
-        for (int j = 0; j < n; j++)
-            acc += f->c[i * n + j] * xs[j];
-        f->y[i] = acc;
-    }
+    matvec(f->c, p, n, xs, f->y);
     if (f->sine) {
         pu = us + sin(us);
         fac = 1.0 + cos(us);
@@ -53,12 +79,9 @@ static double eval_field(const field_t *f, const double *xs, double us, double *
         pu = us;
         fac = 1.0;
     }
-    for (int i = 0; i < n; i++) {
-        acc = 0.0;
-        for (int j = 0; j < n; j++)
-            acc += f->a[i * n + j] * xs[j];
-        kx[i] = (acc + f->b[i] * pu) + f->drift[i];
-    }
+    matvec(f->a, n, n, xs, kx);
+    for (int i = 0; i < n; i++)
+        kx[i] = (kx[i] + f->b[i] * pu) + f->drift[i];
     acc = 2.0 * f->cq1 * us + f->mu4 * us;
     if (f->sqrtplus) {
         f->gy[0] = f->y[0] / sqrt(f->y[0] * f->y[0] + 1.0);
@@ -104,21 +127,13 @@ static void record(const field_t *f, long k, double t, const double *x, double u
     for (int j = 0; j < n; j++)
         rec_x[k * n + j] = x[j];
     rec_u[k] = u;
-    for (int i = 0; i < p; i++) {
-        double acc = 0.0;
-        for (int j = 0; j < n; j++)
-            acc += f->c[i * n + j] * x[j];
-        rec_y[k * p + i] = acc;
-    }
+    matvec(f->c, p, n, x, rec_y + k * p);
     double vx = 0.0, vu, d;
     for (int j = 0; j < n; j++)
         f->dx[j] = x[j] - f->xstar[j];
-    for (int i = 0; i < n; i++) {
-        double acc = 0.0;
-        for (int j = 0; j < n; j++)
-            acc += f->lp[i * n + j] * f->dx[j];
-        vx += f->dx[i] * acc;
-    }
+    matvec(f->lp, n, n, f->dx, f->pdx);
+    for (int i = 0; i < n; i++)
+        vx += f->dx[i] * f->pdx[i];
     d = u - f->ustar;
     vu = 0.5 * (d * d);
     vx = f->xi * vx;
@@ -141,13 +156,13 @@ long ofo_run_segment(int n, int p, int sine, int sqrtplus, int projected,
                      double *rec_t, double *rec_x, double *rec_u, double *rec_y, double *rec_v,
                      double *max_violation, int *blew_up, double *blowup_time)
 {
-    double *work = calloc(6 * (size_t)n + 2 * (size_t)p, sizeof(double));
+    double *work = calloc(7 * (size_t)n + 2 * (size_t)p, sizeof(double));
     if (work == NULL)
         return -1;
     double *xt = work, *kx1 = xt + n, *kx2 = kx1 + n, *kx3 = kx2 + n, *kx4 = kx3 + n;
-    double *dx = kx4 + n, *y = dx + n, *gy = y + p;
+    double *dx = kx4 + n, *pdx = dx + n, *y = pdx + n, *gy = y + p;
     field_t f = {n, p, sine, sqrtplus, projected, a, b, drift, c, s0,
-                 lo, hi, cq1, cq2, mu4, alpha, beta, y, gy, xi, lp, xstar, ustar, dx};
+                 lo, hi, cq1, cq2, mu4, alpha, beta, y, gy, xi, lp, xstar, ustar, dx, pdx};
 
     long n_tot = n_full + (last_dt > 0.0 ? 1 : 0);
     long k = 0;
@@ -262,6 +277,21 @@ static const uint64_t POW10[20] = {
     1000000000000000000ULL, 10000000000000000000ULL,
 };
 
+/* The two decimal digits of each of 0..99, in order. */
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* Writes the six decimal digits of v < 10^6, leading zeros included. */
+static void six_digits(uint32_t v, char *d)
+{
+    uint32_t low = v % 10000;
+    memcpy(d, DIGIT_PAIRS + 2 * (v / 10000), 2);
+    memcpy(d + 2, DIGIT_PAIRS + 2 * (low / 100), 2);
+    memcpy(d + 4, DIGIT_PAIRS + 2 * (low % 100), 2);
+}
+
 /* 10^k for 0 <= k <= 38. */
 static u128 pow10_u128(int k)
 {
@@ -293,7 +323,12 @@ static u128 scaled_round(uint64_t m, int e, int k)
 
 /* Puts the finite nonzero x, 2^-36 <= |x| < 2^127, as `%.12g` in plain
  * notation.  Its 12 significant digits N and decimal exponent E come from
- * integer arithmetic on the binary form x = m 2^e, so no float is printed. */
+ * integer arithmetic on the binary form x = m 2^e, so no float is printed.
+ * The range bounds the decimal point's place after the first digit,
+ * point = E + 1, to -10 <= point <= 39, so every copy below has a fixed
+ * size and stays inside the FIELD_MAX + 1 bytes the caller makes room for:
+ * at most 25 bytes with the point outside the digits on the left, 40 on
+ * the right, and 25 inside them. */
 static void exact_field(double x, char *out, long *pos)
 {
     uint64_t bits;
@@ -312,18 +347,33 @@ static void exact_field(double x, char *out, long *pos)
         big_e++;
         n = top / 10;
     }
-    char d[12];
+    /* the 12 digits of 10^11 <= N < 10^12, then zeros to read past them */
+    char d[24];
     uint64_t v = (uint64_t)n;
-    for (int i = 11; i >= 0; i--) {
-        d[i] = (char)('0' + v % 10);
-        v /= 10;
-    }
-    long nd = 12;
+    six_digits((uint32_t)(v / 1000000), d);
+    six_digits((uint32_t)(v % 1000000), d + 6);
+    memset(d + 12, '0', 12);
+    long nd = 12, point = big_e + 1;
     while (d[nd - 1] == '0')
         nd--;
-    if (x < 0)
-        put(out, pos, "-", 1);
-    place_digits(d, nd, big_e + 1, out, pos);
+    char *o = out + *pos;
+    *o = '-';
+    o += x < 0;
+    if (point <= 0) {                 /* "0.", -point zeros, the digits */
+        memcpy(o, "0.0000000000", 12);
+        memcpy(o + 2 - point, d, 12);
+        o += 2 - point + nd;
+    } else if (point >= nd) {         /* the digits, zeros up to the point */
+        memcpy(o, d, 12);
+        memset(o + 12, '0', 27);
+        o += point;
+    } else {                          /* the point inside the digits */
+        memcpy(o, d, 12);
+        o[point] = '.';
+        memcpy(o + point + 1, d + point, 12);
+        o += nd + 1;
+    }
+    *pos = o - out;
 }
 
 static int in_exact_range(double a)
@@ -344,79 +394,84 @@ static int in_exact_range(double a)
 #endif
 
 /* Puts x as `%.12g` in plain notation, as ofo.engine.pure.plain_field
- * ("%.12g" % x) does, followed by a comma, if that fits in cap.  Returns 0
- * when put, 1 when there is no room and -1 for inf or nan. */
-static int put_double(double x, char *out, long *pos, long cap)
+ * ("%.12g" % x) does, followed by a comma, in the FALLBACK_MAX + 1 bytes
+ * at out + *pos.  Returns 0 when put and 1, having put nothing, for inf or
+ * nan. */
+static int put_double(double x, char *out, long *pos)
 {
     double a = fabs(x);
     if (!isfinite(x))
-        return -1;
-    if (in_exact_range(a)) {
-        if (cap - *pos < FIELD_MAX + 1)
-            return 1;
+        return 1;
+    if (in_exact_range(a))
         exact_field(x, out, pos);
-    } else if (a == 0.0) {
-        if (cap - *pos < 2)
-            return 1;
+    else if (a == 0.0)
         out[(*pos)++] = '0';
-    } else {
-        char field[FALLBACK_MAX];
-        long len = 0;
-        printed_field(x, field, &len);
-        if (cap - *pos < len + 1)
-            return 1;
-        put(out, pos, field, len);
-    }
+    else
+        printed_field(x, out, pos);
     out[(*pos)++] = ',';
     return 0;
 }
 
-/* Puts [s, s + len) followed by `end`, if that fits in cap.  Returns 0 when
- * put and 1 when there is no room. */
-static int put_text(const char *s, long len, char end, char *out, long *pos, long cap)
+/* Puts [s, s + len) followed by `end`. */
+static void put_text(const char *s, long len, char end, char *out, long *pos)
 {
-    if (cap - *pos < len + 1)
-        return 1;
     put(out, pos, s, len);
     out[(*pos)++] = end;
-    return 0;
 }
 
-/* Writes rows [first, rows) of a segment's samples to out as CSV lines
+/* Writes the rows of a segment's samples as CSV lines
  * t,x1..xn,u,y1..yp,<w_text>,V,<ustar_text>, each sample `%.12g` in plain
- * notation.  t, u and v hold one value per row, x n and y p.  Stops before
- * the first row that does not fit in cap bytes and sets *done to its index
- * (to rows when all fit).  Returns the number of bytes written, or -1 when
- * a value is inf or nan. */
+ * notation, into memory it allocates; t, u and v hold one value per row, x
+ * n and y p.  Sets *out to that memory, which the caller releases with
+ * ofo_free, and returns the number of bytes written.  Returns -1 when a
+ * value is inf or nan and -2 when memory cannot be allocated, with *out
+ * NULL.  The first allocation holds every row on the exact path; a row is
+ * begun only with room for its longest form, and the memory grows when
+ * fallback fields leave less. */
 long ofo_format_rows(const double *t, const double *x, const double *u,
-                     const double *y, const double *v, int n, int p,
-                     long first, long rows,
+                     const double *y, const double *v, int n, int p, long rows,
                      const char *w_text, long w_len, const char *ustar_text, long ustar_len,
-                     char *out, long cap, long *done)
+                     char **out)
 {
-    long pos = 0;
-    for (long r = first; r < rows; r++) {
-        long start = pos;
-        int status = put_double(t[r], out, &pos, cap);
-        for (int j = 0; j < n && status == 0; j++)
-            status = put_double(x[r * n + j], out, &pos, cap);
-        if (status == 0)
-            status = put_double(u[r], out, &pos, cap);
-        for (int i = 0; i < p && status == 0; i++)
-            status = put_double(y[r * p + i], out, &pos, cap);
-        if (status == 0)
-            status = put_text(w_text, w_len, ',', out, &pos, cap);
-        if (status == 0)
-            status = put_double(v[r], out, &pos, cap);
-        if (status == 0)
-            status = put_text(ustar_text, ustar_len, '\n', out, &pos, cap);
-        if (status < 0)
+    long fields = n + p + 3, text = w_len + ustar_len + 2;
+    long row_exact = fields * (FIELD_MAX + 1) + text;
+    long row_max = fields * (FALLBACK_MAX + 1) + text;
+    long cap = rows * row_exact + (row_max - row_exact), pos = 0;
+    char *buf = malloc((size_t)cap);
+    *out = NULL;
+    if (buf == NULL)
+        return -2;
+    for (long r = 0; r < rows; r++) {
+        if (cap - pos < row_max) {
+            long grown = 2 * cap > pos + row_max ? 2 * cap : pos + row_max;
+            char *more = realloc(buf, (size_t)grown);
+            if (more == NULL) {
+                free(buf);
+                return -2;
+            }
+            buf = more;
+            cap = grown;
+        }
+        int bad = put_double(t[r], buf, &pos);
+        for (int j = 0; j < n; j++)
+            bad |= put_double(x[r * n + j], buf, &pos);
+        bad |= put_double(u[r], buf, &pos);
+        for (int i = 0; i < p; i++)
+            bad |= put_double(y[r * p + i], buf, &pos);
+        put_text(w_text, w_len, ',', buf, &pos);
+        bad |= put_double(v[r], buf, &pos);
+        put_text(ustar_text, ustar_len, '\n', buf, &pos);
+        if (bad) {
+            free(buf);
             return -1;
-        if (status > 0) {
-            *done = r;
-            return start;
         }
     }
-    *done = rows;
+    *out = buf;
     return pos;
+}
+
+/* Releases the memory ofo_format_rows allocated. */
+void ofo_free(void *p)
+{
+    free(p);
 }

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import struct
 import zlib
 from array import array
 from contextlib import suppress
@@ -30,24 +31,20 @@ FLAGS = ("-O2", "-ffp-contract=off", "-falign-functions=64", "-shared", "-fPIC")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 
 _I, _L, _F = ctypes.c_int, ctypes.c_long, ctypes.c_double
-_A = ctypes.POINTER(ctypes.c_double)
-#: An `array('d')` column passed by the address of its buffer.
+#: An `array('d')` buffer passed by its address.
 _C = ctypes.c_void_p
 _ARGTYPES = [_I, _I, _I, _I, _I,           # n, p, sine, sqrtplus, projected
-             _A, _A, _A, _A, _A,           # a, b, drift, c, sens0
+             _C, _C, _C, _C, _C,           # a, b, drift, c, sens0
              _F, _F, _F, _F, _F,           # cq1, cq2, mu4, alpha, beta
              _F, _F,                       # lo, hi
              _F, _F, _F, _L, _F, _L, _I,   # t0, t_end, dt, n_full, last_dt, stride, include_final
-             _F, _A, _A, _F,               # lyap_xi, lyap_p, xstar, ustar
-             _A, _A, _C, _C, _C, _C, _C,   # x, u, rec_t, rec_x, rec_u, rec_y, rec_v
-             _A, ctypes.POINTER(_I), _A]   # max_violation, blew_up, blowup_time
+             _F, _C, _C, _F,               # lyap_xi, lyap_p, xstar, ustar
+             _C, _C, _C, _C, _C, _C, _C,   # x, u, rec_t, rec_x, rec_u, rec_y, rec_v
+             _C, ctypes.POINTER(_I), _C]   # max_violation, blew_up, blowup_time
 _FORMAT_ARGTYPES = [_C, _C, _C, _C, _C,    # t, x, u, y, v
-                    _I, _I, _L, _L,        # n, p, first, rows
+                    _I, _I, _L,            # n, p, rows
                     ctypes.c_char_p, _L, ctypes.c_char_p, _L,  # w_text, w_len, ustar_text, ustar_len
-                    ctypes.c_char_p, _L, ctypes.POINTER(_L)]   # out, cap, done
-#: Bytes a sample field and its separator take at most on the exact path
-#: (FIELD_MAX + 1 in _kernel.c) and on the snprintf fallback (FALLBACK_MAX + 1).
-_FIELD_BYTES, _LONG_FIELD_BYTES = 41, 339
+                    ctypes.POINTER(_C)]    # out
 
 
 def _cache_dir() -> str:
@@ -100,60 +97,102 @@ def _load():
         with suppress(OSError):  # marks it in use; a failed touch still loads
             os.utime(path)
         lib = ctypes.CDLL(path)
-        run, fmt = lib.ofo_run_segment, lib.ofo_format_rows
+        run, fmt, free = lib.ofo_run_segment, lib.ofo_format_rows, lib.ofo_free
     except (OSError, AttributeError) as exc:
         raise ImportError(f"cannot build or load the compiled kernel: {exc}") from exc
     run.argtypes, run.restype = _ARGTYPES, _L
     fmt.argtypes, fmt.restype = _FORMAT_ARGTYPES, _L
-    return run, fmt
+    free.argtypes, free.restype = [_C], None
+    return run, fmt, free
 
 
-_run, _format = _load()
+_run, _format, _free = _load()
 
 
-def _doubles(values, count: int):
-    """values as a C double array over an `array('d')` copy, which it keeps
-    alive."""
+#: The inputs that are the same for every segment of a run, a, b, c, sens0
+#: and lyap_p, converted once: the exact bytes of the five lists, with n and
+#: p, map to one `array('d')` that holds them in that order.  The bytes, not
+#: the lists' identities, are the key, so a list that differs, or that was
+#: changed in place, never meets a stale buffer.  The buffers are only read.
+_constants: dict[tuple[int, int, bytes], array] = {}
+_CONSTANTS_KEPT = 16
+
+
+def _address(values: array) -> int:
+    return values.buffer_info()[0]
+
+
+def _checked(values, count: int, name: str):
     if len(values) != count:
-        raise ValueError(f"kernel input has {len(values)} values, expected {count}")
-    return (_F * count).from_buffer(array("d", values))
+        raise ValueError(f"kernel input {name} has {len(values)} values, expected {count}")
+    return values
+
+
+def _constants_of(spec: SegmentSpec) -> tuple[array, tuple[int, ...]]:
+    """The shared buffer of a, b, c, sens0 and lyap_p, which the caller
+    keeps alive while the kernel reads it, and their addresses in it."""
+    n, p = spec.n, spec.p
+    sizes = (n * n, n, p * n, p, n * n)
+    for name, size in zip(("a", "b", "c", "sens0", "lyap_p"), sizes):
+        _checked(getattr(spec, name), size, name)
+    values = [*spec.a, *spec.b, *spec.c, *spec.sens0, *spec.lyap_p]
+    key = (n, p, struct.pack(f"{len(values)}d", *values))
+    kept = _constants.get(key)
+    if kept is None:
+        if len(_constants) >= _CONSTANTS_KEPT:
+            _constants.clear()
+        kept = _constants[key] = array("d", key[2])
+    a = _address(kept)
+    b = a + 8 * n * n
+    c = b + 8 * n
+    sens0 = c + 8 * p * n
+    return kept, (a, b, c, sens0, sens0 + 8 * p)
 
 
 def run_segment(spec: SegmentSpec) -> SegmentResult:
     n, p, stride = spec.n, spec.p, spec.record_stride
     if min(n, p, stride) < 1 or spec.n_full < 0:
         raise ValueError("kernel needs n, p, record_stride >= 1 and n_full >= 0")
+    # `constants` keeps the buffer alive until the kernel returns, even if
+    # another thread clears the cache meanwhile
+    constants, (a, b, c, sens0, lyap_p) = _constants_of(spec)
     n_tot = spec.n_full + (1 if spec.last_dt > 0.0 else 0)
     cap = 2 + n_tot // stride
-    x, u = _doubles(spec.x0, n), _F(spec.u0)
+    x = array("d", _checked(spec.x0, n, "x0"))
+    # per-segment inputs and the scalar outputs: drift, xstar, u, violation,
+    # blowup_time
+    drift = array("d", _checked(spec.drift, n, "drift"))
+    xstar = array("d", _checked(spec.xstar, n, "xstar"))
+    scalars = array("d", (spec.u0, 0.0, 0.0))
+    u, violation, blowup_time = (_address(scalars) + 8 * i for i in range(3))
     widths = (1, n, 1, p, 1)
     columns = [array("d", [0.0]) * (cap * width) for width in widths]
-    violation, blew_up, blowup_time = _F(), _I(), _F()
+    blew_up = _I()
     k = _run(n, p, spec.sine, spec.sqrtplus, spec.projected,
-             _doubles(spec.a, n * n), _doubles(spec.b, n), _doubles(spec.drift, n),
-             _doubles(spec.c, p * n), _doubles(spec.sens0, p),
+             a, b, _address(drift), c, sens0,
              spec.cq1, spec.cq2, spec.mu4, spec.alpha, spec.beta, spec.lo, spec.hi,
              spec.t0, spec.t_end, spec.dt, spec.n_full, spec.last_dt,
              stride, spec.include_final,
-             spec.lyap_xi, _doubles(spec.lyap_p, n * n), _doubles(spec.xstar, n), spec.ustar,
-             x, ctypes.byref(u), *(column.buffer_info()[0] for column in columns),
-             ctypes.byref(violation), ctypes.byref(blew_up), ctypes.byref(blowup_time))
+             spec.lyap_xi, lyap_p, _address(xstar), spec.ustar,
+             _address(x), u, *map(_address, columns),
+             violation, ctypes.byref(blew_up), blowup_time)
     if k < 0:
         raise MemoryError("compiled kernel could not allocate its scratch memory")
     for column, width in zip(columns, widths):
         del column[k * width:]
     times, xs, us, ys, vs = columns
+    final_u, max_violation, blown = scalars
     return SegmentResult(times=times, xs=xs, us=us, ys=ys, vs=vs,
-                         final_x=x[:], final_u=u.value,
-                         max_violation=violation.value,
-                         blowup_time=blowup_time.value if blew_up.value else None)
+                         final_x=x.tolist(), final_u=final_u,
+                         max_violation=max_violation,
+                         blowup_time=blown if blew_up.value else None)
 
 
-def format_rows(samples: SegmentResult, n: int, p: int, w_text: str, ustar_text: str) -> str:
+def format_rows(samples: SegmentResult, n: int, p: int, w_text: str, ustar_text: str) -> bytes:
     """pure.format_rows in C.  An `array('d')` column is read in place, any
-    other sequence from an `array('d')` copy.  The output buffer is sized for
-    every field on the exact path; when long fallback fields overflow it, the
-    rows left are written into a larger one."""
+    other sequence from an `array('d')` copy.  The C code writes the rows
+    into memory it allocates for this call alone, and they come back copied
+    into the bytes returned."""
     rows = len(samples.times)
     columns = []
     for values, width in ((samples.times, 1), (samples.xs, n), (samples.us, 1),
@@ -162,17 +201,15 @@ def format_rows(samples: SegmentResult, n: int, p: int, w_text: str, ustar_text:
             raise ValueError(f"sample column has {len(values)} values, expected {rows * width}")
         columns.append(values if isinstance(values, array) and values.typecode == "d"
                        else array("d", values))
-    addresses = [column.buffer_info()[0] for column in columns]
     w, ustar = w_text.encode("ascii"), ustar_text.encode("ascii")
-    fields = n + p + 3
-    cap = rows * (fields * _FIELD_BYTES + len(w) + len(ustar) + 2)
-    parts, done = [], _L(0)
-    while done.value < rows:
-        out = ctypes.create_string_buffer(cap)
-        size = _format(*addresses, n, p, done.value, rows, w, len(w), ustar, len(ustar),
-                       out, cap, ctypes.byref(done))
-        if size < 0:
-            raise InputError("cannot format a non-finite value")
-        parts.append(str(memoryview(out)[:size], "ascii"))
-        cap = max(2 * cap, fields * _LONG_FIELD_BYTES + len(w) + len(ustar) + 2)
-    return "".join(parts)
+    out = _C()
+    size = _format(*map(_address, columns), n, p, rows, w, len(w), ustar, len(ustar),
+                   ctypes.byref(out))
+    if size == -1:
+        raise InputError("cannot format a non-finite value")
+    if size < 0:
+        raise MemoryError("compiled formatter could not allocate its output")
+    try:
+        return ctypes.string_at(out.value, size)
+    finally:
+        _free(out)

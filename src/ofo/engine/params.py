@@ -1,4 +1,6 @@
-"""Flat parameter and result records exchanged with the stepping kernels.
+"""Flat parameter and result records exchanged with the stepping kernels,
+and the plain-notation rule for a printed field that both CSV formatters
+and `ofo.sim.fmt12` follow.
 
 A spec is plain floats, ints, and lists so the compiled and pure kernels
 can consume the same object; a result's sample columns are `array('d')`
@@ -16,6 +18,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+
+from ..errors import InputError
+
 
 @dataclass
 class SegmentSpec:
@@ -66,3 +71,21 @@ class SegmentResult:
     final_u: float = 0.0
     max_violation: float = 0.0
     blowup_time: float | None = None
+
+
+def plain_field(text: str) -> str:
+    """One `%.12g` field in plain decimal notation: an exponent form is
+    expanded by placing its printed digits, -0 becomes 0, inf and nan raise."""
+    mantissa, _, exponent = text.partition("e")
+    if not exponent:
+        if "n" in text:
+            raise InputError("cannot format a non-finite value")
+        return "0" if text == "-0" else text
+    sign = "-" if mantissa[0] == "-" else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    point = int(exponent) + 1      # digits before the decimal point
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    if point >= len(digits):
+        return sign + digits + "0" * (point - len(digits))
+    return f"{sign}{digits[:point]}.{digits[point:]}"

@@ -9,26 +9,7 @@ from __future__ import annotations
 
 from math import cos, isfinite, sin, sqrt
 
-from ..errors import InputError
-from .params import SegmentResult, SegmentSpec
-
-
-def plain_field(text: str) -> str:
-    """One `%.12g` field in plain decimal notation: an exponent form is
-    expanded by placing its printed digits, -0 becomes 0, inf and nan raise."""
-    mantissa, _, exponent = text.partition("e")
-    if not exponent:
-        if "n" in text:
-            raise InputError("cannot format a non-finite value")
-        return "0" if text == "-0" else text
-    sign = "-" if mantissa[0] == "-" else ""
-    digits = mantissa.lstrip("-").replace(".", "")
-    point = int(exponent) + 1      # digits before the decimal point
-    if point <= 0:
-        return f"{sign}0.{'0' * -point}{digits}"
-    if point >= len(digits):
-        return sign + digits + "0" * (point - len(digits))
-    return f"{sign}{digits[:point]}.{digits[point:]}"
+from .params import SegmentResult, SegmentSpec, plain_field
 
 
 def plain_text(text: str) -> str:
@@ -39,10 +20,10 @@ def plain_text(text: str) -> str:
                       for line in text.split("\n")])
 
 
-def format_rows(samples: SegmentResult, n: int, p: int, w_text: str, ustar_text: str) -> str:
-    """A segment's CSV rows t,x1..xn,u,y1..yp,<w_text>,V,<ustar_text>, one
-    per sample, each sample "%.12g" in plain notation (see plain_field);
-    samples.xs holds n values and samples.ys p values per row."""
+def format_rows(samples: SegmentResult, n: int, p: int, w_text: str, ustar_text: str) -> bytes:
+    """A segment's CSV rows t,x1..xn,u,y1..yp,<w_text>,V,<ustar_text> as
+    ASCII bytes, one per sample, each sample "%.12g" in plain notation (see
+    plain_field); samples.xs holds n values and samples.ys p values per row."""
     row = "%.12g," * (2 + n + p) + w_text + ",%.12g," + ustar_text + "\n"
     s = samples
     xs = zip(*[iter(s.xs)] * n)
@@ -52,7 +33,7 @@ def format_rows(samples: SegmentResult, n: int, p: int, w_text: str, ustar_text:
     # every printed sample is followed by a comma, so "-0," marks a -0 field
     if "e" in text or "n" in text or "-0," in text:
         text = plain_text(text)
-    return text
+    return text.encode("ascii")
 
 
 def run_segment(spec: SegmentSpec) -> SegmentResult:

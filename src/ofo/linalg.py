@@ -129,10 +129,15 @@ class Matrix:
 
 
 def _solve_dense(a: list[list[float]], b: list[float]) -> list[float]:
-    """Gaussian elimination with partial pivoting; raises on singular systems."""
+    """Gaussian elimination with partial pivoting; raises on singular systems.
+
+    A pivot is refused when it is at most _SINGULARITY_TOL times the largest
+    entry of the system, so the verdict does not change when the system is
+    scaled.
+    """
     n = len(a)
     scale = max((max(abs(v) for v in row) for row in a), default=0.0)
-    piv_tol = _SINGULARITY_TOL * max(1.0, scale)
+    piv_tol = _SINGULARITY_TOL * scale
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
         if abs(a[pivot_row][col]) <= piv_tol:
@@ -140,13 +145,16 @@ def _solve_dense(a: list[list[float]], b: list[float]) -> list[float]:
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             b[col], b[pivot_row] = b[pivot_row], b[col]
-        inv_pivot = 1.0 / a[col][col]
+        pivot = a[col]
+        inv_pivot = 1.0 / pivot[col]
+        cols = range(col, n)
         for r in range(col + 1, n):
-            factor = a[r][col] * inv_pivot
+            row = a[r]
+            factor = row[col] * inv_pivot
             if factor == 0.0:
                 continue
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
+            for c in cols:
+                row[c] -= factor * pivot[c]
             b[r] -= factor * b[col]
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
@@ -300,7 +308,8 @@ def inverse(m: Matrix) -> Matrix:
         raise InputError("inverse needs a square matrix")
     n = m.rows
     a = [list(m.row(i)) + [1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    piv_tol = _SINGULARITY_TOL * max(1.0, m.max_norm())
+    # judged against the matrix's own scale, as in _solve_dense
+    piv_tol = _SINGULARITY_TOL * m.max_norm()
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
         if abs(a[pivot_row][col]) <= piv_tol:

@@ -86,6 +86,11 @@ class LinearPlant:
         return faddeev_leverrier(self.a, feedback.data, self.b.data)
 
     @cached_property
+    def spectral_norms(self) -> tuple[float, float]:
+        """(||A||_2, ||C||_2), which the default step size reads at every gain."""
+        return spectral_norm(self.a), spectral_norm(self.c)
+
+    @cached_property
     def steady_moduli(self) -> tuple[float, float]:
         """(ell_h, ell_grad_h): Lipschitz moduli of the steady output map and
         of its sensitivity, both in u."""

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TextIO
+from typing import BinaryIO, Callable, Sequence
 
 from . import engine
 from .controllers import BoxSet
 from .costs import CostModel, QuadraticCost, check_fit, reduced_gradient
-from .engine.pure import plain_field
+from .engine.params import plain_field
 from .errors import DivergenceError, InputError, StepLimitError
 from .linalg import (
     Matrix,
@@ -25,7 +25,6 @@ from .linalg import (
     as_vector,
     quad_form,
     routh_hurwitz,
-    spectral_norm,
     vec_sub,
 )
 from .plants import LinearPlant, SinePlant
@@ -121,10 +120,11 @@ def default_dt(plant: LinearPlant, cost: CostModel, alpha: float,
     integrator as one of the loop.
     """
     ell_h, ell_grad_h = plant.steady_moduli
+    a_norm, c_norm = plant.spectral_norms
     desc = cost.descriptor(ell_h, ell_grad_h)
-    stiffness = desc.lip_grad_u + desc.ell_phi_y * spectral_norm(plant.c) * ell_h
+    stiffness = desc.lip_grad_u + desc.ell_phi_y * c_norm * ell_h
     rate = alpha * stiffness if beta is None else alpha * (1.0 + beta * stiffness)
-    dt = 0.1 / max(1.0, spectral_norm(plant.a), rate)
+    dt = 0.1 / max(1.0, a_norm, rate)
     if dt < _DT_FLOOR:
         raise StepLimitError(
             f"step-limited: alpha = {alpha:.6g} needs dt = {dt:.6g} for explicit stepping "
@@ -266,22 +266,20 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
         plant, cost, alpha, None if box is None else beta)
     quadratic = isinstance(cost, QuadraticCost)
     cq1, cq2 = (cost.q_u, cost.q_y) if quadratic else (cost.a, 0.0)
-    lyap_p = list(plant.lyapunov_p.data)
+    # the kernel inputs that every segment shares
+    a, b, c = list(plant.a.data), list(plant.b.data), list(plant.c.data)
+    sens0, lyap_p = list(plant.base_sensitivity.data), list(plant.lyapunov_p.data)
 
     boundaries = [t for t, _ in schedule.segments] + [config.t_end]
     n_segments = len(schedule.segments)
     per_seg_records = max(2, config.max_records // n_segments)
 
     traj = Trajectory()
-    ustar_cache: dict[Vector, float] = {}
     x = list(config.x0)
     u = config.u0
     for k, (t_start, w) in enumerate(schedule.segments):
         t_stop = boundaries[k + 1]
-        if w not in ustar_cache:
-            ustar_cache[w] = optimal_input(plant, cost, w, box=box)
-        ustar = ustar_cache[w]
-        xstar = plant.steady_state(ustar, w)
+        ustar, xstar, drift = config.reference(w)
 
         n_full, last_dt = plan_steps(t_start, t_stop, dt)
         n_tot = n_full + (1 if last_dt > 0.0 else 0)
@@ -289,10 +287,7 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
         spec = engine.SegmentSpec(
             n=plant.n, p=plant.p,
             sine=isinstance(plant, SinePlant),
-            a=list(plant.a.data), b=list(plant.b.data),
-            drift=list(plant.bw.matvec(w)),
-            c=list(plant.c.data),
-            sens0=list(plant.base_sensitivity.data),
+            a=a, b=b, drift=list(drift), c=c, sens0=sens0,
             sqrtplus=not quadratic, cq1=cq1, cq2=cq2, mu4=cost.mu4,
             projected=box is not None, alpha=alpha, beta=beta, lo=lo, hi=hi,
             x0=x, u0=u, t0=t_start, t_end=t_stop, dt=dt,
@@ -422,6 +417,10 @@ class RunConfig:
     dt: float | None = None
     max_records: int = DEFAULT_MAX_RECORDS
     xi: float = 1.0
+    #: Each disturbance level's reference, filled by reference(); a copy
+    #: made by dataclasses.replace starts empty.
+    _references: dict[Vector, tuple[float, Vector, Vector]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         plant, schedule = self.plant, self.schedule
@@ -460,6 +459,17 @@ class RunConfig:
         if self.box is not None and not self.box.contains(self.u0):
             return ("u0 lies outside the input box; forward invariance is not guaranteed",)
         return ()
+
+    def reference(self, w: Vector) -> tuple[float, Vector, Vector]:
+        """The level w's optimum u*, its steady state x* and the drift
+        B_w w.  None of them depends on the gain, so each is worked out once
+        per configuration and shared by every gain run with it."""
+        ref = self._references.get(w)
+        if ref is None:
+            ustar = optimal_input(self.plant, self.cost, w, box=self.box)
+            ref = (ustar, self.plant.steady_state(ustar, w), self.plant.bw.matvec(w))
+            self._references[w] = ref
+        return ref
 
     def hurwitz(self, alpha: float) -> bool | None:
         """Whether the closed loop at this gain is Hurwitz, for the loops that
@@ -525,18 +535,19 @@ def csv_header(n: int, p: int, q: int) -> str:
     return ",".join(cols)
 
 
-def write_csv(traj: Trajectory, stream: TextIO) -> None:
-    """Trajectory CSV: fixed column schema, 12 significant digits, LF endings.
+def write_csv(traj: Trajectory, stream: BinaryIO) -> None:
+    """Trajectory CSV as ASCII bytes: fixed column schema, 12 significant
+    digits, LF endings.
 
     Each segment's rows are formatted by engine.format_rows (in C when the
     compiled kernel loaded), with the segment's disturbance and optimum
-    already in place as text, and written to the stream before the next
-    segment is formatted.
+    already in place as text, and written to the binary stream before the
+    next segment is formatted.
     """
     first = traj.segments[0]
     n = len(first.xstar)
     p = len(first.samples.ys) // len(first.samples.times)
-    stream.write(csv_header(n, p, len(first.w)) + "\n")
+    stream.write(f"{csv_header(n, p, len(first.w))}\n".encode("ascii"))
     for seg in traj.segments:
         w_text = ",".join(map(fmt12, seg.w))
         stream.write(engine.format_rows(seg.samples, n, p, w_text, fmt12(seg.ustar)))

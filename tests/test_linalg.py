@@ -178,6 +178,21 @@ class TestInverse:
         with pytest.raises(SingularMatrixError, match="singular plant matrix"):
             inverse(Matrix.from_rows([[1.0, 2.0], [2.0, 4.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-15, 1e-12, 1.0, 1e6])
+    def test_verdict_does_not_change_with_scale(self, scale):
+        # a pivot is judged against the matrix's own largest entry, so
+        # -scale I inverts at every scale, and the singular matrices stay
+        # singular at every scale
+        inv = inverse(Matrix.identity(3).scale(-scale))
+        assert as_np(inv) == pytest.approx(-np.eye(3) / scale, rel=1e-15)
+        assert as_np(solve_lyapunov(Matrix.identity(2).scale(-scale))) == pytest.approx(
+            np.eye(2) / (2.0 * scale), rel=1e-12)
+        for rows in ([[1.0, 2.0], [2.0, 4.0]], [[0.1, 0.3], [0.2, 0.6]], [[0.0, 0.0], [0.0, 0.0]]):
+            with pytest.raises(SingularMatrixError, match="singular plant matrix"):
+                inverse(Matrix.from_rows(rows).scale(scale))
+        with pytest.raises(NotStabilizedError, match="singular"):
+            solve_lyapunov(Matrix.from_rows([[0.0, -1.0], [1.0, 0.0]]).scale(scale))
+
     def test_ill_conditioned_hurwitz_plants_accepted(self):
         """Hurwitz plants with cond(A) in [1e6, 1e8) pass their Lyapunov gate,
         and their -C A^-1 B agrees with numpy's to rounding times cond(A):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import ofo.scenario
 from ofo.certificate import certify
 from ofo.cli import main
 from ofo.errors import InputError
@@ -59,9 +60,22 @@ def dense_doc() -> dict:
     }
 
 
+def loaded_by_both(text: str):
+    """The document the selected YAML loader builds from text, after
+    checking that the pure-Python loader builds the same one (compared by
+    repr, so nan equals nan and 1 differs from 1.0)."""
+    doc = yaml.load(text, Loader=ofo.scenario.YAML_LOADER)
+    assert repr(doc) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+    return doc
+
+
 def write_doc(tmp_path, doc, name="scenario.yaml") -> str:
+    """Writes doc as a scenario file; every file a test here writes is
+    parsed alike by both YAML loaders."""
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    text = yaml.safe_dump(doc)
+    loaded_by_both(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -162,6 +176,39 @@ class TestScenarioParsing:
             Scenario.from_dict(doc)
 
 
+class TestYamlLoaders:
+    def test_libyaml_selected_when_present(self):
+        want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert ofo.scenario.YAML_LOADER is want
+
+    def test_both_loaders_build_the_same_documents(self, tmp_path):
+        # the bundled scenarios and those the benchmark writes: the seeded
+        # levels plants and fig2 cut short
+        root = Path(__file__).resolve().parents[1]
+        texts = [Path(bundled_scenario_path(name)).read_text("utf-8") for name in ("fig1", "fig2")]
+        for args in (["levels.py", "1"], ["levels.py", "2"], ["levels.py", "3"],
+                     ["short.py", bundled_scenario_path("fig2")]):
+            proc = subprocess.run([sys.executable, str(root / "perfbench" / args[0]), *args[1:]],
+                                  capture_output=True, text=True, check=True)
+            texts.append(proc.stdout)
+        for text in texts:
+            doc = loaded_by_both(text)
+            assert Scenario.loads(text) == Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("text", ["plant: [1, 2", "plant:\n  kind: linear\n kind: x\n",
+                                      "a:\t- 1\n", "\x00", "a: &x 1\nb: *y\n",
+                                      "a: !!python/object:os.system x\n",
+                                      "a: 1\n---\nb: 2\n"])
+    def test_malformed_file_exits_2_under_both_loaders(self, text, tmp_path, capsys,
+                                                       monkeypatch):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        for loader in (ofo.scenario.YAML_LOADER, yaml.SafeLoader):
+            monkeypatch.setattr(ofo.scenario, "YAML_LOADER", loader)
+            assert main(["certify", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: scenario: YAML parse error: ")
+
+
 class TestCertifyCommand:
     def test_fig2_certifies(self, capsys):
         rc = main(["certify", bundled_scenario_path("fig2")])
@@ -210,6 +257,21 @@ class TestCertifyCommand:
             path = write_doc(tmp_path, doc)
             assert main(["certify", path]) == 0
             assert main(["simulate", path, "--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize("eps", [1e-15, 1e-13, 1.0, 1e3])
+    def test_certificate_does_not_change_with_the_time_scale(self, eps, tmp_path, capsys):
+        # A, B and B_w scaled by eps is the same plant on another time
+        # scale, and the paper's condition reads the same on it; singular
+        # pivots and inverses are judged against the matrices' own scale
+        doc = yaml.safe_load(Path(bundled_scenario_path("fig1")).read_text("utf-8"))
+        for key in ("A", "B", "B_w"):
+            doc["plant"][key] = [[eps * v for v in row] for row in doc["plant"][key]]
+        assert main(["certify", write_doc(tmp_path, doc)]) == 3
+        run = capsys.readouterr()
+        assert run.err == ""
+        lines = [line for line in run.out.splitlines()
+                 if line.startswith(("mu_bound_rhs = ", "required_mu4 = "))]
+        assert lines == ["mu_bound_rhs = 0.19801980198", "required_mu4 = 0.17802080198"]
 
     def test_missing_file(self, capsys):
         rc = main(["certify", "/nonexistent/scenario.yaml"])
@@ -269,11 +331,11 @@ class TestSimulateCommand:
         scenario = Scenario.from_dict(doc)
 
         def v_column(xi):
-            text = io.StringIO()
-            write_csv(replace(scenario.config, xi=xi).run(scenario.alpha)[0], text)
-            return [row.split(",")[6] for row in text.getvalue().splitlines()]
+            data = io.BytesIO()
+            write_csv(replace(scenario.config, xi=xi).run(scenario.alpha)[0], data)
+            return [row.split(b",")[6] for row in data.getvalue().splitlines()]
 
-        written = [row.split(",")[6] for row in out.read_text().splitlines()]
+        written = [row.split(b",")[6] for row in out.read_bytes().splitlines()]
         assert written == v_column(1.0)
         assert written != v_column(2.0)
 

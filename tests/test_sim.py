@@ -15,6 +15,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+import yaml
 
 from ofo import engine, plants, sim
 from ofo.certificate import assemble_constants, certify, decay_rate, required_regularization
@@ -528,6 +529,68 @@ class TestKernels:
             assert bits([a.max_violation]) == bits([b.max_violation])
             assert a.blowup_time == b.blowup_time
 
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_compiled_matches_pure_bitwise_on_wider_plants(self):
+        # the compiled kernel sums four rows of A x, C x and P (x - x*) side
+        # by side and the rows left over one at a time; every state count
+        # from 3 to 9 and output counts up to 5 take both paths, under both
+        # laws
+        from ofo.engine import _speedup
+
+        rng = random.Random(4321)
+        specs = []
+        for n, p in ((3, 1), (4, 2), (5, 1), (6, 5), (7, 3), (8, 1), (9, 4)):
+            plant = LinearPlant(
+                a=Matrix.from_rows(random_hurwitz_rows(rng, n)),
+                b=Matrix.from_rows([[rng.uniform(-1.0, 1.0)] for _ in range(n)]),
+                bw=Matrix.from_rows([[rng.uniform(-1.0, 1.0)] for _ in range(n)]),
+                c=Matrix.from_rows([[rng.uniform(-1.0, 1.0) for _ in range(n)]
+                                    for _ in range(p)]))
+            schedule = DisturbanceSchedule(((0.0, (1.0,)), (0.5, (-0.7,))))
+            config = RunConfig(plant=plant, cost=QuadraticCost(q_u=0.1, q_y=1.0),
+                               schedule=schedule, x0=tuple(rng.uniform(-1.0, 1.0) for _ in range(n)),
+                               u0=0.3, t_end=1.0, xi=0.37)
+            for config, alpha in ((config, 7.0), (replace(config, box=BoxSet(lo=-0.2, hi=0.2)), 7.0)):
+                captured = []
+                real = engine.run_segment
+                engine.run_segment = lambda spec: captured.append(spec) or real(spec)
+                try:
+                    config.run(alpha)
+                finally:
+                    engine.run_segment = real
+                specs += captured
+        assert {(spec.n, spec.p) for spec in specs} == {(3, 1), (4, 2), (5, 1), (6, 5), (7, 3),
+                                                       (8, 1), (9, 4)}
+        for spec in specs:
+            a, b = pure.run_segment(spec), _speedup.run_segment(spec)
+            for name in ("times", "xs", "us", "ys", "vs", "final_x"):
+                assert bits(getattr(a, name)) == bits(getattr(b, name)), (spec.n, spec.p, name)
+            assert bits([a.final_u, a.max_violation]) == bits([b.final_u, b.max_violation])
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_changed_constant_inputs_never_meet_a_stale_buffer(self, fast_plant, slow_sine_plant,
+                                                               quad_cost, sqrt_cost):
+        # the compiled kernel converts a, b, c, sens0 and lyap_p once and
+        # reuses the buffer for equal bytes; a list changed in place and
+        # one that differs only in the sign of a zero each get their own
+        from ofo.engine import _speedup
+
+        spec = self.collect_specs(fast_plant, slow_sine_plant, quad_cost, sqrt_cost)[0]
+        first = _speedup.run_segment(spec)
+        assert bits(first.xs) == bits(pure.run_segment(spec).xs)
+        spec.a[1] += 0.5           # the same list object, changed in place
+        changed = _speedup.run_segment(spec)
+        assert bits(changed.xs) == bits(pure.run_segment(spec).xs) != bits(first.xs)
+        for name in ("a", "b", "c", "sens0", "lyap_p"):
+            values = list(getattr(spec, name))
+            zeroed = replace(spec, **{name: [0.0] + values[1:]})
+            signed = replace(spec, **{name: [-0.0] + values[1:]})
+            for case in (zeroed, signed, zeroed):
+                got, want = _speedup.run_segment(case), pure.run_segment(case)
+                assert all(bits(getattr(got, col)) == bits(getattr(want, col))
+                           for col in ("xs", "us", "ys", "vs")), name
+            assert _speedup._constants_of(zeroed)[0] is not _speedup._constants_of(signed)[0]
+
     def test_kernel_matches_generic_integrator(self, fast_plant, slow_sine_plant, quad_cost,
                                                sqrt_cost):
         # dual route: the specialized stepper against the generic RK4 over the
@@ -626,6 +689,19 @@ class TestKernels:
         for name in names:
             assert ((tmp_path / "pure" / name).read_bytes()
                     == (tmp_path / "selected" / name).read_bytes()), name
+
+    def test_pure_kernel_imported_only_as_the_fallback(self, tmp_path):
+        # with the compiled kernel loaded, `import ofo.cli` leaves the
+        # pure-Python kernel unimported; without cc it is the kernel
+        code = ("import sys, ofo.cli; from ofo import engine; "
+                "print(engine.kernel_name(), 'ofo.engine.pure' in sys.modules)")
+        runs = {"selected": self.fresh_python(["-c", code], tmp_path / "cache")}
+        no_cc = tmp_path / "bin"
+        no_cc.mkdir()
+        runs["fallback"] = self.fresh_python(["-c", code], tmp_path / "empty", PATH=str(no_cc))
+        seen = {name: run.stdout.strip() for name, run in runs.items()}
+        want = "compiled False" if shutil.which("cc") else "pure-python True"
+        assert seen == {"selected": want, "fallback": "pure-python True"}, runs
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_kernel_cache_is_private_and_reused(self, tmp_path):
@@ -1027,21 +1103,106 @@ class TestSweep:
             sweep_alpha(cfg, [])
 
 
+class TestReferenceCache:
+    @staticmethod
+    def levels_config() -> RunConfig:
+        """The two-output plant over five segments at three distinct levels."""
+        config = two_output_config(3)
+        schedule = DisturbanceSchedule(((0.0, (3.0,)), (0.8, (-1.5,)), (1.6, (3.0,)),
+                                        (2.4, (0.5,)), (3.2, (-1.5,))))
+        return replace(config, schedule=schedule)
+
+    @staticmethod
+    def counting(monkeypatch) -> list:
+        calls = []
+        real = sim.optimal_input
+        monkeypatch.setattr(sim, "optimal_input", lambda *a, **k: calls.append(a[2]) or real(*a, **k))
+        return calls
+
+    def test_sweep_solves_each_level_once(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        config = self.levels_config()
+        rows = sweep_alpha(config, [1.0, 10.0, 100.0])
+        assert all(row.error is None for row in rows)
+        assert calls == [(3.0,), (-1.5,), (0.5,)]
+        references = [[(seg.ustar, seg.xstar) for seg in row.trajectory.segments]
+                      for row in rows]
+        assert references[0] == references[1] == references[2]
+
+    def test_replaced_copy_starts_empty(self, monkeypatch):
+        # the cache is outside == and repr, and a copy with another cost
+        # (or the same fields) works its references out again
+        calls = self.counting(monkeypatch)
+        config = self.levels_config()
+        config.run(1.0)
+        assert len(calls) == 3
+        again = replace(config)
+        assert again == config and repr(again) == repr(config)
+        again.run(1.0)
+        assert len(calls) == 6
+        heavier = replace(config, cost=QuadraticCost(q_u=0.5, q_y=1.0))
+        heavier.run(1.0)
+        assert len(calls) == 9
+        assert heavier.reference((3.0,))[0] != config.reference((3.0,))[0]
+        assert "_references" not in repr(config)
+
+    def test_cached_gains_match_fresh_runs_bitwise(self, kernel):
+        # one configuration runs the gains in turn, sharing its references;
+        # each gain is the run a configuration built for it alone gives
+        shared = self.levels_config()
+        for alpha in (1.0, 10.0, 100.0):
+            cached = shared.run(alpha)[0]
+            fresh = self.levels_config().run(alpha)[0]
+            for a, b in zip(cached.segments, fresh.segments):
+                assert (a.ustar, a.xstar, a.w) == (b.ustar, b.xstar, b.w)
+                for name in ("times", "xs", "us", "ys", "vs", "final_x"):
+                    assert bits(getattr(a.samples, name)) == bits(getattr(b.samples, name))
+
+    def test_alternating_plants_match_fresh_processes(self, tmp_path):
+        # two plants that differ in one entry of A, run in turn in one
+        # process, write the bytes each writes in a process of its own
+        doc = {"plant": {"kind": "linear", "A": [[-1.0, 10.0], [-10.0, -1.0]],
+                         "B": [[0.0], [1.0]], "B_w": [[1.0], [1.0]], "C": [[1.0, 0.0]]},
+               "cost": {"kind": "quadratic", "q_u": 0.01, "q_y": 1.0},
+               "controller": {"kind": "gradient", "alpha": 10.0},
+               "schedule": [[0.0, 10.0], [1.0, -10.0]],
+               "sim": {"t_end": 2.0}}
+        other = {**doc, "plant": {**doc["plant"], "A": [[-1.0, 10.0], [-10.0, -1.5]]}}
+        paths = []
+        for name, d in (("one", doc), ("two", other)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(d), encoding="utf-8")
+            paths.append(path)
+        fresh = []
+        for path in paths:
+            out = tmp_path / f"{path.stem}-fresh.csv"
+            proc = subprocess.run([sys.executable, "-m", "ofo.cli", "simulate", str(path),
+                                   "--out", str(out)], capture_output=True, env=checkout_env())
+            assert proc.returncode == 0, proc.stderr
+            fresh.append(out.read_bytes())
+        assert fresh[0] != fresh[1]
+        for turn in range(4):
+            out = tmp_path / f"turn{turn}.csv"
+            assert main(["simulate", str(paths[turn % 2]), "--out", str(out)]) == 0
+            assert out.read_bytes() == fresh[turn % 2], turn
+
+
 class TestCsv:
     def test_header_and_shape(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (10.0,)),))
         cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0, max_records=50)
         traj, _ = cfg.run(10.0)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_csv(traj, buf)
-        lines = buf.getvalue().splitlines()
+        text = buf.getvalue().decode("ascii")
+        lines = text.splitlines()
         assert lines[0] == "t,x1,x2,u1,y1,w1,V,ustar1"
         assert lines[0] == csv_header(2, 1, 1)
         assert len(lines) == len(traj.t) + 1
         first = lines[1].split(",")
         assert first[0] == "0"
         assert first[5] == "10"
-        assert "e" not in buf.getvalue() and "E" not in buf.getvalue()
+        assert "e" not in text and "E" not in text
 
     @staticmethod
     def oracle_fmt12(x: float) -> str:
@@ -1090,9 +1251,9 @@ class TestCsv:
     @staticmethod
     def csv_with(formatter, traj, monkeypatch) -> str:
         monkeypatch.setattr(engine, "format_rows", formatter)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_csv(traj, buf)
-        return buf.getvalue()
+        return buf.getvalue().decode("ascii")
 
     def assert_matches_oracle(self, segments, monkeypatch, formatters=None):
         traj = self.table(segments)
@@ -1105,7 +1266,7 @@ class TestCsv:
                 first = next((a, b) for a, b in lines if a != b)
                 pytest.fail(f"{formatter.__module__}: row differs from the oracle: {first}")
 
-    def assert_fields_match_printf(self, values):
+    def assert_fields_match_printf(self, values, formatters=None):
         # each value as one sample field of two-state, one-output rows
         # (t, x1, x2, u1, y1, V), against "%.12g" with its exponent form
         # expanded by plain_field
@@ -1115,8 +1276,8 @@ class TestCsv:
                                                                for x in values[i + 1:i + 3]],
                                        us=values[3::6], ys=values[4::6], vs=values[5::6])
         want = [pure.plain_field("%.12g" % x) for x in values]
-        for formatter in self.formatters():
-            lines = formatter(samples, 2, 1, "7", "-3").split("\n")
+        for formatter in formatters or self.formatters():
+            lines = formatter(samples, 2, 1, "7", "-3").decode("ascii").split("\n")
             assert lines.pop() == ""
             got = [f for line in lines for i, f in enumerate(line.split(",")) if i not in (5, 7)]
             assert len(got) == len(values), formatter.__module__
@@ -1186,11 +1347,11 @@ class TestCsv:
     def test_edge_values_match_per_field_decimal_oracle(self, monkeypatch):
         self.assert_matches_oracle(self.edge_segments(), monkeypatch)
 
-    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-    def test_no_int128_build_matches_per_field_decimal_oracle(self, tmp_path, monkeypatch):
-        # a compiler without __int128 puts every field through the
-        # snprintf("%.11e") fallback, which the usual build reaches only
-        # below 2^-36 and from 2^127 on
+    @staticmethod
+    def no_int128_formatter(tmp_path, monkeypatch):
+        """The compiled format_rows on a build without __int128, which puts
+        every field through the snprintf("%.11e") fallback; the usual build
+        reaches it only below 2^-36 and from 2^127 on."""
         from ofo.engine import _speedup
 
         lib = tmp_path / "kernel-no-int128.so"
@@ -1199,8 +1360,39 @@ class TestCsv:
         fmt = ctypes.CDLL(str(lib)).ofo_format_rows
         fmt.argtypes, fmt.restype = _speedup._FORMAT_ARGTYPES, ctypes.c_long
         monkeypatch.setattr(_speedup, "_format", fmt)
+        return _speedup.format_rows
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_no_int128_build_matches_per_field_decimal_oracle(self, tmp_path, monkeypatch):
+        formatter = self.no_int128_formatter(tmp_path, monkeypatch)
         for segments in [*self.random_bit_segments(), self.edge_segments()]:
-            self.assert_matches_oracle(segments, monkeypatch, [_speedup.format_rows])
+            self.assert_matches_oracle(segments, monkeypatch, [formatter])
+
+    @staticmethod
+    def point_placements() -> list[float]:
+        """Values of the exact path's range, 2^-36 <= |x| < 2^127, with the
+        decimal point after each of -10 to 39 of their 12 printed digits
+        (a negative count is the zeros after "0."), for significands of 1 to
+        12 digits; among them every integer whose point falls right after its
+        last significant digit (point == nd), for nd = 1 to 12."""
+        significands = ("1", "2", "15", "9", "16", "105", "123456", "999999", "16500000001",
+                        "20000000003", "123456789012", "987654321098", "100000000001")
+        values = [x for point in range(-10, 40) for digits in significands
+                  for x in (float(f"0.{digits}e{point}"),) if 2.0 ** -36 <= x < 2.0 ** 127]
+        values += [float("123456789123"[:nd]) for nd in range(1, 13)]
+        return values + [-x for x in values]
+
+    def test_every_point_placement_matches_printf(self, tmp_path, monkeypatch):
+        values = self.point_placements()
+        assert {Decimal(f"{x:.12g}").adjusted() + 1 for x in values} == set(range(-10, 40))
+        self.assert_fields_match_printf(values)
+        table = [(0.5, 0.5, list(zip(*[iter(values[i:] + values[:i])] * 6)))
+                 for i in range(6)]
+        self.assert_matches_oracle(table, monkeypatch)
+        if shutil.which("cc") is not None:
+            formatter = self.no_int128_formatter(tmp_path, monkeypatch)
+            self.assert_fields_match_printf(values, [formatter])
+            self.assert_matches_oracle(table, monkeypatch, [formatter])
 
     def test_plain_text_field_boundaries(self):
         # -0 and exponent forms first and last on a line, at the end of a
@@ -1219,7 +1411,7 @@ class TestCsv:
                           for i in range(6)]
                 for segment in cases:
                     with pytest.raises(InputError, match="non-finite"):
-                        write_csv(self.table([segment]), io.StringIO())
+                        write_csv(self.table([segment]), io.BytesIO())
 
     def test_list_and_array_columns_give_the_same_bytes(self):
         # the kernels hand format_rows array('d') columns, and lists are
@@ -1236,7 +1428,8 @@ class TestCsv:
                                                for name in names})
                 for formatter in self.formatters():
                     text = formatter(samples, n, p, "1.5", "-2")
-                    assert text.count("\n") == len(samples.times)
+                    assert type(text) is bytes
+                    assert text.count(b"\n") == len(samples.times)
                     assert formatter(as_lists, n, p, "1.5", "-2") == text
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -1244,7 +1437,7 @@ class TestCsv:
         # sizes are checked before any pointer reaches the C code
         samples = engine.SegmentResult(times=[0.0, 1.0], xs=[0.5] * 4, us=[0.5] * 2,
                                        ys=[0.5] * 2, vs=[0.5] * 2)
-        assert engine._speedup.format_rows(samples, 2, 1, "0", "0").count("\n") == 2
+        assert engine._speedup.format_rows(samples, 2, 1, "0", "0").count(b"\n") == 2
         for bad in (dict(xs=[0.5] * 3), dict(us=[0.5]), dict(ys=[0.5] * 3), dict(vs=[])):
             with pytest.raises(ValueError):
                 engine._speedup.format_rows(replace(samples, **bad), 2, 1, "0", "0")
