@@ -259,7 +259,7 @@ def sym_eigenvalues(m: Matrix) -> Vector:
     """Eigenvalues of a symmetric matrix, ascending, via cyclic Jacobi rotations."""
     if not m.is_square():
         raise InputError("eigenvalues need a square matrix")
-    scale = max(1.0, m.max_norm())
+    scale = m.max_norm()
     if m.symmetry_defect() > 1e-12 * scale:
         raise InputError("matrix is not symmetric")
     n = m.rows

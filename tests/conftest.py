@@ -39,7 +39,7 @@ def bundled_scenario(name: str) -> Scenario:
 
 @pytest.fixture(params=["selected", "pure"])
 def kernel(request, monkeypatch) -> str:
-    """Runs the test once with the kernel the import selected and once with
+    """Runs the test once with the kernel chosen on first use and once with
     the pure-Python kernel, for stepping and for CSV rows alike."""
     if request.param == "pure":
         monkeypatch.setattr(engine, "run_segment", pure.run_segment)

@@ -128,6 +128,16 @@ class TestSymEigenvalues:
         with pytest.raises(InputError, match="symmetric"):
             sym_eigenvalues(Matrix.from_rows([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_small_matrix_is_rotated_not_read_off_its_diagonal(self):
+        # the rotation tolerance follows the matrix's own scale, so entries
+        # far below 1 are not taken for an already diagonal matrix
+        ours = sym_eigenvalues(Matrix.from_rows([[1e-15, 1e-15], [1e-15, 1e-15]]))
+        assert ours[0] == pytest.approx(0.0, abs=1e-30)
+        assert ours[1] == pytest.approx(2e-15, rel=1e-15, abs=0.0)
+
+    def test_zero_matrix(self):
+        assert sym_eigenvalues(Matrix.from_rows([[0.0, 0.0], [0.0, 0.0]])) == (0.0, 0.0)
+
 
 class TestSpectralNorm:
     def test_unit_column(self):
@@ -147,6 +157,17 @@ class TestSpectralNorm:
             ours = spectral_norm(Matrix.from_rows(rows))
             ref = float(np.linalg.norm(np.array(rows), 2))
             assert ours == pytest.approx(ref, rel=1e-8, abs=1e-8)
+
+    def test_small_matrix(self):
+        ours = spectral_norm(Matrix.from_rows([[1e-8, 1e-8], [1e-8, 1e-8]]))
+        assert ours == pytest.approx(2e-8, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+    def test_scales_with_the_matrix(self, scale):
+        rows = [[1.0, 2.0], [-0.5, 3.0], [0.25, -1.0]]
+        ours = spectral_norm(Matrix.from_rows([[scale * v for v in row] for row in rows]))
+        ref = scale * float(np.linalg.norm(np.array(rows), 2))
+        assert ours == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestInverse:

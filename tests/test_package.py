@@ -1,0 +1,70 @@
+"""The package namespace: `import ofo` runs no submodule, and each public
+name and each submodule is imported on first use."""
+
+import subprocess
+import sys
+
+import pytest
+
+import ofo
+
+from conftest import checkout_env
+
+PUBLIC = [
+    "BoxSet", "DisturbanceSchedule", "LinearPlant", "QuadraticCost", "RunConfig",
+    "SinePlant", "SqrtPlusCost", "certify", "decay_rate", "envelope_check",
+    "optimal_input", "required_regularization", "simulate", "sweep_alpha",
+]
+SUBMODULES = ["certificate", "cli", "controllers", "costs", "engine", "errors",
+              "linalg", "plants", "scenario", "sim"]
+
+
+def fresh_python(code: str) -> str:
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=checkout_env())
+    assert (run.returncode, run.stderr) == (0, ""), run.stderr
+    return run.stdout
+
+
+def test_import_runs_no_submodule():
+    code = ("import sys; before = set(sys.modules); import ofo; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = set(fresh_python(code).split())
+    assert "ofo" in added
+    assert not {name for name in added if name.startswith("ofo.")}, added
+    assert not added & {"dataclasses", "ctypes", "yaml"}, added
+
+
+def test_public_names_unchanged():
+    assert ofo.__all__ == PUBLIC
+    assert ofo.__version__ == "0.1.0"
+    # listed before any of them is imported
+    listed = set(fresh_python("import ofo; print(*dir(ofo))").split())
+    assert set(PUBLIC + SUBMODULES) <= listed
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_public_name_is_its_submodules_object(name):
+    value = getattr(ofo, name)
+    assert value.__module__.startswith("ofo.")
+    assert getattr(sys.modules[value.__module__], name) is value
+    assert vars(ofo)[name] is value
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from ofo import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC)
+
+
+def test_submodules_resolve_as_attributes_in_a_fresh_process():
+    code = f"import ofo; print(*(getattr(ofo, name).__name__ for name in {SUBMODULES!r}))"
+    assert fresh_python(code).split() == [f"ofo.{name}" for name in SUBMODULES]
+    assert fresh_python("import ofo; print(ofo.linalg.Matrix.__module__)") == "ofo.linalg\n"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'ofo' has no attribute 'nonexistent'$"):
+        ofo.nonexistent
+    with pytest.raises(ImportError):
+        from ofo import nonexistent  # noqa: F401

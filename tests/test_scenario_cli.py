@@ -273,6 +273,14 @@ class TestCertifyCommand:
                  if line.startswith(("mu_bound_rhs = ", "required_mu4 = "))]
         assert lines == ["mu_bound_rhs = 0.19801980198", "required_mu4 = 0.17802080198"]
 
+    def test_small_output_matrix_keeps_its_norm(self, tmp_path, capsys):
+        # ||C|| of [[1e-8, 1e-8]] is sqrt(2) * 1e-8; entries far below 1
+        # are not read off the diagonal of C^T C
+        doc = yaml.safe_load(Path(bundled_scenario_path("fig1")).read_text("utf-8"))
+        doc["plant"]["C"] = [[1.0e-8, 1.0e-8]]
+        assert main(["certify", write_doc(tmp_path, doc)]) == 0
+        assert "ell_g = 0.0000000141421356237\n" in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         rc = main(["certify", "/nonexistent/scenario.yaml"])
         assert rc == 2

@@ -41,6 +41,7 @@ from ofo.sim import (
 
 from conftest import (
     bundled_scenario,
+    bundled_scenario_path,
     checkout_env,
     closed_loop_field,
     dini_upper_estimate,
@@ -702,6 +703,49 @@ class TestKernels:
         seen = {name: run.stdout.strip() for name, run in runs.items()}
         want = "compiled False" if shutil.which("cc") else "pure-python True"
         assert seen == {"selected": want, "fallback": "pure-python True"}, runs
+
+    def test_certify_neither_builds_nor_loads_a_kernel(self, tmp_path, capsys):
+        # certify never steps: without cc it prints no kernel warning and
+        # leaves the cache empty; importing the CLI loads no compiled kernel
+        no_cc = tmp_path / "bin"
+        no_cc.mkdir()
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = bundled_scenario_path("fig1")
+        run = self.fresh_python(["-m", "ofo.cli", "certify", path], cache, PATH=str(no_cc))
+        assert main(["certify", path]) == 3
+        assert (run.returncode, run.stdout, run.stderr) == (3, capsys.readouterr().out, "")
+        assert list(cache.rglob("kernel-*.so")) == []
+        code = "import sys, ofo.cli; print('ctypes' in sys.modules, 'ofo.engine._speedup' in sys.modules)"
+        loaded = self.fresh_python(["-c", code], cache, PATH=str(no_cc))
+        assert (loaded.stdout, loaded.stderr) == ("False False\n", "")
+
+    def test_threads_that_ask_at_once_choose_the_kernel_once(self, tmp_path):
+        # eight threads released together all get the one kernel, after one
+        # build attempt and one warning
+        no_cc = tmp_path / "bin"
+        no_cc.mkdir()
+        code = """if True:
+            import subprocess, sys, threading
+            builds = []
+            run = subprocess.run
+            subprocess.run = lambda args, *a, **kw: builds.append(args[0]) or run(args, *a, **kw)
+            sys.setswitchinterval(1e-6)
+            from ofo import engine
+            barrier, seen = threading.Barrier(8), []
+            def ask():
+                barrier.wait()
+                seen.append(engine.active_kernel().__name__)
+            threads = [threading.Thread(target=ask) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            print(sum(thread.is_alive() for thread in threads), sorted(set(seen)), len(seen), builds)
+        """
+        run = self.fresh_python(["-c", code], tmp_path / "cache", PATH=str(no_cc))
+        assert run.stdout == "0 ['ofo.engine.pure'] 8 ['cc']\n", run.stderr
+        assert run.stderr.count("RuntimeWarning") == 1
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_kernel_cache_is_private_and_reused(self, tmp_path):
