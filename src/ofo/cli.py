@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from importlib.resources import files as resource_files
 from typing import BinaryIO, Callable
@@ -38,19 +37,14 @@ SUMMARY_HEADER = "alpha,settling_time,overshoot,final_error,max_violation,status
 
 def _atomic_write(path: str, write: Callable[[BinaryIO], object]) -> None:
     """Create path with the bytes that write(fh) writes to the binary file
-    fh, through a temp file in the same directory and a rename."""
+    fh, through a temp file in the same directory and a rename.  The temp
+    file is created 0666, so the OS applies the umask as for a plain open()."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        tmp = os.path.join(directory, f".{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            # mkstemp creates the file at 0600; give it the mode a plain
-            # open() would, so outputs follow the user's umask.  Reading the
-            # umask sets it to 0 for a moment, so no other thread may create
-            # files meanwhile.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
             with os.fdopen(fd, "wb") as fh:
                 write(fh)
             os.replace(tmp, path)

@@ -140,34 +140,35 @@ static void record(const field_t *f, long k, double t, const double *x, double u
     rec_v[k] = vu > vx ? vu : vx;
 }
 
-/* Integrates one constant-disturbance segment from (x, *u), which come back
- * as the final state.  b holds n values and s0 p values.  The record buffers
- * hold 2 + n_tot / stride records.  Returns the number of records written,
- * or -1 when scratch memory cannot be allocated. */
-long ofo_run_segment(int n, int p, int sine, int sqrtplus, int projected,
-                     const double *a, const double *b, const double *drift,
-                     const double *c, const double *s0,
+/* Integrates one constant-disturbance segment.  `in` holds the inputs the
+ * kernel only reads, back to back: a (n*n), b (n), drift (n), c (p*n),
+ * s0 (p), lp (n*n) and xstar (n).  x holds the start state and state[0]
+ * the start input, and both come back as the final ones; state[1] gets the
+ * worst box violation, and state[2] the time of the first step whose state
+ * is not finite, and is left as it was when there is none.  The record
+ * buffers hold 2 + n_tot / stride records.  Returns the number of records
+ * written, or -1 when scratch memory cannot be allocated. */
+long ofo_run_segment(int n, int p, int sine, int sqrtplus, int projected, const double *in,
                      double cq1, double cq2, double mu4, double alpha, double beta,
                      double lo, double hi,
                      double t0, double t_end, double dt, long n_full, double last_dt,
-                     long stride, int include_final,
-                     double xi, const double *lp, const double *xstar, double ustar,
-                     double *x, double *u,
-                     double *rec_t, double *rec_x, double *rec_u, double *rec_y, double *rec_v,
-                     double *max_violation, int *blew_up, double *blowup_time)
+                     long stride, int include_final, double xi, double ustar,
+                     double *x, double *state,
+                     double *rec_t, double *rec_x, double *rec_u, double *rec_y, double *rec_v)
 {
     double *work = calloc(7 * (size_t)n + 2 * (size_t)p, sizeof(double));
     if (work == NULL)
         return -1;
     double *xt = work, *kx1 = xt + n, *kx2 = kx1 + n, *kx3 = kx2 + n, *kx4 = kx3 + n;
     double *dx = kx4 + n, *pdx = dx + n, *y = pdx + n, *gy = y + p;
+    const double *a = in, *b = a + (long)n * n, *drift = b + n, *c = drift + n;
+    const double *s0 = c + (long)p * n, *lp = s0 + p, *xstar = lp + (long)n * n;
     field_t f = {n, p, sine, sqrtplus, projected, a, b, drift, c, s0,
                  lo, hi, cq1, cq2, mu4, alpha, beta, y, gy, xi, lp, xstar, ustar, dx, pdx};
 
     long n_tot = n_full + (last_dt > 0.0 ? 1 : 0);
     long k = 0;
-    double d, ku1, ku2, ku3, ku4, violation = 0.0, uu = *u;
-    *blew_up = 0;
+    double d, ku1, ku2, ku3, ku4, violation = 0.0, uu = state[0];
     record(&f, k++, step_time(0, n_tot, t0, t_end, dt), x, uu,
            rec_t, rec_x, rec_u, rec_y, rec_v);
     for (long i = 0; i < n_tot; i++) {
@@ -188,8 +189,7 @@ long ofo_run_segment(int n, int p, int sine, int sqrtplus, int projected,
             if (!isfinite(x[j]))
                 ok = 0;
         if (!ok) {
-            *blew_up = 1;
-            *blowup_time = step_time(step, n_tot, t0, t_end, dt);
+            state[2] = step_time(step, n_tot, t0, t_end, dt);
             break;
         }
         if (projected) {
@@ -204,8 +204,8 @@ long ofo_run_segment(int n, int p, int sine, int sqrtplus, int projected,
             record(&f, k++, step_time(step, n_tot, t0, t_end, dt), x, uu,
                    rec_t, rec_x, rec_u, rec_y, rec_v);
     }
-    *u = uu;
-    *max_violation = violation;
+    state[0] = uu;
+    state[1] = violation;
     free(work);
     return k;
 }

@@ -1,8 +1,12 @@
 """Compiled closed-loop kernel: `_kernel.c` called through ctypes, for
 stepping (`run_segment`) and for writing a segment's CSV rows
-(`format_rows`).  Both read their float inputs from `array('d')` buffers,
-and run_segment records its samples straight into the `array('d')` columns
-it returns, which format_rows reads in place.
+(`format_rows`).  Both read their float inputs from `array('d')` buffers.
+run_segment packs every input the kernel only reads into one buffer per
+call, a, b, drift, c, sens0, lyap_p and xstar back to back, after checking
+each one's size, and passes u, the worst box violation and the blow-up time
+in a three-value state buffer, which starts as (u0, 0, nan) and which the
+kernel updates.  It records the samples straight into the `array('d')`
+columns it returns, which format_rows reads in place.
 
 The C source is built on first import with the system `cc` into the per-user
 cache, `$XDG_CACHE_HOME/ofo` or `~/.cache/ofo`, under a name keyed by the
@@ -14,8 +18,8 @@ for 30 days.  Any failure to build or load raises ImportError.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
-import struct
 import zlib
 from array import array
 from contextlib import suppress
@@ -33,14 +37,11 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _I, _L, _F = ctypes.c_int, ctypes.c_long, ctypes.c_double
 #: An `array('d')` buffer passed by its address.
 _C = ctypes.c_void_p
-_ARGTYPES = [_I, _I, _I, _I, _I,           # n, p, sine, sqrtplus, projected
-             _C, _C, _C, _C, _C,           # a, b, drift, c, sens0
-             _F, _F, _F, _F, _F,           # cq1, cq2, mu4, alpha, beta
-             _F, _F,                       # lo, hi
+_ARGTYPES = [_I, _I, _I, _I, _I, _C,       # n, p, sine, sqrtplus, projected, inputs
+             _F, _F, _F, _F, _F, _F, _F,   # cq1, cq2, mu4, alpha, beta, lo, hi
              _F, _F, _F, _L, _F, _L, _I,   # t0, t_end, dt, n_full, last_dt, stride, include_final
-             _F, _C, _C, _F,               # lyap_xi, lyap_p, xstar, ustar
-             _C, _C, _C, _C, _C, _C, _C,   # x, u, rec_t, rec_x, rec_u, rec_y, rec_v
-             _C, ctypes.POINTER(_I), _C]   # max_violation, blew_up, blowup_time
+             _F, _F, _C, _C,               # lyap_xi, ustar, x, state
+             _C, _C, _C, _C, _C]           # rec_t, rec_x, rec_u, rec_y, rec_v
 _FORMAT_ARGTYPES = [_C, _C, _C, _C, _C,    # t, x, u, y, v
                     _I, _I, _L,            # n, p, rows
                     ctypes.c_char_p, _L, ctypes.c_char_p, _L,  # w_text, w_len, ustar_text, ustar_len
@@ -109,83 +110,44 @@ def _load():
 _run, _format, _free = _load()
 
 
-#: The inputs that are the same for every segment of a run, a, b, c, sens0
-#: and lyap_p, converted once: the exact bytes of the five lists, with n and
-#: p, map to one `array('d')` that holds them in that order.  The bytes, not
-#: the lists' identities, are the key, so a list that differs, or that was
-#: changed in place, never meets a stale buffer.  The buffers are only read.
-_constants: dict[tuple[int, int, bytes], array] = {}
-_CONSTANTS_KEPT = 16
-
-
 def _address(values: array) -> int:
     return values.buffer_info()[0]
-
-
-def _checked(values, count: int, name: str):
-    if len(values) != count:
-        raise ValueError(f"kernel input {name} has {len(values)} values, expected {count}")
-    return values
-
-
-def _constants_of(spec: SegmentSpec) -> tuple[array, tuple[int, ...]]:
-    """The shared buffer of a, b, c, sens0 and lyap_p, which the caller
-    keeps alive while the kernel reads it, and their addresses in it."""
-    n, p = spec.n, spec.p
-    sizes = (n * n, n, p * n, p, n * n)
-    for name, size in zip(("a", "b", "c", "sens0", "lyap_p"), sizes):
-        _checked(getattr(spec, name), size, name)
-    values = [*spec.a, *spec.b, *spec.c, *spec.sens0, *spec.lyap_p]
-    key = (n, p, struct.pack(f"{len(values)}d", *values))
-    kept = _constants.get(key)
-    if kept is None:
-        if len(_constants) >= _CONSTANTS_KEPT:
-            _constants.clear()
-        kept = _constants[key] = array("d", key[2])
-    a = _address(kept)
-    b = a + 8 * n * n
-    c = b + 8 * n
-    sens0 = c + 8 * p * n
-    return kept, (a, b, c, sens0, sens0 + 8 * p)
 
 
 def run_segment(spec: SegmentSpec) -> SegmentResult:
     n, p, stride = spec.n, spec.p, spec.record_stride
     if min(n, p, stride) < 1 or spec.n_full < 0:
         raise ValueError("kernel needs n, p, record_stride >= 1 and n_full >= 0")
-    # `constants` keeps the buffer alive until the kernel returns, even if
-    # another thread clears the cache meanwhile
-    constants, (a, b, c, sens0, lyap_p) = _constants_of(spec)
+    # every size is checked before the inputs are packed: in one buffer a
+    # wrong length would shift every later input instead of failing
+    for name, count in (("a", n * n), ("b", n), ("drift", n), ("c", p * n), ("sens0", p),
+                        ("lyap_p", n * n), ("xstar", n), ("x0", n)):
+        got = len(getattr(spec, name))
+        if got != count:
+            raise ValueError(f"kernel input {name} has {got} values, expected {count}")
+    inputs = array("d", [*spec.a, *spec.b, *spec.drift, *spec.c, *spec.sens0,
+                         *spec.lyap_p, *spec.xstar])
+    x = array("d", spec.x0)
+    state = array("d", (spec.u0, 0.0, math.nan))
     n_tot = spec.n_full + (1 if spec.last_dt > 0.0 else 0)
     cap = 2 + n_tot // stride
-    x = array("d", _checked(spec.x0, n, "x0"))
-    # per-segment inputs and the scalar outputs: drift, xstar, u, violation,
-    # blowup_time
-    drift = array("d", _checked(spec.drift, n, "drift"))
-    xstar = array("d", _checked(spec.xstar, n, "xstar"))
-    scalars = array("d", (spec.u0, 0.0, 0.0))
-    u, violation, blowup_time = (_address(scalars) + 8 * i for i in range(3))
     widths = (1, n, 1, p, 1)
     columns = [array("d", [0.0]) * (cap * width) for width in widths]
-    blew_up = _I()
-    k = _run(n, p, spec.sine, spec.sqrtplus, spec.projected,
-             a, b, _address(drift), c, sens0,
+    k = _run(n, p, spec.sine, spec.sqrtplus, spec.projected, _address(inputs),
              spec.cq1, spec.cq2, spec.mu4, spec.alpha, spec.beta, spec.lo, spec.hi,
              spec.t0, spec.t_end, spec.dt, spec.n_full, spec.last_dt,
-             stride, spec.include_final,
-             spec.lyap_xi, lyap_p, _address(xstar), spec.ustar,
-             _address(x), u, *map(_address, columns),
-             violation, ctypes.byref(blew_up), blowup_time)
+             stride, spec.include_final, spec.lyap_xi, spec.ustar,
+             _address(x), _address(state), *map(_address, columns))
     if k < 0:
         raise MemoryError("compiled kernel could not allocate its scratch memory")
     for column, width in zip(columns, widths):
         del column[k * width:]
     times, xs, us, ys, vs = columns
-    final_u, max_violation, blown = scalars
+    final_u, max_violation, blowup_time = state
     return SegmentResult(times=times, xs=xs, us=us, ys=ys, vs=vs,
                          final_x=x.tolist(), final_u=final_u,
                          max_violation=max_violation,
-                         blowup_time=blown if blew_up.value else None)
+                         blowup_time=None if math.isnan(blowup_time) else blowup_time)
 
 
 def format_rows(samples: SegmentResult, n: int, p: int, w_text: str, ustar_text: str) -> bytes:

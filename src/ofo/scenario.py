@@ -21,6 +21,7 @@ from typing import Any, Callable, TypeVar
 
 import yaml
 
+from .certificate import CONSTANT_FIELDS
 from .controllers import BoxSet
 from .costs import QuadraticCost, SqrtPlusCost, check_fit
 from .errors import InputError
@@ -209,6 +210,7 @@ class Scenario:
             raw = cert.get("overrides", {}) or {}
             if not isinstance(raw, dict):
                 raise InputError("certificate.overrides: expected a mapping")
+            _known_keys(raw, CONSTANT_FIELDS, "certificate.overrides")
             overrides = {k: _number(v, f"certificate.overrides.{k}") for k, v in raw.items()}
             if "claimed_mu_bound_rhs" in cert:
                 claimed = _number(cert["claimed_mu_bound_rhs"], "certificate.claimed_mu_bound_rhs")

@@ -161,6 +161,8 @@ class TestScenarioParsing:
         (lambda d: d["sim"].update(x_0=[0.0, 0.0]), "sim.x_0: unknown field"),
         (lambda d: d.update(certificate={"override": {"c3": 0.3}}),
          "certificate.override: unknown field"),
+        (lambda d: d.update(certificate={"overrides": {"zeta33": 0.99}}),
+         "certificate.overrides.zeta33: unknown field; expected one of ell_f, "),
     ])
     def test_validation_names_offending_field(self, mutate, fragment):
         doc = minimal_doc()
@@ -635,11 +637,16 @@ class TestReproduceCommand:
             digests[f"certify {figure}"] = hashlib.sha256(text).hexdigest()
         assert digests == pinned
 
-    def test_outputs_follow_umask(self, tmp_path):
+    def test_outputs_follow_umask(self, tmp_path, monkeypatch):
+        # the OS applies the umask when each file is created; the writer
+        # never reads or sets it, which would leave it changed for a moment
+        # for every other thread
         out_dir = tmp_path / "fig1"
         old = os.umask(0o022)
         try:
-            assert main(["reproduce", "fig1", "--out", str(out_dir)]) == 0
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", lambda mask: pytest.fail("os.umask called"))
+                assert main(["reproduce", "fig1", "--out", str(out_dir)]) == 0
         finally:
             os.umask(old)
         modes = {name: (out_dir / name).stat().st_mode & 0o777 for name in os.listdir(out_dir)}

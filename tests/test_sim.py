@@ -571,9 +571,9 @@ class TestKernels:
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_changed_constant_inputs_never_meet_a_stale_buffer(self, fast_plant, slow_sine_plant,
                                                                quad_cost, sqrt_cost):
-        # the compiled kernel converts a, b, c, sens0 and lyap_p once and
-        # reuses the buffer for equal bytes; a list changed in place and
-        # one that differs only in the sign of a zero each get their own
+        # the compiled kernel packs its read-only inputs afresh on every
+        # call, so a list changed in place and one that differs only in the
+        # sign of a zero each step as the pure kernel does on them
         from ofo.engine import _speedup
 
         spec = self.collect_specs(fast_plant, slow_sine_plant, quad_cost, sqrt_cost)[0]
@@ -590,7 +590,6 @@ class TestKernels:
                 got, want = _speedup.run_segment(case), pure.run_segment(case)
                 assert all(bits(getattr(got, col)) == bits(getattr(want, col))
                            for col in ("xs", "us", "ys", "vs")), name
-            assert _speedup._constants_of(zeroed)[0] is not _speedup._constants_of(signed)[0]
 
     def test_kernel_matches_generic_integrator(self, fast_plant, slow_sine_plant, quad_cost,
                                                sqrt_cost):
@@ -650,15 +649,41 @@ class TestKernels:
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_compiled_kernel_rejects_malformed_spec(self, fast_plant, slow_sine_plant,
-                                                    quad_cost, sqrt_cost):
-        # sizes are checked before any pointer reaches the C code
+                                                    quad_cost, sqrt_cost, monkeypatch):
+        # sizes are checked before any pointer reaches the C code: every
+        # read-only input, one value short and one too many, and x0
         from ofo.engine import _speedup
 
         spec = self.collect_specs(fast_plant, slow_sine_plant, quad_cost, sqrt_cost)[0]
-        for bad in (dict(a=spec.a[:-1]), dict(b=spec.b + [0.0]), dict(x0=spec.x0 + [0.0]),
-                    dict(record_stride=0), dict(n_full=-3)):
-            with pytest.raises(ValueError):
+        bad_cases = [dict(x0=spec.x0 + [0.0]), dict(record_stride=0), dict(n_full=-3)]
+        for name in ("a", "b", "drift", "c", "sens0", "lyap_p", "xstar"):
+            values = list(getattr(spec, name))
+            bad_cases += [{name: values[:-1]}, {name: values + [0.0]}]
+        called = []
+        monkeypatch.setattr(_speedup, "_run", lambda *args: called.append(args))
+        for bad in bad_cases:
+            with pytest.raises(ValueError, match="kernel"):
                 _speedup.run_segment(replace(spec, **bad))
+        assert called == []
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_kernel_source_compiles_cleanly_and_matches_its_signatures(self):
+        # -Wextra's -Wunused-parameter catches a parameter the kernel no
+        # longer reads, and the ctypes argument lists must have as many
+        # entries as the C functions have parameters
+        from ofo.engine import _speedup
+
+        for extra in ((), ("-U__SIZEOF_INT128__",)):
+            proc = subprocess.run(["cc", "-fsyntax-only", "-std=c99", "-Wall", "-Wextra",
+                                   "-Werror", *extra, _speedup.SOURCE],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        with open(_speedup.SOURCE) as fh:
+            source = fh.read()
+        for name, argtypes in (("ofo_run_segment", _speedup._ARGTYPES),
+                               ("ofo_format_rows", _speedup._FORMAT_ARGTYPES)):
+            params = re.search(rf"\b{name}\(([^)]*)\)\s*{{", source).group(1)
+            assert len(argtypes) == params.count(",") + 1, name
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_compiled_kernel_selected_when_cc_exists(self):
