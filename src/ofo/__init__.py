@@ -10,12 +10,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoxSet", "DisturbanceSchedule", "LinearPlant", "QuadraticCost", "RunConfig",
-    "SinePlant", "SqrtPlusCost", "certify", "decay_rate", "envelope_check",
-    "optimal_input", "required_regularization", "simulate", "sweep_alpha",
-]
-
 #: The submodule that defines each public name.
 _ORIGIN = {
     "certify": "certificate", "decay_rate": "certificate",
@@ -26,6 +20,7 @@ _ORIGIN = {
     "DisturbanceSchedule": "sim", "RunConfig": "sim", "envelope_check": "sim",
     "optimal_input": "sim", "simulate": "sim", "sweep_alpha": "sim",
 }
+__all__ = sorted(_ORIGIN)
 _SUBMODULES = ("certificate", "cli", "controllers", "costs", "engine", "errors",
                "linalg", "plants", "scenario", "sim")
 

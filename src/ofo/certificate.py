@@ -16,18 +16,12 @@ verdict is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .costs import CostModel, check_fit
 from .errors import ConvexityGapError, InputError
 from .linalg import spectral_norm, sym_eigenvalues
 from .plants import LinearPlant
-
-#: Names accepted as scenario-file overrides of derived constants.
-CONSTANT_FIELDS = (
-    "ell_f", "ell_g", "c3", "d3", "mu3", "zeta3",
-    "mu_phi", "ell_phi_u", "ell_phi_y", "lip_grad_u",
-)
 
 
 @dataclass(frozen=True)
@@ -63,6 +57,10 @@ class SimplifyingConstants:
             raise InputError("sandwich constants must satisfy c3 <= d3")
         if self.lip_grad_u < self.mu_phi * (1.0 - 1e-12):
             raise InputError("lip_grad_u must be at least mu_phi")
+
+
+#: Names accepted as scenario-file overrides of derived constants.
+CONSTANT_FIELDS = tuple(f.name for f in fields(SimplifyingConstants))
 
 
 @dataclass(frozen=True)
@@ -202,7 +200,7 @@ class CertificateReport:
 
     def to_text(self) -> str:
         """Flat `name = value` block for CLI output and golden-file tests."""
-        from .sim import fmt12  # local import to avoid a cycle
+        from .sim import fmt12  # here, so importing this module loads no ofo.sim or ofo.engine
 
         lines = [
             f"plant_kind = {self.plant_kind}",

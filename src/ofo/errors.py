@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto its exit codes: InputError -> 2, DivergenceError -> 4.
-A failed certification is a value, not an exception.
+The CLI maps DivergenceError to exit code 4, and every other OfoError, like any
+unexpected exception, to 2.  A failed certification is a value (exit code 3).
 """
 
 

@@ -110,17 +110,11 @@ class Matrix:
     def scale(self, factor: float) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(factor * v for v in self.data))
 
-    def neg(self) -> "Matrix":
-        return self.scale(-1.0)
-
     def max_norm(self) -> float:
         return max(abs(v) for v in self.data)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def symmetry_defect(self) -> float:
-        if not self.is_square():
+        if self.rows != self.cols:
             raise InputError("symmetry defect needs a square matrix")
         return max(
             (abs(self.entry(i, j) - self.entry(j, i)) for i in range(self.rows) for j in range(i)),
@@ -172,7 +166,7 @@ def solve_lyapunov(a: Matrix) -> Matrix:
     (singular system or an indefinite P) is reported as "plant not
     pre-stabilized".
     """
-    if not a.is_square():
+    if a.rows != a.cols:
         raise InputError("Lyapunov solve needs a square A")
     n = a.rows
 
@@ -217,7 +211,7 @@ def faddeev_leverrier(a: Matrix, left: Sequence[float],
     adj(sI - A) = M_1 s^(n-1) + ... + M_n, so the second polynomial has the
     n coefficients left^T M_k right.
     """
-    if not a.is_square():
+    if a.rows != a.cols:
         raise InputError("characteristic polynomial needs a square matrix")
     n = a.rows
     rows = [a.row(i) for i in range(n)]
@@ -257,7 +251,7 @@ def routh_hurwitz(coeffs: Sequence[float]) -> bool:
 
 def sym_eigenvalues(m: Matrix) -> Vector:
     """Eigenvalues of a symmetric matrix, ascending, via cyclic Jacobi rotations."""
-    if not m.is_square():
+    if m.rows != m.cols:
         raise InputError("eigenvalues need a square matrix")
     scale = m.max_norm()
     if m.symmetry_defect() > 1e-12 * scale:
@@ -304,7 +298,7 @@ def spectral_norm(m: Matrix) -> float:
 
 def inverse(m: Matrix) -> Matrix:
     """Dense inverse by Gauss-Jordan elimination with partial pivoting."""
-    if not m.is_square():
+    if m.rows != m.cols:
         raise InputError("inverse needs a square matrix")
     n = m.rows
     a = [list(m.row(i)) + [1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
@@ -330,7 +324,7 @@ def inverse(m: Matrix) -> Matrix:
     inv = Matrix(n, n, tuple(a[i][n + j] for i in range(n) for j in range(n)))
     # Rounding leaves a residual of about eps ||A|| ||A^-1||, so it is judged
     # against ||A|| ||A^-1|| as well as ||I|| = 1, as in solve_lyapunov.
-    check = m.matmul(inv).add(Matrix.identity(n).neg()).max_norm()
+    check = m.matmul(inv).add(Matrix.identity(n).scale(-1.0)).max_norm()
     if check > 1e-10 * max(1.0, m.max_norm() * inv.max_norm()):
         raise SingularMatrixError("singular plant matrix")
     return inv

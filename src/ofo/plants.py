@@ -30,7 +30,7 @@ from .linalg import (
 
 
 def _check_lti_shapes(a: Matrix, b: Matrix, bw: Matrix, c: Matrix) -> None:
-    if not a.is_square():
+    if a.rows != a.cols:
         raise InputError("state matrix must be square")
     n = a.rows
     if b.rows != n:
@@ -75,7 +75,7 @@ class LinearPlant:
     @cached_property
     def base_sensitivity(self) -> Matrix:
         """-C A^-1 B; the input-to-steady-output gain."""
-        return self.c.matmul(self.a_inverse).matmul(self.b).neg()
+        return self.c.matmul(self.a_inverse).matmul(self.b).scale(-1.0)
 
     @cached_property
     def loop_polynomials(self) -> tuple[Vector, Vector]:

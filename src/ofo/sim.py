@@ -107,24 +107,25 @@ def default_dt(plant: LinearPlant, cost: CostModel, alpha: float,
                beta: float | None = None) -> float:
     """Step size that keeps explicit stepping stable across the gain sweep.
 
-    Scales 0.1 by the fastest of: unit rate, the plant's spectral norm, and
-    the controller field's rate at this gain.  With stiffness = L +
-    ell_phi_y * ell_g * ell_h, an estimate of the gradient field's stiffness
-    per unit gain, that rate is alpha * stiffness for the gradient law (beta
-    None) and alpha * (1 + beta * stiffness) for the projected law with
-    stepsize beta, whose field alpha (proj(u - beta g) - u) moves no faster.
-    The step is capped at 2.5e-3, which keeps the step-halving end-state
-    agreement below 1e-6 even for lightly damped loops.  A step below the
-    floor 1e-6 is refused with StepLimitError rather than clamped, because a
-    clamped step would break that bound and report a divergence of the
-    integrator as one of the loop.
+    Scales 0.1 by the faster of the plant's spectral norm (positive: A is
+    Hurwitz) and the controller field's rate at this gain.  With stiffness =
+    L + ell_phi_y * ell_g * ell_h, an estimate of the gradient field's
+    stiffness per unit gain, that rate is alpha * stiffness for the gradient
+    law (beta None) and alpha * (1 + beta * stiffness) for the projected law
+    with stepsize beta, whose field alpha (proj(u - beta g) - u) moves no
+    faster.  The cap 2.5e-3, the rule's one absolute time constant, is an
+    accuracy bound: it keeps c08's step-halving end-state agreement below
+    1e-6 even for lightly damped loops.  A step below the floor 1e-6 is
+    refused with StepLimitError rather than clamped, because a clamped step
+    would break that bound and report a divergence of the integrator as one
+    of the loop.
     """
     ell_h, ell_grad_h = plant.steady_moduli
     a_norm, c_norm = plant.spectral_norms
     desc = cost.descriptor(ell_h, ell_grad_h)
     stiffness = desc.lip_grad_u + desc.ell_phi_y * c_norm * ell_h
     rate = alpha * stiffness if beta is None else alpha * (1.0 + beta * stiffness)
-    dt = 0.1 / max(1.0, a_norm, rate)
+    dt = 0.1 / max(a_norm, rate)
     if dt < _DT_FLOOR:
         raise StepLimitError(
             f"step-limited: alpha = {alpha:.6g} needs dt = {dt:.6g} for explicit stepping "
@@ -135,8 +136,8 @@ def default_dt(plant: LinearPlant, cost: CostModel, alpha: float,
 def plan_steps(t0: float, t1: float, dt: float) -> tuple[int, float]:
     """Split [t0, t1] into full dt steps plus one shortened final step.
 
-    Returns (n_full, last_dt); last_dt == 0.0 when dt divides the span.  A dt
-    longer than the span degenerates to a single shortened step.
+    Returns (n_full, last_dt); last_dt == 0.0 when dt divides the span to
+    within 1e-12 of it.  A dt longer than the span gives one shortened step.
     """
     if dt <= 0.0:
         raise InputError("dt must be positive")
@@ -145,7 +146,7 @@ def plan_steps(t0: float, t1: float, dt: float) -> tuple[int, float]:
         raise InputError("time span must have t1 > t0")
     n_full = int(math.floor(span / dt + 1e-12))
     rem = span - n_full * dt
-    if rem <= 1e-12 * dt:
+    if rem <= 1e-12 * span:
         rem = 0.0
     return n_full, rem
 

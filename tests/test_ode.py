@@ -31,6 +31,18 @@ class TestPlanSteps:
         assert n_full == 0
         assert last == pytest.approx(0.1, abs=1e-15)
 
+    def test_rounding_remainder_is_not_a_step(self):
+        # span - n_full * dt carries the rounding of the span itself; a step of
+        # a few of its ulps would add a record and can change the stride
+        assert plan_steps(0.0, 500.0, 0.0025 / 0.1) == (20000, 0.0)
+
+    def test_seeded_levels_segment_has_no_extra_step(self):
+        # the default step of `perfbench/levels.py 31` at gain 100, on its
+        # first and last 0.25-long segments
+        dt = 0.00045454545454545346
+        assert plan_steps(0.0, 0.25, dt) == (550, 0.0)
+        assert plan_steps(15.75, 16.0, dt) == (550, 0.0)
+
     def test_bad_inputs(self):
         with pytest.raises(InputError):
             plan_steps(0.0, 1.0, 0.0)

@@ -68,3 +68,20 @@ def test_unknown_name_raises_attribute_error():
         ofo.nonexistent
     with pytest.raises(ImportError):
         from ofo import nonexistent  # noqa: F401
+
+
+def test_a_run_imports_only_the_standard_library_and_ofo(tmp_path):
+    # PyYAML, with whatever its libyaml build brings, is imported before the
+    # snapshot; a runtime import of numpy, or of any new dependency, is not
+    code = ("import sys, yaml; before = set(sys.modules); from ofo.cli import main; "
+            f"rc = main(['reproduce', 'fig1', '--out', {str(tmp_path)!r}]); "
+            "print(rc, *sorted(set(sys.modules) - before))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=checkout_env())
+    assert run.returncode == 0, run.stderr
+    rc, *added = run.stdout.splitlines()[-1].split()
+    assert rc == "0"
+    assert "ofo.cli" in added
+    foreign = [name for name in added
+               if name.partition(".")[0] not in {*sys.stdlib_module_names, "ofo"}]
+    assert not foreign, foreign
