@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps DivergenceError to exit code 4, and every other OfoError, like any
-unexpected exception, to 2.  A failed certification is a value (exit code 3).
+Exit codes: 4 for DivergenceError; 3 for a failed certification, including a
+ConvexityGapError in `certify` (a run takes weight 1); 2 for any other error.
 """
 
 

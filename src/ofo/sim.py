@@ -136,8 +136,8 @@ def default_dt(plant: LinearPlant, cost: CostModel, alpha: float,
 def plan_steps(t0: float, t1: float, dt: float) -> tuple[int, float]:
     """Split [t0, t1] into full dt steps plus one shortened final step.
 
-    Returns (n_full, last_dt); last_dt == 0.0 when dt divides the span to
-    within 1e-12 of it.  A dt longer than the span gives one shortened step.
+    Returns (n_full, last_dt), with last_dt 0.0 for a remainder of rounding:
+    at most 1e-12 dt or 2 ulps of the end times.  dt over the span gives (0, span).
     """
     if dt <= 0.0:
         raise InputError("dt must be positive")
@@ -146,7 +146,7 @@ def plan_steps(t0: float, t1: float, dt: float) -> tuple[int, float]:
         raise InputError("time span must have t1 > t0")
     n_full = int(math.floor(span / dt + 1e-12))
     rem = span - n_full * dt
-    if rem <= 1e-12 * span:
+    if rem <= max(1e-12 * dt, 2.0 * math.ulp(max(abs(t0), abs(t1)))):
         rem = 0.0
     return n_full, rem
 

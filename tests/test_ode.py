@@ -32,16 +32,22 @@ class TestPlanSteps:
         assert last == pytest.approx(0.1, abs=1e-15)
 
     def test_rounding_remainder_is_not_a_step(self):
-        # span - n_full * dt carries the rounding of the span itself; a step of
-        # a few of its ulps would add a record and can change the stride
+        # 0.0025 / 0.1 is one ulp short of 0.025; over 20000 steps that leaves
+        # 5.7e-14, one ulp of 500, which as a step would add a record and
+        # change the stride
         assert plan_steps(0.0, 500.0, 0.0025 / 0.1) == (20000, 0.0)
+        # end times divided by 10: the span rounds to 0.6 ulp of 1.6 over 550 steps
+        assert plan_steps(15.75 / 10, 16.0 / 10, 1.0 / 2200.0 / 10) == (550, 0.0)
 
-    def test_seeded_levels_segment_has_no_extra_step(self):
-        # the default step of `perfbench/levels.py 31` at gain 100, on its
-        # first and last 0.25-long segments
-        dt = 0.00045454545454545346
-        assert plan_steps(0.0, 0.25, dt) == (550, 0.0)
-        assert plan_steps(15.75, 16.0, dt) == (550, 0.0)
+    def test_remainder_beyond_rounding_is_a_step(self):
+        # a dt 5e-15 short of dividing 5 leaves 2.5e-14, seven ulps of 20
+        n_full, last = plan_steps(15.0, 20.0, 0.0025 * (1.0 - 5e-15))
+        assert n_full == 2000
+        assert last == pytest.approx(2.5e-14, rel=0.01)
+        # one ulp long, the last step is a full one less 6.9e-14
+        n_full, last = plan_steps(0.0, 500.0, math.nextafter(0.025, 1.0))
+        assert n_full == 19999
+        assert last == pytest.approx(0.025, rel=1e-11)
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):

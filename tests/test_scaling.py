@@ -85,17 +85,13 @@ def report_of(doc: dict):
 
 
 def flat(report) -> dict:
-    """Every value of the report, nested records flattened to `record.field`,
-    with the margins the report prints."""
+    """Every value of the report, nested records flattened to `record.field`."""
     out = {}
     for key, value in asdict(report).items():
         if isinstance(value, dict):
             out.update({f"{key}.{name}": v for name, v in value.items()})
         else:
             out[key] = value
-    if report.xi is not None:
-        out["tau_x_margin"] = report.params.mu1 - report.xi.chosen * report.params.theta1
-        out["tau_u_margin_per_alpha"] = report.params.mu2 - report.params.theta2 / report.xi.chosen
     return out
 
 
@@ -103,7 +99,7 @@ def flat(report) -> dict:
 #: alpha and tau_at_alpha scale because the scaled loop is certified at
 #: eps times the original's gain.
 TIMES_EPS = {"constants.ell_f", "params.mu1", "params.theta2", "xi.lo", "xi.hi",
-             "xi.chosen", "tau_x_margin", "alpha", "tau_at_alpha"}
+             "xi.chosen", "alpha", "tau_at_alpha"}
 OVER_EPS = {"constants.c3", "constants.d3", "constants.zeta3"}
 
 
@@ -128,7 +124,9 @@ def run_config(doc: dict, dt: float | None = None):
 
 
 def default_step(config, alpha: float) -> float:
-    beta = None if config.box is None else config.beta or 1.0 / config.cost.grad_u_lipschitz
+    beta = None
+    if config.box is not None:
+        beta = config.beta if config.beta is not None else 1.0 / config.cost.grad_u_lipschitz
     return default_dt(config.plant, config.cost, alpha, beta)
 
 
