@@ -1,4 +1,4 @@
-"""The input interval of the projected feedback-optimization law and its projection.
+"""The input interval of the projected feedback-optimization law.
 
 The projected law applies a clamped gradient step so the input set stays
 forward-invariant; the stepping kernels carry that law, and this module holds
@@ -31,8 +31,3 @@ class BoxSet:
 
     def contains(self, u: float) -> bool:
         return self.lo <= u <= self.hi
-
-
-def proj_box(v: float, box: BoxSet) -> float:
-    """Euclidean projection onto the interval: clamping."""
-    return min(max(v, box.lo), box.hi)

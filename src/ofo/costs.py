@@ -77,8 +77,8 @@ class QuadraticCost:
         # vanishes.  When the sensitivity varies, that term has no finite
         # modulus, because y = h(u) is unbounded.
         return CostDescriptor(
-            mu_phi=2.0 * self.q_u + self.mu4,
-            lip_grad_u=2.0 * self.q_u + self.mu4,
+            mu_phi=self.grad_u_lipschitz,
+            lip_grad_u=self.grad_u_lipschitz,
             ell_phi_u=math.inf if ell_grad_h > 0.0 else 0.0,
             ell_phi_y=2.0 * self.q_y * ell_h,
         )
@@ -124,8 +124,8 @@ class SqrtPlusCost:
         # |d/dy sqrt(y^2+1)| <= 1 with unit Lipschitz modulus, so the reduced
         # gradient inherits ell_h in y and ell_grad_h in u.
         return CostDescriptor(
-            mu_phi=2.0 * self.a + self.mu4,
-            lip_grad_u=2.0 * self.a + self.mu4,
+            mu_phi=self.grad_u_lipschitz,
+            lip_grad_u=self.grad_u_lipschitz,
             ell_phi_u=ell_grad_h,
             ell_phi_y=ell_h,
         )

@@ -8,11 +8,12 @@
  *
  * ofo_format_rows writes a segment's samples as CSV rows, each field the
  * `%.12g` printout of its double in plain decimal notation, byte for byte
- * as ofo.engine.pure.format_rows does.  For 2^-36 <= |x| < 2^127 the 12
- * digits are computed exactly in 128-bit integers and placed around the
- * decimal point, so no exponent form is built; other values, and every
- * value on a compiler without __int128, go through snprintf("%.11e"), whose
- * 12 printed digits are the same and are placed the same way.
+ * as ofo.engine.pure.format_rows does.  The 12 significant digits come
+ * from one double product with an exact power of ten, |x| 10^k for
+ * -22 <= k <= 44, or about 1e-33 <= |x| < 1e34, whenever its rounding
+ * cannot change them (Clinger's fast path); other values go through
+ * snprintf("%.11e"), whose 12 printed digits are the same.  Both are placed
+ * around the decimal point the same way, so no exponent form is built.
  *
  * There is no mutable global or static state: each call touches only its
  * arguments and the memory it allocates, which ofo_run_segment frees and
@@ -241,41 +242,12 @@ static void place_digits(const char *d, long nd, long point, char *out, long *po
     }
 }
 
-/* The longest field either path writes: an exact-path field is at most
- * 40 bytes (-1.7e38 has 39 integer digits), a fallback field at most 338
- * ("-0." then 323 zeros and 12 digits, for -9.88131291682e-324). */
-#define FIELD_MAX 40
+/* The longest field either path writes: a product-path field is at most
+ * 47 bytes ("-0." then 32 zeros and 12 digits, as its decimal point falls
+ * after -32 to 35 of them), a snprintf field at most 338 ("-0." then 323
+ * zeros and 12 digits, for -9.88131291682e-324). */
+#define FIELD_MAX 47
 #define FALLBACK_MAX 338
-
-/* Puts the finite nonzero x as `%.12g` in plain notation, as
- * ofo.engine.pure.plain_field does.  snprintf("%.11e") prints the same 12
- * digits in the fixed layout [-]d.ddddddddddde(+|-)dd[d]; `%.12g` drops
- * their trailing zeros, and so does this before placing them. */
-static void printed_field(double x, char *out, long *pos)
-{
-    char text[24], d[12];
-    const char *c = text + (x < 0);
-    snprintf(text, sizeof text, "%.11e", x);
-    d[0] = c[0];
-    memcpy(d + 1, c + 2, 11);
-    long nd = 12;
-    while (d[nd - 1] == '0')
-        nd--;
-    if (x < 0)
-        put(out, pos, "-", 1);
-    place_digits(d, nd, atoi(c + 14) + 1, out, pos);
-}
-
-#ifdef __SIZEOF_INT128__
-typedef unsigned __int128 u128;
-
-static const uint64_t POW10[20] = {
-    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
-    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL,
-    1000000000000ULL, 10000000000000ULL, 100000000000000ULL,
-    1000000000000000ULL, 10000000000000000ULL, 100000000000000000ULL,
-    1000000000000000000ULL, 10000000000000000000ULL,
-};
 
 /* The two decimal digits of each of 0..99, in order. */
 static const char DIGIT_PAIRS[201] =
@@ -292,122 +264,92 @@ static void six_digits(uint32_t v, char *d)
     memcpy(d + 4, DIGIT_PAIRS + 2 * (low % 100), 2);
 }
 
-/* 10^k for 0 <= k <= 38. */
-static u128 pow10_u128(int k)
+/* 10^0 to 10^22, each exactly a double. */
+static const double POW10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+/* a 10^k for -22 <= k <= 44, with one rounding, or two for k > 22. */
+static double scaled(double a, int k)
 {
-    return k < 20 ? (u128)POW10[k] : (u128)POW10[19] * POW10[k - 19];
+    if (k < 0)
+        return a / POW10[-k];
+    if (k <= 22)
+        return a * POW10[k];
+    return (a * POW10[22]) * POW10[k - 22];
 }
 
-/* N = round-half-even(m 2^e 10^k) for m < 2^53, computed exactly as the
- * quotient num / den and its remainder: with k >= 0 (then k <= 22 and
- * 1 <= -e <= 88) num = m 10^k and den = 2^-e, a right shift; otherwise
- * (-k <= 38, and e <= 74 or -e <= 13) den = 10^-k, times 2^-e when e < 0. */
-static u128 scaled_round(uint64_t m, int e, int k)
+/* Writes into d the 12 significant digits that `%.12g` prints for a > 0,
+ * and sets *e to the decimal exponent E of the first, from the double
+ * s = a 10^k, k = 11 - E, for which 10^11 <= s < 10^12.  The estimate of E
+ * from a's binary exponent is E or E - 1, and a product of 10^12 + 0.5 or
+ * more moves it up.  s is within 2^-52 s < 2.5e-4 of a 10^k, and its
+ * fraction is exact as s < 2^52, so rounding s to the nearest integer
+ * gives the digits unless that fraction is within 2^-10 of one half.
+ * Returns 1 when done and 0, having settled nothing, then and when k is
+ * outside [-22, 44]. */
+static int product_digits(double a, char *d, int *e)
 {
-    u128 q, r, den;
-    if (k >= 0) {
-        u128 num = (u128)m * pow10_u128(k);
-        den = (u128)1 << -e;
-        q = num >> -e;
-        r = num - (q << -e);
-    } else {
-        u128 num = e >= 0 ? (u128)m << e : (u128)m;
-        den = e >= 0 ? pow10_u128(-k) : pow10_u128(-k) << -e;
-        q = num / den;
-        r = num - q * den;
+    /* floor(b log10 2) for 2^b <= a < 2^(b+1), exact for every double's b */
+    int big_e = (ilogb(a) * 78913) >> 18;
+    if (11 - big_e < -22 || 11 - big_e > 44)
+        return 0;
+    double s = scaled(a, 11 - big_e);
+    if (s >= 1e12 + 0.5) {                  /* a >= 10^(E+1): E was one too low */
+        if (11 - ++big_e < -22)
+            return 0;
+        s = scaled(a, 11 - big_e);
     }
-    if (r > den - r || (r == den - r && (q & 1)))
-        q++;
-    return q;
-}
-
-/* Puts the finite nonzero x, 2^-36 <= |x| < 2^127, as `%.12g` in plain
- * notation.  Its 12 significant digits N and decimal exponent E come from
- * integer arithmetic on the binary form x = m 2^e, so no float is printed.
- * The range bounds the decimal point's place after the first digit,
- * point = E + 1, to -10 <= point <= 39, so every copy below has a fixed
- * size and stays inside the FIELD_MAX + 1 bytes the caller makes room for:
- * at most 25 bytes with the point outside the digits on the left, 40 on
- * the right, and 25 inside them. */
-static void exact_field(double x, char *out, long *pos)
-{
-    uint64_t bits;
-    memcpy(&bits, &x, sizeof bits);
-    int b = (int)((bits >> 52) & 0x7ff) - 1023;           /* 2^b <= |x| < 2^(b+1) */
-    uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | (UINT64_C(1) << 52);
-    int e = b - 52;
-    int big_e = (b * 78913) >> 18;                          /* floor(b log10 2) */
-    const u128 top = POW10[12];
-    u128 n = scaled_round(m, e, 11 - big_e);
-    if (n > top) {                    /* |x| >= 10^(E+1): E was one too low */
+    double whole = floor(s), frac = s - whole;
+    if (fabs(frac - 0.5) < 0x1p-10)
+        return 0;
+    uint64_t n = (uint64_t)whole + (frac > 0.5);
+    if (n == UINT64_C(1000000000000)) {     /* rounded up to the next power of ten */
         big_e++;
-        n = scaled_round(m, e, 11 - big_e);
+        n /= 10;
     }
-    if (n == top) {                   /* rounded up to the next power of ten */
-        big_e++;
-        n = top / 10;
-    }
-    /* the 12 digits of 10^11 <= N < 10^12, then zeros to read past them */
-    char d[24];
-    uint64_t v = (uint64_t)n;
-    six_digits((uint32_t)(v / 1000000), d);
-    six_digits((uint32_t)(v % 1000000), d + 6);
-    memset(d + 12, '0', 12);
-    long nd = 12, point = big_e + 1;
-    while (d[nd - 1] == '0')
-        nd--;
-    char *o = out + *pos;
-    *o = '-';
-    o += x < 0;
-    if (point <= 0) {                 /* "0.", -point zeros, the digits */
-        memcpy(o, "0.0000000000", 12);
-        memcpy(o + 2 - point, d, 12);
-        o += 2 - point + nd;
-    } else if (point >= nd) {         /* the digits, zeros up to the point */
-        memcpy(o, d, 12);
-        memset(o + 12, '0', 27);
-        o += point;
-    } else {                          /* the point inside the digits */
-        memcpy(o, d, 12);
-        o[point] = '.';
-        memcpy(o + point + 1, d + point, 12);
-        o += nd + 1;
-    }
-    *pos = o - out;
+    six_digits((uint32_t)(n / 1000000), d);
+    six_digits((uint32_t)(n % 1000000), d + 6);
+    *e = big_e;
+    return 1;
 }
 
-static int in_exact_range(double a)
+/* Writes into d the 12 significant digits of a > 0 as snprintf("%.11e")
+ * prints them, in the layout d.ddddddddddde(+|-)dd[d], and returns the
+ * decimal exponent of the first. */
+static int printed_digits(double a, char *d)
 {
-    return a >= 0x1p-36 && a < 0x1p127;
+    char text[24];
+    snprintf(text, sizeof text, "%.11e", a);
+    d[0] = text[0];
+    memcpy(d + 1, text + 2, 11);
+    return atoi(text + 14);
 }
-#else
-static void exact_field(double x, char *out, long *pos)
-{
-    (void)x, (void)out, (void)pos;
-}
-
-static int in_exact_range(double a)
-{
-    (void)a;
-    return 0;
-}
-#endif
 
 /* Puts x as `%.12g` in plain notation, as ofo.engine.pure.plain_field
  * ("%.12g" % x) does, followed by a comma, in the FALLBACK_MAX + 1 bytes
- * at out + *pos.  Returns 0 when put and 1, having put nothing, for inf or
- * nan. */
+ * at out + *pos: its 12 digits, less the trailing zeros `%.12g` drops,
+ * around the decimal point.  Returns 0 when put and 1, having put nothing,
+ * for inf or nan. */
 static int put_double(double x, char *out, long *pos)
 {
-    double a = fabs(x);
+    char d[12];
+    int e;
+    long nd = 12;
     if (!isfinite(x))
         return 1;
-    if (in_exact_range(a))
-        exact_field(x, out, pos);
-    else if (a == 0.0)
+    if (x == 0.0) {
         out[(*pos)++] = '0';
-    else
-        printed_field(x, out, pos);
+    } else {
+        if (!product_digits(fabs(x), d, &e))
+            e = printed_digits(fabs(x), d);
+        while (d[nd - 1] == '0')
+            nd--;
+        if (x < 0)
+            put(out, pos, "-", 1);
+        place_digits(d, nd, e + 1, out, pos);
+    }
     out[(*pos)++] = ',';
     return 0;
 }
@@ -425,18 +367,18 @@ static void put_text(const char *s, long len, char end, char *out, long *pos)
  * n and y p.  Sets *out to that memory, which the caller releases with
  * ofo_free, and returns the number of bytes written.  Returns -1 when a
  * value is inf or nan and -2 when memory cannot be allocated, with *out
- * NULL.  The first allocation holds every row on the exact path; a row is
- * begun only with room for its longest form, and the memory grows when
- * fallback fields leave less. */
+ * NULL.  The first allocation holds every row on the product path; a row
+ * is begun only with room for its longest form, and the memory grows when
+ * snprintf fields leave less. */
 long ofo_format_rows(const double *t, const double *x, const double *u,
                      const double *y, const double *v, int n, int p, long rows,
                      const char *w_text, long w_len, const char *ustar_text, long ustar_len,
                      char **out)
 {
     long fields = n + p + 3, text = w_len + ustar_len + 2;
-    long row_exact = fields * (FIELD_MAX + 1) + text;
+    long row_product = fields * (FIELD_MAX + 1) + text;
     long row_max = fields * (FALLBACK_MAX + 1) + text;
-    long cap = rows * row_exact + (row_max - row_exact), pos = 0;
+    long cap = rows * row_product + (row_max - row_product), pos = 0;
     char *buf = malloc((size_t)cap);
     *out = NULL;
     if (buf == NULL)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from ofo import engine
-from ofo.controllers import proj_box
 from ofo.costs import QuadraticCost, SqrtPlusCost, reduced_gradient
 from ofo.engine import pure
 from ofo.errors import DivergenceError, InputError
@@ -117,6 +116,11 @@ def plant_output(plant, x):
     if len(x) != plant.n:
         raise InputError(f"state has length {len(x)}, expected {plant.n}")
     return plant.c.matvec(x)
+
+
+def proj_box(v, box):
+    """Euclidean projection onto the interval box: clamping."""
+    return min(max(v, box.lo), box.hi)
 
 
 def ofo_rate(cost, sensitivity, alpha, u, y, beta=None, box=None):

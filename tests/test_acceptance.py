@@ -22,7 +22,7 @@ from ofo.certificate import (
     certify,
 )
 from ofo.cli import main
-from ofo.controllers import BoxSet, proj_box
+from ofo.controllers import BoxSet
 from ofo.engine import pure
 from ofo.errors import DivergenceError
 from ofo.linalg import Matrix, solve_lyapunov, vec_sub
@@ -34,6 +34,7 @@ from conftest import (
     final_state,
     inputs,
     integrate,
+    proj_box,
     random_hurwitz_rows,
     to_rows,
     vec_norm,

@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from ofo.controllers import BoxSet, proj_box
+from ofo.controllers import BoxSet
 from ofo.costs import QuadraticCost, SqrtPlusCost, reduced_gradient
 from ofo.errors import InputError
 from ofo.sim import DisturbanceSchedule, RunConfig
 
-from conftest import inputs, ofo_rate
+from conftest import inputs, ofo_rate, proj_box
 
 
 class TestProjBox:

@@ -1,4 +1,3 @@
-import ctypes
 import io
 import math
 import os
@@ -673,11 +672,10 @@ class TestKernels:
         # entries as the C functions have parameters
         from ofo.engine import _speedup
 
-        for extra in ((), ("-U__SIZEOF_INT128__",)):
-            proc = subprocess.run(["cc", "-fsyntax-only", "-std=c99", "-Wall", "-Wextra",
-                                   "-Werror", *extra, _speedup.SOURCE],
-                                  capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
+        proc = subprocess.run(["cc", "-fsyntax-only", "-std=c99", "-pedantic-errors", "-Wall",
+                               "-Wextra", "-Werror", _speedup.SOURCE],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
         with open(_speedup.SOURCE) as fh:
             source = fh.read()
         for name, argtypes in (("ofo_run_segment", _speedup._ARGTYPES),
@@ -1324,10 +1322,10 @@ class TestCsv:
         write_csv(traj, buf)
         return buf.getvalue().decode("ascii")
 
-    def assert_matches_oracle(self, segments, monkeypatch, formatters=None):
+    def assert_matches_oracle(self, segments, monkeypatch):
         traj = self.table(segments)
         want = self.oracle_csv(segments)
-        for formatter in formatters or self.formatters():
+        for formatter in self.formatters():
             got = self.csv_with(formatter, traj, monkeypatch)
             if got != want:
                 # name the first differing line; a diff of megabytes takes minutes
@@ -1335,7 +1333,7 @@ class TestCsv:
                 first = next((a, b) for a, b in lines if a != b)
                 pytest.fail(f"{formatter.__module__}: row differs from the oracle: {first}")
 
-    def assert_fields_match_printf(self, values, formatters=None):
+    def assert_fields_match_printf(self, values):
         # each value as one sample field of two-state, one-output rows
         # (t, x1, x2, u1, y1, V), against "%.12g" with its exponent form
         # expanded by plain_field
@@ -1345,7 +1343,7 @@ class TestCsv:
                                                                for x in values[i + 1:i + 3]],
                                        us=values[3::6], ys=values[4::6], vs=values[5::6])
         want = [pure.plain_field("%.12g" % x) for x in values]
-        for formatter in formatters or self.formatters():
+        for formatter in self.formatters():
             lines = formatter(samples, 2, 1, "7", "-3").decode("ascii").split("\n")
             assert lines.pop() == ""
             got = [f for line in lines for i, f in enumerate(line.split(",")) if i not in (5, 7)]
@@ -1355,28 +1353,41 @@ class TestCsv:
 
     def test_exact_decimal_ties_match_printf(self):
         # a 13-digit integer ending in 5 is a tie at 12 digits: as it is,
-        # scaled up to 1e16, and as r / 2^j, with both float neighbours of each
+        # scaled up to 1e16, as r / 2^j, and scaled to the nearest double
+        # into the compiled formatter's division range (|x| >= 1e12) and its
+        # two-rounding range (|x| < 1e-11), with both float neighbours of each
         rng = random.Random(1313)
         ties = []
         for _ in range(2000):
             tie = rng.randrange(10 ** 11, 10 ** 12) * 10 + 5
             ties += [tie * 10 ** s for s in range(4)]
+            ties += [float(f"{tie}e{rng.randrange(0, 22)}"),
+                     float(f"{tie}e{rng.randrange(-45, -23)}")]
             for j in (1, 2, 3):
                 odd = rng.randrange(10 ** 12 // 5 ** j + 1, 10 ** 13 // 5 ** j) | 1
                 ties.append(odd * 5 ** j / 10 ** j)  # odd / 2^j, exactly
         values = [y for x in ties for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))]
         self.assert_fields_match_printf(values + [-x for x in values])
 
-    def test_rounding_carries_and_exact_range_edges_match_printf(self):
-        # carries into the next power of ten, and both sides of each edge of
-        # the compiled formatter's exact range [2^-36, 2^127), whose values
-        # outside go through snprintf
+    @staticmethod
+    def carries_and_edges() -> list[float]:
+        """Carries into the next power of ten, and both sides of each edge
+        of the compiled formatter's product path |x| 10^k, whose values
+        outside go through snprintf: k = 44 from 2^-109 on, k = 22 to 23 at
+        2^-36, and k = -22 below 2^113, where from just above 1e34 on the
+        next product, k = -23, is out of range; each with both float
+        neighbours and both signs."""
         carries = [999999999999.5, 9.99999999999995e-5, 9.999999999995, 99999999999.95,
-                   9.999999999995e15, 9.999999999995e-11, 9.999999999995e37]
-        edges = [2.0 ** -36, 2.0 ** 127, 1e-11, 1e-4, 1e12, 1.7e38]
+                   9.999999999995e15, 9.999999999995e-11, 9.999999999995e37,
+                   9.999999999995e-30, 9.9999999999996e-30, 9.999999999995e-33,
+                   9.9999999999996e-33, 9.999999999995e33, 9.9999999999996e33]
+        edges = [2.0 ** -109, 1e-33, 2.0 ** -36, 1e-11, 1e34, 2.0 ** 113, 1e-4, 1e12, 1.7e38]
         values = [y for x in carries + edges
                   for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))]
-        self.assert_fields_match_printf(values + [-x for x in values])
+        return values + [-x for x in values]
+
+    def test_rounding_carries_and_exact_range_edges_match_printf(self):
+        self.assert_fields_match_printf(self.carries_and_edges())
 
     def test_log_uniform_magnitudes_match_printf(self):
         rng = random.Random(4040)
@@ -1417,51 +1428,27 @@ class TestCsv:
         self.assert_matches_oracle(self.edge_segments(), monkeypatch)
 
     @staticmethod
-    def no_int128_formatter(tmp_path, monkeypatch):
-        """The compiled format_rows on a build without __int128, which puts
-        every field through the snprintf("%.11e") fallback; the usual build
-        reaches it only below 2^-36 and from 2^127 on."""
-        from ofo.engine import _speedup
-
-        lib = tmp_path / "kernel-no-int128.so"
-        subprocess.run(["cc", *_speedup.FLAGS, "-U__SIZEOF_INT128__", "-o", str(lib),
-                        _speedup.SOURCE, "-lm"], check=True)
-        fmt = ctypes.CDLL(str(lib)).ofo_format_rows
-        fmt.argtypes, fmt.restype = _speedup._FORMAT_ARGTYPES, ctypes.c_long
-        monkeypatch.setattr(_speedup, "_format", fmt)
-        return _speedup.format_rows
-
-    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-    def test_no_int128_build_matches_per_field_decimal_oracle(self, tmp_path, monkeypatch):
-        formatter = self.no_int128_formatter(tmp_path, monkeypatch)
-        for segments in [*self.random_bit_segments(), self.edge_segments()]:
-            self.assert_matches_oracle(segments, monkeypatch, [formatter])
-
-    @staticmethod
     def point_placements() -> list[float]:
-        """Values of the exact path's range, 2^-36 <= |x| < 2^127, with the
-        decimal point after each of -10 to 39 of their 12 printed digits
-        (a negative count is the zeros after "0."), for significands of 1 to
-        12 digits; among them every integer whose point falls right after its
-        last significant digit (point == nd), for nd = 1 to 12."""
+        """Values with the decimal point after each of -40 to 40 of their 12
+        printed digits (a negative count is the zeros after "0."), which
+        span the compiled formatter's product path, -32 to 35, and reach
+        past it on both sides, for significands of 1 to 12 digits; among
+        them every integer whose point falls right after its last
+        significant digit (point == nd), for nd = 1 to 12."""
         significands = ("1", "2", "15", "9", "16", "105", "123456", "999999", "16500000001",
                         "20000000003", "123456789012", "987654321098", "100000000001")
-        values = [x for point in range(-10, 40) for digits in significands
-                  for x in (float(f"0.{digits}e{point}"),) if 2.0 ** -36 <= x < 2.0 ** 127]
+        values = [float(f"0.{digits}e{point}") for point in range(-40, 41)
+                  for digits in significands]
         values += [float("123456789123"[:nd]) for nd in range(1, 13)]
         return values + [-x for x in values]
 
-    def test_every_point_placement_matches_printf(self, tmp_path, monkeypatch):
+    def test_every_point_placement_matches_printf(self, monkeypatch):
         values = self.point_placements()
-        assert {Decimal(f"{x:.12g}").adjusted() + 1 for x in values} == set(range(-10, 40))
+        assert {Decimal(f"{x:.12g}").adjusted() + 1 for x in values} == set(range(-40, 41))
         self.assert_fields_match_printf(values)
         table = [(0.5, 0.5, list(zip(*[iter(values[i:] + values[:i])] * 6)))
                  for i in range(6)]
         self.assert_matches_oracle(table, monkeypatch)
-        if shutil.which("cc") is not None:
-            formatter = self.no_int128_formatter(tmp_path, monkeypatch)
-            self.assert_fields_match_printf(values, [formatter])
-            self.assert_matches_oracle(table, monkeypatch, [formatter])
 
     def test_plain_text_field_boundaries(self):
         # -0 and exponent forms first and last on a line, at the end of a
@@ -1518,3 +1505,71 @@ class TestCsv:
         compiled = self.csv_with(engine._speedup.format_rows, traj, monkeypatch)
         assert "e" not in compiled.split("\n", 1)[1]
         assert compiled == self.csv_with(pure.format_rows, traj, monkeypatch)
+
+    #: Run in a child Python: points the compiled kernel at the library
+    #: argv[1], formats the doubles in the file argv[2] as the one-state,
+    #: one-output rows of its columns into argv[3], and reproduces fig1
+    #: into the directory argv[4].
+    SANITIZED_CHILD = """
+import ctypes, sys
+from array import array
+from ofo import engine
+from ofo.cli import main
+from ofo.engine import _speedup
+
+lib = ctypes.CDLL(sys.argv[1])
+_speedup._run, _speedup._format, _speedup._free = (
+    lib.ofo_run_segment, lib.ofo_format_rows, lib.ofo_free)
+lib.ofo_run_segment.argtypes, lib.ofo_run_segment.restype = _speedup._ARGTYPES, ctypes.c_long
+lib.ofo_format_rows.argtypes, lib.ofo_format_rows.restype = (
+    _speedup._FORMAT_ARGTYPES, ctypes.c_long)
+lib.ofo_free.argtypes, lib.ofo_free.restype = [ctypes.c_void_p], None
+values = array("d")
+with open(sys.argv[2], "rb") as fh:
+    values.frombytes(fh.read())
+samples = engine.SegmentResult(times=values[0::5], xs=values[1::5], us=values[2::5],
+                               ys=values[3::5], vs=values[4::5])
+with open(sys.argv[3], "wb") as fh:
+    fh.write(_speedup.format_rows(samples, 1, 1, "7", "-3"))
+sys.exit(main(["reproduce", "fig1", "--out", sys.argv[4]]))
+"""
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_kernel_runs_clean_under_address_and_undefined_sanitizers(self, tmp_path):
+        # the kernel built with ASan and UBSan, any report fatal, formats the
+        # edge, carry, placement and random values and reproduces fig1 in a
+        # child Python that preloads the sanitizer runtimes; both give the
+        # bytes of the usual build
+        from ofo.engine import _speedup
+
+        runtimes = [subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True,
+                                   text=True).stdout.strip()
+                    for name in ("libasan.so", "libubsan.so")]
+        if not all(os.path.isabs(path) and os.path.exists(path) for path in runtimes):
+            pytest.skip("no ASan or UBSan runtime")
+        lib = tmp_path / "kernel-sanitized.so"
+        subprocess.run(["cc", *_speedup.FLAGS, "-fsanitize=address,undefined",
+                        "-fno-sanitize-recover=all", "-o", str(lib), _speedup.SOURCE, "-lm"],
+                       check=True)
+        values = [x for _, _, rows in self.edge_segments() for row in rows for x in row]
+        values += self.carries_and_edges() + self.point_placements()
+        values += [x for w, ustar, rows in next(self.random_bit_segments())
+                   for x in (w, ustar, *(x for row in rows for x in row))]
+        values = array("d", values + [0.5] * (-len(values) % 5))
+        (tmp_path / "values").write_bytes(values.tobytes())
+        child = subprocess.run(
+            [sys.executable, "-c", self.SANITIZED_CHILD, str(lib), str(tmp_path / "values"),
+             str(tmp_path / "rows.csv"), str(tmp_path / "sanitized")],
+            capture_output=True, text=True,
+            env=checkout_env(LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0"))
+        assert child.returncode == 0, child.stderr[-3000:]
+        samples = engine.SegmentResult(times=values[0::5], xs=values[1::5], us=values[2::5],
+                                       ys=values[3::5], vs=values[4::5])
+        assert (tmp_path / "rows.csv").read_bytes() == _speedup.format_rows(samples, 1, 1,
+                                                                            "7", "-3")
+        assert main(["reproduce", "fig1", "--out", str(tmp_path / "usual")]) == 0
+        names = sorted(os.listdir(tmp_path / "usual"))
+        assert sorted(os.listdir(tmp_path / "sanitized")) == names
+        for name in names:
+            assert ((tmp_path / "sanitized" / name).read_bytes()
+                    == (tmp_path / "usual" / name).read_bytes()), name
