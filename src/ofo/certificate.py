@@ -31,7 +31,9 @@ class SimplifyingConstants:
     Plant side: ell_f (input Lipschitz modulus of the dynamics), ell_g (output
     map modulus), and the Lyapunov sandwich/decay/gradient constants c3 <= d3,
     mu3, zeta3.  Cost side: strong convexity mu_phi, coupling moduli ell_phi_u
-    and ell_phi_y, and the u-gradient Lipschitz modulus lip_grad_u.
+    and ell_phi_y, and the u-gradient Lipschitz modulus lip_grad_u.  The four
+    coupling moduli may be 0: ell_f = 0 (B = 0) zeroes theta1 and ell_g = 0
+    (C = 0) theta2.  The other constants must be positive.
     """
 
     ell_f: float
@@ -46,11 +48,10 @@ class SimplifyingConstants:
     lip_grad_u: float
 
     def __post_init__(self):
-        # ell_g = 0 (C = 0) only zeroes theta2; ell_f > 0 because theta1 divides mu1
-        for name in ("ell_f", "c3", "d3", "mu3", "zeta3", "mu_phi", "lip_grad_u"):
+        for name in ("c3", "d3", "mu3", "zeta3", "mu_phi", "lip_grad_u"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"constant {name} must be positive")
-        for name in ("ell_g", "ell_phi_u", "ell_phi_y"):
+        for name in ("ell_f", "ell_g", "ell_phi_u", "ell_phi_y"):
             if getattr(self, name) < 0.0:
                 raise InputError(f"constant {name} must be nonnegative")
         if self.c3 > self.d3 * (1.0 + 1e-12):
@@ -99,18 +100,18 @@ def assemble_constants(
     The cost moduli are taken at the plant's steady-output moduli.
     """
     eigs = sym_eigenvalues(plant.lyapunov_p)
-    desc = cost.descriptor(*plant.steady_moduli)
+    ell_phi_u, ell_phi_y = cost.coupling_moduli(*plant.steady_moduli)
     values = {
         "ell_f": plant.input_lipschitz_factor * spectral_norm(plant.b),
-        "ell_g": spectral_norm(plant.c),
+        "ell_g": plant.spectral_norms[1],
         "c3": eigs[0],
         "d3": eigs[-1],
         "mu3": 1.0,
         "zeta3": 2.0 * eigs[-1],
-        "mu_phi": desc.mu_phi,
-        "ell_phi_u": desc.ell_phi_u,
-        "ell_phi_y": desc.ell_phi_y,
-        "lip_grad_u": desc.lip_grad_u,
+        "mu_phi": cost.grad_u_lipschitz,
+        "ell_phi_u": ell_phi_u,
+        "ell_phi_y": ell_phi_y,
+        "lip_grad_u": cost.grad_u_lipschitz,
     }
     overridden: list[str] = []
     for name, value in (overrides or {}).items():
@@ -139,14 +140,19 @@ def derive_dominance_params(k: SimplifyingConstants) -> DominanceParams:
 def feasible_xi(p: DominanceParams) -> XiInterval | None:
     """Open interval (theta2/mu2, mu1/theta1) of weights making both decay
     margins strict; None when it is empty.  The geometric mean is picked as
-    the representative weight, balancing the two margins; with no output
-    coupling (lo = 0) that mean would be 0, outside the interval, so hi/2 is.
+    the representative weight, balancing the two margins.  With no output
+    coupling (lo = 0) that mean would be 0, outside the interval, so hi/2 is;
+    with no input coupling (theta1 = 0, so hi = inf) it would be inf, so 2 lo
+    is, leaving the u-margin at mu2/2, and 1 when lo = 0 as well.
     """
     lo = p.theta2 / p.mu2
-    hi = p.mu1 / p.theta1
+    hi = p.mu1 / p.theta1 if p.theta1 > 0.0 else math.inf
     if not lo < hi:
         return None
-    chosen = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
+    if hi == math.inf:
+        chosen = 2.0 * lo if lo > 0.0 else 1.0
+    else:
+        chosen = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
     return XiInterval(lo=lo, hi=hi, chosen=chosen)
 
 
@@ -221,7 +227,7 @@ class CertificateReport:
         else:
             lines += [
                 f"xi_lo = {fmt12(self.xi.lo)}",
-                f"xi_hi = {fmt12(self.xi.hi)}",
+                f"xi_hi = {fmt12(self.xi.hi) if self.xi.hi < math.inf else 'inf'}",
                 f"xi_chosen = {fmt12(self.xi.chosen)}",
             ]
         lines.append(f"certified = {'true' if self.certified else 'false'}")

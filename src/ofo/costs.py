@@ -1,7 +1,9 @@
 """Cost models, their partial gradients, and the moduli the certificate needs.
 
-Each model reports a CostDescriptor: strong-convexity and Lipschitz moduli of
-its gradients, assembled with the plant's steady-output Lipschitz constants.
+Each model reports grad_u_lipschitz, its strong convexity in u and the
+Lipschitz modulus of its u-gradient alike, and coupling_moduli, the moduli
+(ell_phi_u, ell_phi_y) of its reduced gradient's output coupling in u and in
+y at the plant's steady-output Lipschitz constants.
 The input u is a scalar and the output y a vector.  Both models carry an
 input regularization mu4 >= 0, which adds (mu4 / 2) u^2 to the cost and mu4
 to its input curvature.  The reduced gradient combines the input gradient
@@ -16,19 +18,6 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .linalg import Vector
-
-
-@dataclass(frozen=True)
-class CostDescriptor:
-    """Moduli describing a cost: used by the certificate and the step-size rule.
-
-    ell_phi_y is the Lipschitz modulus (in y) of the reduced gradient map.
-    """
-
-    mu_phi: float          # strong convexity of the cost in u
-    lip_grad_u: float      # Lipschitz modulus of the u-gradient in u
-    ell_phi_u: float       # Lipschitz modulus (in u) of the sensitivity-weighted y-gradient
-    ell_phi_y: float
 
 
 def _check_moduli(ell_h: float, ell_grad_h: float) -> None:
@@ -70,18 +59,13 @@ class QuadraticCost:
     def grad_u_lipschitz(self) -> float:
         return 2.0 * self.q_u + self.mu4
 
-    def descriptor(self, ell_h: float, ell_grad_h: float = 0.0) -> CostDescriptor:
+    def coupling_moduli(self, ell_h: float, ell_grad_h: float = 0.0) -> tuple[float, float]:
         _check_moduli(ell_h, ell_grad_h)
         # The sensitivity of a linear steady map is constant, so the
         # u-Lipschitz modulus of its weighted y-gradient 2 q_y h'(u) y
         # vanishes.  When the sensitivity varies, that term has no finite
         # modulus, because y = h(u) is unbounded.
-        return CostDescriptor(
-            mu_phi=self.grad_u_lipschitz,
-            lip_grad_u=self.grad_u_lipschitz,
-            ell_phi_u=math.inf if ell_grad_h > 0.0 else 0.0,
-            ell_phi_y=2.0 * self.q_y * ell_h,
-        )
+        return math.inf if ell_grad_h > 0.0 else 0.0, 2.0 * self.q_y * ell_h
 
     kind = "quadratic"
 
@@ -119,16 +103,11 @@ class SqrtPlusCost:
     def grad_u_lipschitz(self) -> float:
         return 2.0 * self.a + self.mu4
 
-    def descriptor(self, ell_h: float, ell_grad_h: float = 0.0) -> CostDescriptor:
+    def coupling_moduli(self, ell_h: float, ell_grad_h: float = 0.0) -> tuple[float, float]:
         _check_moduli(ell_h, ell_grad_h)
         # |d/dy sqrt(y^2+1)| <= 1 with unit Lipschitz modulus, so the reduced
         # gradient inherits ell_h in y and ell_grad_h in u.
-        return CostDescriptor(
-            mu_phi=self.grad_u_lipschitz,
-            lip_grad_u=self.grad_u_lipschitz,
-            ell_phi_u=ell_grad_h,
-            ell_phi_y=ell_h,
-        )
+        return ell_grad_h, ell_h
 
     kind = "sqrtplus"
 

@@ -327,7 +327,7 @@ static int printed_digits(double a, char *d)
     return atoi(text + 14);
 }
 
-/* Puts x as `%.12g` in plain notation, as ofo.engine.pure.plain_field
+/* Puts x as `%.12g` in plain notation, as ofo.engine.params.plain_field
  * ("%.12g" % x) does, followed by a comma, in the FALLBACK_MAX + 1 bytes
  * at out + *pos: its 12 digits, less the trailing zeros `%.12g` drops,
  * around the decimal point.  Returns 0 when put and 1, having put nothing,

@@ -149,18 +149,11 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
         rec_v.append(vu if vu > vx else vx)
 
     record(0)
-    h2_main = 0.5 * dt
-    h6_main = dt / 6.0
     max_violation = 0.0
     for i in range(n_tot):
-        if i < n_full:
-            h = dt
-            h2 = h2_main
-            h6 = h6_main
-        else:
-            h = last_dt
-            h2 = 0.5 * h
-            h6 = h / 6.0
+        h = dt if i < n_full else last_dt
+        h2 = 0.5 * h
+        h6 = h / 6.0
         ku1 = eval_field(x, u, kx1)
         for j in range(n):
             xt[j] = x[j] + h2 * kx1[j]

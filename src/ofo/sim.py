@@ -122,8 +122,8 @@ def default_dt(plant: LinearPlant, cost: CostModel, alpha: float,
     """
     ell_h, ell_grad_h = plant.steady_moduli
     a_norm, c_norm = plant.spectral_norms
-    desc = cost.descriptor(ell_h, ell_grad_h)
-    stiffness = desc.lip_grad_u + desc.ell_phi_y * c_norm * ell_h
+    ell_phi_y = cost.coupling_moduli(ell_h, ell_grad_h)[1]
+    stiffness = cost.grad_u_lipschitz + ell_phi_y * c_norm * ell_h
     rate = alpha * stiffness if beta is None else alpha * (1.0 + beta * stiffness)
     dt = 0.1 / max(a_norm, rate)
     if dt < _DT_FLOOR:
@@ -218,8 +218,7 @@ def _searched_optimum(plant: LinearPlant, cost: CostModel, w: Vector,
     def grad(u: float) -> float:
         return reduced_gradient(cost, plant.sensitivity(u), u, plant.steady_output(u, w))
 
-    desc = cost.descriptor(*plant.steady_moduli)
-    if desc.mu_phi - desc.ell_phi_u > 0.0:
+    if cost.grad_u_lipschitz - cost.coupling_moduli(*plant.steady_moduli)[0] > 0.0:
         return _bisect(grad, lo, hi)
 
     corners = [lo, hi] if box is not None else []

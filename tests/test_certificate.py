@@ -125,6 +125,19 @@ class TestFeasibleXi:
         p = DominanceParams(mu1=1.0, theta1=1.0, mu2=1.0, theta2=1.0)
         assert feasible_xi(p) is None
 
+    def test_no_input_coupling_has_no_upper_end(self):
+        # theta1 = 0 (ell_f = 0, B = 0) leaves every weight above lo
+        # feasible: 2 lo keeps half of mu2 as the u-margin, and 1 is taken
+        # when lo = 0 as well
+        p = derive_dominance_params(all_ones(ell_f=0.0, mu_phi=2.0, lip_grad_u=2.0))
+        xi = feasible_xi(p)
+        assert (p.theta1, xi.lo, xi.hi, xi.chosen) == (0.0, 0.25, math.inf, 0.5)
+        assert decay_rate(p, xi.chosen, 1.0) == min(p.mu1, 0.5 * p.mu2)
+        xi = feasible_xi(derive_dominance_params(all_ones(ell_f=0.0, ell_g=0.0)))
+        assert (xi.lo, xi.hi, xi.chosen) == (0.0, math.inf, 1.0)
+        with pytest.raises(InputError, match="ell_f must be nonnegative"):
+            all_ones(ell_f=-1.0)
+
     def test_conservative_resonant_example_infeasible(self, fast_plant, quad_cost):
         k, _ = assemble_constants(fast_plant, quad_cost)
         p = derive_dominance_params(k)

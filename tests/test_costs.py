@@ -103,37 +103,31 @@ class TestReducedGradient:
                 assert reduced_gradient(cost, sens, u, y) == cost.grad_u(u, y) + coupled
 
 
-class TestDescriptor:
+class TestModuli:
     def test_quadratic_example(self):
         cost = QuadraticCost(q_u=0.01, q_y=1.0)
-        d = cost.descriptor(ell_h=10.0 / 101.0)
-        assert d.mu_phi == pytest.approx(0.02)
-        assert d.lip_grad_u == pytest.approx(0.02)
-        assert d.ell_phi_u == 0.0
-        assert d.ell_phi_y == pytest.approx(20.0 / 101.0, abs=1e-12)
+        ell_phi_u, ell_phi_y = cost.coupling_moduli(ell_h=10.0 / 101.0)
+        assert cost.grad_u_lipschitz == pytest.approx(0.02)
+        assert ell_phi_u == 0.0
+        assert ell_phi_y == pytest.approx(20.0 / 101.0, abs=1e-12)
 
     def test_quadratic_on_varying_sensitivity_has_no_coupling_modulus(self):
-        assert QuadraticCost(q_u=1.0, q_y=0.1).descriptor(ell_h=2.0, ell_grad_h=1.0).ell_phi_u == math.inf
-        assert QuadraticCost(q_u=1.0, q_y=0.1).descriptor(ell_h=2.0, ell_grad_h=0.0).ell_phi_u == 0.0
+        assert QuadraticCost(q_u=1.0, q_y=0.1).coupling_moduli(ell_h=2.0, ell_grad_h=1.0)[0] == math.inf
+        assert QuadraticCost(q_u=1.0, q_y=0.1).coupling_moduli(ell_h=2.0, ell_grad_h=0.0)[0] == 0.0
 
     def test_sqrtplus_example(self):
         cost = SqrtPlusCost(a=11.0)
-        d = cost.descriptor(ell_h=2.0, ell_grad_h=1.0)
-        assert d.mu_phi == pytest.approx(22.0)
-        assert d.ell_phi_y == pytest.approx(2.0)
-        assert d.ell_phi_u == pytest.approx(1.0)
+        ell_phi_u, ell_phi_y = cost.coupling_moduli(ell_h=2.0, ell_grad_h=1.0)
+        assert cost.grad_u_lipschitz == pytest.approx(22.0)
+        assert ell_phi_y == pytest.approx(2.0)
+        assert ell_phi_u == pytest.approx(1.0)
 
     @pytest.mark.parametrize("base", [QuadraticCost(q_u=0.01, q_y=1.0), SqrtPlusCost(a=11.0)])
     def test_regularization_adds_exactly(self, base):
         # mu4 enters as (mu4 / 2) u^2 added after the base terms, so every
         # value is the base value plus the regularization term, bit for bit
         reg = replace(base, mu4=0.5)
-        d_base = base.descriptor(ell_h=0.3)
-        d_reg = reg.descriptor(ell_h=0.3)
-        assert d_reg.mu_phi == d_base.mu_phi + 0.5
-        assert d_reg.lip_grad_u == d_base.lip_grad_u + 0.5
-        assert d_reg.ell_phi_y == d_base.ell_phi_y
-        assert d_reg.ell_phi_u == d_base.ell_phi_u
+        assert reg.coupling_moduli(ell_h=0.3) == base.coupling_moduli(ell_h=0.3)
         assert reg.grad_u_lipschitz == base.grad_u_lipschitz + 0.5
         for u, y in [(0.7, (-1.3,)), (-2.5, (0.4,)), (-0.0, (0.0,))]:
             assert reg.phi(u, y) == base.phi(u, y) + 0.5 * 0.5 * (u * u)
@@ -141,9 +135,11 @@ class TestDescriptor:
             assert reg.grad_y(u, y) == base.grad_y(u, y)
             assert replace(reg, mu4=0.0).grad_u(u, y) == base.grad_u(u, y)
 
-    def test_negative_moduli_rejected(self):
-        with pytest.raises(InputError):
-            QuadraticCost(q_u=1.0).descriptor(ell_h=-1.0)
+    @pytest.mark.parametrize("cost", [QuadraticCost(q_u=1.0), SqrtPlusCost(a=1.0)])
+    def test_negative_moduli_rejected(self, cost):
+        for ell_h, ell_grad_h in [(-1.0, 0.0), (1.0, -1.0)]:
+            with pytest.raises(InputError):
+                cost.coupling_moduli(ell_h=ell_h, ell_grad_h=ell_grad_h)
 
 
 class TestValidation:

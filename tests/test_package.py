@@ -1,8 +1,10 @@
 """The package namespace: `import ofo` runs no submodule, and each public
 name and each submodule is imported on first use."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,3 +87,37 @@ def test_a_run_imports_only_the_standard_library_and_ofo(tmp_path):
     foreign = [name for name in added
                if name.partition(".")[0] not in {*sys.stdlib_module_names, "ofo"}]
     assert not foreign, foreign
+
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """Every name a tree reads as a Name, an Attribute or a string constant."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_top_level_definition_has_a_user():
+    # A top-level function or class of src/ofo must be read by another
+    # top-level statement there, listed in ofo.__all__, or read by the
+    # benchmark in perfbench/.  Tests are no users, so a production
+    # function kept only as a test oracle fails here.
+    root = Path(ofo.__file__).parent
+    statements = [(path.relative_to(root), node) for path in sorted(root.rglob("*.py"))
+                  for node in ast.parse(path.read_text("utf-8")).body]
+    read = [read_names(node) for _, node in statements]
+    outside = set(ofo.__all__)
+    for path in sorted((root.parents[1] / "perfbench").glob("*.py")):
+        outside |= read_names(ast.parse(path.read_text("utf-8")))
+    unused = [f"{path}: {node.name}" for i, (path, node) in enumerate(statements)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in outside
+              and not any(node.name in names for j, names in enumerate(read) if j != i)]
+    assert unused == []

@@ -260,6 +260,35 @@ class TestCertifyCommand:
             assert main(["certify", path]) == 0
             assert main(["simulate", path, "--out", str(tmp_path / "x.csv")]) == 0
 
+    # With no input coupling (ell_f = 0, so theta1 = 0) the feasible weights
+    # are (xi_lo, inf) and the scalar bound is mu_phi > ell_phi_u.  fig1 with
+    # B = 0 has no output coupling either, so it takes xi = 1; fig1 with ell_f
+    # overridden to 0 takes 2 xi_lo.
+    @staticmethod
+    def fig1_with(tmp_path, key, value) -> str:
+        doc = yaml.safe_load(Path(bundled_scenario_path("fig1")).read_text("utf-8"))
+        doc[key[0]][key[1]] = value
+        return write_doc(tmp_path, doc)
+
+    def test_unactuated_plant_certifies(self, tmp_path, capsys):
+        assert main(["certify", self.fig1_with(tmp_path, ("plant", "B"), [[0.0], [0.0]])]) == 0
+        out = capsys.readouterr().out
+        for line in ("ell_f = 0", "theta1 = 0", "xi_lo = 0", "xi_hi = inf", "xi_chosen = 1",
+                     "certified = true", "tau_at_alpha = 1"):
+            assert f"\n{line}\n" in out
+
+    def test_unactuated_plant_simulates(self, tmp_path):
+        path = self.fig1_with(tmp_path, ("plant", "B"), [[0.0], [0.0]])
+        assert main(["simulate", path, "--out", str(tmp_path / "x.csv")]) == 0
+
+    def test_zero_input_modulus_override_takes_twice_xi_lo(self, tmp_path, capsys):
+        path = self.fig1_with(tmp_path, ("certificate", "overrides"), {"ell_f": 0.0})
+        assert main(["certify", path]) == 0
+        out = capsys.readouterr().out
+        for line in ("ell_f = 0  (override)", "xi_lo = 196.059209881", "xi_hi = inf",
+                     "xi_chosen = 392.118419763", "tau_at_alpha = 0.5"):
+            assert f"\n{line}\n" in out
+
     @pytest.mark.parametrize("eps", [1e-15, 1e-13, 1.0, 1e3])
     def test_certificate_does_not_change_with_the_time_scale(self, eps, tmp_path, capsys):
         # A, B and B_w scaled by eps is the same plant on another time

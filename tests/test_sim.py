@@ -197,8 +197,7 @@ class TestOptimalInput:
         plant = SinePlant(a=Matrix.identity(2).scale(-1.0), b=Matrix.from_rows([[1.0], [0.0]]),
                           bw=Matrix.from_rows([[1.0], [0.0]]), c=Matrix.from_rows([[1.0, 0.0]]))
         cost = QuadraticCost(q_u=1.0, q_y=0.1)
-        desc = cost.descriptor(*plant.steady_moduli)
-        assert not desc.mu_phi - desc.ell_phi_u > 0.0
+        assert not cost.grad_u_lipschitz - cost.coupling_moduli(*plant.steady_moduli)[0] > 0.0
         grid = np.linspace(-200.0, 200.0, 400001)
         for w, box in [(-300.0, None), (-30.0, None), (0.0, None), (5.0, None),
                        (1000.0, None), (-300.0, BoxSet(lo=-5.0, hi=20.0)),
