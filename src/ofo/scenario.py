@@ -1,6 +1,11 @@
 """Scenario files: one YAML document describing plant, cost, controller,
 disturbance schedule, simulation window, and optional certificate inputs.
 
+The document is read by a strict reader of the YAML subset that scenarios
+use, written with the standard library only.  It builds the document PyYAML's
+`yaml.safe_load` builds from every text it accepts, and refuses every other
+form with the line it is on, so it never reads a text otherwise than PyYAML.
+
 Parsing builds the RunConfig the scenario runs, from the plant (LinearPlant
 or SinePlant), the cost (QuadraticCost or SqrtPlusCost), the projected law's
 BoxSet and the DisturbanceSchedule.  Each constructor makes its own checks
@@ -17,9 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, TypeVar
-
-import yaml
+from typing import Any, Callable, NoReturn, TypeVar
 
 from .certificate import CONSTANT_FIELDS
 from .controllers import BoxSet
@@ -36,10 +39,254 @@ CONTROLLER_KINDS = ("gradient", "projected")
 
 T = TypeVar("T")
 
-#: The YAML loader: libyaml's when PyYAML was built with it, which parses
-#: about eight times faster, else the pure-Python one.  Both build the same
-#: document from the same text.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+#: Plain scalars that PyYAML's SafeLoader reads as null or as a bool.
+_CONSTANTS = {"~": None, "null": None, "Null": None, "NULL": None,
+              **dict.fromkeys("yes Yes YES true True TRUE on On ON".split(), True),
+              **dict.fromkeys("no No NO false False FALSE off Off OFF".split(), False)}
+_INF = float("inf")
+_NAN = -_INF / _INF  # PyYAML's one nan object, made as PyYAML makes it
+_DIGITS = "0123456789_"
+#: Starts of the integers PyYAML reads as binary, hex or octal.
+_NOT_DECIMAL = ("0b", "0x", "0_", "00", "01", "02", "03", "04", "05", "06", "07")
+#: Characters that may not begin a plain scalar (PyYAML's, plus '?' and ':').
+_INDICATORS = "?:,[]{}#&*!|>'\"%@`"
+_KEY_SPAN = 1024  # PyYAML's longest simple key, from its first character to its ':'
+
+
+def _fail(line: int, what: str) -> NoReturn:
+    raise InputError(f"scenario: YAML parse error: line {line}: {what}")
+
+
+def _scalar(text: str, line: int) -> Any:
+    """A plain scalar's value, as PyYAML's SafeLoader resolves it; a form it
+    would read as another type (octal, hex, binary or sexagesimal numbers,
+    dates, merge keys) is refused."""
+    head = text[0]
+    if head not in "+-.0123456789" or not text.isascii():
+        if text in ("<<", "="):
+            _fail(line, f"{text!r} is a YAML merge or value key")
+        return _CONSTANTS.get(text, text)
+    sign, body = (-1, text[1:]) if head == "-" else (1, text[1:] if head == "+" else text)
+    if body in (".inf", ".Inf", ".INF"):
+        return sign * _INF
+    if text in (".nan", ".NaN", ".NAN"):
+        return _NAN
+    if body == "0":
+        return 0
+    if body[:1] in "123456789" and body and not body.strip(_DIGITS):
+        try:
+            return sign * int(body.replace("_", ""))
+        except ValueError:  # beyond Python's limit on the digits of an int
+            _fail(line, f"an integer of {len(body)} digits")
+    mantissa, e, exponent = body.replace("E", "e").partition("e")
+    whole, dot, fraction = mantissa.partition(".")
+    if (dot and not (whole + fraction).strip(_DIGITS)
+            and (whole[:1].isdigit() if whole or head in "+-" else fraction[:1].isdigit())
+            and (not e or exponent[:1] in ("+", "-") and exponent[1:].isdigit())):
+        return sign * float(body.replace("_", ""))
+    if body[:1].isdigit() and (":" in body or body.startswith(_NOT_DECIMAL)
+                               or body[4:5] == "-" and body[:4].isdigit()):
+        _fail(line, f"{text!r} would read as an octal, hex, binary or sexagesimal number "
+                    f"or as a date")
+    return text
+
+
+def _plain(text: str, line: int) -> Any:
+    if text[:1] in _INDICATORS or text[0] == "-" and text[1:2] in ("", " "):
+        _fail(line, f"{text!r} begins with a YAML indicator; anchors, aliases, tags, "
+                    f"block scalars, directives and '?' keys are not supported")
+    return _scalar(text, line)
+
+
+def _quoted(text: str, p: int, line: int) -> tuple[str, int]:
+    """The quoted scalar at text[p], which must end on its line and, double
+    quoted, hold no backslash escape; and the index after it."""
+    quote, j = text[p], p
+    while True:
+        j = text.find(quote, j + 1)
+        if j < 0:
+            _fail(line, "a quoted scalar must end on the line it starts")
+        if quote == '"' or text[j + 1:j + 2] != "'":
+            break
+        j += 1
+    value = text[p + 1:j]
+    if quote == '"' and "\\" in value:
+        _fail(line, "backslash escapes are not supported")
+    return (value if quote == '"' else value.replace("''", "'")), j + 1
+
+
+def _key(text: str, line: int) -> tuple[Any, str] | None:
+    """(key, rest of the line) when a block row is `key: ...`, else None."""
+    if text[0] in "'\"":
+        key, j = _quoted(text, 0, line)
+        j = len(text) - len(text[j:].lstrip(" "))
+        if text[j:j + 1] != ":" or text[j + 1:j + 2] not in ("", " "):
+            return None
+    else:
+        head = text.partition(" #")[0]
+        j = head.find(": ")
+        if j < 0:
+            if not head.endswith(":"):
+                return None
+            j = len(head) - 1
+        key = _plain(head[:j].rstrip(" "), line)
+    if j > _KEY_SPAN:
+        _fail(line, "a key longer than PyYAML reads")
+    return key, text[j + 1:].lstrip(" ")
+
+
+def _entry(text: str) -> bool:
+    return text[0] == "-" and text[1:2] in ("", " ")
+
+
+class _Reader:
+    """One document, read from the text's rows: its non-blank, non-comment
+    lines, as (indentation, content, line number)."""
+
+    def __init__(self, text: str):
+        self.rows, self.i, marker = [], 0, False
+        # the line being read, and the flow parser's row and its block's column
+        self.line, self.buf, self.col = 0, "", -1
+        for n, line in enumerate(text.removeprefix("\ufeff").replace("\r\n", "\n").split("\n"), 1):
+            content = line.lstrip(" ")
+            if not content.isprintable():
+                _fail(n, "tabs and control characters are not allowed")
+            if not content or content[0] == "#":
+                continue
+            if len(line) == len(content) and content[:3] in ("---", "..."):
+                if self.rows or marker or content.partition(" #")[0].rstrip(" ") != "---":
+                    _fail(n, "a scenario is one document, with at most a leading '---' line")
+                marker = True
+                continue
+            self.rows.append((len(line) - len(content), content, n))
+
+    def document(self) -> Any:
+        """The document: null, a block mapping or a block sequence."""
+        try:
+            doc = self.value("", -1, 0, False)
+        except RecursionError:
+            _fail(self.line, "collections are nested too deeply")
+        if self.i < len(self.rows):
+            _fail(self.rows[self.i][2], "expected the end of the document")
+        return doc
+
+    def block(self, col: int) -> Any:
+        """The block sequence or mapping whose first row is at column col."""
+        seq = _entry(self.rows[self.i][1])
+        node: Any = [] if seq else {}
+        while self.i < len(self.rows):
+            c, text, n = self.rows[self.i]
+            self.line = n
+            if c != col:
+                if c < col:
+                    break
+                _fail(n, "unexpected indentation")
+            if not seq:
+                pair = _key(text, n)
+                if pair is None:
+                    _fail(n, "expected 'key: value'")
+                self.i += 1
+                node[pair[0]] = self.value(pair[1], col, n, True)
+                continue
+            if not _entry(text):
+                break
+            rest = text[1:].lstrip(" ")
+            if rest and rest[0] != "#" and (_entry(rest) or rest[0] not in "[{" and _key(rest, n)):
+                # a compact entry: `- - x` or `- key: x`, read as a row of its own
+                sub = col + len(text) - len(rest)
+                self.rows[self.i] = (sub, rest, n)
+                node.append(self.block(sub))
+            else:
+                self.i += 1
+                node.append(self.value(rest, col, n, False))
+        return node
+
+    def value(self, rest: str, col: int, n: int, indentless: bool) -> Any:
+        """The value after `key:` or `-` on a row at column col: on the row,
+        else the block below it (a sequence under a key may start at the key's
+        own column), else null."""
+        if rest and rest[0] != "#":
+            return self.inline(rest, col, n)
+        if self.i < len(self.rows):
+            c, text, _ = self.rows[self.i]
+            if c > col or indentless and c == col and _entry(text):
+                return self.block(c)
+        return None
+
+    def inline(self, text: str, col: int, n: int) -> Any:
+        if text[0] in "[{":
+            self.buf, self.line, self.col = text, n, col
+            value, p = self.flow(0)
+            text, n = self.buf[p:], self.line
+        elif text[0] in "'\"":
+            value, p = _quoted(text, 0, n)
+            text = text[p:]
+        else:
+            text = text.partition(" #")[0].rstrip(" ")
+            if ": " in text or text.endswith(":"):
+                _fail(n, "a mapping is not allowed here")
+            return _plain(text, n)
+        text = text.lstrip(" ")
+        if text and text[0] != "#":
+            _fail(n, f"unexpected {text[:20]!r} after a value")
+        return value
+
+    def skip(self, p: int) -> int:
+        """The index of the next flow token, in self.buf or, past the end of
+        its line or a comment, in the next row."""
+        buf = self.buf
+        while p < len(buf) and buf[p] == " ":
+            p += 1
+        if p < len(buf) and buf[p] != "#":
+            return p
+        if self.i == len(self.rows):
+            _fail(self.line, "a flow collection is not closed")
+        c, self.buf, self.line = self.rows[self.i]
+        if c <= self.col:
+            _fail(self.line, "a flow collection must continue right of its block's indentation")
+        self.i += 1
+        return 0
+
+    def flow(self, p: int) -> tuple[Any, int]:
+        """The flow node at self.buf[p] and the index after it in self.buf,
+        which may by then hold a later row."""
+        buf, opening = self.buf, self.buf[p]
+        if opening in "'\"":
+            return _quoted(buf, p, self.line)
+        if opening not in "[{":
+            j = p
+            while j < len(buf):
+                ch = buf[j]
+                if (ch in ",[]{}?" or ch == ":" and buf[j + 1:j + 2] in " ,[]{}"
+                        or ch == "#" and buf[j - 1] == " "):
+                    break
+                j += 1
+            return _plain(buf[p:j].rstrip(" "), self.line), j
+        node: Any = [] if opening == "[" else {}
+        closing = "]" if opening == "[" else "}"
+        p = self.skip(p + 1)
+        while self.buf[p] != closing:
+            if opening == "[":
+                item, p = self.flow(p)
+                node.append(item)
+            else:
+                start = p
+                if self.buf[p] in "[{":
+                    _fail(self.line, "a flow mapping key must be a scalar")
+                key, p = self.flow(p)
+                buf = self.buf
+                while buf[p:p + 1] == " ":
+                    p += 1
+                if (buf[p:p + 1] != ":" or buf[p + 1:p + 2] not in ("", " ")
+                        or p - start > _KEY_SPAN):
+                    _fail(self.line, "expected ': ' after a flow mapping key, on its line")
+                node[key], p = self.flow(self.skip(p + 1))
+            p = self.skip(p)
+            if self.buf[p] == ",":
+                p = self.skip(p + 1)
+            elif self.buf[p] != closing:
+                _fail(self.line, f"expected ',' or {closing!r}")
+        return node, p + 1
 
 
 def _require(mapping: Any, key: str, path: str) -> Any:
@@ -221,11 +468,7 @@ class Scenario:
 
     @classmethod
     def loads(cls, text: str) -> "Scenario":
-        try:
-            doc = yaml.load(text, Loader=YAML_LOADER)
-        except yaml.YAMLError as exc:
-            raise InputError(f"scenario: YAML parse error: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(_Reader(text).document())
 
     @classmethod
     def load(cls, path: str) -> "Scenario":
@@ -234,4 +477,7 @@ class Scenario:
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read scenario file {path!r}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read scenario file {path!r}: not UTF-8 text "
+                             f"(byte {exc.object[exc.start]:#04x} at offset {exc.start})") from exc
         return cls.loads(text)

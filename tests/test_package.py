@@ -73,9 +73,7 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_a_run_imports_only_the_standard_library_and_ofo(tmp_path):
-    # PyYAML, with whatever its libyaml build brings, is imported before the
-    # snapshot; a runtime import of numpy, or of any new dependency, is not
-    code = ("import sys, yaml; before = set(sys.modules); from ofo.cli import main; "
+    code = ("import sys; before = set(sys.modules); from ofo.cli import main; "
             f"rc = main(['reproduce', 'fig1', '--out', {str(tmp_path)!r}]); "
             "print(rc, *sorted(set(sys.modules) - before))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -61,17 +62,53 @@ def dense_doc() -> dict:
 
 
 def loaded_by_both(text: str):
-    """The document the selected YAML loader builds from text, after
-    checking that the pure-Python loader builds the same one (compared by
-    repr, so nan equals nan and 1 differs from 1.0)."""
-    doc = yaml.load(text, Loader=ofo.scenario.YAML_LOADER)
-    assert repr(doc) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+    """The document the scenario reader builds from text, after checking
+    that PyYAML's `yaml.safe_load` builds the same one (compared by repr, so
+    nan equals nan and 1 differs from 1.0)."""
+    doc = ofo.scenario._Reader(text).document()
+    assert repr(doc) == repr(yaml.safe_load(text))
     return doc
 
 
+#: Strings among the random documents' values: PyYAML quotes most of them,
+#: as they would read as another type or begin with an indicator.
+TRICKY_STRINGS = ["yes", "1e3", "null", "#x", "No", "ON", "~", "", "<<", "=", "08", "0x1F", "1:30",
+                  "2001-12-14", "-.5", ".5e+3", "1_0", "+", ".", "-", "a:b", "a#b", "it's", '"q"',
+                  "[a]", "{b}", "x,y", "@", "%", "&a", "*a", "!t", "-x", "linear"]
+
+
+def random_scenario_doc(rng: random.Random) -> dict:
+    """A scenario-shaped document whose values are drawn from numbers, the
+    bools, None and TRICKY_STRINGS."""
+    specials = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, 10**400, True, False, None,
+                *TRICKY_STRINGS]
+
+    def leaf():
+        draw = rng.random()
+        if draw < 0.5:
+            return rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+        return rng.randint(-10**6, 10**6) if draw < 0.6 else rng.choice(specials)
+
+    def rows(n, m):
+        return [[leaf() for _ in range(m)] for _ in range(n)]
+
+    n = rng.randint(1, 2)
+    keys = [text for text in TRICKY_STRINGS if text] + [1, -2.5, True, None]
+    return {
+        "plant": {"kind": leaf(), "A": rows(n, n), "B": rows(n, 1), "B_w": rows(n, 1),
+                  "C": rows(1, n)},
+        "cost": {"kind": leaf(), "q_u": leaf(), rng.choice(keys): leaf()},
+        "controller": {"kind": leaf(), "alpha": leaf(),
+                       "box": {"lo": [leaf()], "hi": [leaf()]}},
+        "schedule": rows(rng.randint(1, 2), 2),
+        "sim": {"t_end": leaf(), "x0": [leaf() for _ in range(n)], rng.choice(keys): leaf()},
+        "certificate": {"overrides": {"c3": leaf(), "d3": leaf()}, "claimed_mu_bound_rhs": leaf()},
+    }
+
+
 def write_doc(tmp_path, doc, name="scenario.yaml") -> str:
-    """Writes doc as a scenario file; every file a test here writes is
-    parsed alike by both YAML loaders."""
+    """Writes doc as a scenario file; every file a test here writes is read
+    by the scenario reader as PyYAML reads it."""
     path = tmp_path / name
     text = yaml.safe_dump(doc)
     loaded_by_both(text)
@@ -179,36 +216,63 @@ class TestScenarioParsing:
 
 
 class TestYamlLoaders:
-    def test_libyaml_selected_when_present(self):
-        want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-        assert ofo.scenario.YAML_LOADER is want
-
-    def test_both_loaders_build_the_same_documents(self, tmp_path):
-        # the bundled scenarios and those the benchmark writes: the seeded
-        # levels plants and fig2 cut short
+    def test_both_loaders_build_the_same_documents(self, monkeypatch):
+        # the bundled scenarios, the README's example and those the benchmark
+        # writes: the seeded levels plants and fig2 cut short
         root = Path(__file__).resolve().parents[1]
         texts = [Path(bundled_scenario_path(name)).read_text("utf-8") for name in ("fig1", "fig2")]
-        for args in (["levels.py", "1"], ["levels.py", "2"], ["levels.py", "3"],
-                     ["short.py", bundled_scenario_path("fig2")]):
-            proc = subprocess.run([sys.executable, str(root / "perfbench" / args[0]), *args[1:]],
-                                  capture_output=True, text=True, check=True)
-            texts.append(proc.stdout)
+        readme = (root / "README.md").read_text("utf-8")
+        texts.append(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        from levels import scenario_yaml
+        from short import shorten
+        texts += [scenario_yaml(seed) for seed in range(1, 21)]
+        texts.append(shorten(texts[1]))
         for text in texts:
             doc = loaded_by_both(text)
             assert Scenario.loads(text) == Scenario.from_dict(doc)
 
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n", "---\n", "--- # the one document\na: 1\n",
+        "\ufeffa: 1\r\nb: [1,\r\n  2]\r\n", "a: 'it''s'\nb: \"q #1\"  # c\n",
+        "A:\n- [1, 2]\n- - -1.0\n  - 2\nB: x\n",
+        "- a: 1\n  b: {c: [1, 2,\n    3], d: ~}\n-\n  - 1_000\n",
+        "a: 1\na: 2\n1: x\n1.0: y\ntrue: z\n", "a: [.inf, -.Inf, .NAN, 1.e+3, .5, -0, +1]\n",
+        "a: [1e3, -.5, 08, a:b, a#b, x y]\n", "a: [yes, No, ON, off, Null, '']\n",
+    ])
+    def test_reader_builds_pyyamls_document_for_each_accepted_form(self, text):
+        loaded_by_both(text)
+
+    def test_reader_builds_pyyamls_document_for_random_dumps(self):
+        # each of the four ways of dumping takes every fourth document
+        rng = random.Random(20)
+        for i in range(2000):
+            text = yaml.safe_dump(random_scenario_doc(rng), sort_keys=i % 4 < 2,
+                                  default_flow_style=(False, None)[i % 2])
+            loaded_by_both(text)
+
     @pytest.mark.parametrize("text", ["plant: [1, 2", "plant:\n  kind: linear\n kind: x\n",
                                       "a:\t- 1\n", "\x00", "a: &x 1\nb: *y\n",
                                       "a: !!python/object:os.system x\n",
-                                      "a: 1\n---\nb: 2\n"])
-    def test_malformed_file_exits_2_under_both_loaders(self, text, tmp_path, capsys,
-                                                       monkeypatch):
+                                      "a: 1\n---\nb: 2\n", "a: 010\n", "a: 0x1F\n", "a: 1:30\n",
+                                      "a: 2001-12-14\n", "a: |\n  x\n", "<<: {a: 1}\n",
+                                      "? a\n: 1\n", "a: b\x07\n", "- " * 2000 + "x\n",
+                                      "a: " + "[" * 2000 + "]" * 2000 + "\n"])
+    def test_malformed_file_exits_2_under_both_loaders(self, text, tmp_path, capsys):
+        # the reader refuses, with its line, every text that PyYAML refuses
+        # or reads as another type or meaning
         path = tmp_path / "bad.yaml"
         path.write_text(text, encoding="utf-8")
-        for loader in (ofo.scenario.YAML_LOADER, yaml.SafeLoader):
-            monkeypatch.setattr(ofo.scenario, "YAML_LOADER", loader)
-            assert main(["certify", str(path)]) == 2
-            assert capsys.readouterr().err.startswith("error: scenario: YAML parse error: ")
+        assert main(["certify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario: YAML parse error: line ")
+
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"plant:\n  kind: lin\xe9aire\n")
+        assert main(["certify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read scenario file {str(path)!r}: "
+                              "not UTF-8 text"), err
 
 
 class TestCertifyCommand:
@@ -693,7 +757,7 @@ def test_console_entry_point():
 
 def test_runtime_imports_neither_numpy_nor_scipy(tmp_path):
     # numpy and scipy are test oracles only; certify and simulate run on the
-    # standard library and PyYAML
+    # standard library
     code = ("import sys; from ofo.cli import main; "
             "codes = (main(['certify', sys.argv[1]]), "
             "main(['simulate', sys.argv[2], '--out', sys.argv[3]])); "
