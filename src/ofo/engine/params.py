@@ -75,7 +75,11 @@ class SegmentResult:
 
 def plain_field(text: str) -> str:
     """One `%.12g` field in plain decimal notation: an exponent form is
-    expanded by placing its printed digits, -0 becomes 0, inf and nan raise."""
+    expanded by placing its printed digits, -0 becomes 0, inf and nan raise.
+
+    `%.12g` prints an exponent only for a decimal exponent below -4 or at
+    least 12, and never more than 12 digits, so the decimal point falls
+    before the first printed digit or after the last one, never between."""
     mantissa, _, exponent = text.partition("e")
     if not exponent:
         if "n" in text:
@@ -86,6 +90,4 @@ def plain_field(text: str) -> str:
     point = int(exponent) + 1      # digits before the decimal point
     if point <= 0:
         return f"{sign}0.{'0' * -point}{digits}"
-    if point >= len(digits):
-        return sign + digits + "0" * (point - len(digits))
-    return f"{sign}{digits[:point]}.{digits[point:]}"
+    return sign + digits + "0" * (point - len(digits))

@@ -3,9 +3,11 @@
 Everything here is sized for desk-scale control problems (a handful of states),
 so the algorithms favour exactness and testability over asymptotic speed:
 the one Lyapunov equation in use, A P + P A^T = -I, is solved by vectorizing
-its n^2 x n^2 linear system, symmetric eigenvalues come from cyclic Jacobi
-sweeps, characteristic polynomials from the Faddeev-LeVerrier recursion and
-their stability from Routh's array, and matrices are immutable tuples.
+its n^2 x n^2 linear system, and the inverse by solving A X = I a column at a
+time, both through one Gaussian elimination with one pivot rule; symmetric
+eigenvalues come from cyclic Jacobi sweeps, characteristic polynomials from
+the Faddeev-LeVerrier recursion and their stability from Routh's array, and
+matrices are immutable tuples.
 """
 
 from __future__ import annotations
@@ -93,12 +95,14 @@ class Matrix:
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError("matmul dimension mismatch")
+        cols = [other.data[j::other.cols] for j in range(other.cols)]
         out = []
         for i in range(self.rows):
-            for j in range(other.cols):
+            row = self.row(i)
+            for col in cols:
                 acc = 0.0
-                for k in range(self.cols):
-                    acc += self.entry(i, k) * other.entry(k, j)
+                for x, y in zip(row, col):
+                    acc += x * y
                 out.append(acc)
         return Matrix(self.rows, other.cols, tuple(out))
 
@@ -214,19 +218,14 @@ def faddeev_leverrier(a: Matrix, left: Sequence[float],
     if a.rows != a.cols:
         raise InputError("characteristic polynomial needs a square matrix")
     n = a.rows
-    rows = [a.row(i) for i in range(n)]
-    m = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    char, adj = [1.0], []
+    eye = Matrix.identity(n)
+    m, char, adj = eye, [1.0], []
     for k in range(1, n + 1):
-        adj.append(sum(li * sum(mij * rj for mij, rj in zip(mi, right))
-                       for li, mi in zip(left, m)))
-        cols = list(zip(*m))
-        am = [[sum(aij * cj for aij, cj in zip(ai, col)) for col in cols] for ai in rows]
-        ck = -sum(am[i][i] for i in range(n)) / k
+        adj.append(sum(li * v for li, v in zip(left, m.matvec(right))))
+        am = a.matmul(m)
+        ck = -sum(am.entry(i, i) for i in range(n)) / k
         char.append(ck)
-        for i in range(n):
-            am[i][i] += ck
-        m = am
+        m = am.add(eye.scale(ck))
     return tuple(char), tuple(adj)
 
 
@@ -297,31 +296,16 @@ def spectral_norm(m: Matrix) -> float:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Dense inverse by Gauss-Jordan elimination with partial pivoting."""
+    """Dense inverse: A X = I solved one column at a time by _solve_dense."""
     if m.rows != m.cols:
         raise InputError("inverse needs a square matrix")
     n = m.rows
-    a = [list(m.row(i)) + [1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    # judged against the matrix's own scale, as in _solve_dense
-    piv_tol = _SINGULARITY_TOL * m.max_norm()
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[pivot_row][col]) <= piv_tol:
-            raise SingularMatrixError("singular plant matrix")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv_pivot = 1.0 / a[col][col]
-        for c in range(2 * n):
-            a[col][c] *= inv_pivot
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if factor == 0.0:
-                continue
-            for c in range(2 * n):
-                a[r][c] -= factor * a[col][c]
-    inv = Matrix(n, n, tuple(a[i][n + j] for i in range(n) for j in range(n)))
+    try:
+        cols = [_solve_dense([list(m.row(i)) for i in range(n)],
+                             [1.0 if i == j else 0.0 for i in range(n)]) for j in range(n)]
+    except SingularMatrixError as exc:
+        raise SingularMatrixError("singular plant matrix") from exc
+    inv = Matrix(n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
     # Rounding leaves a residual of about eps ||A|| ||A^-1||, so it is judged
     # against ||A|| ||A^-1|| as well as ||I|| = 1, as in solve_lyapunov.
     check = m.matmul(inv).add(Matrix.identity(n).scale(-1.0)).max_norm()

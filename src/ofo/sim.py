@@ -136,17 +136,22 @@ def default_dt(plant: LinearPlant, cost: CostModel, alpha: float,
 def plan_steps(t0: float, t1: float, dt: float) -> tuple[int, float]:
     """Split [t0, t1] into full dt steps plus one shortened final step.
 
-    Returns (n_full, last_dt), with last_dt 0.0 for a remainder of rounding:
-    at most 1e-12 dt or 2 ulps of the end times.  dt over the span gives (0, span).
+    Returns (n_full, last_dt).  One tolerance, the larger of 1e-12 dt and 2
+    ulps of the end times, marks rounding: a remainder within it of a full
+    step is that step, and one within it of zero is dropped (last_dt 0.0).
+    dt over the span gives (0, span).
     """
     if dt <= 0.0:
         raise InputError("dt must be positive")
     span = t1 - t0
     if span <= 0.0:
         raise InputError("time span must have t1 > t0")
-    n_full = int(math.floor(span / dt + 1e-12))
+    tol = max(1e-12 * dt, 2.0 * math.ulp(max(abs(t0), abs(t1))))
+    n_full = math.floor(span / dt)
     rem = span - n_full * dt
-    if rem <= max(1e-12 * dt, 2.0 * math.ulp(max(abs(t0), abs(t1)))):
+    if rem >= dt - tol:
+        n_full, rem = n_full + 1, 0.0
+    elif rem <= tol:
         rem = 0.0
     return n_full, rem
 

@@ -8,6 +8,7 @@ import scipy.linalg
 from ofo.errors import InputError, NotStabilizedError, SingularMatrixError
 from ofo.linalg import (
     Matrix,
+    faddeev_leverrier,
     inverse,
     solve_lyapunov,
     spectral_norm,
@@ -168,6 +169,35 @@ class TestSpectralNorm:
         ours = spectral_norm(Matrix.from_rows([[scale * v for v in row] for row in rows]))
         ref = scale * float(np.linalg.norm(np.array(rows), 2))
         assert ours == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+class TestFaddeevLeverrier:
+    def test_polynomials_match_numpy(self):
+        """det(sI - A) against numpy.poly, and left^T adj(sI - A) right at
+        points away from the spectrum against det(sI - A) left^T (sI - A)^-1
+        right, for n = 1..8 and entries spread over six decades.  The k-th
+        coefficient of det(sI - A) is a sum of comb(n, k) products of k
+        eigenvalues, so it is judged against comb(n, k) ||A||^k, and a value
+        of the adjugate polynomial against the sum of its terms' sizes."""
+        rng = random.Random(31)
+
+        def spread(count):
+            return [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(count)]
+
+        for trial in range(160):
+            n = 1 + trial % 8
+            a = np.array([spread(n) for _ in range(n)])
+            left, right = spread(n), spread(n)
+            char, adj = faddeev_leverrier(Matrix.from_rows(a.tolist()), left, right)
+            assert len(char) == n + 1 and len(adj) == n
+            norm = np.linalg.norm(a, 2)
+            for k, (got, want) in enumerate(zip(char, np.poly(a))):
+                assert abs(got - want) <= 1e-12 * math.comb(n, k) * norm ** k, (trial, k)
+            for s in (3.0 * norm, -3.0 * norm, 5.0 * norm):
+                terms = [c * s ** (n - 1 - k) for k, c in enumerate(adj)]
+                shifted = s * np.eye(n) - a
+                want = np.linalg.det(shifted) * np.dot(left, np.linalg.solve(shifted, right))
+                assert abs(sum(terms) - want) <= 1e-12 * sum(map(abs, terms)), (trial, s)
 
 
 class TestInverse:

@@ -44,10 +44,9 @@ class TestPlanSteps:
         n_full, last = plan_steps(15.0, 20.0, 0.0025 * (1.0 - 5e-15))
         assert n_full == 2000
         assert last == pytest.approx(2.5e-14, rel=0.01)
-        # one ulp long, the last step is a full one less 6.9e-14
-        n_full, last = plan_steps(0.0, 500.0, math.nextafter(0.025, 1.0))
-        assert n_full == 19999
-        assert last == pytest.approx(0.025, rel=1e-11)
+        # one ulp long, the last step falls 6.9e-14 short of a full one,
+        # within rounding of 500, so it counts as that full step
+        assert plan_steps(0.0, 500.0, math.nextafter(0.025, 1.0)) == (20000, 0.0)
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):
