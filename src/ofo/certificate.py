@@ -16,7 +16,6 @@ verdict is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from .costs import CostModel, check_fit
 from .errors import ConvexityGapError, InputError
@@ -24,7 +23,6 @@ from .linalg import spectral_norm, sym_eigenvalues
 from .plants import LinearPlant
 
 
-@dataclass(frozen=True)
 class SimplifyingConstants:
     """Moduli feeding the dominance formulas.
 
@@ -36,51 +34,47 @@ class SimplifyingConstants:
     (C = 0) theta2.  The other constants must be positive.
     """
 
-    ell_f: float
-    ell_g: float
-    c3: float
-    d3: float
-    mu3: float
-    zeta3: float
-    mu_phi: float
-    ell_phi_u: float
-    ell_phi_y: float
-    lip_grad_u: float
+    __slots__ = ("ell_f", "ell_g", "c3", "d3", "mu3", "zeta3",
+                 "mu_phi", "ell_phi_u", "ell_phi_y", "lip_grad_u")
 
-    def __post_init__(self):
+    def __init__(self, ell_f: float, ell_g: float, c3: float, d3: float, mu3: float,
+                 zeta3: float, mu_phi: float, ell_phi_u: float, ell_phi_y: float,
+                 lip_grad_u: float):
+        self.ell_f, self.ell_g, self.c3, self.d3, self.mu3 = ell_f, ell_g, c3, d3, mu3
+        self.zeta3, self.mu_phi, self.ell_phi_u = zeta3, mu_phi, ell_phi_u
+        self.ell_phi_y, self.lip_grad_u = ell_phi_y, lip_grad_u
         for name in ("c3", "d3", "mu3", "zeta3", "mu_phi", "lip_grad_u"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"constant {name} must be positive")
         for name in ("ell_f", "ell_g", "ell_phi_u", "ell_phi_y"):
             if getattr(self, name) < 0.0:
                 raise InputError(f"constant {name} must be nonnegative")
-        if self.c3 > self.d3 * (1.0 + 1e-12):
+        if c3 > d3 * (1.0 + 1e-12):
             raise InputError("sandwich constants must satisfy c3 <= d3")
-        if self.lip_grad_u < self.mu_phi * (1.0 - 1e-12):
+        if lip_grad_u < mu_phi * (1.0 - 1e-12):
             raise InputError("lip_grad_u must be at least mu_phi")
 
 
 #: Names accepted as scenario-file overrides of derived constants.
-CONSTANT_FIELDS = tuple(f.name for f in fields(SimplifyingConstants))
+CONSTANT_FIELDS = SimplifyingConstants.__slots__
 
 
-@dataclass(frozen=True)
 class DominanceParams:
     """Coefficients of the coupled decay inequalities."""
 
-    mu1: float
-    theta1: float
-    mu2: float
-    theta2: float
+    __slots__ = ("mu1", "theta1", "mu2", "theta2")
+
+    def __init__(self, mu1: float, theta1: float, mu2: float, theta2: float):
+        self.mu1, self.theta1, self.mu2, self.theta2 = mu1, theta1, mu2, theta2
 
 
-@dataclass(frozen=True)
 class XiInterval:
     """Open interval of feasible composite-Lyapunov weights."""
 
-    lo: float
-    hi: float
-    chosen: float
+    __slots__ = ("lo", "hi", "chosen")
+
+    def __init__(self, lo: float, hi: float, chosen: float):
+        self.lo, self.hi, self.chosen = lo, hi, chosen
 
 
 def assemble_constants(
@@ -187,22 +181,23 @@ def required_regularization(k: SimplifyingConstants, margin: float = 1e-6) -> fl
     return max(0.0, rhs - k.mu_phi + margin)
 
 
-@dataclass(frozen=True)
 class CertificateReport:
     """Everything the certification pipeline produced for one plant/cost pair."""
 
-    plant_kind: str
-    cost_kind: str
-    alpha: float
-    constants: SimplifyingConstants
-    overridden: tuple[str, ...]
-    params: DominanceParams
-    xi: XiInterval | None
-    certified: bool
-    mu_bound_rhs: float
-    required_mu4: float
-    tau_at_alpha: float | None
-    claimed_mu_bound_rhs: float | None = None
+    __slots__ = ("plant_kind", "cost_kind", "alpha", "constants", "overridden", "params",
+                 "xi", "certified", "mu_bound_rhs", "required_mu4", "tau_at_alpha",
+                 "claimed_mu_bound_rhs")
+
+    def __init__(self, plant_kind: str, cost_kind: str, alpha: float,
+                 constants: SimplifyingConstants, overridden: tuple[str, ...],
+                 params: DominanceParams, xi: XiInterval | None, certified: bool,
+                 mu_bound_rhs: float, required_mu4: float, tau_at_alpha: float | None,
+                 claimed_mu_bound_rhs: float | None = None):
+        self.plant_kind, self.cost_kind, self.alpha = plant_kind, cost_kind, alpha
+        self.constants, self.overridden, self.params = constants, overridden, params
+        self.xi, self.certified, self.mu_bound_rhs = xi, certified, mu_bound_rhs
+        self.required_mu4, self.tau_at_alpha = required_mu4, tau_at_alpha
+        self.claimed_mu_bound_rhs = claimed_mu_bound_rhs
 
     def to_text(self) -> str:
         """Flat `name = value` block for CLI output and golden-file tests."""

@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from importlib.resources import files as resource_files
 from typing import BinaryIO, Callable
 
@@ -69,7 +68,7 @@ def _run_config(scenario: Scenario) -> RunConfig:
         xi = 1.0
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return replace(config, xi=xi)
+    return config.with_xi(xi)
 
 
 def _summary_line(alpha: float, summary: RunSummary) -> str:

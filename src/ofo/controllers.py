@@ -8,26 +8,27 @@ the set it projects onto.  The input is a scalar, so the set is an interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
 class BoxSet:
     """The interval {u : lo <= u <= hi}; either bound may be +-inf."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo: float, hi: float):
+        lo, hi = float(lo), float(hi)
         if math.isnan(lo) or math.isnan(hi):
             raise InputError("box bound is NaN")
         if lo > hi:
             raise InputError(f"box has lo > hi ({lo} > {hi})")
+        self.lo, self.hi = lo, hi
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
 
     def contains(self, u: float) -> bool:
         return self.lo <= u <= self.hi

@@ -14,7 +14,6 @@ the same expressions in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InputError
 from .linalg import Vector
@@ -30,20 +29,23 @@ def _check_mu4(mu4: float) -> None:
         raise InputError("regularization weight mu4 must be nonnegative")
 
 
-@dataclass(frozen=True)
 class QuadraticCost:
     """phi(u, y) = q_u u^2 + q_y ||y||^2 + (mu4 / 2) u^2."""
 
-    q_u: float
-    q_y: float = 1.0
-    mu4: float = 0.0
+    __slots__ = ("q_u", "q_y", "mu4")
 
-    def __post_init__(self):
-        if self.q_u <= 0.0:
+    def __init__(self, q_u: float, q_y: float = 1.0, mu4: float = 0.0):
+        if q_u <= 0.0:
             raise InputError("input weight q_u must be positive")
-        if self.q_y < 0.0:
+        if q_y < 0.0:
             raise InputError("output weight q_y must be nonnegative")
-        _check_mu4(self.mu4)
+        _check_mu4(mu4)
+        self.q_u, self.q_y, self.mu4 = q_u, q_y, mu4
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.q_u, self.q_y, self.mu4) == (other.q_u, other.q_y, other.mu4)
 
     def phi(self, u: float, y: Vector) -> float:
         base = self.q_u * (u * u) + self.q_y * sum(v * v for v in y)
@@ -70,17 +72,21 @@ class QuadraticCost:
     kind = "quadratic"
 
 
-@dataclass(frozen=True)
 class SqrtPlusCost:
     """phi(u, y) = a u^2 + sqrt(y^2 + 1) + (mu4 / 2) u^2, scalar output."""
 
-    a: float
-    mu4: float = 0.0
+    __slots__ = ("a", "mu4")
 
-    def __post_init__(self):
-        if self.a <= 0.0:
+    def __init__(self, a: float, mu4: float = 0.0):
+        if a <= 0.0:
             raise InputError("input weight a must be positive")
-        _check_mu4(self.mu4)
+        _check_mu4(mu4)
+        self.a, self.mu4 = a, mu4
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.a, self.mu4) == (other.a, other.mu4)
 
     @staticmethod
     def _check_scalar(y: Vector) -> None:

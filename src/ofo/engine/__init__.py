@@ -3,7 +3,9 @@
 The first call of `active_kernel`, `kernel_name`, `run_segment` or
 `format_rows`, or the first read of `HAVE_COMPILED`, chooses the kernel, so
 importing this package builds and loads nothing and a caller that never
-steps (`ofo certify`) needs no C compiler.  The compiled kernel
+steps (`ofo certify`) needs no C compiler.  The first read of `SegmentSpec`
+imports it from `spec`, so neither importing this package nor choosing the
+kernel loads `dataclasses`.  The compiled kernel
 (`_kernel.c`, built and loaded by `_speedup`) is used whenever it loads, for
 stepping and for formatting CSV rows; the pure-Python reference (`pure`) is
 then not imported.  When it cannot be built or loaded, the pure-Python
@@ -15,8 +17,12 @@ from __future__ import annotations
 
 import threading
 import warnings
+from typing import TYPE_CHECKING
 
-from .params import SegmentResult, SegmentSpec
+from .params import SegmentResult
+
+if TYPE_CHECKING:
+    from .spec import SegmentSpec
 
 __all__ = [
     "SegmentResult", "SegmentSpec",
@@ -47,10 +53,15 @@ def _choose():
 
 
 def __getattr__(name: str):
-    # HAVE_COMPILED becomes a plain module global once the kernel is chosen
+    # HAVE_COMPILED becomes a plain module global once the kernel is chosen,
+    # SegmentSpec once it is first read
     if name == "HAVE_COMPILED":
         _choose()
         return HAVE_COMPILED
+    if name == "SegmentSpec":
+        global SegmentSpec
+        from .spec import SegmentSpec
+        return SegmentSpec
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -23,9 +23,13 @@ import os
 import zlib
 from array import array
 from contextlib import suppress
+from typing import TYPE_CHECKING
 
 from ..errors import InputError
-from .params import SegmentResult, SegmentSpec
+from .params import SegmentResult
+
+if TYPE_CHECKING:
+    from .spec import SegmentSpec
 
 #: No fused multiply-adds and no -ffast-math: the results stay bit for bit
 #: those of the pure kernel.  Functions start on 64-byte lines, so the

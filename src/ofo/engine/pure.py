@@ -8,8 +8,12 @@ Any change here must be replicated there.
 from __future__ import annotations
 
 from math import cos, isfinite, sin, sqrt
+from typing import TYPE_CHECKING
 
-from .params import SegmentResult, SegmentSpec, plain_field
+from .params import SegmentResult, plain_field
+
+if TYPE_CHECKING:
+    from .spec import SegmentSpec
 
 
 def plain_text(text: str) -> str:

@@ -13,7 +13,6 @@ matrices are immutable tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError, NotStabilizedError, SingularMatrixError
@@ -37,22 +36,25 @@ def as_vector(values: Iterable[float], name: str = "vector") -> Vector:
     return out
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix stored row-major."""
 
-    rows: int
-    cols: int
-    data: Vector
+    __slots__ = ("rows", "cols", "data")
 
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
+    def __init__(self, rows: int, cols: int, data: Vector):
+        if rows <= 0 or cols <= 0:
             raise InputError("matrix dimensions must be positive")
-        if len(self.data) != self.rows * self.cols:
+        if len(data) != rows * cols:
             raise InputError("matrix data length does not match its dimensions")
-        for v in self.data:
+        for v in data:
             if not math.isfinite(v):
                 raise InputError("matrix contains a non-finite entry")
+        self.rows, self.cols, self.data = rows, cols, data
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Matrix":

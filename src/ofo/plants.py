@@ -14,7 +14,6 @@ nothing and re-checks nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError
@@ -43,22 +42,27 @@ def _check_lti_shapes(a: Matrix, b: Matrix, bw: Matrix, c: Matrix) -> None:
         raise InputError("output matrix column count must match the state dimension")
 
 
-@dataclass(frozen=True)
 class LinearPlant:
-    """dx/dt = A x + B u + B_w w,  y = C x, with A Hurwitz."""
+    """dx/dt = A x + B u + B_w w,  y = C x, with A Hurwitz.
 
-    a: Matrix
-    b: Matrix
-    bw: Matrix
-    c: Matrix
-    #: P of A^T P + P A = -I, the weight matrix of the certificate and of V.
-    lyapunov_p: Matrix = field(init=False, repr=False, compare=False)
+    A plant is immutable: its fields and the cached properties derived from
+    them are written to its __dict__ directly, and assignment raises."""
 
-    def __post_init__(self):
-        _check_lti_shapes(self.a, self.b, self.bw, self.c)
-        # Hurwitz gate: the Lyapunov solve succeeds with a positive-definite
-        # solution exactly when A^T, and so A, is Hurwitz.
-        object.__setattr__(self, "lyapunov_p", solve_lyapunov(self.a.transpose()))
+    def __init__(self, a: Matrix, b: Matrix, bw: Matrix, c: Matrix):
+        _check_lti_shapes(a, b, bw, c)
+        # lyapunov_p, the P of A^T P + P A = -I, is the weight matrix of the
+        # certificate and of V.  It is the Hurwitz gate: the Lyapunov solve
+        # succeeds with a positive-definite solution exactly when A^T, and so
+        # A, is Hurwitz.
+        vars(self).update(a=a, b=b, bw=bw, c=c, lyapunov_p=solve_lyapunov(a.transpose()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a {type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.a, self.b, self.bw, self.c) == (other.a, other.b, other.bw, other.c)
 
     @property
     def n(self) -> int:
@@ -119,7 +123,6 @@ class LinearPlant:
     sensitivity_lipschitz_factor = 0.0
 
 
-@dataclass(frozen=True)
 class SinePlant(LinearPlant):
     """dx/dt = A x + B (u + sin u) + B_w w, y = C x."""
 

@@ -21,7 +21,6 @@ callers, so on a parsed scenario they always pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable, NoReturn, TypeVar
 
 from .certificate import CONSTANT_FIELDS
@@ -343,16 +342,24 @@ def _build(section: str, make: Callable[..., T], **fields: Any) -> T:
         raise InputError(f"{section}: {exc}") from exc
 
 
-@dataclass(frozen=True)
 class Scenario:
     """A parsed scenario: the run configuration it describes (at the default
     weight xi = 1), its gain, and the certificate's overrides and claimed
     bound."""
 
-    config: RunConfig
-    alpha: float
-    overrides: dict[str, float] = dc_field(default_factory=dict)
-    claimed_mu_bound_rhs: float | None = None
+    __slots__ = ("config", "alpha", "overrides", "claimed_mu_bound_rhs")
+
+    def __init__(self, config: RunConfig, alpha: float, overrides: dict[str, float] | None = None,
+                 claimed_mu_bound_rhs: float | None = None):
+        self.config, self.alpha = config, alpha
+        self.overrides = {} if overrides is None else overrides
+        self.claimed_mu_bound_rhs = claimed_mu_bound_rhs
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.config, self.alpha, self.overrides, self.claimed_mu_bound_rhs)
+                == (other.config, other.alpha, other.overrides, other.claimed_mu_bound_rhs))
 
     @classmethod
     def from_dict(cls, doc: Any) -> "Scenario":

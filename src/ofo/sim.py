@@ -11,7 +11,6 @@ gain sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Sequence
 
 from . import engine
@@ -41,53 +40,58 @@ def fmt12(x: float) -> str:
     return plain_field("%.12g" % float(x))
 
 
-@dataclass(frozen=True)
 class DisturbanceSchedule:
     """Ordered (t_start, w) segments; the first segment must start at 0."""
 
-    segments: tuple[tuple[float, Vector], ...]
+    __slots__ = ("segments",)
 
-    def __post_init__(self):
-        if not self.segments:
+    def __init__(self, segments: tuple[tuple[float, Vector], ...]):
+        if not segments:
             raise InputError("schedule must contain at least one segment")
-        cleaned = []
-        for idx, (t_start, w) in enumerate(self.segments):
-            cleaned.append((float(t_start), as_vector(w, f"schedule segment {idx + 1} disturbance")))
-        object.__setattr__(self, "segments", tuple(cleaned))
-        if self.segments[0][0] != 0.0:
+        segments = tuple((float(t_start), as_vector(w, f"schedule segment {idx + 1} disturbance"))
+                         for idx, (t_start, w) in enumerate(segments))
+        if segments[0][0] != 0.0:
             raise InputError("the first schedule segment must start at t = 0")
-        for (t_prev, _), (t_next, _) in zip(self.segments, self.segments[1:]):
+        for (t_prev, _), (t_next, _) in zip(segments, segments[1:]):
             if not t_next > t_prev:
                 raise InputError("schedule start times must be strictly increasing")
-        widths = {len(w) for _, w in self.segments}
+        widths = {len(w) for _, w in segments}
         if len(widths) != 1:
             raise InputError("all schedule disturbances must have the same dimension")
+        self.segments = segments
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.segments == other.segments
 
     @property
     def q(self) -> int:
         return len(self.segments[0][1])
 
 
-@dataclass
 class Segment:
     """One constant-disturbance segment of a run: its span from start to
     end, its disturbance, the reference optimum u* with its steady state x*,
     and the stepping kernel's result for it as returned.  samples.xs holds n
     values and samples.ys p values per record, and samples.vs one V."""
 
-    start: float
-    end: float
-    w: Vector
-    ustar: float
-    xstar: Vector
-    samples: engine.SegmentResult
+    __slots__ = ("start", "end", "w", "ustar", "xstar", "samples")
+
+    def __init__(self, start: float, end: float, w: Vector, ustar: float, xstar: Vector,
+                 samples: engine.SegmentResult):
+        self.start, self.end, self.w = start, end, w
+        self.ustar, self.xstar, self.samples = ustar, xstar, samples
 
 
-@dataclass
 class Trajectory:
     """A run: one Segment per disturbance segment, in time order."""
 
-    segments: list[Segment] = field(default_factory=list)
+    # weakly referenced, so a caller can tell when a sweep has let a run go
+    __slots__ = ("segments", "__weakref__")
+
+    def __init__(self, segments: list[Segment] | None = None):
+        self.segments = [] if segments is None else segments
 
     @property
     def t(self) -> list[float]:
@@ -95,12 +99,20 @@ class Trajectory:
         return [t for seg in self.segments for t in seg.samples.times]
 
 
-@dataclass(frozen=True)
 class RunSummary:
-    final_error: float
-    settling_time: float
-    overshoot: float
-    max_violation: float
+    __slots__ = ("final_error", "settling_time", "overshoot", "max_violation")
+
+    def __init__(self, final_error: float, settling_time: float, overshoot: float,
+                 max_violation: float):
+        self.final_error, self.settling_time = final_error, settling_time
+        self.overshoot, self.max_violation = overshoot, max_violation
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.final_error, self.settling_time, self.overshoot, self.max_violation)
+                == (other.final_error, other.settling_time, other.overshoot,
+                    other.max_violation))
 
 
 def default_dt(plant: LinearPlant, cost: CostModel, alpha: float,
@@ -398,7 +410,11 @@ def summarize(traj: Trajectory) -> RunSummary:
     )
 
 
-@dataclass(frozen=True)
+def _check_xi(xi: float) -> None:
+    if not 0.0 < xi < math.inf:
+        raise InputError(f"xi must be positive and finite, got {xi}")
+
+
 class RunConfig:
     """Everything needed to run one scenario at a chosen gain.
 
@@ -406,57 +422,67 @@ class RunConfig:
     checked here, once for every gain.  The law is the projected one exactly
     when box is set, and the gradient law otherwise.  A given beta needs a
     box and must satisfy 0 < beta <= 1/L; None means 1/L, worked out at each
-    run, so a replaced cost keeps no stale stepsize.  Every run records
-    V = max(xi (x-x*)^T P (x-x*), (u-u*)^2 / 2) with the plant's own
-    P = plant.lyapunov_p and the positive, finite weight xi.
+    run, so a configuration built with another cost keeps no stale stepsize.
+    Every run records V = max(xi (x-x*)^T P (x-x*), (u-u*)^2 / 2) with the
+    plant's own P = plant.lyapunov_p and the positive, finite weight xi.
     """
 
-    plant: LinearPlant
-    cost: CostModel
-    schedule: DisturbanceSchedule
-    x0: Vector
-    u0: float
-    t_end: float
-    beta: float | None = None
-    box: BoxSet | None = None
-    dt: float | None = None
-    max_records: int = DEFAULT_MAX_RECORDS
-    xi: float = 1.0
-    #: Each disturbance level's reference, filled by reference(); a copy
-    #: made by dataclasses.replace starts empty.
-    _references: dict[Vector, tuple[float, Vector, Vector]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("plant", "cost", "schedule", "x0", "u0", "t_end", "beta", "box", "dt",
+                 "max_records", "xi", "_references")
 
-    def __post_init__(self):
-        plant, schedule = self.plant, self.schedule
-        check_fit(self.cost, plant.p)
-        object.__setattr__(self, "x0", as_vector(self.x0, "x0"))
-        object.__setattr__(self, "u0", float(self.u0))
-        if len(self.x0) != plant.n:
-            raise InputError(f"x0 has length {len(self.x0)}, expected {plant.n}")
-        if not math.isfinite(self.u0):
-            raise InputError(f"u0 must be finite, got {self.u0}")
-        if not 0.0 < self.t_end < math.inf:
-            raise InputError(f"t_end must be positive and finite, got {self.t_end}")
+    def __init__(self, plant: LinearPlant, cost: CostModel, schedule: DisturbanceSchedule,
+                 x0: Vector, u0: float, t_end: float, beta: float | None = None,
+                 box: BoxSet | None = None, dt: float | None = None,
+                 max_records: int = DEFAULT_MAX_RECORDS, xi: float = 1.0):
+        check_fit(cost, plant.p)
+        x0, u0 = as_vector(x0, "x0"), float(u0)
+        if len(x0) != plant.n:
+            raise InputError(f"x0 has length {len(x0)}, expected {plant.n}")
+        if not math.isfinite(u0):
+            raise InputError(f"u0 must be finite, got {u0}")
+        if not 0.0 < t_end < math.inf:
+            raise InputError(f"t_end must be positive and finite, got {t_end}")
         if schedule.q != plant.bw.cols:
             raise InputError("schedule disturbance dimension does not match the plant")
-        if schedule.segments[-1][0] >= self.t_end:
+        if schedule.segments[-1][0] >= t_end:
             raise InputError("schedule extends beyond t_end")
-        if self.dt is not None and not 0.0 < self.dt < math.inf:
-            raise InputError(f"dt must be positive and finite, got {self.dt}")
-        if not 0.0 < self.xi < math.inf:
-            raise InputError(f"xi must be positive and finite, got {self.xi}")
-        if self.beta is not None:
-            if self.box is None:
+        if dt is not None and not 0.0 < dt < math.inf:
+            raise InputError(f"dt must be positive and finite, got {dt}")
+        _check_xi(xi)
+        if beta is not None:
+            if box is None:
                 raise InputError("stepsize beta is only valid for the projected law, "
                                  "which needs a box")
-            if not self.beta > 0.0:
+            if not beta > 0.0:
                 raise InputError("stepsize beta must be positive")
-            limit = 1.0 / self.cost.grad_u_lipschitz
-            if self.beta > limit:
+            limit = 1.0 / cost.grad_u_lipschitz
+            if beta > limit:
                 raise InputError(
-                    f"stepsize beta = {self.beta} violates the projected-law precondition "
+                    f"stepsize beta = {beta} violates the projected-law precondition "
                     f"beta <= 1/L = {limit}")
+        self.plant, self.cost, self.schedule = plant, cost, schedule
+        self.x0, self.u0, self.t_end, self.beta, self.box = x0, u0, t_end, beta, box
+        self.dt, self.max_records, self.xi = dt, max_records, xi
+        #: Each disturbance level's reference, filled by reference().
+        self._references: dict[Vector, tuple[float, Vector, Vector]] = {}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # every slot but the last, the references, which follow from the others
+        names = self.__slots__[:-1]
+        return [getattr(self, name) for name in names] == [getattr(other, name) for name in names]
+
+    def with_xi(self, xi: float) -> RunConfig:
+        """This configuration with the weight xi of V.  Only xi is checked:
+        the other fields passed this configuration's checks, and the copy
+        shares its references, which do not depend on xi."""
+        _check_xi(xi)
+        copy = object.__new__(RunConfig)
+        for name in self.__slots__:
+            setattr(copy, name, getattr(self, name))
+        copy.xi = xi
+        return copy
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -502,12 +528,12 @@ class RunConfig:
         return traj, summarize(traj)
 
 
-@dataclass
 class SweepRow:
-    alpha: float
-    trajectory: Trajectory | None
-    summary: RunSummary | None
-    error: str | None = None
+    __slots__ = ("alpha", "trajectory", "summary", "error")
+
+    def __init__(self, alpha: float, trajectory: Trajectory | None, summary: RunSummary | None,
+                 error: str | None = None):
+        self.alpha, self.trajectory, self.summary, self.error = alpha, trajectory, summary, error
 
 
 def sweep_alpha(config: RunConfig, alphas: Sequence[float]) -> list[SweepRow]:

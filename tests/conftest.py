@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -26,6 +27,28 @@ def checkout_env(**env: str) -> dict[str, str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **env)
+
+
+def replace(obj, **changes):
+    """A copy of obj with the given changes, built by its class's own
+    __init__ from obj's values of that __init__'s parameters, so every check
+    of the constructor runs again, as dataclasses.replace does."""
+    names = list(inspect.signature(type(obj)).parameters)
+    unknown = sorted(set(changes) - set(names))
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} has no parameter {', '.join(unknown)}")
+    return type(obj)(**{name: changes[name] if name in changes else getattr(obj, name)
+                        for name in names})
+
+
+def as_dict(record) -> dict:
+    """A record's fields by name, in the order of its __slots__, with nested
+    records as dicts, as dataclasses.asdict gives them for a dataclass."""
+    out = {}
+    for name in record.__slots__:
+        value = getattr(record, name)
+        out[name] = as_dict(value) if hasattr(type(value), "__slots__") else value
+    return out
 
 
 def bundled_scenario_path(name: str) -> str:

@@ -7,7 +7,6 @@ complete.  Every tolerance is pinned here, not calibrated elsewhere.
 import math
 import os
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from conftest import (
     integrate,
     proj_box,
     random_hurwitz_rows,
+    replace,
     to_rows,
     vec_norm,
 )

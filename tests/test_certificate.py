@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from ofo.errors import ConvexityGapError, InputError, NotStabilizedError
 from ofo.linalg import Matrix
 from ofo.plants import LinearPlant, SinePlant
 
-from conftest import random_hurwitz_rows, to_rows
+from conftest import random_hurwitz_rows, replace, to_rows
 
 
 def all_ones(**overrides) -> SimplifyingConstants:

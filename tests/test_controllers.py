@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -9,7 +8,7 @@ from ofo.costs import QuadraticCost, SqrtPlusCost, reduced_gradient
 from ofo.errors import InputError
 from ofo.sim import DisturbanceSchedule, RunConfig
 
-from conftest import inputs, ofo_rate, proj_box
+from conftest import inputs, ofo_rate, proj_box, replace
 
 
 class TestProjBox:

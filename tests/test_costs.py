@@ -1,12 +1,13 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
 from ofo.costs import QuadraticCost, SqrtPlusCost, reduced_gradient
 from ofo.errors import InputError
 from ofo.linalg import Matrix
+
+from conftest import replace
 
 
 def fd_u(phi, u, y, step=1e-6):

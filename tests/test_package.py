@@ -2,6 +2,7 @@
 name and each submodule is imported on first use."""
 
 import ast
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +12,7 @@ import pytest
 
 import ofo
 
-from conftest import checkout_env
+from conftest import bundled_scenario_path, checkout_env
 
 PUBLIC = [
     "BoxSet", "DisturbanceSchedule", "LinearPlant", "QuadraticCost", "RunConfig",
@@ -88,6 +89,37 @@ def test_a_run_imports_only_the_standard_library_and_ofo(tmp_path):
     assert not foreign, foreign
 
 
+def test_choosing_the_kernel_loads_no_dataclasses():
+    # the benchmark's set-up: the CLI's modules and the kernel choice
+    code = ("import sys; before = set(sys.modules); import ofo.cli; "
+            "print(ofo.engine.kernel_name(), *sorted(set(sys.modules) - before))")
+    kernel, *added = fresh_python(code).split()
+    assert kernel in {"compiled", "pure-python"}
+    assert {"ofo.cli", "ofo.engine"} <= set(added)
+    assert "dataclasses" not in added, added
+
+
+def test_certify_loads_no_dataclasses():
+    code = ("import sys; before = set(sys.modules); from ofo.cli import main; "
+            f"rc = main(['certify', {bundled_scenario_path('fig1')!r}]); "
+            "print(rc, *sorted(set(sys.modules) - before))")
+    rc, *added = fresh_python(code).splitlines()[-1].split()
+    assert rc == "3"  # the whole pipeline ran: fig1 is not certified
+    assert "ofo.certificate" in added
+    assert "dataclasses" not in added, added
+
+
+def test_segment_spec_is_the_one_dataclass():
+    code = ("import dataclasses, importlib, pkgutil, ofo; "
+            "names = [m.name for m in pkgutil.walk_packages(ofo.__path__, 'ofo.') "
+            "if m.name != 'ofo.engine._speedup']; "
+            "mods = [importlib.import_module(name) for name in names]; "
+            "print(*sorted(f'{m.__name__}.{k}' for m in mods for k, v in vars(m).items() "
+            "if isinstance(v, type) and v.__module__ == m.__name__ "
+            "and dataclasses.is_dataclass(v)))")
+    assert fresh_python(code).split() == ["ofo.engine.spec.SegmentSpec"]
+
+
 
 def read_names(tree: ast.AST) -> Counter:
     """How often a tree reads each name as a Name, an Attribute or a string
@@ -103,13 +135,38 @@ def read_names(tree: ast.AST) -> Counter:
     return names
 
 
-def test_every_top_level_definition_has_a_user():
-    # A top-level function or class of src/ofo, and a method or property of
-    # such a class, must be read somewhere in src/ofo outside its own
-    # definition, listed in ofo.__all__, or read by the benchmark in
-    # perfbench/.  Tests are no users, so a production function or method
-    # kept only as a test oracle fails here.
-    root = Path(ofo.__file__).parent
+def taken_from_ofo(tree: ast.AST) -> set[str]:
+    """The names a module takes from ofo: each name in an `import ofo...` or
+    `from ofo... import` statement, and each attribute read through a name
+    such a statement binds (`ofo.sim.RunConfig.run`, `engine.SegmentSpec`)."""
+    bound, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "ofo":
+                    bound.add(alias.asname or "ofo")
+                    names.update(alias.name.split(".")[1:])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "ofo":
+            names.update(node.module.split(".")[1:])
+            for alias in node.names:
+                bound.add(alias.asname or alias.name)
+                names.add(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in bound:
+                names.update(chain)
+    return names
+
+
+def unused_definitions(root: Path, benchmark: Path) -> list[str]:
+    """The top-level functions and classes under root, and the methods and
+    properties of such classes, that nothing reads: not the code under root
+    outside their own definition, not ofo.__all__, and not the modules in
+    benchmark through the names they take from ofo."""
     definitions, read = [], Counter()
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text("utf-8"))
@@ -119,10 +176,35 @@ def test_every_top_level_definition_has_a_user():
             definitions += [(path.relative_to(root), d) for d in (node, *members)
                             if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
     outside = set(ofo.__all__)
-    for path in sorted((root.parents[1] / "perfbench").glob("*.py")):
-        outside |= set(read_names(ast.parse(path.read_text("utf-8"))))
-    unused = [f"{path}: {node.name}" for path, node in definitions
-              if not (node.name.startswith("__") and node.name.endswith("__"))
-              and node.name not in outside
-              and read[node.name] == read_names(node)[node.name]]
-    assert unused == []
+    for path in sorted(benchmark.glob("*.py")):
+        outside |= taken_from_ofo(ast.parse(path.read_text("utf-8")))
+    return [f"{path}: {node.name}" for path, node in definitions
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in outside
+            and read[node.name] == read_names(node)[node.name]]
+
+
+ROOT = Path(ofo.__file__).parent
+BENCHMARK = ROOT.parents[1] / "perfbench"
+
+
+def test_every_top_level_definition_has_a_user():
+    # Tests are no users, so a production function or method kept only as a
+    # test oracle fails here.
+    assert unused_definitions(ROOT, BENCHMARK) == []
+
+
+def test_a_planted_unused_method_has_no_user(tmp_path):
+    # the benchmark reads `args.trace`, an argparse field and not a name it
+    # takes from ofo, so it does not count as a user of a Matrix.trace
+    copy = tmp_path / "ofo"
+    shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    linalg = copy / "linalg.py"
+    text = linalg.read_text("utf-8")
+    anchor = "    def max_norm(self) -> float:\n"
+    assert anchor in text
+    linalg.write_text(text.replace(anchor, "    def trace(self) -> float:\n"
+                                   "        return sum(self.data[::self.cols + 1])\n\n"
+                                   + anchor), "utf-8")
+    assert unused_definitions(copy, BENCHMARK) == ["linalg.py: trace"]
+    assert "trace" in read_names(ast.parse((BENCHMARK / "run.py").read_text("utf-8")))

@@ -11,7 +11,6 @@ as well; mu3 is a rate relative to the plant's own and is kept.
 import copy
 import subprocess
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from ofo.cli import _run_config, main
 from ofo.scenario import Scenario
 from ofo.sim import default_dt, simulate
 
-from conftest import bundled_scenario_path
+from conftest import as_dict, bundled_scenario_path, replace
 
 SCALES = (1e-2, 0.1, 10.0)
 #: The scales swept at the default step.  At 1e-2 the cap on the step would
@@ -87,7 +86,7 @@ def report_of(doc: dict):
 def flat(report) -> dict:
     """Every value of the report, nested records flattened to `record.field`."""
     out = {}
-    for key, value in asdict(report).items():
+    for key, value in as_dict(report).items():
         if isinstance(value, dict):
             out.update({f"{key}.{name}": v for name, v in value.items()})
         else:

@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,7 @@ from ofo.errors import InputError
 from ofo.scenario import Scenario
 from ofo.sim import write_csv
 
-from conftest import bundled_scenario, bundled_scenario_path, checkout_env
+from conftest import bundled_scenario, bundled_scenario_path, checkout_env, replace
 
 
 def minimal_doc() -> dict:
@@ -441,6 +440,26 @@ class TestSimulateCommand:
         written = [row.split(b",")[6] for row in out.read_bytes().splitlines()]
         assert written == v_column(1.0)
         assert written != v_column(2.0)
+
+    def test_fit_checked_three_times(self, tmp_path, monkeypatch):
+        # by the parser, by the RunConfig it builds and by certify; setting
+        # the certified weight checks xi alone
+        import ofo.certificate
+        import ofo.costs
+        import ofo.sim
+
+        calls = []
+        real = ofo.costs.check_fit
+
+        def counted(cost, p):
+            calls.append(p)
+            return real(cost, p)
+
+        for module in (ofo.costs, ofo.scenario, ofo.sim, ofo.certificate):
+            monkeypatch.setattr(module, "check_fit", counted)
+        out = tmp_path / "fig1.csv"
+        assert main(["simulate", bundled_scenario_path("fig1"), "--out", str(out)]) == 0
+        assert calls == [1, 1, 1]
 
     def test_fig2_golden_header(self, tmp_path):
         out = tmp_path / "fig2.csv"

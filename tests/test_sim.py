@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 from array import array
-from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -49,6 +48,7 @@ from conftest import (
     integrate,
     outputs,
     random_hurwitz_rows,
+    replace,
     states,
     to_rows,
     vec_norm,
@@ -854,6 +854,18 @@ class TestLyapunovMachinery:
         schedule = DisturbanceSchedule(((0.0, (1.0,)),))
         with pytest.raises(InputError, match="xi must be positive and finite"):
             gradient_config(fast_plant, quad_cost, schedule, t_end=1.0, xi=xi)
+        cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0)
+        with pytest.raises(InputError, match="xi must be positive and finite"):
+            cfg.with_xi(xi)
+
+    def test_with_xi_changes_the_weight_alone(self, fast_plant, quad_cost):
+        schedule = DisturbanceSchedule(((0.0, (1.0,)),))
+        cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0)
+        weighted = cfg.with_xi(2.5)
+        assert (weighted.xi, cfg.xi) == (2.5, 1.0)
+        assert weighted == replace(cfg, xi=2.5) and weighted != cfg
+        assert weighted.run(10.0)[0].segments[0].samples.vs == (
+            replace(cfg, xi=2.5).run(10.0)[0].segments[0].samples.vs)
 
     def test_trace_values_at_anchor_and_unit_offsets(self, fast_plant, quad_cost):
         schedule = DisturbanceSchedule(((0.0, (0.0,)),))
@@ -1196,14 +1208,14 @@ class TestReferenceCache:
         assert references[0] == references[1] == references[2]
 
     def test_replaced_copy_starts_empty(self, monkeypatch):
-        # the cache is outside == and repr, and a copy with another cost
-        # (or the same fields) works its references out again
+        # the cache is outside ==, and a copy with another cost (or the
+        # same fields) works its references out again
         calls = self.counting(monkeypatch)
         config = self.levels_config()
         config.run(1.0)
         assert len(calls) == 3
         again = replace(config)
-        assert again == config and repr(again) == repr(config)
+        assert again == config
         again.run(1.0)
         assert len(calls) == 6
         heavier = replace(config, cost=QuadraticCost(q_u=0.5, q_y=1.0))
