@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 
+from ._record import FrozenRecord, set_fields
 from .costs import CostModel, check_fit
 from .errors import ConvexityGapError, InputError
 from .linalg import spectral_norm, sym_eigenvalues
 from .plants import LinearPlant
 
 
-class SimplifyingConstants:
+class SimplifyingConstants(FrozenRecord):
     """Moduli feeding the dominance formulas.
 
     Plant side: ell_f (input Lipschitz modulus of the dynamics), ell_g (output
@@ -40,9 +41,9 @@ class SimplifyingConstants:
     def __init__(self, ell_f: float, ell_g: float, c3: float, d3: float, mu3: float,
                  zeta3: float, mu_phi: float, ell_phi_u: float, ell_phi_y: float,
                  lip_grad_u: float):
-        self.ell_f, self.ell_g, self.c3, self.d3, self.mu3 = ell_f, ell_g, c3, d3, mu3
-        self.zeta3, self.mu_phi, self.ell_phi_u = zeta3, mu_phi, ell_phi_u
-        self.ell_phi_y, self.lip_grad_u = ell_phi_y, lip_grad_u
+        set_fields(self, ell_f=ell_f, ell_g=ell_g, c3=c3, d3=d3, mu3=mu3, zeta3=zeta3,
+                   mu_phi=mu_phi, ell_phi_u=ell_phi_u, ell_phi_y=ell_phi_y,
+                   lip_grad_u=lip_grad_u)
         for name in ("c3", "d3", "mu3", "zeta3", "mu_phi", "lip_grad_u"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"constant {name} must be positive")
@@ -56,25 +57,25 @@ class SimplifyingConstants:
 
 
 #: Names accepted as scenario-file overrides of derived constants.
-CONSTANT_FIELDS = SimplifyingConstants.__slots__
+CONSTANT_FIELDS = SimplifyingConstants._fields
 
 
-class DominanceParams:
+class DominanceParams(FrozenRecord):
     """Coefficients of the coupled decay inequalities."""
 
     __slots__ = ("mu1", "theta1", "mu2", "theta2")
 
     def __init__(self, mu1: float, theta1: float, mu2: float, theta2: float):
-        self.mu1, self.theta1, self.mu2, self.theta2 = mu1, theta1, mu2, theta2
+        set_fields(self, mu1=mu1, theta1=theta1, mu2=mu2, theta2=theta2)
 
 
-class XiInterval:
+class XiInterval(FrozenRecord):
     """Open interval of feasible composite-Lyapunov weights."""
 
     __slots__ = ("lo", "hi", "chosen")
 
     def __init__(self, lo: float, hi: float, chosen: float):
-        self.lo, self.hi, self.chosen = lo, hi, chosen
+        set_fields(self, lo=lo, hi=hi, chosen=chosen)
 
 
 def assemble_constants(
@@ -181,7 +182,7 @@ def required_regularization(k: SimplifyingConstants, margin: float = 1e-6) -> fl
     return max(0.0, rhs - k.mu_phi + margin)
 
 
-class CertificateReport:
+class CertificateReport(FrozenRecord):
     """Everything the certification pipeline produced for one plant/cost pair."""
 
     __slots__ = ("plant_kind", "cost_kind", "alpha", "constants", "overridden", "params",
@@ -193,11 +194,10 @@ class CertificateReport:
                  params: DominanceParams, xi: XiInterval | None, certified: bool,
                  mu_bound_rhs: float, required_mu4: float, tau_at_alpha: float | None,
                  claimed_mu_bound_rhs: float | None = None):
-        self.plant_kind, self.cost_kind, self.alpha = plant_kind, cost_kind, alpha
-        self.constants, self.overridden, self.params = constants, overridden, params
-        self.xi, self.certified, self.mu_bound_rhs = xi, certified, mu_bound_rhs
-        self.required_mu4, self.tau_at_alpha = required_mu4, tau_at_alpha
-        self.claimed_mu_bound_rhs = claimed_mu_bound_rhs
+        set_fields(self, plant_kind=plant_kind, cost_kind=cost_kind, alpha=alpha,
+                   constants=constants, overridden=overridden, params=params, xi=xi,
+                   certified=certified, mu_bound_rhs=mu_bound_rhs, required_mu4=required_mu4,
+                   tau_at_alpha=tau_at_alpha, claimed_mu_bound_rhs=claimed_mu_bound_rhs)
 
     def to_text(self) -> str:
         """Flat `name = value` block for CLI output and golden-file tests."""

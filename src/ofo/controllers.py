@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 
+from ._record import FrozenRecord, set_fields
 from .errors import InputError
 
 
-class BoxSet:
+class BoxSet(FrozenRecord):
     """The interval {u : lo <= u <= hi}; either bound may be +-inf."""
 
     __slots__ = ("lo", "hi")
@@ -23,12 +24,7 @@ class BoxSet:
             raise InputError("box bound is NaN")
         if lo > hi:
             raise InputError(f"box has lo > hi ({lo} > {hi})")
-        self.lo, self.hi = lo, hi
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi)
+        set_fields(self, lo=lo, hi=hi)
 
     def contains(self, u: float) -> bool:
         return self.lo <= u <= self.hi

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+from ._record import FrozenRecord, set_fields
 from .errors import InputError
 from .linalg import Vector
 
@@ -29,7 +30,7 @@ def _check_mu4(mu4: float) -> None:
         raise InputError("regularization weight mu4 must be nonnegative")
 
 
-class QuadraticCost:
+class QuadraticCost(FrozenRecord):
     """phi(u, y) = q_u u^2 + q_y ||y||^2 + (mu4 / 2) u^2."""
 
     __slots__ = ("q_u", "q_y", "mu4")
@@ -40,12 +41,7 @@ class QuadraticCost:
         if q_y < 0.0:
             raise InputError("output weight q_y must be nonnegative")
         _check_mu4(mu4)
-        self.q_u, self.q_y, self.mu4 = q_u, q_y, mu4
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.q_u, self.q_y, self.mu4) == (other.q_u, other.q_y, other.mu4)
+        set_fields(self, q_u=q_u, q_y=q_y, mu4=mu4)
 
     def phi(self, u: float, y: Vector) -> float:
         base = self.q_u * (u * u) + self.q_y * sum(v * v for v in y)
@@ -72,7 +68,7 @@ class QuadraticCost:
     kind = "quadratic"
 
 
-class SqrtPlusCost:
+class SqrtPlusCost(FrozenRecord):
     """phi(u, y) = a u^2 + sqrt(y^2 + 1) + (mu4 / 2) u^2, scalar output."""
 
     __slots__ = ("a", "mu4")
@@ -81,12 +77,7 @@ class SqrtPlusCost:
         if a <= 0.0:
             raise InputError("input weight a must be positive")
         _check_mu4(mu4)
-        self.a, self.mu4 = a, mu4
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.a, self.mu4) == (other.a, other.mu4)
+        set_fields(self, a=a, mu4=mu4)
 
     @staticmethod
     def _check_scalar(y: Vector) -> None:

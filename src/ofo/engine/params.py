@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from array import array
 
+from .._record import Record
 from ..errors import InputError
 
 
-class SegmentResult:
+class SegmentResult(Record):
     """Strided samples plus exact final state of one segment: per record one
     time, n states (flat in xs), one input, p outputs (flat in ys) and one V."""
 
@@ -30,12 +31,6 @@ class SegmentResult:
             array("d") if column is None else column for column in (times, xs, us, ys, vs))
         self.final_x = [] if final_x is None else final_x
         self.final_u, self.max_violation, self.blowup_time = final_u, max_violation, blowup_time
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ([getattr(self, name) for name in self.__slots__]
-                == [getattr(other, name) for name in self.__slots__])
 
 
 def plain_field(text: str) -> str:

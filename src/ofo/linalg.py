@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+from ._record import FrozenRecord, set_fields
 from .errors import InputError, NotStabilizedError, SingularMatrixError
 
 Vector = tuple[float, ...]
@@ -36,7 +37,7 @@ def as_vector(values: Iterable[float], name: str = "vector") -> Vector:
     return out
 
 
-class Matrix:
+class Matrix(FrozenRecord):
     """Immutable dense matrix stored row-major."""
 
     __slots__ = ("rows", "cols", "data")
@@ -49,12 +50,7 @@ class Matrix:
         for v in data:
             if not math.isfinite(v):
                 raise InputError("matrix contains a non-finite entry")
-        self.rows, self.cols, self.data = rows, cols, data
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
+        set_fields(self, rows=rows, cols=cols, data=data)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Matrix":

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
+from ._record import FrozenRecord, set_fields
 from .errors import InputError
 from .linalg import (
     Matrix,
@@ -42,11 +43,11 @@ def _check_lti_shapes(a: Matrix, b: Matrix, bw: Matrix, c: Matrix) -> None:
         raise InputError("output matrix column count must match the state dimension")
 
 
-class LinearPlant:
+class LinearPlant(FrozenRecord):
     """dx/dt = A x + B u + B_w w,  y = C x, with A Hurwitz.
 
-    A plant is immutable: its fields and the cached properties derived from
-    them are written to its __dict__ directly, and assignment raises."""
+    A plant is immutable, and so are its matrices: assignment raises, and
+    the cached properties derived from them are written to its __dict__."""
 
     def __init__(self, a: Matrix, b: Matrix, bw: Matrix, c: Matrix):
         _check_lti_shapes(a, b, bw, c)
@@ -54,15 +55,7 @@ class LinearPlant:
         # certificate and of V.  It is the Hurwitz gate: the Lyapunov solve
         # succeeds with a positive-definite solution exactly when A^T, and so
         # A, is Hurwitz.
-        vars(self).update(a=a, b=b, bw=bw, c=c, lyapunov_p=solve_lyapunov(a.transpose()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: a {type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.a, self.b, self.bw, self.c) == (other.a, other.b, other.bw, other.c)
+        set_fields(self, a=a, b=b, bw=bw, c=c, lyapunov_p=solve_lyapunov(a.transpose()))
 
     @property
     def n(self) -> int:

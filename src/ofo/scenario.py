@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, NoReturn, TypeVar
 
+from ._record import FrozenRecord, set_fields
 from .certificate import CONSTANT_FIELDS
 from .controllers import BoxSet
 from .costs import QuadraticCost, SqrtPlusCost, check_fit
@@ -342,7 +343,7 @@ def _build(section: str, make: Callable[..., T], **fields: Any) -> T:
         raise InputError(f"{section}: {exc}") from exc
 
 
-class Scenario:
+class Scenario(FrozenRecord):
     """A parsed scenario: the run configuration it describes (at the default
     weight xi = 1), its gain, and the certificate's overrides and claimed
     bound."""
@@ -351,15 +352,9 @@ class Scenario:
 
     def __init__(self, config: RunConfig, alpha: float, overrides: dict[str, float] | None = None,
                  claimed_mu_bound_rhs: float | None = None):
-        self.config, self.alpha = config, alpha
-        self.overrides = {} if overrides is None else overrides
-        self.claimed_mu_bound_rhs = claimed_mu_bound_rhs
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.config, self.alpha, self.overrides, self.claimed_mu_bound_rhs)
-                == (other.config, other.alpha, other.overrides, other.claimed_mu_bound_rhs))
+        set_fields(self, config=config, alpha=alpha,
+                   overrides={} if overrides is None else overrides,
+                   claimed_mu_bound_rhs=claimed_mu_bound_rhs)
 
     @classmethod
     def from_dict(cls, doc: Any) -> "Scenario":

@@ -14,6 +14,7 @@ import math
 from typing import BinaryIO, Callable, Sequence
 
 from . import engine
+from ._record import FrozenRecord, Record, set_fields
 from .controllers import BoxSet
 from .costs import CostModel, QuadraticCost, check_fit, reduced_gradient
 from .engine.params import plain_field
@@ -40,7 +41,7 @@ def fmt12(x: float) -> str:
     return plain_field("%.12g" % float(x))
 
 
-class DisturbanceSchedule:
+class DisturbanceSchedule(FrozenRecord):
     """Ordered (t_start, w) segments; the first segment must start at 0."""
 
     __slots__ = ("segments",)
@@ -58,19 +59,14 @@ class DisturbanceSchedule:
         widths = {len(w) for _, w in segments}
         if len(widths) != 1:
             raise InputError("all schedule disturbances must have the same dimension")
-        self.segments = segments
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.segments == other.segments
+        set_fields(self, segments=segments)
 
     @property
     def q(self) -> int:
         return len(self.segments[0][1])
 
 
-class Segment:
+class Segment(Record):
     """One constant-disturbance segment of a run: its span from start to
     end, its disturbance, the reference optimum u* with its steady state x*,
     and the stepping kernel's result for it as returned.  samples.xs holds n
@@ -84,7 +80,7 @@ class Segment:
         self.ustar, self.xstar, self.samples = ustar, xstar, samples
 
 
-class Trajectory:
+class Trajectory(Record):
     """A run: one Segment per disturbance segment, in time order."""
 
     # weakly referenced, so a caller can tell when a sweep has let a run go
@@ -99,20 +95,13 @@ class Trajectory:
         return [t for seg in self.segments for t in seg.samples.times]
 
 
-class RunSummary:
+class RunSummary(FrozenRecord):
     __slots__ = ("final_error", "settling_time", "overshoot", "max_violation")
 
     def __init__(self, final_error: float, settling_time: float, overshoot: float,
                  max_violation: float):
-        self.final_error, self.settling_time = final_error, settling_time
-        self.overshoot, self.max_violation = overshoot, max_violation
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return ((self.final_error, self.settling_time, self.overshoot, self.max_violation)
-                == (other.final_error, other.settling_time, other.overshoot,
-                    other.max_violation))
+        set_fields(self, final_error=final_error, settling_time=settling_time,
+                   overshoot=overshoot, max_violation=max_violation)
 
 
 def default_dt(plant: LinearPlant, cost: CostModel, alpha: float,
@@ -415,7 +404,7 @@ def _check_xi(xi: float) -> None:
         raise InputError(f"xi must be positive and finite, got {xi}")
 
 
-class RunConfig:
+class RunConfig(FrozenRecord):
     """Everything needed to run one scenario at a chosen gain.
 
     u0 is a finite float and a given box an interval.  The run's fit is
@@ -460,18 +449,10 @@ class RunConfig:
                 raise InputError(
                     f"stepsize beta = {beta} violates the projected-law precondition "
                     f"beta <= 1/L = {limit}")
-        self.plant, self.cost, self.schedule = plant, cost, schedule
-        self.x0, self.u0, self.t_end, self.beta, self.box = x0, u0, t_end, beta, box
-        self.dt, self.max_records, self.xi = dt, max_records, xi
-        #: Each disturbance level's reference, filled by reference().
-        self._references: dict[Vector, tuple[float, Vector, Vector]] = {}
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        # every slot but the last, the references, which follow from the others
-        names = self.__slots__[:-1]
-        return [getattr(self, name) for name in names] == [getattr(other, name) for name in names]
+        # _references maps each disturbance level to its reference, filled
+        # by reference(); it is no field, so == and repr leave it out
+        set_fields(self, plant=plant, cost=cost, schedule=schedule, x0=x0, u0=u0, t_end=t_end,
+                   beta=beta, box=box, dt=dt, max_records=max_records, xi=xi, _references={})
 
     def with_xi(self, xi: float) -> RunConfig:
         """This configuration with the weight xi of V.  Only xi is checked:
@@ -479,9 +460,7 @@ class RunConfig:
         shares its references, which do not depend on xi."""
         _check_xi(xi)
         copy = object.__new__(RunConfig)
-        for name in self.__slots__:
-            setattr(copy, name, getattr(self, name))
-        copy.xi = xi
+        set_fields(copy, **{name: getattr(self, name) for name in self.__slots__} | {"xi": xi})
         return copy
 
     @property
@@ -528,7 +507,7 @@ class RunConfig:
         return traj, summarize(traj)
 
 
-class SweepRow:
+class SweepRow(Record):
     __slots__ = ("alpha", "trajectory", "summary", "error")
 
     def __init__(self, alpha: float, trajectory: Trajectory | None, summary: RunSummary | None,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ofo import engine
+from ofo._record import Record
 from ofo.costs import QuadraticCost, SqrtPlusCost, reduced_gradient
 from ofo.engine import pure
 from ofo.errors import DivergenceError, InputError
@@ -42,12 +43,13 @@ def replace(obj, **changes):
 
 
 def as_dict(record) -> dict:
-    """A record's fields by name, in the order of its __slots__, with nested
-    records as dicts, as dataclasses.asdict gives them for a dataclass."""
+    """A record's fields, its __init__'s parameters, by name and in order,
+    with nested records as dicts, as dataclasses.asdict gives them for a
+    dataclass."""
     out = {}
-    for name in record.__slots__:
+    for name in inspect.signature(type(record)).parameters:
         value = getattr(record, name)
-        out[name] = as_dict(value) if hasattr(type(value), "__slots__") else value
+        out[name] = as_dict(value) if isinstance(value, Record) else value
     return out
 
 

@@ -1208,14 +1208,14 @@ class TestReferenceCache:
         assert references[0] == references[1] == references[2]
 
     def test_replaced_copy_starts_empty(self, monkeypatch):
-        # the cache is outside ==, and a copy with another cost (or the
-        # same fields) works its references out again
+        # the cache is outside == and repr, and a copy with another cost
+        # (or the same fields) works its references out again
         calls = self.counting(monkeypatch)
         config = self.levels_config()
         config.run(1.0)
         assert len(calls) == 3
         again = replace(config)
-        assert again == config
+        assert again == config and repr(again) == repr(config)
         again.run(1.0)
         assert len(calls) == 6
         heavier = replace(config, cost=QuadraticCost(q_u=0.5, q_y=1.0))
