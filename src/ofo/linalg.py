@@ -2,9 +2,10 @@
 
 Everything here is sized for desk-scale control problems (a handful of states),
 so the algorithms favour exactness and testability over asymptotic speed:
-the one Lyapunov equation in use, A P + P A^T = -I, is solved by vectorizing
-its n^2 x n^2 linear system, and the inverse by solving A X = I a column at a
-time, both through one Gaussian elimination with one pivot rule; symmetric
+the one Lyapunov equation in use, A P + P A^T = -I, is solved as its
+n(n+1)/2 distinct equations in the entries of P on and above the diagonal,
+and the inverse by solving A X = I a column at a time, both through one
+Gaussian elimination with one pivot rule; symmetric
 eigenvalues come from cyclic Jacobi sweeps, characteristic polynomials from
 the Faddeev-LeVerrier recursion and their stability from Routh's array, and
 matrices are immutable tuples.
@@ -172,25 +173,22 @@ def solve_lyapunov(a: Matrix) -> Matrix:
         raise InputError("Lyapunov solve needs a square A")
     n = a.rows
 
-    # Row-major vectorization: vec(A P) = (A (x) I) vec(P), vec(P A^T) = (I (x) A) vec(P).
-    size = n * n
-    k = [[0.0] * size for _ in range(size)]
-    rhs = [0.0] * size
-    for i in range(n):
-        for j in range(n):
-            r = i * n + j
-            rhs[r] = -(1.0 if i == j else 0.0)
-            for l in range(n):
-                k[r][i * n + l] += a.entry(j, l)
-                k[r][l * n + j] += a.entry(i, l)
+    # One equation (A P + P A^T)_ij = sum_l A_jl P_il + A_il P_lj = -delta_ij
+    # and one unknown P_ij = P_ji for each pair i <= j, numbered row-major.
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    slot = [[0] * n for _ in range(n)]
+    for s, (i, j) in enumerate(pairs):
+        slot[i][j] = slot[j][i] = s
+    k = [[0.0] * len(pairs) for _ in pairs]
+    for row, (i, j) in zip(k, pairs):
+        for l in range(n):
+            row[slot[i][l]] += a.entry(j, l)
+            row[slot[l][j]] += a.entry(i, l)
     try:
-        vec_p = _solve_dense(k, rhs)
+        vech_p = _solve_dense(k, [-1.0 if i == j else 0.0 for i, j in pairs])
     except SingularMatrixError as exc:
         raise NotStabilizedError("plant not pre-stabilized: Lyapunov system is singular") from exc
-
-    # Exact symmetrization; the equation is symmetric in exact arithmetic.
-    sym = tuple(0.5 * (vec_p[i * n + j] + vec_p[j * n + i]) for i in range(n) for j in range(n))
-    p = Matrix(n, n, sym)
+    p = Matrix(n, n, tuple(vech_p[s] for row in slot for s in row))
 
     # The residual carries rounding of the size of the terms A P and P A^T,
     # so it is judged against ||A|| ||P|| as well as ||I|| = 1.

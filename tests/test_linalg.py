@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ofo import linalg
 from ofo.errors import InputError, NotStabilizedError, SingularMatrixError
 from ofo.linalg import (
     Matrix,
@@ -21,6 +22,17 @@ from conftest import random_hurwitz_rows, random_spd_rows, to_rows
 
 def as_np(m: Matrix) -> np.ndarray:
     return np.array(to_rows(m))
+
+
+def column_scaled_hurwitz_rows(rng: random.Random, n: int) -> list[list[float]]:
+    """A random Hurwitz matrix with its columns scaled by factors in
+    [1e-2, 1e2], redrawn until the scaled matrix is Hurwitz as well."""
+    while True:
+        rows = random_hurwitz_rows(rng, n)
+        d = [10.0 ** rng.uniform(-2.0, 2.0) for _ in range(n)]
+        rows = [[v * dj for v, dj in zip(row, d)] for row in rows]
+        if max(np.linalg.eigvals(np.array(rows)).real) < 0.0:
+            return rows
 
 
 class TestSolveLyapunov:
@@ -46,17 +58,36 @@ class TestSolveLyapunov:
 
     def test_random_hurwitz_matches_scipy(self):
         rng = random.Random(20250809)
-        for _ in range(25):
-            n = rng.choice((2, 3, 4))
-            a_rows = random_hurwitz_rows(rng, n)
-            p = solve_lyapunov(Matrix.from_rows(a_rows))
-            a_np = np.array(a_rows)
-            residual = a_np @ as_np(p) + as_np(p) @ a_np.T + np.eye(n)
-            assert np.max(np.abs(residual)) <= 1e-10
-            assert p.symmetry_defect() <= 1e-12
-            assert min(sym_eigenvalues(p)) > 0.0
-            ref = scipy.linalg.solve_continuous_lyapunov(a_np, -np.eye(n))
-            assert as_np(p) == pytest.approx(ref, rel=1e-8, abs=1e-10)
+        for n in range(2, 11):
+            for a_rows in (*(random_hurwitz_rows(rng, n) for _ in range(3)),
+                           column_scaled_hurwitz_rows(rng, n)):
+                p = solve_lyapunov(Matrix.from_rows(a_rows))
+                a_np = np.array(a_rows)
+                residual = a_np @ as_np(p) + as_np(p) @ a_np.T + np.eye(n)
+                assert np.max(np.abs(residual)) <= 1e-10
+                assert p.symmetry_defect() <= 1e-12
+                assert min(sym_eigenvalues(p)) > 0.0
+                ref = scipy.linalg.solve_continuous_lyapunov(a_np, -np.eye(n))
+                assert as_np(p) == pytest.approx(ref, rel=1e-8, abs=1e-10)
+
+    def test_one_equation_per_distinct_entry_of_p(self, monkeypatch):
+        # P = P^T has n(n+1)/2 free entries, and A P + P A^T = -I states each
+        # of their equations once: one system of that many unknowns, and P
+        # read back from it symmetric with no averaging
+        sizes = []
+        real = linalg._solve_dense
+
+        def recorded(k, rhs):
+            sizes.append(len(k))
+            return real(k, rhs)
+
+        monkeypatch.setattr(linalg, "_solve_dense", recorded)
+        rng = random.Random(33)
+        for n in range(1, 7):
+            sizes.clear()
+            p = solve_lyapunov(Matrix.from_rows(random_hurwitz_rows(rng, n)))
+            assert sizes == [n * (n + 1) // 2]
+            assert p.symmetry_defect() == 0.0
 
     @pytest.mark.parametrize("alpha", [111.0, 112.0, 2263.0, 2263.7, 2264.0, 2300.0])
     def test_fig1_closed_loop_verdict_matches_spectral_abscissa(self, alpha):
@@ -83,7 +114,7 @@ class TestSolveLyapunov:
     def test_non_hurwitz_rejected(self):
         with pytest.raises(NotStabilizedError, match="not pre-stabilized"):
             solve_lyapunov(Matrix.from_rows([[0.0, 1.0], [0.0, 0.0]]))
-        # purely imaginary eigenvalues make the vectorized system singular
+        # purely imaginary eigenvalues make the Lyapunov system singular
         with pytest.raises(NotStabilizedError):
             solve_lyapunov(Matrix.from_rows([[0.0, -1.0], [1.0, 0.0]]))
         # Hurwitz fails even if the solve is regular: P must be indefinite
