@@ -16,8 +16,8 @@
  * around the decimal point the same way, so no exponent form is built.
  *
  * There is no mutable global or static state: each call touches only its
- * arguments and the memory it allocates, which ofo_run_segment frees and
- * ofo_format_rows hands to its caller.
+ * arguments and, for ofo_format_rows, the memory it allocates and hands to
+ * its caller.
  */
 
 #include <math.h>
@@ -113,7 +113,7 @@ static void advance(int len, double *dst, const double *base, double h, const do
 /* The time of the record after `step` of `n_tot` steps. */
 static double step_time(long step, long n_tot, double t0, double t_end, double dt)
 {
-    return step == n_tot ? t_end : t0 + step * dt;
+    return step == n_tot ? t_end : t0 + (double)step * dt;
 }
 
 /* Appends record k: its time, x, u, y = C x and
@@ -146,9 +146,9 @@ static void record(const field_t *f, long k, double t, const double *x, double u
  * s0 (p), lp (n*n) and xstar (n).  x holds the start state and state[0]
  * the start input, and both come back as the final ones; state[1] gets the
  * worst box violation, and state[2] the time of the first step whose state
- * is not finite, and is left as it was when there is none.  The record
- * buffers hold 2 + n_tot / stride records.  Returns the number of records
- * written, or -1 when scratch memory cannot be allocated. */
+ * is not finite, and is left as it was when there is none.  The 7n + 2p
+ * values after those three are the kernel's scratch.  The record buffers
+ * hold 2 + n_tot / stride records.  Returns the number of records written. */
 long ofo_run_segment(int n, int p, int sine, int sqrtplus, int projected, const double *in,
                      double cq1, double cq2, double mu4, double alpha, double beta,
                      double lo, double hi,
@@ -157,10 +157,7 @@ long ofo_run_segment(int n, int p, int sine, int sqrtplus, int projected, const 
                      double *x, double *state,
                      double *rec_t, double *rec_x, double *rec_u, double *rec_y, double *rec_v)
 {
-    double *work = calloc(7 * (size_t)n + 2 * (size_t)p, sizeof(double));
-    if (work == NULL)
-        return -1;
-    double *xt = work, *kx1 = xt + n, *kx2 = kx1 + n, *kx3 = kx2 + n, *kx4 = kx3 + n;
+    double *xt = state + 3, *kx1 = xt + n, *kx2 = kx1 + n, *kx3 = kx2 + n, *kx4 = kx3 + n;
     double *dx = kx4 + n, *pdx = dx + n, *y = pdx + n, *gy = y + p;
     const double *a = in, *b = a + (long)n * n, *drift = b + n, *c = drift + n;
     const double *s0 = c + (long)p * n, *lp = s0 + p, *xstar = lp + (long)n * n;
@@ -207,39 +204,7 @@ long ofo_run_segment(int n, int p, int sine, int sqrtplus, int projected, const 
     }
     state[0] = uu;
     state[1] = violation;
-    free(work);
     return k;
-}
-
-/* Appends count bytes of src at out + *pos. */
-static void put(char *out, long *pos, const char *src, long count)
-{
-    memcpy(out + *pos, src, (size_t)count);
-    *pos += count;
-}
-
-static void put_zeros(char *out, long *pos, long count)
-{
-    memset(out + *pos, '0', (size_t)count);
-    *pos += count;
-}
-
-/* Puts the digits [d, d + nd) with the decimal point after the first
- * `point` of them, padding with zeros on either side as needed. */
-static void place_digits(const char *d, long nd, long point, char *out, long *pos)
-{
-    if (point <= 0) {
-        put(out, pos, "0.", 2);
-        put_zeros(out, pos, -point);
-        put(out, pos, d, nd);
-    } else if (point >= nd) {
-        put(out, pos, d, nd);
-        put_zeros(out, pos, point - nd);
-    } else {
-        put(out, pos, d, point);
-        put(out, pos, ".", 1);
-        put(out, pos, d + point, nd - point);
-    }
 }
 
 /* The longest field either path writes: a product-path field is at most
@@ -248,6 +213,32 @@ static void place_digits(const char *d, long nd, long point, char *out, long *po
  * zeros and 12 digits, for -9.88131291682e-324). */
 #define FIELD_MAX 47
 #define FALLBACK_MAX 338
+
+/* Puts the digits [d, d + nd) with the decimal point after the first
+ * `point` of them, padded with zeros on either side as needed, and returns
+ * the cursor after them.  It copies 12 digits whatever nd is, so d needs
+ * 12 readable bytes after its 12 digits, and it writes 14 - point bytes for
+ * point <= 0, max(point, 12) for point >= nd and point + 13 otherwise: with
+ * a sign, within the FIELD_MAX + 1 or FALLBACK_MAX + 1 bytes of its path. */
+static char *place_digits(const char *d, int nd, int point, char *o)
+{
+    if (point <= 0) {
+        memcpy(o, "0.", 2);
+        for (o += 2; point < 0; point++)
+            *o++ = '0';
+        memcpy(o, d, 12);
+        return o + nd;
+    }
+    memcpy(o, d, 12);
+    if (point >= nd) {
+        for (o += nd; nd < point; nd++)
+            *o++ = '0';
+        return o;
+    }
+    o[point] = '.';
+    memcpy(o + point + 1, d + point, 12);
+    return o + nd + 1;
+}
 
 /* The two decimal digits of each of 0..99, in order. */
 static const char DIGIT_PAIRS[201] =
@@ -291,8 +282,11 @@ static double scaled(double a, int k)
  * outside [-22, 44]. */
 static int product_digits(double a, char *d, int *e)
 {
-    /* floor(b log10 2) for 2^b <= a < 2^(b+1), exact for every double's b */
-    int big_e = (ilogb(a) * 78913) >> 18;
+    uint64_t bits;
+    memcpy(&bits, &a, sizeof bits);
+    /* floor(b log10 2) for 2^b <= a < 2^(b+1), exact for every double's b;
+     * a subnormal reads as b = -1023, whose k is above 44 as its own b's is */
+    int big_e = ((int)(bits >> 52) - 1023) * 78913 >> 18;
     if (11 - big_e < -22 || 11 - big_e > 44)
         return 0;
     double s = scaled(a, 11 - big_e);
@@ -301,10 +295,11 @@ static int product_digits(double a, char *d, int *e)
             return 0;
         s = scaled(a, 11 - big_e);
     }
-    double whole = floor(s), frac = s - whole;
+    uint64_t n = (uint64_t)s;               /* floor(s), as 0 < s < 10^12 + 0.5 */
+    double frac = s - (double)n;
     if (fabs(frac - 0.5) < 0x1p-10)
         return 0;
-    uint64_t n = (uint64_t)whole + (frac > 0.5);
+    n += frac > 0.5;
     if (n == UINT64_C(1000000000000)) {     /* rounded up to the next power of ten */
         big_e++;
         n /= 10;
@@ -329,36 +324,38 @@ static int printed_digits(double a, char *d)
 
 /* Puts x as `%.12g` in plain notation, as ofo.engine.params.plain_field
  * ("%.12g" % x) does, followed by a comma, in the FALLBACK_MAX + 1 bytes
- * at out + *pos: its 12 digits, less the trailing zeros `%.12g` drops,
- * around the decimal point.  Returns 0 when put and 1, having put nothing,
- * for inf or nan. */
-static int put_double(double x, char *out, long *pos)
+ * at o: its 12 digits, less the trailing zeros `%.12g` drops, around the
+ * decimal point.  Returns the cursor after the comma, or, for inf or nan,
+ * sets *bad and returns o, having put nothing. */
+static char *put_double(double x, char *o, int *bad)
 {
-    char d[12];
-    int e;
-    long nd = 12;
-    if (!isfinite(x))
-        return 1;
+    char d[24];
+    int e, nd = 12;
+    if (!isfinite(x)) {
+        *bad = 1;
+        return o;
+    }
     if (x == 0.0) {
-        out[(*pos)++] = '0';
+        *o++ = '0';
     } else {
         if (!product_digits(fabs(x), d, &e))
             e = printed_digits(fabs(x), d);
         while (d[nd - 1] == '0')
             nd--;
         if (x < 0)
-            put(out, pos, "-", 1);
-        place_digits(d, nd, e + 1, out, pos);
+            *o++ = '-';
+        o = place_digits(d, nd, e + 1, o);
     }
-    out[(*pos)++] = ',';
-    return 0;
+    *o++ = ',';
+    return o;
 }
 
-/* Puts [s, s + len) followed by `end`. */
-static void put_text(const char *s, long len, char end, char *out, long *pos)
+/* Puts [s, s + len) followed by `end`, and returns the cursor after them. */
+static char *put_text(const char *s, long len, char end, char *o)
 {
-    put(out, pos, s, len);
-    out[(*pos)++] = end;
+    memcpy(o, s, (size_t)len);
+    o[len] = end;
+    return o + len + 1;
 }
 
 /* Writes the rows of a segment's samples as CSV lines
@@ -378,38 +375,40 @@ long ofo_format_rows(const double *t, const double *x, const double *u,
     long fields = n + p + 3, text = w_len + ustar_len + 2;
     long row_product = fields * (FIELD_MAX + 1) + text;
     long row_max = fields * (FALLBACK_MAX + 1) + text;
-    long cap = rows * row_product + (row_max - row_product), pos = 0;
-    char *buf = malloc((size_t)cap);
+    long cap = rows * row_product + (row_max - row_product);
+    char *buf = malloc((size_t)cap), *o = buf;
     *out = NULL;
     if (buf == NULL)
         return -2;
     for (long r = 0; r < rows; r++) {
-        if (cap - pos < row_max) {
-            long grown = 2 * cap > pos + row_max ? 2 * cap : pos + row_max;
+        if (cap - (o - buf) < row_max) {
+            long pos = o - buf, grown = 2 * cap > pos + row_max ? 2 * cap : pos + row_max;
             char *more = realloc(buf, (size_t)grown);
             if (more == NULL) {
                 free(buf);
                 return -2;
             }
             buf = more;
+            o = buf + pos;
             cap = grown;
         }
-        int bad = put_double(t[r], buf, &pos);
+        int bad = 0;
+        o = put_double(t[r], o, &bad);
         for (int j = 0; j < n; j++)
-            bad |= put_double(x[r * n + j], buf, &pos);
-        bad |= put_double(u[r], buf, &pos);
+            o = put_double(x[r * n + j], o, &bad);
+        o = put_double(u[r], o, &bad);
         for (int i = 0; i < p; i++)
-            bad |= put_double(y[r * p + i], buf, &pos);
-        put_text(w_text, w_len, ',', buf, &pos);
-        bad |= put_double(v[r], buf, &pos);
-        put_text(ustar_text, ustar_len, '\n', buf, &pos);
+            o = put_double(y[r * p + i], o, &bad);
+        o = put_text(w_text, w_len, ',', o);
+        o = put_double(v[r], o, &bad);
+        o = put_text(ustar_text, ustar_len, '\n', o);
         if (bad) {
             free(buf);
             return -1;
         }
     }
     *out = buf;
-    return pos;
+    return o - buf;
 }
 
 /* Releases the memory ofo_format_rows allocated. */

@@ -3,10 +3,11 @@ stepping (`run_segment`) and for writing a segment's CSV rows
 (`format_rows`).  Both read their float inputs from `array('d')` buffers.
 run_segment packs every input the kernel only reads into one buffer per
 call, a, b, drift, c, sens0, lyap_p and xstar back to back, after checking
-each one's size, and passes u, the worst box violation and the blow-up time
-in a three-value state buffer, which starts as (u0, 0, nan) and which the
-kernel updates.  It records the samples straight into the `array('d')`
-columns it returns, which format_rows reads in place.
+each one's size.  It passes u, the worst box violation and the blow-up time
+as the first three values of a state buffer, which start as (u0, 0, nan)
+and which the kernel updates; the 7n + 2p after them are the kernel's
+scratch, so the kernel allocates nothing.  It records the samples straight
+into the `array('d')` columns it returns, which format_rows reads in place.
 
 The C source is built on first import with the system `cc` into the per-user
 cache, `$XDG_CACHE_HOME/ofo` or `~/.cache/ofo`, under a name keyed by the
@@ -132,7 +133,7 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
     inputs = array("d", [*spec.a, *spec.b, *spec.drift, *spec.c, *spec.sens0,
                          *spec.lyap_p, *spec.xstar])
     x = array("d", spec.x0)
-    state = array("d", (spec.u0, 0.0, math.nan))
+    state = array("d", [spec.u0, 0.0, math.nan] + [0.0] * (7 * n + 2 * p))
     n_tot = spec.n_full + (1 if spec.last_dt > 0.0 else 0)
     cap = 2 + n_tot // stride
     widths = (1, n, 1, p, 1)
@@ -142,12 +143,10 @@ def run_segment(spec: SegmentSpec) -> SegmentResult:
              spec.t0, spec.t_end, spec.dt, spec.n_full, spec.last_dt,
              stride, spec.include_final, spec.lyap_xi, spec.ustar,
              _address(x), _address(state), *map(_address, columns))
-    if k < 0:
-        raise MemoryError("compiled kernel could not allocate its scratch memory")
     for column, width in zip(columns, widths):
         del column[k * width:]
     times, xs, us, ys, vs = columns
-    final_u, max_violation, blowup_time = state
+    final_u, max_violation, blowup_time = state[:3]
     return SegmentResult(times=times, xs=xs, us=us, ys=ys, vs=vs,
                          final_x=x.tolist(), final_u=final_u,
                          max_violation=max_violation,

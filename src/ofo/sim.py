@@ -114,12 +114,14 @@ def default_dt(plant: LinearPlant, cost: CostModel, alpha: float,
     stiffness per unit gain, that rate is alpha * stiffness for the gradient
     law (beta None) and alpha * (1 + beta * stiffness) for the projected law
     with stepsize beta, whose field alpha (proj(u - beta g) - u) moves no
-    faster.  The cap 2.5e-3, the rule's one absolute time constant, is an
-    accuracy bound: it keeps c08's step-halving end-state agreement below
-    1e-6 even for lightly damped loops.  A step below the floor 1e-6 is
-    refused with StepLimitError rather than clamped, because a clamped step
-    would break that bound and report a divergence of the integrator as one
-    of the loop.
+    faster.  The cap 2.5e-3 is an accuracy bound: it keeps c08's
+    step-halving end-state agreement below 1e-6 even for lightly damped
+    loops.  A step below the floor 1e-6 is refused with StepLimitError
+    rather than clamped, because a clamped step would break that bound and
+    report a divergence of the integrator as one of the loop.  Cap and
+    floor are the rule's two absolute time constants, so refusal depends on
+    the time unit: fig2 with A, B, B_w and the gain x10 is refused at gain
+    1e5, though it needs only the original's steps at 1e4 (ROADMAP item 5).
     """
     ell_h, ell_grad_h = plant.steady_moduli
     a_norm, c_norm = plant.spectral_norms
@@ -302,10 +304,10 @@ def simulate(config: RunConfig, alpha: float) -> Trajectory:
             lyap_xi=config.xi, lyap_p=lyap_p, xstar=list(xstar), ustar=ustar,
         )
         res = engine.run_segment(spec)
-        # the kernel stops at a non-finite state, but a finite state can give
-        # a recorded output or V that overflows; find its first record
+        # the kernel goes on from a finite state whose recorded output or V
+        # overflows; each column whose sum is not finite is scanned for it
         bad = [i // width for values, width in ((res.ys, plant.p), (res.vs, 1))
-               if not all(map(math.isfinite, values))
+               if not math.isfinite(sum(values))
                for i, v in enumerate(values) if not math.isfinite(v)]
         if bad:
             t_bad = res.times[min(bad)]

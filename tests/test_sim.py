@@ -431,6 +431,17 @@ class TestSimulate:
         assert err.value.time == 40.0
         assert str(err.value) == "divergence detected at t = 40 in segment 1"
 
+    def test_overflowing_record_reports_time_and_segment(self, kernel, fast_plant, quad_cost):
+        # xi = 1e308 with x0 away from x* overflows V at the first record
+        # while every state stays finite, so the kernel runs on and the
+        # record, not a blow-up time, is reported
+        schedule = DisturbanceSchedule(((0.0, (10.0,)),))
+        cfg = gradient_config(fast_plant, quad_cost, schedule, t_end=1.0, xi=1e308)
+        with pytest.raises(DivergenceError) as err:
+            replace(cfg, x0=(10.0, 10.0)).run(1.0)
+        assert err.value.time == 0.0 and err.value.segment == 1
+        assert str(err.value).endswith("a recorded output or V is not finite")
+
     def test_u0_outside_box_warns(self, slow_sine_plant, sqrt_cost):
         schedule = DisturbanceSchedule(((0.0, (0.001,)),))
         cfg = RunConfig(plant=slow_sine_plant, cost=sqrt_cost,
@@ -667,12 +678,13 @@ class TestKernels:
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_kernel_source_compiles_cleanly_and_matches_its_signatures(self):
         # -Wextra's -Wunused-parameter catches a parameter the kernel no
-        # longer reads, and the ctypes argument lists must have as many
+        # longer reads, -Wconversion an implicit conversion that may change
+        # a value, and the ctypes argument lists must have as many
         # entries as the C functions have parameters
         from ofo.engine import _speedup
 
         proc = subprocess.run(["cc", "-fsyntax-only", "-std=c99", "-pedantic-errors", "-Wall",
-                               "-Wextra", "-Werror", _speedup.SOURCE],
+                               "-Wextra", "-Wconversion", "-Werror", _speedup.SOURCE],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         with open(_speedup.SOURCE) as fh:
