@@ -30,21 +30,18 @@ class SimplifyingConstants(FrozenRecord):
     Plant side: ell_f (input Lipschitz modulus of the dynamics), ell_g (output
     map modulus), and the Lyapunov sandwich/decay/gradient constants c3 <= d3,
     mu3, zeta3.  Cost side: strong convexity mu_phi, coupling moduli ell_phi_u
-    and ell_phi_y, and the u-gradient Lipschitz modulus lip_grad_u.  The four
-    coupling moduli may be 0: ell_f = 0 (B = 0) zeroes theta1 and ell_g = 0
-    (C = 0) theta2.  The other constants must be positive.
+    and ell_phi_y.  The four coupling moduli may be 0: ell_f = 0 (B = 0) zeroes
+    theta1 and ell_g = 0 (C = 0) theta2.  The other constants must be positive.
     """
 
     __slots__ = ("ell_f", "ell_g", "c3", "d3", "mu3", "zeta3",
-                 "mu_phi", "ell_phi_u", "ell_phi_y", "lip_grad_u")
+                 "mu_phi", "ell_phi_u", "ell_phi_y")
 
     def __init__(self, ell_f: float, ell_g: float, c3: float, d3: float, mu3: float,
-                 zeta3: float, mu_phi: float, ell_phi_u: float, ell_phi_y: float,
-                 lip_grad_u: float):
+                 zeta3: float, mu_phi: float, ell_phi_u: float, ell_phi_y: float):
         set_fields(self, ell_f=ell_f, ell_g=ell_g, c3=c3, d3=d3, mu3=mu3, zeta3=zeta3,
-                   mu_phi=mu_phi, ell_phi_u=ell_phi_u, ell_phi_y=ell_phi_y,
-                   lip_grad_u=lip_grad_u)
-        for name in ("c3", "d3", "mu3", "zeta3", "mu_phi", "lip_grad_u"):
+                   mu_phi=mu_phi, ell_phi_u=ell_phi_u, ell_phi_y=ell_phi_y)
+        for name in ("c3", "d3", "mu3", "zeta3", "mu_phi"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"constant {name} must be positive")
         for name in ("ell_f", "ell_g", "ell_phi_u", "ell_phi_y"):
@@ -52,11 +49,10 @@ class SimplifyingConstants(FrozenRecord):
                 raise InputError(f"constant {name} must be nonnegative")
         if c3 > d3 * (1.0 + 1e-12):
             raise InputError("sandwich constants must satisfy c3 <= d3")
-        if lip_grad_u < mu_phi * (1.0 - 1e-12):
-            raise InputError("lip_grad_u must be at least mu_phi")
 
 
-#: Names accepted as scenario-file overrides of derived constants.
+#: Names accepted as overrides of derived constants, and the constants
+#: `certify` prints, in this order.
 CONSTANT_FIELDS = SimplifyingConstants._fields
 
 
@@ -106,7 +102,6 @@ def assemble_constants(
         "mu_phi": cost.grad_u_lipschitz,
         "ell_phi_u": ell_phi_u,
         "ell_phi_y": ell_phi_y,
-        "lip_grad_u": cost.grad_u_lipschitz,
     }
     overridden: list[str] = []
     for name, value in (overrides or {}).items():

@@ -439,6 +439,8 @@ class RunConfig(FrozenRecord):
             raise InputError("schedule extends beyond t_end")
         if dt is not None and not 0.0 < dt < math.inf:
             raise InputError(f"dt must be positive and finite, got {dt}")
+        if isinstance(max_records, bool) or not isinstance(max_records, int) or max_records < 2:
+            raise InputError(f"max_records must be an integer of at least 2, got {max_records!r}")
         _check_xi(xi)
         if beta is not None:
             if box is None:

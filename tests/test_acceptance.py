@@ -53,10 +53,11 @@ def draw_constants(rng: random.Random) -> SimplifyingConstants:
 
     c3, d3 = sorted((lu(), lu()))
     mu_phi = lu()
-    return SimplifyingConstants(
+    k = SimplifyingConstants(
         ell_f=lu(), ell_g=lu(), c3=c3, d3=d3, mu3=lu(), zeta3=lu(),
-        mu_phi=mu_phi, ell_phi_u=mu_phi * rng.random() ** 3,
-        ell_phi_y=lu(), lip_grad_u=mu_phi * (1.0 + rng.random()))
+        mu_phi=mu_phi, ell_phi_u=mu_phi * rng.random() ** 3, ell_phi_y=lu())
+    rng.random()  # drawn and unused, so each seed gives the sets c01 and c02 were set on
+    return k
 
 
 def draw_certified_constants(rng: random.Random) -> SimplifyingConstants:
@@ -67,15 +68,15 @@ def draw_certified_constants(rng: random.Random) -> SimplifyingConstants:
     c3, d3 = sorted((lu(-1, 1), lu(-1, 1)))
     probe = SimplifyingConstants(
         ell_f=lu(-1, 1), ell_g=lu(-1, 1), c3=c3, d3=d3, mu3=lu(-1, 1),
-        zeta3=lu(-1, 1), mu_phi=1.0, ell_phi_u=0.0, ell_phi_y=lu(-1, 1),
-        lip_grad_u=1.0)
+        zeta3=lu(-1, 1), mu_phi=1.0, ell_phi_u=0.0, ell_phi_y=lu(-1, 1))
     _, rhs = check_mu_bound(probe)
     ell_phi_u = rhs * rng.uniform(0.0, 0.5)
     mu_phi = ell_phi_u + rhs * rng.uniform(1.1, 10.0)
     k = SimplifyingConstants(
         ell_f=probe.ell_f, ell_g=probe.ell_g, c3=probe.c3, d3=probe.d3,
         mu3=probe.mu3, zeta3=probe.zeta3, mu_phi=mu_phi, ell_phi_u=ell_phi_u,
-        ell_phi_y=probe.ell_phi_y, lip_grad_u=mu_phi * (1.0 + rng.random()))
+        ell_phi_y=probe.ell_phi_y)
+    rng.random()  # drawn and unused, so each seed gives the sets c01 and c02 were set on
     assert check_mu_bound(k)[0]
     return k
 

@@ -1,5 +1,9 @@
+import ast
+import inspect
 import math
 import random
+import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from conftest import random_hurwitz_rows, replace, to_rows
 
 def all_ones(**overrides) -> SimplifyingConstants:
     values = dict(ell_f=1.0, ell_g=1.0, c3=1.0, d3=1.0, mu3=1.0, zeta3=1.0,
-                  mu_phi=1.0, ell_phi_u=0.0, ell_phi_y=1.0, lip_grad_u=1.0)
+                  mu_phi=1.0, ell_phi_u=0.0, ell_phi_y=1.0)
     values.update(overrides)
     return SimplifyingConstants(**values)
 
@@ -83,13 +87,27 @@ class TestDerivePlantConstants:
             assert decay <= -np.dot(dx, dx) * (1.0 - 1e-9)
 
 
+def test_every_constant_is_read_by_the_verdict():
+    # a constant that neither the dominance parameters nor the scalar bound
+    # read decides no verdict, so it has no place among the overrides or in
+    # certify's text
+    read = set()
+    for func in (derive_dominance_params, check_mu_bound):
+        (tree,) = ast.parse(textwrap.dedent(inspect.getsource(func))).body
+        arg = tree.args.args[0].arg
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == arg}
+    assert [name for name in CONSTANT_FIELDS if name not in read] == []
+
+
 class TestDominanceParams:
     def test_unit_plug_in(self):
         p = derive_dominance_params(all_ones())
         assert (p.mu1, p.theta1, p.mu2, p.theta2) == (0.5, 0.5, 0.5, 0.5)
 
     def test_quadratic_example_arithmetic(self):
-        k = all_ones(mu_phi=0.02, ell_phi_y=0.19802, lip_grad_u=0.02)
+        k = all_ones(mu_phi=0.02, ell_phi_y=0.19802)
         p = derive_dominance_params(k)
         assert p.mu1 == pytest.approx(0.5)
         assert p.theta1 == pytest.approx(0.5)
@@ -106,12 +124,12 @@ class TestDominanceParams:
 
     def test_gap_violation(self):
         with pytest.raises(ConvexityGapError):
-            derive_dominance_params(all_ones(ell_phi_u=1.0, lip_grad_u=2.0))
+            derive_dominance_params(all_ones(ell_phi_u=1.0))
 
 
 class TestFeasibleXi:
     def test_symmetric_interval(self):
-        p = derive_dominance_params(all_ones(mu_phi=2.0, lip_grad_u=2.0))
+        p = derive_dominance_params(all_ones(mu_phi=2.0))
         # mu1 = 0.5, theta1 = 0.5, mu2 = 1, theta2 = 0.25
         xi = feasible_xi(p)
         assert xi is not None
@@ -128,7 +146,7 @@ class TestFeasibleXi:
         # theta1 = 0 (ell_f = 0, B = 0) leaves every weight above lo
         # feasible: 2 lo keeps half of mu2 as the u-margin, and 1 is taken
         # when lo = 0 as well
-        p = derive_dominance_params(all_ones(ell_f=0.0, mu_phi=2.0, lip_grad_u=2.0))
+        p = derive_dominance_params(all_ones(ell_f=0.0, mu_phi=2.0))
         xi = feasible_xi(p)
         assert (p.theta1, xi.lo, xi.hi, xi.chosen) == (0.0, 0.25, math.inf, 0.5)
         assert decay_rate(p, xi.chosen, 1.0) == min(p.mu1, 0.5 * p.mu2)
@@ -146,7 +164,7 @@ class TestFeasibleXi:
 
 class TestMuBound:
     def test_unit_plug_in(self):
-        certified, rhs = check_mu_bound(all_ones(mu_phi=2.0, lip_grad_u=2.0))
+        certified, rhs = check_mu_bound(all_ones(mu_phi=2.0))
         assert rhs == pytest.approx(1.0)
         assert certified
         certified, _ = check_mu_bound(all_ones(mu_phi=0.5))
@@ -185,7 +203,7 @@ class TestDecayRate:
 
 class TestRequiredRegularization:
     def test_already_certified(self):
-        k = all_ones(mu_phi=2.0, lip_grad_u=2.0)
+        k = all_ones(mu_phi=2.0)
         assert required_regularization(k) == 0.0
 
     def test_unit_gap(self):
@@ -238,9 +256,16 @@ class TestCertify:
         with pytest.raises(ConvexityGapError):
             certify(plant, cost, 1.0)
 
-    def test_unknown_override_rejected(self, fast_plant, quad_cost):
-        with pytest.raises(InputError, match="unknown certificate constant"):
-            certify(fast_plant, quad_cost, 1.0, {"bogus": 1.0})
+    @pytest.mark.parametrize("overrides, message", [
+        ({"bogus": 1.0}, "unknown certificate constant override: bogus"),
+        ({"c3": 0.0}, "constant c3 must be positive"),
+        ({"mu3": -1.0}, "constant mu3 must be positive"),
+        ({"c3": 0.5, "d3": 0.25}, "sandwich constants must satisfy c3 <= d3"),
+        ({"lip_grad_u": 1.0}, "unknown certificate constant override: lip_grad_u"),
+    ])
+    def test_bad_override_refused(self, fast_plant, quad_cost, overrides, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            certify(fast_plant, quad_cost, 1.0, overrides)
 
     def test_sqrtplus_cost_needs_scalar_output(self, fast_plant, sqrt_cost):
         # the cost is defined for a scalar y only, so no report is given for

@@ -15,7 +15,7 @@ import yaml
 
 import ofo.scenario
 from ofo.certificate import certify
-from ofo.cli import main
+from ofo.cli import _atomic_write, main
 from ofo.errors import InputError
 from ofo.scenario import Scenario
 from ofo.sim import write_csv
@@ -199,6 +199,8 @@ class TestScenarioParsing:
          "certificate.override: unknown field"),
         (lambda d: d.update(certificate={"overrides": {"zeta33": 0.99}}),
          "certificate.overrides.zeta33: unknown field; expected one of ell_f, "),
+        (lambda d: d.update(certificate={"overrides": {"lip_grad_u": 1.0}}),
+         "certificate.overrides.lip_grad_u: unknown field; expected one of ell_f, "),
     ])
     def test_validation_names_offending_field(self, mutate, fragment):
         doc = minimal_doc()
@@ -375,6 +377,21 @@ class TestCertifyCommand:
         assert main(["certify", write_doc(tmp_path, doc)]) == 0
         assert "ell_g = 0.0000000141421356237\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"c3": 0.0}, "constant c3 must be positive"),
+        ({"mu3": -1.0}, "constant mu3 must be positive"),
+        ({"c3": 0.5, "d3": 0.25}, "sandwich constants must satisfy c3 <= d3"),
+        ({"lip_grad_u": 1.0}, "certificate.overrides.lip_grad_u: unknown field; "
+                              "expected one of ell_f, "),
+    ])
+    def test_bad_override_exits_2(self, overrides, message, tmp_path, capsys):
+        doc = minimal_doc()
+        doc["certificate"] = {"overrides": overrides}
+        assert main(["certify", write_doc(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}"), captured.err
+
     def test_missing_file(self, capsys):
         rc = main(["certify", "/nonexistent/scenario.yaml"])
         assert rc == 2
@@ -506,6 +523,15 @@ class TestSimulateCommand:
                    "--out", str(blocker / "x.csv")])
         assert rc == 2
 
+    def test_failed_writer_leaves_no_temp_file(self, tmp_path):
+        def failing(fh):
+            fh.write(b"partial")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            _atomic_write(str(tmp_path / "x.csv"), failing)
+        assert os.listdir(tmp_path) == []
+
 
 class TestSweepCommand:
     def test_single_alpha_matches_simulate(self, tmp_path):
@@ -556,6 +582,18 @@ class TestSweepCommand:
                 assert main(argv) == 2
                 assert "controller.alpha" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_empty_alphas_skipped(self, tmp_path, capsys):
+        path = write_doc(tmp_path, minimal_doc())
+        out_dir = tmp_path / "d"
+        assert main(["sweep", path, "--alphas", "1,,10,", "--out", str(out_dir)]) == 0
+        assert sorted(os.listdir(out_dir)) == ["alpha_1.csv", "alpha_10.csv", "summary.csv"]
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "10"]
+        capsys.readouterr()
+        assert main(["sweep", path, "--alphas", ",", "--out", str(tmp_path / "e")]) == 2
+        assert "--alphas: no values given" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
     def test_gains_with_one_label_refused(self, tmp_path, capsys):
         # gains whose 12-digit labels coincide would share one CSV and write
@@ -739,8 +777,8 @@ class TestReproduceCommand:
             "alpha_1000.csv": "c5cba32e2440fae0f2a3150019f3767ab00e48a659163d3ff28bb77794464c24",
             "summary.csv": "05266348a1210aed226b6c2f8a2f23ac51e226dfb5b8407e29a6edc1a0e8d75a",
             "scenario.yaml": "d538a05753288ae8ed2b8c89cc8e07e2773eb6b7f4b0735a8a8d073ab84e1cb1",
-            "certify fig1": "973dd618059e41bb138028fba6e10264d528ba78572bceca4db1766d3ab0302c",
-            "certify fig2": "cd4c2cb3c0450fd50602242a9dc17b37e7a3e5fbaa1e3ba9ec0595d6ade6baae",
+            "certify fig1": "8aa366e20f63109b5070e57caf467e1c0688bbd8dce15058ce5a97c538337ee1",
+            "certify fig2": "65e289517d519c3e81e3d35fece936e39bff9767b3293d2d1b4ae2eb62938f75",
         }
         out_dir = tmp_path / "fig1"
         assert main(["reproduce", "fig1", "--out", str(out_dir)]) == 0

@@ -125,6 +125,12 @@ class TestOptimalInput:
         u_free = optimal_input(slow_sine_plant, sqrt_cost, (0.001,))
         assert u_free > 5e-5
 
+    def test_one_point_box_gives_its_point(self, slow_sine_plant, sqrt_cost, monkeypatch):
+        # no closed form for a sine plant, and no search inside a box of one point
+        monkeypatch.setattr(sim, "reduced_gradient", lambda *a: pytest.fail("searched"))
+        box = BoxSet(lo=2e-5, hi=2e-5)
+        assert optimal_input(slow_sine_plant, sqrt_cost, (0.001,), box=box) == 2e-5
+
     def test_symmetry(self, slow_sine_plant, sqrt_cost):
         box = BoxSet(lo=-5e-5, hi=5e-5)
         assert optimal_input(slow_sine_plant, sqrt_cost, (-0.001,), box=box) == -5e-5
@@ -328,6 +334,10 @@ class TestSimulate:
               cost=SqrtPlusCost(a=1.0)),
          "the sqrtplus cost requires a scalar output"),
         (dict(u0=-math.inf), "u0 must be finite"),
+        (dict(max_records=1.5), "max_records must be an integer of at least 2, got 1.5"),
+        (dict(max_records=0), "max_records must be an integer of at least 2, got 0"),
+        (dict(max_records=-5), "max_records must be an integer of at least 2, got -5"),
+        (dict(max_records=True), "max_records must be an integer of at least 2, got True"),
     ])
     def test_config_refuses_cross_field_faults_when_built(self, fast_plant, quad_cost,
                                                           fault, fragment):
@@ -899,6 +909,8 @@ class TestLyapunovMachinery:
         slow = [math.exp(-0.5 * t) for t in times]
         ok, worst = envelope_check(slow, times, 1.0)
         assert not ok and worst > 1.0
+        # from V(0) = 0 the envelope is 0, so a later positive sample breaks it
+        assert envelope_check([0.0, 1e-300], [0.0, 1.0], 1.0) == (False, math.inf)
 
     def test_dini_decrease_on_certified_regularized_loop(self, fast_plant, quad_cost):
         # regularize until the certificate passes with real margin, then check
