@@ -24,14 +24,20 @@ from .linalg import spectral_norm, sym_eigenvalues
 from .plants import LinearPlant
 
 
+#: What `required_regularization` adds so that the scalar bound passes strictly.
+REGULARIZATION_MARGIN = 1e-6
+
+
 class SimplifyingConstants(FrozenRecord):
     """Moduli feeding the dominance formulas.
 
     Plant side: ell_f (input Lipschitz modulus of the dynamics), ell_g (output
     map modulus), and the Lyapunov sandwich/decay/gradient constants c3 <= d3,
     mu3, zeta3.  Cost side: strong convexity mu_phi, coupling moduli ell_phi_u
-    and ell_phi_y.  The four coupling moduli may be 0: ell_f = 0 (B = 0) zeroes
-    theta1 and ell_g = 0 (C = 0) theta2.  The other constants must be positive.
+    and ell_phi_y.  The four coupling moduli may be 0 or +inf: ell_f = 0 (B = 0)
+    zeroes theta1, ell_g = 0 (C = 0) theta2, and a sine plant under a quadratic
+    cost has ell_phi_u = inf.  The other constants must be positive and
+    finite.  No constant may be NaN.
     """
 
     __slots__ = ("ell_f", "ell_g", "c3", "d3", "mu3", "zeta3",
@@ -41,12 +47,17 @@ class SimplifyingConstants(FrozenRecord):
                  zeta3: float, mu_phi: float, ell_phi_u: float, ell_phi_y: float):
         set_fields(self, ell_f=ell_f, ell_g=ell_g, c3=c3, d3=d3, mu3=mu3, zeta3=zeta3,
                    mu_phi=mu_phi, ell_phi_u=ell_phi_u, ell_phi_y=ell_phi_y)
-        for name in ("c3", "d3", "mu3", "zeta3", "mu_phi"):
-            if getattr(self, name) <= 0.0:
+        for name in self._fields:
+            value = getattr(self, name)
+            if math.isnan(value):
+                raise InputError(f"constant {name} must not be NaN")
+            if name in ("ell_f", "ell_g", "ell_phi_u", "ell_phi_y"):
+                if value < 0.0:
+                    raise InputError(f"constant {name} must be nonnegative")
+            elif value <= 0.0:
                 raise InputError(f"constant {name} must be positive")
-        for name in ("ell_f", "ell_g", "ell_phi_u", "ell_phi_y"):
-            if getattr(self, name) < 0.0:
-                raise InputError(f"constant {name} must be nonnegative")
+            elif value == math.inf:
+                raise InputError(f"constant {name} must be finite")
         if c3 > d3 * (1.0 + 1e-12):
             raise InputError("sandwich constants must satisfy c3 <= d3")
 
@@ -169,12 +180,10 @@ def decay_rate(p: DominanceParams, xi: float, alpha: float) -> float:
     return min(x_margin, alpha * u_margin)
 
 
-def required_regularization(k: SimplifyingConstants, margin: float = 1e-6) -> float:
-    """Smallest extra input curvature making the scalar bound pass (plus margin)."""
-    if margin <= 0.0:
-        raise InputError("margin must be positive")
+def required_regularization(k: SimplifyingConstants) -> float:
+    """Smallest extra input curvature making the scalar bound pass strictly."""
     _, rhs = check_mu_bound(k)
-    return max(0.0, rhs - k.mu_phi + margin)
+    return max(0.0, rhs - k.mu_phi + REGULARIZATION_MARGIN)
 
 
 class CertificateReport(FrozenRecord):
@@ -196,7 +205,7 @@ class CertificateReport(FrozenRecord):
 
     def to_text(self) -> str:
         """Flat `name = value` block for CLI output and golden-file tests."""
-        from .sim import fmt12  # here, so importing this module loads no ofo.sim or ofo.engine
+        from .engine.params import fmt12  # here, so importing this module loads no ofo.engine
 
         lines = [
             f"plant_kind = {self.plant_kind}",

@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from importlib.resources import files as resource_files
 from typing import BinaryIO, Callable
 
 from .certificate import certify
@@ -159,7 +158,9 @@ def cmd_reproduce(args) -> int:
     if args.figure not in REPRODUCE_ALPHAS:
         raise InputError(f"unknown figure id {args.figure!r}; expected one of "
                          f"{sorted(REPRODUCE_ALPHAS)}")
-    data = resource_files("ofo").joinpath(f"scenarios/{args.figure}.yaml").read_bytes()
+    path = os.path.join(os.path.dirname(__file__), "scenarios", f"{args.figure}.yaml")
+    with open(path, "rb") as fh:
+        data = fh.read()
     scenario = Scenario.loads(data.decode("utf-8"))
     _atomic_write(os.path.join(args.out, "scenario.yaml"), lambda fh: fh.write(data))
     _run_sweep(scenario, REPRODUCE_ALPHAS[args.figure], args.out)

@@ -322,10 +322,9 @@ static int printed_digits(double a, char *d)
     return atoi(text + 14);
 }
 
-/* Puts x as `%.12g` in plain notation, as ofo.engine.params.plain_field
- * ("%.12g" % x) does, followed by a comma, in the FALLBACK_MAX + 1 bytes
- * at o: its 12 digits, less the trailing zeros `%.12g` drops, around the
- * decimal point.  Returns the cursor after the comma, or, for inf or nan,
+/* Puts x as `%.12g` in plain notation, as ofo.engine.params.fmt12(x)
+ * does, followed by a comma, in the FALLBACK_MAX + 1 bytes at o: its 12
+ * digits, less the trailing zeros `%.12g` drops, around the decimal point.  Returns the cursor after the comma, or, for inf or nan,
  * sets *bad and returns o, having put nothing. */
 static char *put_double(double x, char *o, int *bad)
 {

@@ -1,6 +1,7 @@
-"""The result record the stepping kernels return, and the plain-notation
-rule for a printed field that both CSV formatters and `ofo.sim.fmt12`
-follow.
+"""The result record the stepping kernels return, and `fmt12`, the one
+rule for a printed number: the pure CSV formatter prints every sample
+through it, the compiled one (`_kernel.c`'s `put_double`) follows it, and
+`ofo.sim` and `ofo.certificate` print every other number with it.
 
 A result's sample columns are `array('d')` buffers, which the compiled
 kernel writes and reads in place, and its final state a list.  The kernels'
@@ -33,13 +34,14 @@ class SegmentResult(Record):
         self.final_u, self.max_violation, self.blowup_time = final_u, max_violation, blowup_time
 
 
-def plain_field(text: str) -> str:
-    """One `%.12g` field in plain decimal notation: an exponent form is
-    expanded by placing its printed digits, -0 becomes 0, inf and nan raise.
+def fmt12(x: float) -> str:
+    """x as `%.12g` in plain decimal notation: an exponent form is expanded
+    by placing its printed digits, -0 becomes 0, inf and nan raise.
 
     `%.12g` prints an exponent only for a decimal exponent below -4 or at
     least 12, and never more than 12 digits, so the decimal point falls
     before the first printed digit or after the last one, never between."""
+    text = "%.12g" % x
     mantissa, _, exponent = text.partition("e")
     if not exponent:
         if "n" in text:

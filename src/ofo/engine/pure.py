@@ -2,7 +2,8 @@
 
 This is the reference implementation: the compiled kernel (_kernel.c)
 mirrors it so that both produce bit-identical trajectories and CSV text.
-Any change here must be replicated there.
+Both formatters print one sample at a time by the one rule of
+`params.fmt12`.  Any change here must be replicated there.
 """
 
 from __future__ import annotations
@@ -10,34 +11,22 @@ from __future__ import annotations
 from math import cos, isfinite, sin, sqrt
 from typing import TYPE_CHECKING
 
-from .params import SegmentResult, plain_field
+from .params import SegmentResult, fmt12
 
 if TYPE_CHECKING:
     from .spec import SegmentSpec
 
 
-def plain_text(text: str) -> str:
-    """Every field of a CSV text of `%.12g` printouts through plain_field.
-    A line without "e", "n" or "-0" has no field to change."""
-    return "\n".join([",".join(map(plain_field, line.split(",")))
-                      if "e" in line or "n" in line or "-0" in line else line
-                      for line in text.split("\n")])
-
-
 def format_rows(samples: SegmentResult, n: int, p: int, w_text: str, ustar_text: str) -> bytes:
     """A segment's CSV rows t,x1..xn,u,y1..yp,<w_text>,V,<ustar_text> as
-    ASCII bytes, one per sample, each sample "%.12g" in plain notation (see
-    plain_field); samples.xs holds n values and samples.ys p values per row."""
-    row = "%.12g," * (2 + n + p) + w_text + ",%.12g," + ustar_text + "\n"
+    ASCII bytes, one per sample, each sample printed by fmt12, as the
+    compiled formatter's put_double prints it; samples.xs holds n values and
+    samples.ys p values per row."""
     s = samples
     xs = zip(*[iter(s.xs)] * n)
     ys = zip(*[iter(s.ys)] * p)
-    text = "".join([row % (t, *x, u, *y, v) for t, x, u, y, v in
-                    zip(s.times, xs, s.us, ys, s.vs)])
-    # every printed sample is followed by a comma, so "-0," marks a -0 field
-    if "e" in text or "n" in text or "-0," in text:
-        text = plain_text(text)
-    return text.encode("ascii")
+    return "".join([f"{','.join(map(fmt12, (t, *x, u, *y)))},{w_text},{fmt12(v)},{ustar_text}\n"
+                    for t, x, u, y, v in zip(s.times, xs, s.us, ys, s.vs)]).encode("ascii")
 
 
 def run_segment(spec: SegmentSpec) -> SegmentResult:

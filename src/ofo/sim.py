@@ -5,7 +5,8 @@ segment and keeps each call's samples, with the segment's reference optimum,
 as one Segment of the run's Trajectory.  The module also houses the
 steady-state optimizer used as the reference for every convergence claim,
 Lyapunov traces with their exponential envelope check, and deterministic
-gain sweeps.
+gain sweeps.  Every number it prints goes through `fmt12`, the printing
+rule it takes from `ofo.engine.params`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import engine
 from ._record import FrozenRecord, Record, set_fields
 from .controllers import BoxSet
 from .costs import CostModel, QuadraticCost, check_fit, reduced_gradient
-from .engine.params import plain_field
+from .engine.params import fmt12
 from .errors import DivergenceError, InputError, StepLimitError
 from .linalg import (
     Matrix,
@@ -34,11 +35,6 @@ _BRACKET = 1e6
 _SCAN_POINTS = 4097
 _SCAN_ROUNDS = 3
 _DT_FLOOR = 1e-6
-
-
-def fmt12(x: float) -> str:
-    """Format a float with 12 significant digits in plain decimal notation."""
-    return plain_field("%.12g" % float(x))
 
 
 class DisturbanceSchedule(FrozenRecord):

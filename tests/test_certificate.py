@@ -208,7 +208,7 @@ class TestRequiredRegularization:
 
     def test_unit_gap(self):
         k = all_ones(mu_phi=0.5)
-        assert required_regularization(k, margin=1e-6) == pytest.approx(0.5 + 1e-6, rel=1e-9)
+        assert required_regularization(k) == pytest.approx(0.5 + 1e-6, rel=1e-9)
 
     def test_round_trip_flips_verdict(self, fast_plant, quad_cost):
         k, _ = assemble_constants(fast_plant, quad_cost)
@@ -262,10 +262,30 @@ class TestCertify:
         ({"mu3": -1.0}, "constant mu3 must be positive"),
         ({"c3": 0.5, "d3": 0.25}, "sandwich constants must satisfy c3 <= d3"),
         ({"lip_grad_u": 1.0}, "unknown certificate constant override: lip_grad_u"),
+        ({"ell_f": math.nan}, "constant ell_f must not be NaN"),
+        ({"ell_phi_u": math.nan}, "constant ell_phi_u must not be NaN"),
+        ({"c3": math.nan}, "constant c3 must not be NaN"),
+        ({"mu_phi": math.nan}, "constant mu_phi must not be NaN"),
+        ({"c3": math.inf, "d3": math.inf}, "constant c3 must be finite"),
+        ({"d3": math.inf}, "constant d3 must be finite"),
+        ({"mu3": math.inf}, "constant mu3 must be finite"),
+        ({"zeta3": math.inf}, "constant zeta3 must be finite"),
+        ({"mu_phi": math.inf}, "constant mu_phi must be finite"),
     ])
     def test_bad_override_refused(self, fast_plant, quad_cost, overrides, message):
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             certify(fast_plant, quad_cost, 1.0, overrides)
+
+    @pytest.mark.parametrize("name", ["ell_f", "ell_g", "ell_phi_u", "ell_phi_y"])
+    def test_infinite_modulus_is_not_certified(self, fast_plant, quad_cost, name):
+        # a modulus may be +inf, as a sine plant's ell_phi_u under a
+        # quadratic cost is; the verdict is then "not certified" or a gap error
+        try:
+            report = certify(fast_plant, quad_cost, 1.0, {name: math.inf})
+        except ConvexityGapError:
+            assert name == "ell_phi_u"
+        else:
+            assert not report.certified and report.tau_at_alpha is None
 
     def test_sqrtplus_cost_needs_scalar_output(self, fast_plant, sqrt_cost):
         # the cost is defined for a scalar y only, so no report is given for

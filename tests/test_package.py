@@ -89,6 +89,17 @@ def test_a_run_imports_only_the_standard_library_and_ofo(tmp_path):
     assert not foreign, foreign
 
 
+def test_reproduce_loads_no_importlib_resources(tmp_path):
+    # without site (-S) no .pth file imports it first, so only ofo could
+    code = ("import sys; from ofo.cli import main; "
+            f"rc = main(['reproduce', 'fig1', '--out', {str(tmp_path)!r}]); "
+            "print(rc, 'importlib.resources' in sys.modules)")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=checkout_env())
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
+
+
 def test_choosing_the_kernel_loads_no_dataclasses():
     # the benchmark's set-up: the CLI's modules and the kernel choice
     code = ("import sys; before = set(sys.modules); import ofo.cli; "

@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 from ofo import engine, plants, sim
-from ofo.certificate import assemble_constants, certify, decay_rate, required_regularization
+from ofo.certificate import assemble_constants, certify, check_mu_bound, decay_rate
 from ofo.cli import _run_config, main
 from ofo.controllers import BoxSet
 from ofo.costs import QuadraticCost, SqrtPlusCost
@@ -550,6 +550,43 @@ class TestKernels:
             assert a.blowup_time == b.blowup_time
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    @pytest.mark.parametrize("changes, message", [
+        *[({name: value}, "kernel needs n, p, record_stride >= 1 and n_full >= 0")
+          for name, value in (("n", 0), ("p", 0), ("record_stride", 0), ("n_full", -1))],
+        *[({name: [0.5] * (count + 1)}, f"kernel input {name} has {count + 1} values, "
+                                          f"expected {count}")
+          for name, count in (("a", 4), ("b", 2), ("drift", 2), ("c", 2), ("sens0", 1),
+                              ("lyap_p", 4), ("xstar", 2), ("x0", 2))],
+        ({"times": [0.0]}, "sample column has 4 values, expected 2"),
+        ({"xs": [0.0] * 3}, "sample column has 3 values, expected 4"),
+        ({"us": []}, "sample column has 0 values, expected 2"),
+        ({"ys": [0.0] * 3}, "sample column has 3 values, expected 2"),
+        ({"vs": [0.0]}, "sample column has 1 values, expected 2"),
+    ])
+    def test_compiled_kernel_refuses_wrong_sizes(self, changes, message):
+        # these checks keep the C code from reading past a buffer: a spec
+        # field is checked by run_segment, a sample column by format_rows,
+        # on two states and one output
+        from ofo.engine import _speedup
+
+        if set(changes) <= set(engine.SegmentResult._fields):
+            samples = engine.SegmentResult(times=[0.0, 1.0], xs=[0.0] * 4, us=[0.0] * 2,
+                                           ys=[0.0] * 2, vs=[0.0] * 2)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _speedup.format_rows(replace(samples, **changes), 2, 1, "0", "0")
+            return
+        spec = engine.SegmentSpec(
+            n=2, p=1, sine=False, a=[-1.0, 0.0, 0.0, -1.0], b=[1.0, 0.0], drift=[0.0, 0.0],
+            c=[1.0, 0.0], sens0=[1.0], sqrtplus=False, cq1=1.0, cq2=1.0, mu4=0.0,
+            projected=False, alpha=1.0, beta=0.0, lo=-math.inf, hi=math.inf, x0=[0.0, 0.0],
+            u0=0.0, t0=0.0, t_end=1.0, dt=0.5, n_full=2, last_dt=0.0, record_stride=1,
+            include_final=True, lyap_xi=1.0, lyap_p=[0.5, 0.0, 0.0, 0.5], xstar=[0.0, 0.0],
+            ustar=0.0)
+        assert len(_speedup.run_segment(spec).times) == 3
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _speedup.run_segment(replace(spec, **changes))
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_compiled_matches_pure_bitwise_on_wider_plants(self):
         # the compiled kernel sums four rows of A x, C x and P (x - x*) side
         # by side and the rows left over one at a time; every state count
@@ -916,7 +953,7 @@ class TestLyapunovMachinery:
         # regularize until the certificate passes with real margin, then check
         # the sampled decay inequality along the closed loop
         k, _ = assemble_constants(fast_plant, quad_cost)
-        mu4 = required_regularization(k, margin=0.5)
+        mu4 = check_mu_bound(k)[1] - k.mu_phi + 0.5
         reg = replace(quad_cost, mu4=mu4)
         report = certify(fast_plant, reg, 1.0)
         assert report.certified
@@ -943,7 +980,7 @@ class TestLyapunovMachinery:
     def test_per_segment_decay_within_constant_disturbance(self, fast_plant, quad_cost):
         # same certified setup; V must obey its exponential envelope per segment
         k, _ = assemble_constants(fast_plant, quad_cost)
-        reg = replace(quad_cost, mu4=required_regularization(k, margin=0.5))
+        reg = replace(quad_cost, mu4=check_mu_bound(k)[1] - k.mu_phi + 0.5)
         report = certify(fast_plant, reg, 2.0)
         schedule = DisturbanceSchedule(((0.0, (10.0,)), (6.0, (-10.0,))))
         cfg = RunConfig(plant=fast_plant, cost=reg,
@@ -1370,14 +1407,14 @@ class TestCsv:
 
     def assert_fields_match_printf(self, values):
         # each value as one sample field of two-state, one-output rows
-        # (t, x1, x2, u1, y1, V), against "%.12g" with its exponent form
-        # expanded by plain_field
+        # (t, x1, x2, u1, y1, V), against fmt12: "%.12g" with its exponent
+        # form expanded
         values = [float(x) for x in values]
         values += [0.5] * (-len(values) % 6)
         samples = engine.SegmentResult(times=values[0::6], xs=[x for i in range(0, len(values), 6)
                                                                for x in values[i + 1:i + 3]],
                                        us=values[3::6], ys=values[4::6], vs=values[5::6])
-        want = [pure.plain_field("%.12g" % x) for x in values]
+        want = [fmt12(x) for x in values]
         for formatter in self.formatters():
             lines = formatter(samples, 2, 1, "7", "-3").decode("ascii").split("\n")
             assert lines.pop() == ""
@@ -1485,13 +1522,17 @@ class TestCsv:
                  for i in range(6)]
         self.assert_matches_oracle(table, monkeypatch)
 
-    def test_plain_text_field_boundaries(self):
-        # -0 and exponent forms first and last on a line, at the end of a
-        # text with no final line feed, and empty fields
-        cases = {"": "", "-0": "0", "-0,1e-05\n-0.5,-0\n": "0,0.00001\n-0.5,0\n",
-                 "1e+12,,-1e-05": "1000000000000,,-0.00001", "\n-0\n": "\n0\n",
-                 "-1.5e+300": "-15" + "0" * 299}
-        assert {text: pure.plain_text(text) for text in cases} == cases
+    def test_zero_and_exponent_fields_first_and_last_on_a_row(self, monkeypatch):
+        # -0 first (t) and last (V, and the -0 ustar) on a row, exponent
+        # forms in the first and the last sample column
+        traj = self.table([(1e12, -0.0, [(-0.0, 1e-05, -1e-05, 1e12, -1.5e300, -0.0),
+                                         (-1.5e300, -0.0, 1e-05, -1e-05, 1e12, 1e-05)])])
+        big = "-15" + "0" * 299
+        want = [csv_header(2, 1, 1),
+                f"0,0.00001,-0.00001,1000000000000,{big},1000000000000,0,0",
+                f"{big},0,0.00001,-0.00001,1000000000000,1000000000000,0.00001,0", ""]
+        for formatter in self.formatters():
+            assert self.csv_with(formatter, traj, monkeypatch).split("\n") == want
 
     def test_non_finite_rejected_in_every_column(self, monkeypatch):
         for formatter in self.formatters():
